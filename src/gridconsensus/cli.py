@@ -29,6 +29,7 @@ from .simulation import (
     ScenarioConfig,
     generate_demand_profile,
     generate_desired_profile,
+    run,
 )
 
 
@@ -142,7 +143,7 @@ def cmd_coordinate(args) -> int:
     )
     gap = np.abs(closed.desired - dist.desired)
     print(f"demand {args.demand:g} split over {caps.n} nodes "
-          f"(leader {config.leader}, {dist.iters_x} consensus rounds)")
+          f"(leader {config.leader}, {dist.iters} consensus rounds)")
     print(f"{'node':>4}  {'closed-form':>18}  {'distributed':>18}  {'|difference|':>12}")
     for i in range(caps.n):
         print(f"{i + 1:>4}  {closed.desired[i]:>18.12f}  "
@@ -165,8 +166,6 @@ def cmd_coordinate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .simulation import run  # local import keeps CLI startup cheap
-
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)

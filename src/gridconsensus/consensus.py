@@ -1,14 +1,12 @@
 """Synchronous-round linear consensus iterations.
 
-Three engines, all operating on per-node value arrays:
+Two engines, both operating on per-node value arrays:
 
-* ``iterate_linear`` — repeated multiplication x <- W @ x, stopping on
-  per-round quiescence.
 * ``ratio_consensus`` — two coupled sum-preserving iterations whose
   per-node ratio converges to sum(x0)/sum(y0).
 * ``flow_accumulate`` — Metropolis-weighted averaging that additionally
-  integrates the per-edge disagreement into an antisymmetric accumulator;
-  its steady state supplies pairwise power flows.
+  integrates the disagreement across each edge into a per-edge
+  accumulator; its steady state supplies the power flows.
 
 All rounds are synchronous: every node updates from the previous round's
 values. Nothing here mutates its inputs.
@@ -16,15 +14,12 @@ values. Nothing here mutates its inputs.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDenominatorError
 from .graph import GridTopology, metropolis_edge_weights
-
-log = logging.getLogger(__name__)
 
 # Denominators below this are treated as collapsed rather than divided by.
 DENOMINATOR_FLOOR = 1e-12
@@ -56,38 +51,12 @@ class ConsensusResult:
 
 @dataclass(frozen=True)
 class FlowAccumulator:
-    """Antisymmetric per-pair accumulator h and node values g at
-    termination of the flow iteration, plus rounds executed."""
+    """Per-edge accumulator h, aligned with ``topology.edges``, and node
+    values g at termination of the flow iteration, plus rounds executed."""
 
     h: np.ndarray
     g: np.ndarray
     iters: int
-
-
-def iterate_linear(
-    weights: np.ndarray, x0, criteria: ConvergenceCriteria
-) -> ConsensusResult:
-    """Iterate x <- weights @ x until the largest per-node change in one
-    round is at most ``criteria.eps``.
-
-    Non-convergence within ``max_iters`` is reported through the returned
-    ``converged`` flag (the last values are kept), never raised.
-    """
-    w = np.asarray(weights, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] != x.shape[0]:
-        raise ValueError(f"weight shape {w.shape} does not match values {x.shape}")
-    if np.any(w < 0):
-        raise ValueError("weight matrix entries must be nonnegative")
-
-    for t in range(1, criteria.max_iters + 1):
-        x_next = w @ x
-        change = np.max(np.abs(x_next - x)) if x.size else 0.0
-        x = x_next
-        if change <= criteria.eps:
-            return ConsensusResult(values=x, iters=t, converged=True)
-    log.debug("linear iteration hit cap %d (last change > %g)", criteria.max_iters, criteria.eps)
-    return ConsensusResult(values=x, iters=criteria.max_iters, converged=False)
 
 
 def ratio_consensus(
@@ -139,11 +108,12 @@ def flow_accumulate(
 ) -> FlowAccumulator:
     """Average g across the graph while integrating per-edge disagreement.
 
-    Each round, every edge (i, j) carries an increment
-    a_ij * (g_j - g_i); node values absorb their incident increments (one
-    Metropolis averaging round) and the accumulator records them with
-    h[i, j] += inc, h[j, i] -= inc, keeping h exactly antisymmetric. By
-    telescoping, g_i(t) = g_i(0) + sum_j h[i, j](t) holds at every round.
+    Each round, every edge e = (i, j) with i < j carries an increment
+    a_e * (g_j - g_i); node values absorb their incident increments (one
+    Metropolis averaging round: i gains it, j loses it) and the
+    accumulator records it with h[e] += inc. By telescoping, at every
+    round g_i(t) = g_i(0) + sum of h[e](t) over edges e = (i, j) minus sum
+    of h[e](t) over edges e = (j, i).
 
     Stops once a round both changes no node by more than ``eps`` and has
     the node values agreeing to within ``eps`` (values bracket their mean
@@ -158,14 +128,13 @@ def flow_accumulate(
     if g.shape != (n,):
         raise ValueError(f"g0 shape {g.shape} does not match {n} nodes")
 
-    h = np.zeros((n, n))
     heads, tails = topology.edge_index_arrays()
+    h = np.zeros(heads.shape[0])
     a = metropolis_edge_weights(topology)
 
     for t in range(1, criteria.max_iters + 1):
         inc = a * (g[tails] - g[heads])
-        h[heads, tails] += inc
-        h[tails, heads] -= inc
+        h += inc
         g_next = g.copy()
         np.add.at(g_next, heads, inc)
         np.subtract.at(g_next, tails, inc)

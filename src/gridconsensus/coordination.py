@@ -107,8 +107,7 @@ class CoordinationResult:
 
     desired: np.ndarray
     method: str  # "closed-form" | "distributed"
-    iters_x: int = 0
-    iters_y: int = 0
+    iters: int = 0
 
 
 def check_realizability(p_demand: float, caps: NodeCapacities) -> RealizabilityReport:
@@ -152,28 +151,36 @@ def _audit_net_bounds(desired: np.ndarray, caps: NodeCapacities) -> None:
         )
 
 
+def _all_fixed_floors(p_demand: float, caps: NodeCapacities) -> np.ndarray | None:
+    """The all-floors split when every generator is fixed (zero total
+    range), or None when there is a range to split demand over.
+
+    With every generator fixed the demand must equal the aggregate floor
+    exactly; the floors are then the only answer.
+    """
+    if float(np.sum(caps.gen_range)) > 0.0:
+        return None
+    if abs(p_demand - caps.total_gen_lo) > 1e-9 * (1.0 + abs(p_demand)):
+        raise DegenerateDenominatorError(
+            f"all generators fixed but demand {p_demand} != "
+            f"aggregate floor {caps.total_gen_lo}"
+        )
+    return caps.gen_lo.copy()
+
+
 def coordinate_closed_form(p_demand: float, caps: NodeCapacities) -> CoordinationResult:
     """Split demand using global capacity sums.
 
     Each node receives its generation floor plus a share of the remaining
     demand proportional to its generation range, which keeps every node
     inside its generation bounds and makes the shares sum to the demand.
-
-    When every generator is fixed (zero total range) the demand must equal
-    the aggregate floor exactly; the floors are then the only answer.
+    When every generator is fixed, the floors are the only answer.
     """
     _require_realizable(p_demand, caps)
-    total_range = float(np.sum(caps.gen_range))
-    surplus = p_demand - caps.total_gen_lo
-    if total_range <= 0.0:
-        if abs(surplus) > 1e-9 * (1.0 + abs(p_demand)):
-            raise DegenerateDenominatorError(
-                f"all generators fixed but demand {p_demand} != "
-                f"aggregate floor {caps.total_gen_lo}"
-            )
-        desired = caps.gen_lo.copy()
-    else:
-        desired = caps.gen_lo + caps.gen_range * (surplus / total_range)
+    desired = _all_fixed_floors(p_demand, caps)
+    if desired is None:
+        surplus = p_demand - caps.total_gen_lo
+        desired = caps.gen_lo + caps.gen_range * (surplus / float(np.sum(caps.gen_range)))
     _audit_net_bounds(desired, caps)
     return CoordinationResult(desired=desired, method="closed-form")
 
@@ -198,17 +205,11 @@ def coordinate_distributed(
     if not 1 <= leader <= topology.n:
         raise ValueError(f"leader {leader} outside 1..{topology.n}")
     _require_realizable(p_demand, caps)
-
-    total_range = float(np.sum(caps.gen_range))
-    if total_range <= 0.0:
-        # Nothing to negotiate: consensus cannot run on a zero denominator,
-        # but the all-floors profile is still the answer when it matches.
-        if abs(p_demand - caps.total_gen_lo) > 1e-9 * (1.0 + abs(p_demand)):
-            raise DegenerateDenominatorError(
-                f"all generators fixed but demand {p_demand} != "
-                f"aggregate floor {caps.total_gen_lo}"
-            )
-        return CoordinationResult(desired=caps.gen_lo.copy(), method="distributed")
+    # Nothing to negotiate when every generator is fixed: consensus cannot
+    # run on a zero denominator, but the all-floors profile still answers.
+    floors = _all_fixed_floors(p_demand, caps)
+    if floors is not None:
+        return CoordinationResult(desired=floors, method="distributed")
 
     x0 = -caps.gen_lo.copy()
     x0[leader - 1] += p_demand
@@ -233,6 +234,5 @@ def coordinate_distributed(
     return CoordinationResult(
         desired=desired,
         method="distributed",
-        iters_x=result.iters,
-        iters_y=result.iters,
+        iters=result.iters,
     )

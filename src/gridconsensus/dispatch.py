@@ -113,7 +113,8 @@ class GenerationResult:
 
 @dataclass(frozen=True)
 class FlowControlResult:
-    """Pairwise flow matrix (entry ij = power sent from i to j) plus rounds."""
+    """One signed flow per edge of ``topology.edges`` plus rounds. A
+    positive flow on edge (i, j), i < j, is power node i sends to node j."""
 
     flows: np.ndarray
     iters: int
@@ -149,13 +150,11 @@ def generation_with_coordination(
     return desired - state.p_G
 
 
-def generation_closed_form(p_D: float, state: GridState, db: DeltaBounds) -> np.ndarray:
-    """Split the aggregate generation shortfall proportionally to headroom.
-
-    Each node takes its minimum allowed change plus a share of what is
-    left, proportional to the width of its allowed-change interval. The
-    changes then sum exactly to the shortfall and respect the bounds.
-    """
+def _require_feasible(
+    p_D: float, state: GridState, db: DeltaBounds
+) -> tuple[float, float, float]:
+    """Check that reaching total p_D fits the summed delta bounds (up to
+    float dust); return the needed change and the two bound sums."""
     needed = p_D - float(np.sum(state.p_G))
     lo_sum = float(np.sum(db.lo))
     hi_sum = float(np.sum(db.hi))
@@ -165,6 +164,17 @@ def generation_closed_form(p_D: float, state: GridState, db: DeltaBounds) -> np.
             f"required generation change {needed} outside feasible "
             f"interval [{lo_sum}, {hi_sum}]"
         )
+    return needed, lo_sum, hi_sum
+
+
+def generation_closed_form(p_D: float, state: GridState, db: DeltaBounds) -> np.ndarray:
+    """Split the aggregate generation shortfall proportionally to headroom.
+
+    Each node takes its minimum allowed change plus a share of what is
+    left, proportional to the width of its allowed-change interval. The
+    changes then sum exactly to the shortfall and respect the bounds.
+    """
+    needed, lo_sum, hi_sum = _require_feasible(p_D, state, db)
     total_range = hi_sum - lo_sum
     if total_range <= 0.0:
         # All headroom intervals are points; feasibility already pinned
@@ -190,16 +200,7 @@ def generation_distributed(
     desired = _as_vector(desired, state.n, "desired")
     if topology.n != state.n:
         raise ValueError(f"topology has {topology.n} nodes, state has {state.n}")
-    p_D = float(np.sum(desired))
-    needed = p_D - float(np.sum(state.p_G))
-    lo_sum = float(np.sum(db.lo))
-    hi_sum = float(np.sum(db.hi))
-    tol = _FEAS_TOL * (1.0 + abs(p_D) + abs(lo_sum) + abs(hi_sum))
-    if needed < lo_sum - tol or needed > hi_sum + tol:
-        raise InfeasibleStepError(
-            f"required generation change {needed} outside feasible "
-            f"interval [{lo_sum}, {hi_sum}]"
-        )
+    _require_feasible(float(np.sum(desired)), state, db)
     if float(np.sum(db.range)) <= 0.0:
         return GenerationResult(delta=db.lo.copy(), iters=0)
 
@@ -221,13 +222,13 @@ def flow_control(
     criteria: ConvergenceCriteria = ConvergenceCriteria(),
     balance_tol: float = 1e-6,
 ) -> FlowControlResult:
-    """Find pairwise flows that cancel each node's remaining mismatch.
+    """Find per-edge flows that cancel each node's remaining mismatch.
 
     The mismatch vector (generation minus target) averages to zero when
     generation control balanced the totals, so diffusing it to agreement
     drives every entry to zero; the edge accumulator integrated along the
-    way is exactly the flow needed. Entry (i, j) of the result is the power
-    i sends to j.
+    way, negated, is exactly the flow needed. Entry e of the result, for
+    edge (i, j) = ``topology.edges[e]``, is the power i sends to j.
 
     Raises BalanceError when the mismatch total is not (near) zero: flows
     only move power around, they cannot create it.
@@ -241,38 +242,29 @@ def flow_control(
             "per-node errors"
         )
     acc = flow_accumulate(topology, weights, mismatch, criteria)
-    # The accumulator entry (i, j) drives node i's update; the flow naming
-    # convention points the other way, hence the transpose-negate (= -h).
     return FlowControlResult(flows=-acc.h, iters=acc.iters)
 
 
-def apply_step(
-    state: GridState, delta, flows, topology: GridTopology | None = None
-) -> GridState:
+def apply_step(state: GridState, delta, flows, topology: GridTopology) -> GridState:
     """Advance one physical step: shift generation, book the flows.
 
-    The flow matrix must be antisymmetric, and supported on grid edges
-    when a topology is supplied; net inflow at a node is the column sum
-    of the matrix.
+    ``flows`` holds one value per edge of ``topology.edges``; a positive
+    value on edge (i, j) moves power from i to j. A node's net inflow adds
+    the flows on its edges to lower-numbered neighbors, then subtracts
+    those on its edges to higher-numbered ones, each group in increasing
+    neighbor order.
     """
     n = state.n
     delta = _as_vector(delta, n, "delta")
-    flows = np.asarray(flows, dtype=float)
-    if flows.shape != (n, n):
-        raise ValueError(f"flow matrix must be {n}x{n}, got {flows.shape}")
-    if np.max(np.abs(flows + flows.T), initial=0.0) > 1e-12:
-        raise ValueError("flow matrix is not antisymmetric")
-    if topology is not None:
-        allowed = np.zeros((n, n), dtype=bool)
-        heads, tails = topology.edge_index_arrays()
-        allowed[heads, tails] = True
-        allowed[tails, heads] = True
-        if np.any((flows != 0.0) & ~allowed):
-            i, j = np.argwhere((flows != 0.0) & ~allowed)[0]
-            raise ValueError(f"flow between non-adjacent nodes {i + 1} and {j + 1}")
+    heads, tails = topology.edge_index_arrays()
+    flows = _as_vector(flows, heads.shape[0], "flows")
 
     p_G = state.p_G + delta
-    p_F_net = flows.sum(axis=0)
+    p_F_net = np.bincount(
+        np.concatenate((tails, heads)),
+        weights=np.concatenate((flows, -flows)),
+        minlength=n,
+    )
     p = p_G + p_F_net
     return GridState(
         p_G=p_G,

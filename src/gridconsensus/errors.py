@@ -8,7 +8,16 @@ from __future__ import annotations
 
 
 class GridConsensusError(Exception):
-    """Base class for all domain-level failures."""
+    """Base class for all domain-level failures.
+
+    ``step`` and ``phase`` say where in a simulation run the failure
+    happened; they stay None outside a run.
+    """
+
+    def __init__(self, *args, step=None, phase=None):
+        super().__init__(*args)
+        self.step = step
+        self.phase = phase
 
 
 class TopologyError(GridConsensusError):
@@ -70,11 +79,6 @@ class BalanceError(GridConsensusError):
 
 class AuditError(GridConsensusError):
     """A simulation step failed a constraint audit (fail-fast mode)."""
-
-    def __init__(self, message, step=None, phase=None):
-        super().__init__(message)
-        self.step = step
-        self.phase = phase
 
 
 class ConfigError(GridConsensusError):

@@ -74,7 +74,7 @@ def build_topology(n: int, edges) -> GridTopology:
                 )
         if i == j:
             raise SelfLoopError(f"edge ({i}, {j}) is a self-loop")
-        pair = (min(i, j), max(i, j))
+        pair = (int(min(i, j)), int(max(i, j)))
         if pair in seen:
             raise DuplicateEdgeError(f"edge {pair} appears more than once")
         seen.add(pair)

@@ -334,46 +334,46 @@ def run(config: ScenarioConfig) -> SimulationRecord:
     gen_iters = np.zeros(K, dtype=int)
     flow_iters = np.zeros(K, dtype=int)
     audits: list[StepAudit] = []
-    zero_flows = np.zeros((n, n))
 
     for k in range(K):
         caps_k = schedule[k]
         step = k + 1
-        if config.mode == MODE_WITH:
-            phase = "coordination"
-            try:
+        try:
+            if config.mode == MODE_WITH:
+                phase = "coordination"
                 coord = coordinate_distributed(
                     float(demand[k]), caps_k, config.topology,
                     leader=config.leader, criteria=config.criteria,
                 )
+                coord_iters[k] = coord.iters
                 phase = "generation"
                 staged = state.with_desired(coord.desired)
                 step_delta = generation_with_coordination(staged, coord.desired, caps_k)
-                phase = "commit"
-                state = apply_step(staged, step_delta, zero_flows, config.topology)
-            except GridConsensusError as exc:
-                raise type(exc)(f"step {step} ({phase}): {exc}") from exc
-            coord_iters[k] = coord.iters_x
-        else:
-            phase = "generation"
-            try:
+                flows = np.zeros(len(config.topology.edges))
+            else:
+                phase = "generation"
                 staged = state.with_desired(desired_rows[k])
                 db = compute_delta_bounds(staged, caps_k)
                 gen = generation_distributed(
                     desired_rows[k], staged, db, config.topology, config.criteria
                 )
+                gen_iters[k] = gen.iters
                 step_delta = gen.delta
                 phase = "flow control"
                 fc = flow_control(
                     staged.after_generation(step_delta), config.topology,
                     s_weights, config.criteria,
                 )
-                phase = "commit"
-                state = apply_step(staged, step_delta, fc.flows, config.topology)
-            except GridConsensusError as exc:
-                raise type(exc)(f"step {step} ({phase}): {exc}") from exc
-            gen_iters[k] = gen.iters
-            flow_iters[k] = fc.iters
+                flow_iters[k] = fc.iters
+                flows = fc.flows
+            phase = "commit"
+            state = apply_step(staged, step_delta, flows, config.topology)
+        except GridConsensusError as exc:
+            # Locate the failure on the exception itself, so fields such as
+            # ConvergenceError.values or NotRealizableError.report survive.
+            exc.step, exc.phase = step, phase
+            exc.args = (f"step {step} ({phase}): {exc}", *exc.args[1:])
+            raise
 
         audit = audit_state(state, caps_k)
         audits.append(audit)

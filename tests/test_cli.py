@@ -171,7 +171,7 @@ class TestRun:
 
     def test_audit_failure_aborts_with_exit_1(self, tmp_path, capsys, monkeypatch):
         def no_flows(state, topology, weights, criteria, balance_tol=1e-6):
-            return FlowControlResult(flows=np.zeros((state.n, state.n)), iters=1)
+            return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
         config = write_config(tmp_path)
@@ -183,7 +183,7 @@ class TestRun:
 
     def test_audit_failure_can_be_recorded(self, tmp_path, capsys, monkeypatch):
         def no_flows(state, topology, weights, criteria, balance_tol=1e-6):
-            return FlowControlResult(flows=np.zeros((state.n, state.n)), iters=1)
+            return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
         config = write_config(tmp_path)

@@ -5,18 +5,23 @@ from __future__ import annotations
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from gridconsensus import (
     ConfigError,
+    DesiredSpec,
     MODE_WITH,
     MODE_WITHOUT,
+    ScenarioConfig,
     config_to_dict,
     default_config_path,
     dump_config,
     load_config,
     parse_config,
+    random_connected_topology,
 )
+from conftest import random_capacities
 
 
 def good_doc():
@@ -199,8 +204,22 @@ class TestRoundTrip:
         dump_config(again, out2)
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_random_topology_dump_load_round_trip(self, tmp_path):
+        # generated graphs carry numpy-integer endpoints into build_topology
+        rng = np.random.default_rng(8)
+        topology = random_connected_topology(8, rng)
+        config = ScenarioConfig(
+            mode=MODE_WITHOUT, topology=topology, capacities=random_capacities(rng, 8),
+            horizon=2, desired=DesiredSpec(),
+        )
+        out = tmp_path / "scenario.json"
+        dump_config(config, out)
+        again = load_config(out)
+        assert again.topology == topology
+        assert config_to_dict(again) == config_to_dict(config)
+
     def test_schedule_not_representable(self, ref_caps, ring_chord):
-        from gridconsensus import DemandSpec, ScenarioConfig
+        from gridconsensus import DemandSpec
 
         config = ScenarioConfig(
             mode=MODE_WITH, topology=ring_chord, capacities=(ref_caps, ref_caps),

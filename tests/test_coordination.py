@@ -124,7 +124,7 @@ class TestDistributed:
         closed = coordinate_closed_form(150.0, ref_caps).desired
         dist = coordinate_distributed(150.0, ref_caps, ring_chord, leader=1)
         assert dist.method == "distributed"
-        assert dist.iters_x == dist.iters_y > 0
+        assert dist.iters > 0
         assert np.max(np.abs(dist.desired - closed)) <= 1e-8
 
     def test_leader_choice_does_not_matter(self, ref_caps, ring_chord):

@@ -8,6 +8,8 @@ step's total desired net power, regardless of the previous state.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,10 @@ from gridconsensus import (
     ScenarioConfig,
     SimulationRecord,
     coordinate_closed_form,
+    default_config_path,
     generate_demand_profile,
     generate_desired_profile,
+    load_config,
     run,
 )
 from conftest import make_reference_caps
@@ -286,10 +290,22 @@ class TestFailureHandling:
         with pytest.raises(ConvergenceError, match=r"step 1 \(coordination\)"):
             run(config)
 
+    @pytest.mark.parametrize("mode, phase", [("with", "coordination"),
+                                             ("without", "generation")])
+    def test_failure_keeps_its_fields_and_location(self, mode, phase):
+        config = replace(load_config(default_config_path(mode)),
+                         criteria=ConvergenceCriteria(max_iters=3))
+        with pytest.raises(ConvergenceError, match=rf"step 1 \({phase}\)") as info:
+            run(config)
+        assert info.value.iters == 3
+        assert info.value.values is not None
+        assert info.value.step == 1
+        assert info.value.phase == phase
+
     def test_audit_failure_raises_by_default(self, without_config, monkeypatch):
         # sabotage flow control so per-node mismatches are left standing
         def no_flows(state, topology, weights, criteria, balance_tol=1e-6):
-            return FlowControlResult(flows=np.zeros((state.n, state.n)), iters=1)
+            return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
         with pytest.raises(AuditError, match="error annihilation") as info:
@@ -299,11 +315,9 @@ class TestFailureHandling:
 
     def test_audit_failure_can_be_flagged_instead(self, without_config, monkeypatch):
         def no_flows(state, topology, weights, criteria, balance_tol=1e-6):
-            return FlowControlResult(flows=np.zeros((state.n, state.n)), iters=1)
+            return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
-        from dataclasses import replace
-
         record = run(replace(without_config, fail_fast=False))
         assert isinstance(record, SimulationRecord)
         assert record.horizon == without_config.horizon
