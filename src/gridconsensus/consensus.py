@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDenominatorError
-from .graph import GridTopology, metropolis_edge_weights
+from .graph import GridTopology, SparseWeights, metropolis_edge_weights
 
 # Denominators below this are treated as collapsed rather than divided by.
 DENOMINATOR_FLOOR = 1e-12
@@ -60,10 +60,16 @@ class FlowAccumulator:
 
 
 def ratio_consensus(
-    weights: np.ndarray, x0, y0, criteria: ConvergenceCriteria
+    weights: SparseWeights | np.ndarray, x0, y0, criteria: ConvergenceCriteria
 ) -> ConsensusResult:
     """Run x and y through the same sum-preserving iteration and return the
     per-node ratios x_i/y_i, which all converge to sum(x0)/sum(y0).
+
+    One round is ``weights @ x`` and ``weights @ y``: on ``SparseWeights``
+    each node reads only its neighbors, O(n + m) per round; a dense n x n
+    array gives the plain dense iteration, which tests keep as the
+    reference. The two add each row in a different order, so their values
+    differ by float dust. ``weights`` must be n x n for n-entry x0 and y0.
 
     Convergence is judged on the ratio vector, not on x and y separately:
     once every denominator clears the floor, each new ratio is a convex
@@ -75,27 +81,27 @@ def ratio_consensus(
     Raises DegenerateDenominatorError if y0 carries no positive mass or a
     denominator is still below the floor at termination.
     """
-    w = np.asarray(weights, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    y = np.asarray(y0, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"x0 shape {x.shape} != y0 shape {y.shape}")
+    if x.ndim != 1 or weights.shape != (x.size, x.size):
+        raise ValueError(f"weight shape {weights.shape} does not match x0 shape {x.shape}")
     if np.any(y < 0):
         raise ValueError("y0 entries must be nonnegative")
     if not np.any(y > 0):
         raise DegenerateDenominatorError("y0 has no positive entries")
 
-    ratio = None
     for t in range(1, criteria.max_iters + 1):
-        x = w @ x
-        y = w @ y
-        if np.min(y) <= DENOMINATOR_FLOOR:
+        x = weights @ x
+        y = weights @ y
+        if y.min() <= DENOMINATOR_FLOOR:
             continue
         ratio = x / y
-        spread = np.max(ratio) - np.min(ratio)
+        spread = ratio.max() - ratio.min()
         if spread <= criteria.eps:
             return ConsensusResult(values=ratio, iters=t, converged=True)
-    if np.min(y) <= DENOMINATOR_FLOOR:
+    if y.min() <= DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"denominator still below {DENOMINATOR_FLOOR:g} after "
             f"{criteria.max_iters} rounds"
@@ -104,9 +110,16 @@ def ratio_consensus(
 
 
 def flow_accumulate(
-    topology: GridTopology, weights: np.ndarray, g0, criteria: ConvergenceCriteria
+    topology: GridTopology,
+    weights: SparseWeights | np.ndarray,
+    g0,
+    criteria: ConvergenceCriteria,
 ) -> FlowAccumulator:
     """Average g across the graph while integrating per-edge disagreement.
+
+    ``weights`` (the Metropolis weights of ``topology``) is only checked to
+    be n x n: the rounds apply the same weights per edge, from
+    ``metropolis_edge_weights``, so that each increment lands on its edge.
 
     Each round, every edge e = (i, j) with i < j carries an increment
     a_e * (g_j - g_i); node values absorb their incident increments (one
@@ -121,9 +134,8 @@ def flow_accumulate(
     ConvergenceError at the round cap.
     """
     n = topology.n
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n, n):
-        raise ValueError(f"weight shape {w.shape} does not match {n} nodes")
+    if weights.shape != (n, n):
+        raise ValueError(f"weight shape {weights.shape} does not match {n} nodes")
     g = np.asarray(g0, dtype=float).copy()
     if g.shape != (n,):
         raise ValueError(f"g0 shape {g.shape} does not match {n} nodes")
@@ -138,9 +150,9 @@ def flow_accumulate(
         g_next = g.copy()
         np.add.at(g_next, heads, inc)
         np.subtract.at(g_next, tails, inc)
-        change = np.max(np.abs(g_next - g))
+        change = np.abs(g_next - g).max()
         g = g_next
-        if change <= criteria.eps and np.max(g) - np.min(g) <= criteria.eps:
+        if change <= criteria.eps and g.max() - g.min() <= criteria.eps:
             return FlowAccumulator(h=h, g=g, iters=t)
     raise ConvergenceError(
         f"flow iteration did not settle within {criteria.max_iters} rounds",

@@ -22,7 +22,7 @@ from .errors import (
     ConvergenceError,
     InfeasibleStepError,
 )
-from .graph import GridTopology, degree_weight_matrix
+from .graph import GridTopology, SparseWeights, degree_weight_matrix
 
 _FEAS_TOL = 1e-9
 
@@ -218,7 +218,7 @@ def generation_distributed(
 def flow_control(
     state_after_gen: GridState,
     topology: GridTopology,
-    weights: np.ndarray,
+    weights: SparseWeights | np.ndarray,
     criteria: ConvergenceCriteria = ConvergenceCriteria(),
     balance_tol: float = 1e-6,
 ) -> FlowControlResult:

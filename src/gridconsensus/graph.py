@@ -12,6 +12,14 @@ Two weight matrices drive every iteration in this package:
   over all nodes is preserved round to round.
 * ``metropolis_weight_matrix`` — symmetric Metropolis-Hastings weights,
   doubly stochastic, whose iteration converges to the entrywise average.
+
+Both are stored as ``SparseWeights``: compressed rows holding only the
+diagonal and one entry per neighbor, so a round reads each node's
+neighbors and costs O(n + m) time and memory, never O(n^2). ``W @ x`` runs
+one round as a gather, a multiply and ``np.add.reduceat`` over the row
+starts; ``toarray()`` gives the dense view. Every row stores its diagonal
+because ``reduceat`` cannot express an empty row: for an empty segment it
+returns the next row's first product instead of zero.
 """
 
 from __future__ import annotations
@@ -109,7 +117,72 @@ def build_topology(n: int, edges) -> GridTopology:
     return GridTopology(n=n, edges=tuple(canonical), neighbors=neighbors, degrees=degrees)
 
 
-def degree_weight_matrix(topology: GridTopology) -> np.ndarray:
+class SparseWeights:
+    """Square consensus weights in compressed-row (CSR) storage.
+
+    Row ``i`` keeps its nonzero entries ``data[indptr[i]:indptr[i + 1]]`` at
+    columns ``indices[indptr[i]:indptr[i + 1]]``, in increasing column
+    order. Every row stores its diagonal entry, so no row is empty, which
+    the round in ``__matmul__`` relies on; the constructor rejects empty
+    rows.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "_starts")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        if indices.shape != data.shape or indptr[-1] != data.shape[0]:
+            raise ValueError("indptr, indices and data do not describe the same entries")
+        if np.any(np.diff(indptr) < 1):
+            raise ValueError("every row must store at least its diagonal entry")
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self._starts = indptr[:-1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.indptr.shape[0] - 1
+        return (n, n)
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """One synchronous round: entry i is the sum over row i's stored
+        columns j of w_ij * x_j, added in column order. ``x`` must be a
+        float array of length n; callers check that once, not per round."""
+        return np.add.reduceat(self.data * x[self.indices], self._starts)
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n matrix these weights store."""
+        n = self.shape[0]
+        dense = np.zeros((n, n))
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        dense[rows, self.indices] = self.data
+        return dense
+
+
+def _edge_weights(n: int, heads, tails, upper, lower, diagonal) -> SparseWeights:
+    """CSR weights from per-edge values: for edge e with 0-based endpoints
+    heads[e] < tails[e], entry (heads[e], tails[e]) is ``upper[e]`` and
+    entry (tails[e], heads[e]) is ``lower[e]``; entry (i, i) is
+    ``diagonal[i]``. Edges must come in sorted order, as in
+    ``GridTopology.edge_index_arrays``."""
+    nodes = np.arange(n)
+    # A stable sort on the row keeps each row's lower neighbors, then its
+    # diagonal, then its higher neighbors, each group in increasing column
+    # order, because the edges are sorted.
+    rows = np.concatenate((tails, nodes, heads))
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = np.concatenate((heads, nodes, tails))[order]
+    data = np.concatenate((lower, diagonal, upper))[order]
+    return SparseWeights(indptr, indices, data)
+
+
+def degree_weight_matrix(topology: GridTopology) -> SparseWeights:
     """Column-stochastic consensus weights from neighbor degrees.
 
     Entry (i, j) is 1/(1 + deg(j)) when j is i or one of i's neighbors,
@@ -117,40 +190,32 @@ def degree_weight_matrix(topology: GridTopology) -> np.ndarray:
     iteration converges to a steady state proportional to the matrix's
     positive right eigenvector.
     """
-    n = topology.n
-    w = np.zeros((n, n))
     share = 1.0 / (1.0 + np.asarray(topology.degrees, dtype=float))
-    for j in range(n):
-        w[j, j] = share[j]
-        for nbr in topology.neighbors[j]:
-            w[nbr - 1, j] = share[j]
-    return w
+    heads, tails = topology.edge_index_arrays()
+    return _edge_weights(topology.n, heads, tails, share[tails], share[heads], share)
 
 
-def metropolis_weight_matrix(topology: GridTopology) -> np.ndarray:
+def metropolis_weight_matrix(topology: GridTopology) -> SparseWeights:
     """Symmetric doubly stochastic Metropolis-Hastings averaging weights.
 
     Off-diagonal (i, j) is 1/(1 + max(deg(i), deg(j))) for neighbors,
     the diagonal absorbs the remainder so every row (and by symmetry every
     column) sums to 1. Iterating drives all entries to the mean.
     """
-    n = topology.n
-    w = np.zeros((n, n))
-    deg = topology.degrees
-    for i, j in topology.edges:
-        a = 1.0 / (1.0 + max(deg[i - 1], deg[j - 1]))
-        w[i - 1, j - 1] = a
-        w[j - 1, i - 1] = a
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
+    a = metropolis_edge_weights(topology)
+    heads, tails = topology.edge_index_arrays()
+    # each row's off-diagonal sum, added in increasing column order
+    off = np.bincount(
+        np.concatenate((tails, heads)), weights=np.concatenate((a, a)), minlength=topology.n
+    )
+    return _edge_weights(topology.n, heads, tails, a, a, 1.0 - off)
 
 
 def metropolis_edge_weights(topology: GridTopology) -> np.ndarray:
     """Per-edge Metropolis-Hastings weights, aligned with topology.edges."""
-    deg = topology.degrees
-    return np.array(
-        [1.0 / (1.0 + max(deg[i - 1], deg[j - 1])) for i, j in topology.edges]
-    )
+    deg = np.asarray(topology.degrees)
+    heads, tails = topology.edge_index_arrays()
+    return 1.0 / (1.0 + np.maximum(deg[heads], deg[tails]))
 
 
 def random_connected_topology(

@@ -239,11 +239,12 @@ def test_criterion_7_structural_invariants():
         topology = random_connected_topology(n, rng)
         q = degree_weight_matrix(topology)
         s = metropolis_weight_matrix(topology)
+        q_dense, s_dense = q.toarray(), s.toarray()
         worst_stochastic = max(
             worst_stochastic,
-            float(np.max(np.abs(q.sum(axis=0) - 1.0))),
-            float(np.max(np.abs(s.sum(axis=0) - 1.0))),
-            float(np.max(np.abs(s.sum(axis=1) - 1.0))),
+            float(np.max(np.abs(q_dense.sum(axis=0) - 1.0))),
+            float(np.max(np.abs(s_dense.sum(axis=0) - 1.0))),
+            float(np.max(np.abs(s_dense.sum(axis=1) - 1.0))),
         )
         x_q = rng.uniform(-10.0, 10.0, n)
         x_s = x_q.copy()

@@ -94,6 +94,28 @@ class TestRatioConsensus:
         with pytest.raises(ValueError):
             ratio_consensus(q, [1.0, 1.0, 1.0], [1.0, -1.0, 1.0], CRIT)
 
+    def test_operand_length_must_match_weights(self, path3):
+        q = degree_weight_matrix(path3)
+        with pytest.raises(ValueError):
+            ratio_consensus(q, [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0], CRIT)
+
+    def test_sparse_rounds_match_dense_reference(self):
+        # the dense matrix is the reference engine; the two add each row in
+        # a different order, so values agree to float dust and the stopping
+        # round may move by one
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            n = int(rng.integers(1, 31))
+            topo = random_connected_topology(n, rng)
+            q = degree_weight_matrix(topo)
+            x0 = rng.uniform(-5, 5, n)
+            y0 = rng.uniform(0.1, 4.0, n)
+            sparse = ratio_consensus(q, x0, y0, CRIT)
+            dense = ratio_consensus(q.toarray(), x0, y0, CRIT)
+            assert sparse.converged and dense.converged
+            assert abs(sparse.iters - dense.iters) <= 1
+            assert np.max(np.abs(sparse.values - dense.values)) <= 1e-12
+
     def test_round_cap_reported(self, path3):
         q = degree_weight_matrix(path3)
         res = ratio_consensus(q, [6.0, 0.0, 0.0], [1.0, 1.0, 1.0],
