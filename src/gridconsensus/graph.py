@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +55,13 @@ class GridTopology:
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays (heads, tails), one entry per edge."""
-        if not self.edges:
-            empty = np.zeros(0, dtype=int)
-            return empty, empty
-        arr = np.asarray(self.edges, dtype=int) - 1
+        return self._edge_arrays
+
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # Built once per topology and shared by every caller, so read-only.
+        arr = np.asarray(self.edges, dtype=int).reshape(-1, 2) - 1
+        arr.flags.writeable = False
         return arr[:, 0], arr[:, 1]
 
 

@@ -170,7 +170,7 @@ class TestRun:
         assert "all 3 steps passed" in out
 
     def test_audit_failure_aborts_with_exit_1(self, tmp_path, capsys, monkeypatch):
-        def no_flows(state, topology, weights, criteria, balance_tol=1e-6):
+        def no_flows(state, topology, weights, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
@@ -182,7 +182,7 @@ class TestRun:
         assert not (tmp_path / "out" / TIMESERIES_FILENAME).exists()
 
     def test_audit_failure_can_be_recorded(self, tmp_path, capsys, monkeypatch):
-        def no_flows(state, topology, weights, criteria, balance_tol=1e-6):
+        def no_flows(state, topology, weights, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)

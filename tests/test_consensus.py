@@ -56,7 +56,6 @@ class TestRatioConsensus:
     def test_equal_inputs_give_ratio_one(self, path3):
         q = degree_weight_matrix(path3)
         res = ratio_consensus(q, [2.0, 3.0, 4.0], [2.0, 3.0, 4.0], CRIT)
-        assert res.converged
         assert np.allclose(res.values, 1.0, atol=1e-12)
 
     def test_scaled_inputs_give_the_scale(self, path3):
@@ -68,7 +67,6 @@ class TestRatioConsensus:
         # sums: 6 over 3, every node's ratio approaches 2
         q = degree_weight_matrix(path3)
         res = ratio_consensus(q, [6.0, 0.0, 0.0], [1.0, 1.0, 1.0], CRIT)
-        assert res.converged
         assert np.max(np.abs(res.values - 2.0)) <= 10 * CRIT.eps
 
     def test_matches_initial_sum_ratio_on_random_graphs(self):
@@ -80,7 +78,6 @@ class TestRatioConsensus:
             x0 = rng.uniform(-5, 5, n)
             y0 = rng.uniform(0.1, 4.0, n)
             res = ratio_consensus(q, x0, y0, CRIT)
-            assert res.converged
             truth = x0.sum() / y0.sum()
             assert np.max(np.abs(res.values - truth)) <= 10 * CRIT.eps
 
@@ -112,15 +109,16 @@ class TestRatioConsensus:
             y0 = rng.uniform(0.1, 4.0, n)
             sparse = ratio_consensus(q, x0, y0, CRIT)
             dense = ratio_consensus(q.toarray(), x0, y0, CRIT)
-            assert sparse.converged and dense.converged
             assert abs(sparse.iters - dense.iters) <= 1
             assert np.max(np.abs(sparse.values - dense.values)) <= 1e-12
 
-    def test_round_cap_reported(self, path3):
+    def test_round_cap_raises(self, path3):
         q = degree_weight_matrix(path3)
-        res = ratio_consensus(q, [6.0, 0.0, 0.0], [1.0, 1.0, 1.0],
-                              ConvergenceCriteria(eps=1e-14, max_iters=3))
-        assert not res.converged and res.iters == 3
+        with pytest.raises(ConvergenceError) as info:
+            ratio_consensus(q, [6.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                            ConvergenceCriteria(eps=1e-14, max_iters=3))
+        assert info.value.iters == 3
+        assert info.value.values.shape == (3,)
 
 
 class TestFlowAccumulate:

@@ -103,6 +103,19 @@ def test_edge_index_arrays():
     assert tails.tolist() == [1, 2]
 
 
+def test_edge_index_arrays_are_built_once_and_read_only():
+    topo = build_topology(3, [(1, 2), (2, 3)])
+    heads, tails = topo.edge_index_arrays()
+    again = topo.edge_index_arrays()
+    assert again[0] is heads and again[1] is tails
+    for arr in (heads, tails):
+        with pytest.raises(ValueError):
+            arr[0] = 2
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+    assert topo.edge_index_arrays()[0].tolist() == [0, 1]
+
+
 def test_degree_weights_path3_exact(path3):
     # shares: 1/(1+deg) = (1/2, 1/3, 1/2); column j filled at j and its
     # neighbors, hand-derived

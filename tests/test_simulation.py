@@ -304,7 +304,7 @@ class TestFailureHandling:
 
     def test_audit_failure_raises_by_default(self, without_config, monkeypatch):
         # sabotage flow control so per-node mismatches are left standing
-        def no_flows(state, topology, weights, criteria, balance_tol=1e-6):
+        def no_flows(state, topology, weights, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
@@ -314,7 +314,7 @@ class TestFailureHandling:
         assert info.value.phase == "audit"
 
     def test_audit_failure_can_be_flagged_instead(self, without_config, monkeypatch):
-        def no_flows(state, topology, weights, criteria, balance_tol=1e-6):
+        def no_flows(state, topology, weights, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
