@@ -9,11 +9,34 @@ Two engines, both operating on per-node value arrays:
   accumulator; its steady state supplies the power flows.
 
 All rounds are synchronous: every node updates from the previous round's
-values. Nothing here mutates its inputs.
+values, plus, after the switch below, its own value one round earlier.
+Nothing here mutates its inputs.
+
+Each engine first runs plain rounds x <- W x. If the stopping rule has
+not fired by round K, the rounds continue with the Chebyshev
+semi-iteration (Golub & Varga, 1961) on the shifted weights
+P = (W - cI)/(1 - c), c = -gap/2, where ``gap`` is the topology's spectral
+bound (``GridTopology.spectral_gap_bound``, also ``SparseWeights.gap``:
+every eigenvalue but the consensus eigenvalue 1 lies in [-1, 1 - gap]):
+
+    x_{t+1} = w_t P x_t - (w_t - 1) x_{t-1},
+
+with w_1 = 1, w_2 = 2mu^2/(2mu^2 - 1) and w_{t+1} = 1/(1 - w_t/(4mu^2)),
+where mu = (1 + gap/2)/(1 - gap/2). P keeps every column sum of W, and
+the weights w and 1 - w add to one, so sums stay preserved; a round still
+costs one neighbor exchange. K is the number of Chebyshev rounds the bound
+predicts for ``eps``, ceil(ln(2/eps)/acosh(mu)): a call that would stop
+within K plain rounds runs exactly as before, and one that would not takes
+at most about K more. On a radial feeder, where plain rounds grow like n^2,
+that is O(n) rounds. Dense ``np.ndarray`` weights given to
+``ratio_consensus`` carry no bound and stay plain: they are the reference
+engine.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +50,9 @@ DENOMINATOR_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ConvergenceCriteria:
-    """Stopping rule: max per-node change per round vs. a round cap."""
+    """Stopping rule: stop once every node's value is certified within
+    ``eps`` of the consensus limit (the spread of the node values, or of
+    their ratios, is at most ``eps``); raise after ``max_iters`` rounds."""
 
     eps: float = 1e-10
     max_iters: int = 100_000
@@ -58,6 +83,25 @@ class FlowAccumulator:
     iters: int
 
 
+def _chebyshev_schedule(
+    gap: float, criteria: ConvergenceCriteria
+) -> tuple[int, float, Iterator[float]]:
+    """The switch round K, the shift c and the recurrence weights w_1, w_2,
+    ... for weights with spectral bound ``gap`` (see the module docstring)."""
+    mu = (1.0 + gap / 2.0) / (1.0 - gap / 2.0)
+    switch = math.ceil(math.log(2.0 / criteria.eps) / math.acosh(mu))
+    return switch, -gap / 2.0, _recurrence_weights(mu)
+
+
+def _recurrence_weights(mu: float) -> Iterator[float]:
+    omega = 1.0
+    yield omega
+    omega = 2.0 * mu * mu / (2.0 * mu * mu - 1.0)
+    while True:
+        yield omega
+        omega = 1.0 / (1.0 - omega / (4.0 * mu * mu))
+
+
 def ratio_consensus(
     weights: SparseWeights | np.ndarray, x0, y0, criteria: ConvergenceCriteria
 ) -> ConsensusResult:
@@ -69,13 +113,16 @@ def ratio_consensus(
     array gives the plain dense iteration, which tests keep as the
     reference. The two add each row in a different order, so their values
     differ by float dust. ``weights`` must be n x n for n-entry x0 and y0.
+    Past round K, rounds on ``SparseWeights`` follow the Chebyshev
+    recurrence of the module docstring.
 
     Convergence is judged on the ratio vector, not on x and y separately:
-    once every denominator clears the floor, each new ratio is a convex
-    combination of the previous round's ratios, so the spread
-    max_i r_i - min_i r_i shrinks monotonically and always brackets the
-    limit. Stopping when the spread is at most ``eps`` therefore certifies
-    every node's ratio is within ``eps`` of the limit.
+    every round preserves sum(x) and sum(y), so once every denominator
+    clears the floor, sum(x)/sum(y) is a y-weighted mean of the ratios and
+    the spread max_i r_i - min_i r_i brackets it. Stopping when the spread
+    is at most ``eps`` therefore certifies every node's ratio is within
+    ``eps`` of the limit. (Plain rounds also shrink the spread
+    monotonically; Chebyshev rounds need not.)
 
     Raises DegenerateDenominatorError if y0 carries no positive mass or a
     denominator is still below the floor at the round cap, and
@@ -92,9 +139,19 @@ def ratio_consensus(
     if not np.any(y > 0):
         raise DegenerateDenominatorError("y0 has no positive entries")
 
+    if isinstance(weights, SparseWeights):
+        switch, shift, omegas = _chebyshev_schedule(weights.gap, criteria)
+    else:  # dense weights: the plain reference engine
+        switch, shift, omegas = criteria.max_iters, 0.0, iter(())
+    x_prev, y_prev = x, y
     for t in range(1, criteria.max_iters + 1):
-        x = weights @ x
-        y = weights @ y
+        wx = weights @ x
+        wy = weights @ y
+        if t > switch:
+            omega = next(omegas)
+            wx = omega * ((wx - shift * x) / (1.0 - shift)) - (omega - 1.0) * x_prev
+            wy = omega * ((wy - shift * y) / (1.0 - shift)) - (omega - 1.0) * y_prev
+        x_prev, y_prev, x, y = x, y, wx, wy
         if y.min() <= DENOMINATOR_FLOOR:
             continue
         ratio = x / y
@@ -123,19 +180,26 @@ def flow_accumulate(
 
     ``weights`` (the Metropolis weights of ``topology``) is only checked to
     be n x n: the rounds apply the same weights per edge, from
-    ``metropolis_edge_weights``, so that each increment lands on its edge.
+    ``metropolis_edge_weights``, so that each increment lands on its edge,
+    and take the gap bound from ``topology.spectral_gap_bound``.
 
     Each round, every edge e = (i, j) with i < j carries an increment
     a_e * (g_j - g_i); node values absorb their incident increments (one
     Metropolis averaging round: i gains it, j loses it) and the
     accumulator records it with h[e] += inc. By telescoping, at every
     round g_i(t) = g_i(0) + sum of h[e](t) over edges e = (i, j) minus sum
-    of h[e](t) over edges e = (j, i).
+    of h[e](t) over edges e = (j, i). Past round K (see the module
+    docstring) a round books inc/(1 - c) instead, and then takes the
+    Chebyshev combination w * new - (w - 1) * previous of both g and h; the
+    combination is linear, so the identity still holds.
 
-    Stops once a round both changes no node by more than ``eps`` and has
-    the node values agreeing to within ``eps`` (values bracket their mean
-    throughout, so the spread certifies distance from it). Raises
-    ConvergenceError at the round cap.
+    Stops once the node values agree to within ``eps``: their sum is
+    preserved, so they bracket their mean throughout and the spread
+    certifies that the flows -h leave every node within ``eps`` of it.
+    Plain rounds also require that the round changed no node by more than
+    ``eps``. Chebyshev rounds drop that requirement: their change mixes in
+    the round before and says nothing about h. Raises ConvergenceError at
+    the round cap.
     """
     n = topology.n
     if weights.shape != (n, n):
@@ -148,15 +212,23 @@ def flow_accumulate(
     h = np.zeros(heads.shape[0])
     a = metropolis_edge_weights(topology)
 
+    switch, shift, omegas = _chebyshev_schedule(topology.spectral_gap_bound, criteria)
+    g_prev, h_prev = g, h
     for t in range(1, criteria.max_iters + 1):
         inc = a * (g[tails] - g[heads])
-        h += inc
+        if t > switch:
+            inc /= 1.0 - shift
+        h_next = h + inc
         g_next = g.copy()
         np.add.at(g_next, heads, inc)
         np.subtract.at(g_next, tails, inc)
-        change = np.abs(g_next - g).max()
-        g = g_next
-        if change <= criteria.eps and g.max() - g.min() <= criteria.eps:
+        if t > switch:
+            omega = next(omegas)
+            h_next = omega * h_next - (omega - 1.0) * h_prev
+            g_next = omega * g_next - (omega - 1.0) * g_prev
+        settled = t > switch or np.abs(g_next - g).max() <= criteria.eps
+        g_prev, h_prev, g, h = g, h, g_next, h_next
+        if settled and g.max() - g.min() <= criteria.eps:
             return FlowAccumulator(h=h, g=g, iters=t)
     raise ConvergenceError(
         f"flow iteration did not settle within {criteria.max_iters} rounds",

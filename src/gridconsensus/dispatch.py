@@ -17,7 +17,13 @@ import numpy as np
 from .consensus import ConvergenceCriteria, flow_accumulate, ratio_consensus
 from .coordination import NodeCapacities
 from .errors import BalanceError, BoundViolationError, InfeasibleStepError
-from .graph import GridTopology, SparseWeights, degree_weight_matrix
+from .graph import (
+    GridTopology,
+    SparseWeights,
+    degree_weight_matrix,
+    metropolis_edge_weights,
+    metropolis_weight_matrix,
+)
 
 _FEAS_TOL = 1e-9
 # A distributed split stopped at tolerance eps can cross a bound by up to
@@ -234,6 +240,28 @@ def flow_control(
         )
     acc = flow_accumulate(topology, weights, mismatch, criteria)
     return FlowControlResult(flows=-acc.h, iters=acc.iters)
+
+
+def flow_closed_form(mismatch, topology: GridTopology) -> np.ndarray:
+    """The per-edge flows that flow control converges to, solved directly.
+
+    Flow control's accumulator settles at h_e = a_e (G_j - G_i) for edge
+    e = (i, j), where a are the Metropolis edge weights and the potentials
+    G solve L G = mismatch for the weighted Laplacian L = I - S. The flows
+    -h are therefore the electrical flow with conductances a: the one
+    flow that cancels a balanced mismatch with least sum of f_e^2 / a_e.
+    On a tree it is the only cancelling flow, the subtree sum of the
+    mismatch across each edge. Node 1 is grounded (G_1 = 0) and the
+    reduced system is solved densely, O(n^3): an oracle, not an engine.
+    Same format as ``flow_control(...).flows``.
+    """
+    n = topology.n
+    mismatch = _as_vector(mismatch, n, "mismatch")
+    laplacian = np.eye(n) - metropolis_weight_matrix(topology).toarray()
+    potential = np.zeros(n)
+    potential[1:] = np.linalg.solve(laplacian[1:, 1:], mismatch[1:])
+    heads, tails = topology.edge_index_arrays()
+    return metropolis_edge_weights(topology) * (potential[heads] - potential[tails])
 
 
 def apply_step(state: GridState, delta, flows, topology: GridTopology) -> GridState:

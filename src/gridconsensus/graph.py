@@ -20,6 +20,12 @@ one round as a gather, a multiply and ``np.add.reduceat`` over the row
 starts; ``toarray()`` gives the dense view. Every row stores its diagonal
 because ``reduceat`` cannot express an empty row: for an empty segment it
 returns the next row's first product instead of zero.
+
+Each topology builds each matrix once and hands the same read-only
+instance to every caller. Both carry ``gap``, the topology's
+``spectral_gap_bound``: every eigenvalue other than the consensus
+eigenvalue 1 lies in [-1, 1 - gap], which is what the accelerated rounds
+in ``consensus`` need to know about the graph.
 """
 
 from __future__ import annotations
@@ -45,13 +51,16 @@ class GridTopology:
 
     ``edges`` holds each unordered pair once as a sorted (i, j) tuple with
     1-based endpoints. ``neighbors[i]`` lists the 1-based neighbors of node
-    ``i+1``; ``degrees[i]`` is its degree.
+    ``i+1``; ``degrees[i]`` is its degree. ``diameter_bound`` is
+    min(2 * eccentricity of node 1, n - 1), an upper bound on the diameter
+    that the connectivity search in ``build_topology`` records.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
+    diameter_bound: int
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays (heads, tails), one entry per edge."""
@@ -63,6 +72,40 @@ class GridTopology:
         arr = np.asarray(self.edges, dtype=int).reshape(-1, 2) - 1
         arr.flags.writeable = False
         return arr[:, 0], arr[:, 1]
+
+    @property
+    def spectral_gap_bound(self) -> float:
+        """A lower bound gap on 1 - lambda_2 of both weight matrices.
+
+        Mohar (1991) bounds the Laplacian's second eigenvalue by
+        lambda_2(L) >= 4 / (n * D) for diameter D. For either weight matrix
+        W, I - W is similar to a symmetric matrix whose second eigenvalue
+        is at least lambda_2(L) / (1 + max degree): (I + Deg)^(-1/2) L
+        (I + Deg)^(-1/2) for the degree weights, and the Laplacian with edge
+        weights 1 / (1 + max(deg i, deg j)) for the Metropolis weights. Any
+        upper bound on D keeps this valid, so ``diameter_bound`` stands in.
+        Both matrices also keep every eigenvalue at or above -1. For
+        n >= 2 the bound never exceeds 1; a single node has no second
+        eigenvalue, and the cap keeps its interval meaningful.
+        """
+        spread = self.n * max(self.diameter_bound, 1) * (1 + max(self.degrees))
+        return min(1.0, 4.0 / spread)
+
+    @cached_property
+    def _degree_weights(self) -> SparseWeights:
+        share = 1.0 / (1.0 + np.asarray(self.degrees, dtype=float))
+        heads, tails = self.edge_index_arrays()
+        return _edge_weights(self, share[tails], share[heads], share)
+
+    @cached_property
+    def _metropolis_weights(self) -> SparseWeights:
+        a = metropolis_edge_weights(self)
+        heads, tails = self.edge_index_arrays()
+        # each row's off-diagonal sum, added in increasing column order
+        off = np.bincount(
+            np.concatenate((tails, heads)), weights=np.concatenate((a, a)), minlength=self.n
+        )
+        return _edge_weights(self, a, a, 1.0 - off)
 
 
 def build_topology(n: int, edges) -> GridTopology:
@@ -98,27 +141,29 @@ def build_topology(n: int, edges) -> GridTopology:
         adjacency[i].append(j)
         adjacency[j].append(i)
 
-    # connectivity: BFS from node 1
-    visited = [False] * (n + 1)
-    visited[1] = True
+    # connectivity: BFS from node 1, recording each node's depth (-1: unseen)
+    depth = [-1] * (n + 1)
+    depth[1] = 0
     queue = deque([1])
     reached = 1
     while queue:
         u = queue.popleft()
         for v in adjacency[u]:
-            if not visited[v]:
-                visited[v] = True
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
                 reached += 1
                 queue.append(v)
     if reached != n:
-        missing = [v for v in range(1, n + 1) if not visited[v]]
+        missing = [v for v in range(1, n + 1) if depth[v] < 0]
         raise DisconnectedGraphError(
             f"graph is disconnected: nodes {missing} unreachable from node 1"
         )
 
     neighbors = tuple(tuple(sorted(adjacency[i])) for i in range(1, n + 1))
     degrees = tuple(len(nbrs) for nbrs in neighbors)
-    return GridTopology(n=n, edges=tuple(canonical), neighbors=neighbors, degrees=degrees)
+    # every node is within max(depth) of node 1, so any two are within twice that
+    return GridTopology(n=n, edges=tuple(canonical), neighbors=neighbors, degrees=degrees,
+                        diameter_bound=min(2 * max(depth), n - 1))
 
 
 class SparseWeights:
@@ -129,19 +174,31 @@ class SparseWeights:
     order. Every row stores its diagonal entry, so no row is empty, which
     the round in ``__matmul__`` relies on; the constructor rejects empty
     rows.
+
+    ``gap`` promises that every eigenvalue other than the consensus
+    eigenvalue 1 lies in [-1, 1 - gap]; ``consensus`` uses it to speed up
+    rounds that run long. It is read-only, like the arrays of the shared
+    instances, because it sets the switch round of every later caller.
     """
 
-    __slots__ = ("indptr", "indices", "data", "_starts")
+    __slots__ = ("indptr", "indices", "data", "_gap", "_starts")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, gap: float):
         if indices.shape != data.shape or indptr[-1] != data.shape[0]:
             raise ValueError("indptr, indices and data do not describe the same entries")
         if np.any(np.diff(indptr) < 1):
             raise ValueError("every row must store at least its diagonal entry")
+        if not 0.0 < gap <= 1.0:
+            raise ValueError(f"gap must lie in (0, 1], got {gap}")
         self.indptr = indptr
         self.indices = indices
         self.data = data
+        self._gap = gap
         self._starts = indptr[:-1]
+
+    @property
+    def gap(self) -> float:
+        return self._gap
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -167,12 +224,14 @@ class SparseWeights:
         return dense
 
 
-def _edge_weights(n: int, heads, tails, upper, lower, diagonal) -> SparseWeights:
-    """CSR weights from per-edge values: for edge e with 0-based endpoints
-    heads[e] < tails[e], entry (heads[e], tails[e]) is ``upper[e]`` and
-    entry (tails[e], heads[e]) is ``lower[e]``; entry (i, i) is
-    ``diagonal[i]``. Edges must come in sorted order, as in
-    ``GridTopology.edge_index_arrays``."""
+def _edge_weights(topology: GridTopology, upper, lower, diagonal) -> SparseWeights:
+    """CSR weights of ``topology`` from per-edge values: for edge e with
+    0-based endpoints heads[e] < tails[e] (``edge_index_arrays``), entry
+    (heads[e], tails[e]) is ``upper[e]`` and entry (tails[e], heads[e]) is
+    ``lower[e]``; entry (i, i) is ``diagonal[i]``. The arrays are read-only
+    because the topology shares them with every caller."""
+    n = topology.n
+    heads, tails = topology.edge_index_arrays()
     nodes = np.arange(n)
     # A stable sort on the row keeps each row's lower neighbors, then its
     # diagonal, then its higher neighbors, each group in increasing column
@@ -183,7 +242,9 @@ def _edge_weights(n: int, heads, tails, upper, lower, diagonal) -> SparseWeights
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     indices = np.concatenate((heads, nodes, tails))[order]
     data = np.concatenate((lower, diagonal, upper))[order]
-    return SparseWeights(indptr, indices, data)
+    for arr in (indptr, indices, data):
+        arr.flags.writeable = False
+    return SparseWeights(indptr, indices, data, gap=topology.spectral_gap_bound)
 
 
 def degree_weight_matrix(topology: GridTopology) -> SparseWeights:
@@ -192,11 +253,10 @@ def degree_weight_matrix(topology: GridTopology) -> SparseWeights:
     Entry (i, j) is 1/(1 + deg(j)) when j is i or one of i's neighbors,
     else 0. Each column sums to 1, so x -> W @ x preserves sum(x); the
     iteration converges to a steady state proportional to the matrix's
-    positive right eigenvector.
+    positive right eigenvector. Built once per topology; every call returns
+    the same read-only instance.
     """
-    share = 1.0 / (1.0 + np.asarray(topology.degrees, dtype=float))
-    heads, tails = topology.edge_index_arrays()
-    return _edge_weights(topology.n, heads, tails, share[tails], share[heads], share)
+    return topology._degree_weights
 
 
 def metropolis_weight_matrix(topology: GridTopology) -> SparseWeights:
@@ -204,15 +264,10 @@ def metropolis_weight_matrix(topology: GridTopology) -> SparseWeights:
 
     Off-diagonal (i, j) is 1/(1 + max(deg(i), deg(j))) for neighbors,
     the diagonal absorbs the remainder so every row (and by symmetry every
-    column) sums to 1. Iterating drives all entries to the mean.
+    column) sums to 1. Iterating drives all entries to the mean. Built once
+    per topology; every call returns the same read-only instance.
     """
-    a = metropolis_edge_weights(topology)
-    heads, tails = topology.edge_index_arrays()
-    # each row's off-diagonal sum, added in increasing column order
-    off = np.bincount(
-        np.concatenate((tails, heads)), weights=np.concatenate((a, a)), minlength=topology.n
-    )
-    return _edge_weights(topology.n, heads, tails, a, a, 1.0 - off)
+    return topology._metropolis_weights
 
 
 def metropolis_edge_weights(topology: GridTopology) -> np.ndarray:

@@ -55,6 +55,11 @@ def path3():
     return build_topology(3, [(1, 2), (2, 3)])
 
 
+def path_topology(n: int):
+    """Nodes 1..n in a line: the slowest-mixing tree of its size."""
+    return build_topology(n, [(i, i + 1) for i in range(1, n)])
+
+
 def random_capacities(rng: np.random.Generator, n: int) -> NodeCapacities:
     """Consistent random capacities; generation ranges kept <= 100 so
     consensus dust stays well under the 1e-8 comparison slack."""

@@ -15,6 +15,7 @@ from gridconsensus import (
     ConvergenceCriteria,
     ConvergenceError,
     DegenerateDenominatorError,
+    SparseWeights,
     build_topology,
     degree_weight_matrix,
     flow_accumulate,
@@ -22,8 +23,32 @@ from gridconsensus import (
     random_connected_topology,
     ratio_consensus,
 )
+from gridconsensus.consensus import _chebyshev_schedule
+from conftest import path_topology as path
 
 CRIT = ConvergenceCriteria()
+
+
+def _values_at_cap(weights, x0, y0, criteria):
+    try:
+        return ratio_consensus(weights, x0, y0, criteria).values
+    except ConvergenceError as exc:
+        return exc.values
+
+
+class RecordingWeights(SparseWeights):
+    """The same weights and gap, remembering the sum of every operand: each
+    one is a current iterate of the engine."""
+
+    __slots__ = ("sums",)
+
+    def __init__(self, weights: SparseWeights):
+        super().__init__(weights.indptr, weights.indices, weights.data, gap=weights.gap)
+        self.sums = []
+
+    def __matmul__(self, v):
+        self.sums.append(float(v.sum()))
+        return super().__matmul__(v)
 
 
 def test_criteria_validation():
@@ -97,9 +122,11 @@ class TestRatioConsensus:
             ratio_consensus(q, [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0], CRIT)
 
     def test_sparse_rounds_match_dense_reference(self):
-        # the dense matrix is the reference engine; the two add each row in
-        # a different order, so values agree to float dust and the stopping
-        # round may move by one
+        # The dense matrix is the reference engine, and it always runs plain
+        # rounds. Through the switch round K the sparse engine runs the same
+        # plain rounds, adding each row in a different order, so values
+        # agree to float dust and a stop before K may move by one round.
+        # Stops after K are the Chebyshev phase's, tested separately.
         rng = np.random.default_rng(29)
         for _ in range(50):
             n = int(rng.integers(1, 31))
@@ -107,10 +134,20 @@ class TestRatioConsensus:
             q = degree_weight_matrix(topo)
             x0 = rng.uniform(-5, 5, n)
             y0 = rng.uniform(0.1, 4.0, n)
-            sparse = ratio_consensus(q, x0, y0, CRIT)
+            switch = _chebyshev_schedule(q.gap, CRIT)[0]
             dense = ratio_consensus(q.toarray(), x0, y0, CRIT)
-            assert abs(sparse.iters - dense.iters) <= 1
-            assert np.max(np.abs(sparse.values - dense.values)) <= 1e-12
+            if dense.iters < switch:
+                sparse = ratio_consensus(q, x0, y0, CRIT)
+                assert abs(sparse.iters - dense.iters) <= 1
+                assert np.max(np.abs(sparse.values - dense.values)) <= 1e-12
+            # the iterates at round K itself: only ratios that agree
+            # exactly meet this tolerance, so both engines run to a cap of
+            # K rounds, where they raise with their values
+            capped = ConvergenceCriteria(eps=1e-300, max_iters=switch)
+            assert _chebyshev_schedule(q.gap, capped)[0] >= switch
+            sparse_k = _values_at_cap(q, x0, y0, capped)
+            dense_k = _values_at_cap(q.toarray(), x0, y0, capped)
+            assert np.max(np.abs(sparse_k - dense_k)) <= 1e-12
 
     def test_round_cap_raises(self, path3):
         q = degree_weight_matrix(path3)
@@ -119,6 +156,112 @@ class TestRatioConsensus:
                             ConvergenceCriteria(eps=1e-14, max_iters=3))
         assert info.value.iters == 3
         assert info.value.values.shape == (3,)
+
+
+class TestChebyshevPhase:
+    """Rounds after the switch round K, where plain rounds end."""
+
+    def test_switch_round_follows_the_bound(self):
+        # K = ceil(ln(2/eps) / acosh(mu)), mu = (1 + gap/2) / (1 - gap/2);
+        # path-3 has n = 3, diameter bound 2 and max degree 2: gap = 2/9
+        topo = path(3)
+        q = degree_weight_matrix(topo)
+        assert q.gap == metropolis_weight_matrix(topo).gap == pytest.approx(2.0 / 9.0)
+        mu = (1.0 + 1.0 / 9.0) / (1.0 - 1.0 / 9.0)
+        assert _chebyshev_schedule(q.gap, CRIT)[0] == int(np.ceil(np.log(2e10) / np.arccosh(mu)))
+
+    def test_sums_preserved_and_ratios_certified(self):
+        rng = np.random.default_rng(37)
+        ring12 = build_topology(12, [(i, i % 12 + 1) for i in range(1, 13)])
+        for topo in (path(40), path(61), ring12):
+            n = topo.n
+            q = RecordingWeights(degree_weight_matrix(topo))
+            x0 = rng.uniform(-5.0, 5.0, n)
+            y0 = rng.uniform(0.1, 4.0, n)
+            res = ratio_consensus(q, x0, y0, CRIT)
+            assert res.iters > _chebyshev_schedule(q.gap, CRIT)[0]
+            truth = x0.sum() / y0.sum()
+            assert np.max(np.abs(res.values - truth)) <= CRIT.eps
+            # the operands alternate x_t and y_t for t = 0 .. iters - 1
+            assert len(q.sums) == 2 * res.iters
+            x_sums, y_sums = np.array(q.sums[0::2]), np.array(q.sums[1::2])
+            assert np.max(np.abs(x_sums - x0.sum())) <= 1e-9 * (1.0 + abs(x0.sum()))
+            assert np.max(np.abs(y_sums - y0.sum())) <= 1e-9 * y0.sum()
+
+    def test_at_most_about_k_rounds_more_than_the_switch(self):
+        # K Chebyshev rounds shrink a unit spread to eps under the bound
+        q = degree_weight_matrix(path(40))
+        x0 = np.linspace(0.0, 1.0, 40)
+        y0 = np.ones(40)
+        fast = ratio_consensus(q, x0, y0, CRIT)
+        plain = ratio_consensus(q.toarray(), x0, y0, CRIT)
+        switch = _chebyshev_schedule(q.gap, CRIT)[0]
+        assert switch < fast.iters <= 2 * switch < plain.iters
+        assert np.max(np.abs(fast.values - plain.values)) <= 2 * CRIT.eps
+
+    def test_flow_sums_and_telescoping_hold(self):
+        rng = np.random.default_rng(41)
+        topo = path(50)
+        s = metropolis_weight_matrix(topo)
+        g0 = rng.uniform(-8.0, 8.0, 50)
+        g0 -= g0.mean()
+        acc = flow_accumulate(topo, s, g0, CRIT)
+        assert acc.iters > _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0]
+        heads, tails = topo.edge_index_arrays()
+        inflow = np.bincount(np.concatenate((heads, tails)),
+                             weights=np.concatenate((acc.h, -acc.h)), minlength=50)
+        assert np.max(np.abs(acc.g - (g0 + inflow))) <= 1e-9
+        assert np.max(np.abs(acc.g)) <= CRIT.eps
+        # on a path edge (i, i + 1) carries everything nodes 1..i hold
+        assert np.max(np.abs(-acc.h - np.cumsum(g0)[:-1])) <= 50 * CRIT.eps
+
+    def test_flows_stop_at_the_first_certified_round(self):
+        # Past K the spread alone stops flow rounds: a Chebyshev round's
+        # change mixes in the round before it and certifies nothing about
+        # h. Requiring a small change as well took 7 to 23 rounds more on
+        # this ring, in 20 random draws.
+        rng = np.random.default_rng(43)
+        topo = build_topology(12, [(i, i % 12 + 1) for i in range(1, 13)])
+        s = metropolis_weight_matrix(topo)
+        for _ in range(2):
+            g0 = rng.uniform(-8.0, 8.0, 12)
+            g0 -= g0.mean()
+            acc = flow_accumulate(topo, s, g0, CRIT)
+            switch = _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0]
+            assert acc.iters > switch
+            assert np.ptp(acc.g) <= CRIT.eps
+            # every Chebyshev round before the stop was still uncertified
+            for cap in range(switch + 1, acc.iters):
+                with pytest.raises(ConvergenceError) as info:
+                    flow_accumulate(topo, s, g0, ConvergenceCriteria(max_iters=cap))
+                assert np.ptp(info.value.values) > CRIT.eps
+
+    def test_round_cap_raises_with_its_fields(self):
+        # a gap of 1 claims far more than a 60-node path has; K is then 14,
+        # so a cap of 50 rounds falls in the Chebyshev phase
+        q = degree_weight_matrix(path(60))
+        loose = SparseWeights(q.indptr, q.indices, q.data, gap=1.0)
+        assert _chebyshev_schedule(loose.gap, CRIT)[0] == 14
+        capped = ConvergenceCriteria(max_iters=50)
+        with pytest.raises(ConvergenceError) as info:
+            ratio_consensus(loose, np.arange(60.0), np.ones(60), capped)
+        assert info.value.iters == 50
+        assert info.value.values.shape == (60,)
+        # a Chebyshev round still reaches only neighbors: after 50 rounds
+        # no mass from node 1 has reached node 60, whose denominator is 0
+        y0 = np.zeros(60)
+        y0[0] = 1.0
+        with pytest.raises(DegenerateDenominatorError):
+            ratio_consensus(loose, np.ones(60), y0, capped)
+
+        topo = path(60)
+        s = metropolis_weight_matrix(topo)
+        cap = _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0] + 10
+        with pytest.raises(ConvergenceError) as info:
+            flow_accumulate(topo, s, np.linspace(-1.0, 1.0, 60),
+                            ConvergenceCriteria(max_iters=cap))
+        assert info.value.iters == cap
+        assert info.value.values.shape == (60,)
 
 
 class TestFlowAccumulate:

@@ -24,6 +24,7 @@ from gridconsensus import (
     build_topology,
     compute_delta_bounds,
     coordinate_closed_form,
+    flow_closed_form,
     flow_control,
     generation_closed_form,
     generation_distributed,
@@ -214,6 +215,57 @@ class TestFlowControl:
         state = GridState.initial([3.0, 0.0, 0.0]).with_desired([0.0, 0.0, 0.0])
         with pytest.raises(BalanceError):
             flow_control(state, path3, s, CRIT)
+
+
+class TestFlowClosedForm:
+    def test_tree_anchors(self, path3):
+        # path: node 1's surplus crosses both edges; star: each leaf's
+        # surplus crosses its only edge toward hub 1 (negative flow)
+        assert np.max(np.abs(flow_closed_form([3.0, 0.0, -3.0], path3) - [3.0, 3.0])) <= 1e-12
+        star = build_topology(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+        mism = np.array([0.0, 4.0, -1.0, -2.0, -1.0])
+        assert np.max(np.abs(flow_closed_form(mism, star) + mism[1:])) <= 1e-12
+        two = build_topology(2, [(1, 2)])
+        assert flow_closed_form([5.0, -5.0], two) == pytest.approx([5.0], abs=1e-12)
+        assert flow_closed_form([0.0], build_topology(1, [])).shape == (0,)
+
+    def test_subtree_sums_on_random_trees(self):
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            n = int(rng.integers(2, 20))
+            tree = random_connected_topology(n, rng, extra_edge_prob=0.0)
+            mism = rng.uniform(-10.0, 10.0, n)
+            mism -= mism.mean()
+            flows = flow_closed_form(mism, tree)
+            for e, (i, j) in enumerate(tree.edges):
+                # the side of edge (i, j) that holds i sends its total to j
+                side, frontier = {i}, [i]
+                while frontier:
+                    u = frontier.pop()
+                    for v in tree.neighbors[u - 1]:
+                        if v not in side and (u, v) != (i, j):
+                            side.add(v)
+                            frontier.append(v)
+                assert flows[e] == pytest.approx(sum(mism[v - 1] for v in side), abs=1e-9)
+
+    def test_matches_flow_control_on_random_topologies(self):
+        # Flow control stops with every node's residual within eps of zero,
+        # and its flows are a potential flow, so they differ from the oracle
+        # by the electrical flow of that residual: at most half its total
+        # absolute value, n * eps / 2, on any edge. The bound n * eps leaves
+        # room for float dust.
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            n = int(rng.integers(2, 16))
+            topo = random_connected_topology(n, rng, float(rng.uniform(0.0, 0.6)))
+            p_d = rng.uniform(-10.0, 10.0, n)
+            noise = rng.uniform(-5.0, 5.0, n)
+            state = GridState.initial(p_d + noise - noise.mean()).with_desired(p_d)
+            result = flow_control(state, topo, metropolis_weight_matrix(topo), CRIT)
+            oracle = flow_closed_form(state.p_G - state.p_d, topo)
+            assert np.max(np.abs(result.flows - oracle)) <= n * CRIT.eps
+            after = apply_step(state, np.zeros(n), oracle, topo)
+            assert np.max(np.abs(after.p_e)) <= 1e-9
 
 
 class TestApplyStep:

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
-from gridconsensus import SimulationRecord, write_timeseries_csv
+from gridconsensus import (
+    SimulationRecord,
+    default_config_path,
+    export_record,
+    load_config,
+    run,
+    write_timeseries_csv,
+)
 
 
 def test_timeseries_csv_golden(tmp_path):
@@ -42,3 +51,12 @@ def test_timeseries_csv_golden(tmp_path):
         "2,total,2,2.0000000000000001e-300,0,2,0.30000000000000004,0.30000000000000004,"
         "0,0,12,345\n"
     )
+
+
+def test_shipped_with_coordination_export_is_pinned(tmp_path):
+    # Every consensus call of this scenario stops within plain rounds, so
+    # its bytes have not moved since the sparse weights landed; a change
+    # here means the plain rounds or the export format changed.
+    config = load_config(default_config_path("with"))
+    csv_path, _ = export_record(run(config), tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest()[:16] == "4cb914456c66a81e"

@@ -116,6 +116,79 @@ def test_edge_index_arrays_are_built_once_and_read_only():
     assert topo.edge_index_arrays()[0].tolist() == [0, 1]
 
 
+def test_weights_are_built_once_and_read_only():
+    topo = build_topology(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    for build in (degree_weight_matrix, metropolis_weight_matrix):
+        w = build(topo)
+        assert build(topo) is w
+        for arr in (w.indptr, w.indices, w.data):
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        # the gap sets every later caller's switch round, so it is fixed too
+        for gap in (1.0, None):
+            with pytest.raises(AttributeError):
+                w.gap = gap
+        assert w.gap == topo.spectral_gap_bound
+    # an equal topology built separately has its own instances
+    assert degree_weight_matrix(build_topology(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) \
+        is not degree_weight_matrix(topo)
+
+
+def all_pairs_diameter(topology) -> int:
+    """Longest shortest path, by repeated squaring of the reachability
+    matrix (reference for the recorded bound)."""
+    n = topology.n
+    reach = np.eye(n, dtype=bool)
+    heads, tails = topology.edge_index_arrays()
+    adj = reach.copy()
+    adj[heads, tails] = adj[tails, heads] = True
+    steps = 0
+    while not reach.all():
+        reach = (reach.astype(int) @ adj.astype(int)) > 0
+        steps += 1
+    return steps
+
+
+def test_diameter_bound_brackets_the_diameter():
+    cases = [build_topology(1, []), build_topology(2, [(1, 2)]),
+             build_topology(7, [(i, i + 1) for i in range(1, 7)]),
+             build_topology(7, [(i, i + 1) for i in range(3, 7)] + [(1, 2), (1, 3)]),
+             build_topology(6, [(1, i) for i in range(2, 7)])]
+    rng = np.random.default_rng(43)
+    cases += [random_connected_topology(int(rng.integers(2, 25)), rng, 0.05)
+              for _ in range(40)]
+    for topo in cases:
+        d = all_pairs_diameter(topo)
+        assert d <= topo.diameter_bound <= min(2 * d, topo.n - 1)
+    # the path 1-2-...-7 seen from its end: 2 * 6 is capped at n - 1 = 6;
+    # the star seen from its hub: 2 * 1 is the diameter
+    assert cases[2].diameter_bound == 6
+    assert cases[4].diameter_bound == 2
+
+
+def test_spectral_gap_bound_holds_for_both_weight_matrices():
+    # every eigenvalue other than the consensus eigenvalue 1 lies in
+    # [-1, 1 - gap]; the degree weights are similar to a symmetric matrix,
+    # so their spectrum is real
+    rng = np.random.default_rng(47)
+    cases = [build_topology(2, [(1, 2)]),
+             build_topology(9, [(i, i + 1) for i in range(1, 9)]),
+             build_topology(9, [(i, i + 1) for i in range(1, 9)] + [(1, 9)]),
+             build_topology(8, [(1, i) for i in range(2, 9)])]
+    cases += [random_connected_topology(int(rng.integers(2, 30)), rng, float(p))
+              for p in rng.uniform(0.0, 0.5, 60)]
+    for topo in cases:
+        gap = topo.spectral_gap_bound
+        assert 0.0 < gap <= 1.0
+        for w in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
+            assert w.gap == gap
+            eig = np.sort(np.linalg.eigvals(w.toarray()).real)
+            assert abs(eig[-1] - 1.0) <= 1e-12
+            assert eig[-2] <= 1.0 - gap + 1e-12
+            assert eig[0] >= -1.0 - 1e-12
+    assert build_topology(1, []).spectral_gap_bound == 1.0
+
+
 def test_degree_weights_path3_exact(path3):
     # shares: 1/(1+deg) = (1/2, 1/3, 1/2); column j filled at j and its
     # neighbors, hand-derived
@@ -203,12 +276,19 @@ def test_sparse_round_matches_dense_product():
             assert np.all(np.abs(w @ x - dense @ x) <= 1e-13 * scale)
 
 
+def test_sparse_weights_reject_a_gap_outside_0_1():
+    w = degree_weight_matrix(build_topology(2, [(1, 2)]))
+    for gap in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            SparseWeights(w.indptr, w.indices, w.data, gap=gap)
+
+
 def test_sparse_weights_reject_empty_rows():
     # an empty row would make reduceat return the next row's first product
     with pytest.raises(ValueError):
-        SparseWeights(np.array([0, 1, 1]), np.array([0]), np.array([1.0]))
+        SparseWeights(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), gap=1.0)
     with pytest.raises(ValueError):
-        SparseWeights(np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0]))
+        SparseWeights(np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0]), gap=1.0)
 
 
 def test_weights_memory_is_linear_on_large_ring():

@@ -1,0 +1,124 @@
+"""Radial feeders and long rings: where plain rounds need O(n^2).
+
+A 150-node path needs about 167 000 plain ratio rounds, beyond the
+default cap of 100 000. The Chebyshev continuation brings each of these
+topologies, up to a 1000-node feeder, well inside the cap; every check
+here runs with the default ``ConvergenceCriteria`` and keeps the bounds
+the acceptance criteria use. Each topology is checked where it adds
+something: both engines on path-150, the longer path-300 on ratio
+rounds, the ring on flows (its flows are not subtree sums) and the
+1002-node feeder on flows alone, its cheaper engine call.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from conftest import path_topology as path
+from conftest import random_capacities
+from gridconsensus import (
+    MODE_WITH,
+    MODE_WITHOUT,
+    ConvergenceCriteria,
+    DemandSpec,
+    DesiredSpec,
+    GridState,
+    ScenarioConfig,
+    apply_step,
+    build_topology,
+    compute_delta_bounds,
+    coordinate_closed_form,
+    degree_weight_matrix,
+    flow_closed_form,
+    flow_control,
+    generation_closed_form,
+    metropolis_weight_matrix,
+    ratio_consensus,
+    run,
+)
+from gridconsensus.consensus import _chebyshev_schedule
+
+CRIT = ConvergenceCriteria()
+
+
+def ring(n: int):
+    return build_topology(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+
+
+def feeder(trunk: int, seed: int = 0):
+    """A trunk path 1..trunk where every trunk node carries two lateral
+    nodes, as one two-node lateral or as two one-node laterals."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, i + 1) for i in range(1, trunk)]
+    nxt = trunk + 1
+    for t in range(1, trunk + 1):
+        second = nxt if rng.random() < 0.5 else t
+        edges += [(t, nxt), (second, nxt + 1)]
+        nxt += 2
+    return build_topology(nxt - 1, edges)
+
+
+TOPOLOGIES = {
+    "path-150": lambda: path(150),
+    "path-300": lambda: path(300),
+    "ring-300": lambda: ring(300),
+    "feeder-1002": lambda: feeder(334),
+}
+
+
+@pytest.mark.parametrize("name", ["path-150", "path-300"])
+def test_ratio_consensus_lands_on_the_sum_ratio(name):
+    topo = TOPOLOGIES[name]()
+    rng = np.random.default_rng(53)
+    x0 = rng.uniform(-5.0, 5.0, topo.n)
+    y0 = rng.uniform(0.1, 4.0, topo.n)
+    res = ratio_consensus(degree_weight_matrix(topo), x0, y0, CRIT)
+    assert np.max(np.abs(res.values - x0.sum() / y0.sum())) <= CRIT.eps
+
+
+@pytest.mark.parametrize("name", ["path-150", "ring-300", "feeder-1002"])
+def test_flow_control_matches_the_flow_oracle(name):
+    # Flow control stops with every node's residual within eps of zero,
+    # and its flows are a potential flow, so they differ from the oracle by
+    # the electrical flow of that residual: at most half its total absolute
+    # value on any edge, n * eps / 2. The bound n * eps leaves room for dust.
+    topo = TOPOLOGIES[name]()
+    rng = np.random.default_rng(59)
+    p_d = rng.uniform(-10.0, 10.0, topo.n)
+    noise = rng.uniform(-5.0, 5.0, topo.n)
+    state = GridState.initial(p_d + noise - noise.mean()).with_desired(p_d)
+    result = flow_control(state, topo, metropolis_weight_matrix(topo), CRIT)
+    oracle = flow_closed_form(state.p_G - state.p_d, topo)
+    assert np.max(np.abs(result.flows - oracle)) <= topo.n * CRIT.eps
+    after = apply_step(state, np.zeros(topo.n), result.flows, topo)
+    assert np.max(np.abs(after.p_e)) <= 1e-6
+
+
+@pytest.mark.parametrize("mode", [MODE_WITH, MODE_WITHOUT])
+def test_feeder_run_passes_every_audit_and_oracle(mode):
+    topo = feeder(50, seed=1)
+    assert topo.n == 150
+    caps = random_capacities(np.random.default_rng(61), topo.n)
+    source = {"demand": DemandSpec()} if mode == MODE_WITH else {"desired": DesiredSpec()}
+    config = ScenarioConfig(mode=mode, topology=topo, capacities=caps, horizon=2, seed=3,
+                            **source)
+    record = run(config)
+    assert record.all_audits_passed
+    # every call stops within twice the switch round (K = 2297 here);
+    # plain rounds took 43 000 to 86 000 per call
+    switch = _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0]
+    iters = np.concatenate((record.coord_iters, record.gen_iters, record.flow_iters))
+    assert iters.max() <= 2 * switch
+    p_G = caps.gen_lo
+    for k in range(record.horizon):
+        p_D = float(record.p_D[k])
+        if mode == MODE_WITH:
+            oracle = coordinate_closed_form(p_D, caps).desired
+            assert np.max(np.abs(record.p_d[k] - oracle) / np.abs(oracle)) <= 1e-8
+        else:
+            state = GridState.initial(p_G).with_desired(record.p_d[k])
+            oracle = generation_closed_form(p_D, state, compute_delta_bounds(state, caps))
+            assert np.max(np.abs(record.delta[k] - oracle) / np.maximum(np.abs(oracle), 1.0)) \
+                <= 1e-8
+        p_G = record.p_G[k]
