@@ -12,12 +12,13 @@ All rounds are synchronous: every node updates from the previous round's
 values, plus, after the switch below, its own value one round earlier.
 Nothing here mutates its inputs.
 
-Each engine first runs plain rounds x <- W x. If the stopping rule has
-not fired by round K, the rounds continue with the Chebyshev
-semi-iteration (Golub & Varga, 1961) on the shifted weights
-P = (W - cI)/(1 - c), c = -gap/2, where ``gap`` is the topology's spectral
-bound (``GridTopology.spectral_gap_bound``, also ``SparseWeights.gap``:
-every eigenvalue but the consensus eigenvalue 1 lies in [-1, 1 - gap]):
+Both engines run their rounds in ``_rounds`` and stop once the spread
+max - min of the node values (ratio consensus: of the ratios) is at most
+``eps``. Rounds are plain, x <- W x, up to round K; later ones follow the
+Chebyshev semi-iteration (Golub & Varga, 1961) on the shifted weights
+P = (W - cI)/(1 - c), c = -gap/2, where ``SparseWeights.gap`` is the
+topology's spectral bound (every eigenvalue but the consensus eigenvalue
+1 lies in [-1, 1 - gap]):
 
     x_{t+1} = w_t P x_t - (w_t - 1) x_{t-1},
 
@@ -28,15 +29,14 @@ costs one neighbor exchange. K is the number of Chebyshev rounds the bound
 predicts for ``eps``, ceil(ln(2/eps)/acosh(mu)): a call that would stop
 within K plain rounds runs exactly as before, and one that would not takes
 at most about K more. On a radial feeder, where plain rounds grow like n^2,
-that is O(n) rounds. Dense ``np.ndarray`` weights given to
-``ratio_consensus`` carry no bound and stay plain: they are the reference
-engine.
+that is O(n) rounds. Dense ``np.ndarray`` weights carry no bound and stay
+plain: they are the reference engine.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +60,8 @@ class ConvergenceCriteria:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if type(self.max_iters) is not int or self.max_iters < 1:  # bool subclasses int
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,32 @@ def _recurrence_weights(mu: float) -> Iterator[float]:
         omega = 1.0 / (1.0 - omega / (4.0 * mu * mu))
 
 
+def _rounds(
+    step: Callable, a: np.ndarray, b: np.ndarray, weights, criteria: ConvergenceCriteria
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield round t = 1 .. max_iters and both iterates after it.
+
+    ``step(a, b, shift)`` applies one round to both arrays: of W when
+    ``shift`` is None, else of P with c = ``shift``. Past round K the
+    Chebyshev combination follows; dense weights carry no gap and stay plain.
+    """
+    if isinstance(weights, SparseWeights):
+        switch, shift, omegas = _chebyshev_schedule(weights.gap, criteria)
+    else:  # dense weights: the plain reference engine
+        switch, shift, omegas = criteria.max_iters, None, iter(())
+    a_prev, b_prev = a, b
+    for t in range(1, criteria.max_iters + 1):
+        if t <= switch:
+            a_next, b_next = step(a, b, None)
+        else:
+            a_next, b_next = step(a, b, shift)
+            omega = next(omegas)
+            a_next = omega * a_next - (omega - 1.0) * a_prev
+            b_next = omega * b_next - (omega - 1.0) * b_prev
+        a_prev, b_prev, a, b = a, b, a_next, b_next
+        yield t, a, b
+
+
 def ratio_consensus(
     weights: SparseWeights | np.ndarray, x0, y0, criteria: ConvergenceCriteria
 ) -> ConsensusResult:
@@ -113,8 +139,6 @@ def ratio_consensus(
     array gives the plain dense iteration, which tests keep as the
     reference. The two add each row in a different order, so their values
     differ by float dust. ``weights`` must be n x n for n-entry x0 and y0.
-    Past round K, rounds on ``SparseWeights`` follow the Chebyshev
-    recurrence of the module docstring.
 
     Convergence is judged on the ratio vector, not on x and y separately:
     every round preserves sum(x) and sum(y), so once every denominator
@@ -139,24 +163,17 @@ def ratio_consensus(
     if not np.any(y > 0):
         raise DegenerateDenominatorError("y0 has no positive entries")
 
-    if isinstance(weights, SparseWeights):
-        switch, shift, omegas = _chebyshev_schedule(weights.gap, criteria)
-    else:  # dense weights: the plain reference engine
-        switch, shift, omegas = criteria.max_iters, 0.0, iter(())
-    x_prev, y_prev = x, y
-    for t in range(1, criteria.max_iters + 1):
-        wx = weights @ x
-        wy = weights @ y
-        if t > switch:
-            omega = next(omegas)
-            wx = omega * ((wx - shift * x) / (1.0 - shift)) - (omega - 1.0) * x_prev
-            wy = omega * ((wy - shift * y) / (1.0 - shift)) - (omega - 1.0) * y_prev
-        x_prev, y_prev, x, y = x, y, wx, wy
+    def step(x, y, shift):
+        wx, wy = weights @ x, weights @ y
+        if shift is None:
+            return wx, wy
+        return (wx - shift * x) / (1.0 - shift), (wy - shift * y) / (1.0 - shift)
+
+    for t, x, y in _rounds(step, x, y, weights, criteria):
         if y.min() <= DENOMINATOR_FLOOR:
             continue
         ratio = x / y
-        spread = ratio.max() - ratio.min()
-        if spread <= criteria.eps:
+        if ratio.max() - ratio.min() <= criteria.eps:
             return ConsensusResult(values=ratio, iters=t)
     if y.min() <= DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
@@ -178,57 +195,45 @@ def flow_accumulate(
 ) -> FlowAccumulator:
     """Average g across the graph while integrating per-edge disagreement.
 
-    ``weights`` (the Metropolis weights of ``topology``) is only checked to
-    be n x n: the rounds apply the same weights per edge, from
-    ``metropolis_edge_weights``, so that each increment lands on its edge,
-    and take the gap bound from ``topology.spectral_gap_bound``.
+    ``weights`` (the Metropolis weights of ``topology``, n x n) sets the
+    switch round K; the rounds apply the same weights per edge, from
+    ``metropolis_edge_weights``, so that each increment lands on its edge.
 
     Each round, every edge e = (i, j) with i < j carries an increment
     a_e * (g_j - g_i); node values absorb their incident increments (one
     Metropolis averaging round: i gains it, j loses it) and the
     accumulator records it with h[e] += inc. By telescoping, at every
     round g_i(t) = g_i(0) + sum of h[e](t) over edges e = (i, j) minus sum
-    of h[e](t) over edges e = (j, i). Past round K (see the module
-    docstring) a round books inc/(1 - c) instead, and then takes the
-    Chebyshev combination w * new - (w - 1) * previous of both g and h; the
-    combination is linear, so the identity still holds.
+    of h[e](t) over edges e = (j, i). Past round K a round books
+    inc/(1 - c), and the Chebyshev combination of g and h is linear, so
+    the identity still holds.
 
     Stops once the node values agree to within ``eps``: their sum is
     preserved, so they bracket their mean throughout and the spread
     certifies that the flows -h leave every node within ``eps`` of it.
-    Plain rounds also require that the round changed no node by more than
-    ``eps``. Chebyshev rounds drop that requirement: their change mixes in
-    the round before and says nothing about h. Raises ConvergenceError at
-    the round cap.
+    Raises ConvergenceError at the round cap.
     """
     n = topology.n
     if weights.shape != (n, n):
         raise ValueError(f"weight shape {weights.shape} does not match {n} nodes")
-    g = np.asarray(g0, dtype=float).copy()
+    g = np.asarray(g0, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"g0 shape {g.shape} does not match {n} nodes")
 
     heads, tails = topology.edge_index_arrays()
-    h = np.zeros(heads.shape[0])
     a = metropolis_edge_weights(topology)
 
-    switch, shift, omegas = _chebyshev_schedule(topology.spectral_gap_bound, criteria)
-    g_prev, h_prev = g, h
-    for t in range(1, criteria.max_iters + 1):
+    def step(g, h, shift):
         inc = a * (g[tails] - g[heads])
-        if t > switch:
+        if shift is not None:
             inc /= 1.0 - shift
-        h_next = h + inc
         g_next = g.copy()
         np.add.at(g_next, heads, inc)
         np.subtract.at(g_next, tails, inc)
-        if t > switch:
-            omega = next(omegas)
-            h_next = omega * h_next - (omega - 1.0) * h_prev
-            g_next = omega * g_next - (omega - 1.0) * g_prev
-        settled = t > switch or np.abs(g_next - g).max() <= criteria.eps
-        g_prev, h_prev, g, h = g, h, g_next, h_next
-        if settled and g.max() - g.min() <= criteria.eps:
+        return g_next, h + inc
+
+    for t, g, h in _rounds(step, g, np.zeros(heads.shape[0]), weights, criteria):
+        if g.max() - g.min() <= criteria.eps:
             return FlowAccumulator(h=h, g=g, iters=t)
     raise ConvergenceError(
         f"flow iteration did not settle within {criteria.max_iters} rounds",

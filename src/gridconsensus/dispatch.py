@@ -72,15 +72,13 @@ class GridState:
     """
 
     p_G: np.ndarray
-    p: np.ndarray
     p_d: np.ndarray
     p_F_net: np.ndarray
-    p_e: np.ndarray
     k: int
 
     def __post_init__(self):
         n = np.asarray(self.p_G, dtype=float).shape[0]
-        for name in ("p_G", "p", "p_d", "p_F_net", "p_e"):
+        for name in ("p_G", "p_d", "p_F_net"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
         if self.k < 0:
             raise ValueError(f"step index must be nonnegative, got {self.k}")
@@ -89,25 +87,29 @@ class GridState:
     def n(self) -> int:
         return self.p_G.shape[0]
 
+    @property
+    def p(self) -> np.ndarray:
+        return self.p_G + self.p_F_net
+
+    @property
+    def p_e(self) -> np.ndarray:
+        return self.p - self.p_d
+
     @classmethod
     def initial(cls, p_G0) -> GridState:
         """Step-0 state: no flows, targets equal to current output."""
         p_G0 = np.asarray(p_G0, dtype=float)
-        zero = np.zeros_like(p_G0)
-        return cls(p_G=p_G0.copy(), p=p_G0.copy(), p_d=p_G0.copy(),
-                   p_F_net=zero.copy(), p_e=zero.copy(), k=0)
+        return cls(p_G=p_G0.copy(), p_d=p_G0.copy(), p_F_net=np.zeros_like(p_G0), k=0)
 
     def with_desired(self, desired) -> GridState:
         """Same physical state, new per-node targets."""
         desired = _as_vector(desired, self.n, "desired")
-        return replace(self, p_d=desired.copy(), p_e=self.p - desired)
+        return replace(self, p_d=desired.copy())
 
     def after_generation(self, delta) -> GridState:
         """Provisional state once generation moved but flows are pending."""
         delta = _as_vector(delta, self.n, "delta")
-        p_G = self.p_G + delta
-        return replace(self, p_G=p_G, p=p_G.copy(),
-                       p_F_net=np.zeros(self.n), p_e=p_G - self.p_d)
+        return replace(self, p_G=self.p_G + delta, p_F_net=np.zeros(self.n))
 
 
 @dataclass(frozen=True)
@@ -284,15 +286,7 @@ def apply_step(state: GridState, delta, flows, topology: GridTopology) -> GridSt
         weights=np.concatenate((flows, -flows)),
         minlength=n,
     )
-    p = p_G + p_F_net
-    return GridState(
-        p_G=p_G,
-        p=p,
-        p_d=state.p_d.copy(),
-        p_F_net=p_F_net,
-        p_e=p - state.p_d,
-        k=state.k + 1,
-    )
+    return GridState(p_G=p_G, p_d=state.p_d.copy(), p_F_net=p_F_net, k=state.k + 1)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridconsensus import (
     ConvergenceCriteria,
     ConvergenceError,
     DegenerateDenominatorError,
+    GridState,
     SparseWeights,
     build_topology,
     degree_weight_matrix,
     flow_accumulate,
+    flow_closed_form,
+    flow_control,
     metropolis_weight_matrix,
     random_connected_topology,
     ratio_consensus,
@@ -58,6 +63,10 @@ def test_criteria_validation():
         ConvergenceCriteria(eps=-1e-9)
     with pytest.raises(ValueError):
         ConvergenceCriteria(max_iters=0)
+    # range() would reject these only at the first run, with a TypeError
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            ConvergenceCriteria(max_iters=bad)
 
 
 class TestIterateLinear:
@@ -206,7 +215,7 @@ class TestChebyshevPhase:
         g0 = rng.uniform(-8.0, 8.0, 50)
         g0 -= g0.mean()
         acc = flow_accumulate(topo, s, g0, CRIT)
-        assert acc.iters > _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0]
+        assert acc.iters > _chebyshev_schedule(s.gap, CRIT)[0]
         heads, tails = topo.edge_index_arrays()
         inflow = np.bincount(np.concatenate((heads, tails)),
                              weights=np.concatenate((acc.h, -acc.h)), minlength=50)
@@ -215,23 +224,36 @@ class TestChebyshevPhase:
         # on a path edge (i, i + 1) carries everything nodes 1..i hold
         assert np.max(np.abs(-acc.h - np.cumsum(g0)[:-1])) <= 50 * CRIT.eps
 
+    def test_dense_weights_keep_flow_rounds_plain(self):
+        # flow rounds take the gap from their weights, like ratio rounds:
+        # dense weights carry none, so they stay plain, the reference the
+        # Chebyshev phase is held to
+        topo = path(40)
+        s = metropolis_weight_matrix(topo)
+        g0 = np.linspace(-1.0, 1.0, 40)
+        fast = flow_accumulate(topo, s, g0, CRIT)
+        plain = flow_accumulate(topo, s.toarray(), g0, CRIT)
+        assert fast.iters <= 2 * _chebyshev_schedule(s.gap, CRIT)[0] < plain.iters
+        assert np.max(np.abs(fast.h - plain.h)) <= 40 * CRIT.eps
+
     def test_flows_stop_at_the_first_certified_round(self):
-        # Past K the spread alone stops flow rounds: a Chebyshev round's
-        # change mixes in the round before it and certifies nothing about
-        # h. Requiring a small change as well took 7 to 23 rounds more on
-        # this ring, in 20 random draws.
+        # The spread alone stops flow rounds, before K and after it: a
+        # Chebyshev round's change mixes in the round before it and
+        # certifies nothing about h, and a plain round's change adds
+        # nothing to what the spread certifies.
         rng = np.random.default_rng(43)
         topo = build_topology(12, [(i, i % 12 + 1) for i in range(1, 13)])
         s = metropolis_weight_matrix(topo)
+        switch = _chebyshev_schedule(s.gap, CRIT)[0]
         for _ in range(2):
             g0 = rng.uniform(-8.0, 8.0, 12)
             g0 -= g0.mean()
             acc = flow_accumulate(topo, s, g0, CRIT)
-            switch = _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0]
             assert acc.iters > switch
             assert np.ptp(acc.g) <= CRIT.eps
-            # every Chebyshev round before the stop was still uncertified
-            for cap in range(switch + 1, acc.iters):
+            # every round before the stop, plain or Chebyshev, was still
+            # uncertified
+            for cap in range(1, acc.iters):
                 with pytest.raises(ConvergenceError) as info:
                     flow_accumulate(topo, s, g0, ConvergenceCriteria(max_iters=cap))
                 assert np.ptp(info.value.values) > CRIT.eps
@@ -256,7 +278,7 @@ class TestChebyshevPhase:
 
         topo = path(60)
         s = metropolis_weight_matrix(topo)
-        cap = _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0] + 10
+        cap = _chebyshev_schedule(s.gap, CRIT)[0] + 10
         with pytest.raises(ConvergenceError) as info:
             flow_accumulate(topo, s, np.linspace(-1.0, 1.0, 60),
                             ConvergenceCriteria(max_iters=cap))
@@ -272,15 +294,15 @@ class TestFlowAccumulate:
         assert acc.iters == 1
 
     def test_two_node_hand_iteration(self):
-        # edge weight 1/2; one round moves both values to 0 and books
-        # h[(1,2)] = 1/2 * (-5 - 5) = -5; the second round only confirms.
+        # edge weight 1/2; one round moves both values to exactly 0 and
+        # books h[(1,2)] = 1/2 * (-5 - 5) = -5, so the spread stops it there
         topo = build_topology(2, [(1, 2)])
         s = metropolis_weight_matrix(topo)
         acc = flow_accumulate(topo, s, [5.0, -5.0], CRIT)
-        assert acc.iters == 2
+        assert acc.iters == 1
+        assert np.all(acc.g == 0.0)
         assert acc.h.shape == (1,)
         assert acc.h[0] == pytest.approx(-5.0, abs=1e-12)
-        assert np.max(np.abs(acc.g)) <= 1e-12
 
     def test_path3_steady_accumulator(self, path3):
         # on a tree the per-node sum conditions pin the accumulator:
@@ -325,3 +347,36 @@ class TestFlowAccumulate:
         with pytest.raises(ConvergenceError):
             flow_accumulate(path3, s, [3.0, 0.0, -3.0],
                             ConvergenceCriteria(eps=1e-14, max_iters=2))
+
+
+def _topology(kind: str, n: int, rng: np.random.Generator):
+    if kind == "path":
+        return path(n)
+    if kind == "tree":
+        return random_connected_topology(n, rng, extra_edge_prob=0.0)
+    return random_connected_topology(n, rng, float(rng.uniform(0.0, 0.3)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("random", "path", "tree")),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_engines_meet_their_oracles(kind, n, seed):
+    # Both stopping certificates, over whichever phase each call ends in:
+    # ratios within eps of sum(x0)/sum(y0), and flows within n * eps of the
+    # electrical flow (see TestFlowClosedForm for that bound).
+    rng = np.random.default_rng(seed)
+    topo = _topology(kind, n, rng)
+    x0 = rng.uniform(-5.0, 5.0, n)
+    y0 = rng.uniform(0.1, 4.0, n)
+    res = ratio_consensus(degree_weight_matrix(topo), x0, y0, CRIT)
+    assert np.max(np.abs(res.values - x0.sum() / y0.sum())) <= CRIT.eps
+
+    p_d = rng.uniform(-10.0, 10.0, n)
+    noise = rng.uniform(-5.0, 5.0, n)
+    state = GridState.initial(p_d + noise - noise.mean()).with_desired(p_d)
+    flows = flow_control(state, topo, metropolis_weight_matrix(topo), CRIT).flows
+    oracle = flow_closed_form(state.p_G - state.p_d, topo)
+    assert np.max(np.abs(flows - oracle), initial=0.0) <= n * CRIT.eps

@@ -62,7 +62,7 @@ class TestGridState:
 
     def test_negative_step_index_rejected(self):
         with pytest.raises(ValueError):
-            GridState(p_G=[1.0], p=[1.0], p_d=[1.0], p_F_net=[0.0], p_e=[0.0], k=-1)
+            GridState(p_G=[1.0], p_d=[1.0], p_F_net=[0.0], k=-1)
 
 
 class TestDeltaBounds:

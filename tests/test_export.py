@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 
 from gridconsensus import (
     SimulationRecord,
@@ -53,10 +54,17 @@ def test_timeseries_csv_golden(tmp_path):
     )
 
 
-def test_shipped_with_coordination_export_is_pinned(tmp_path):
-    # Every consensus call of this scenario stops within plain rounds, so
-    # its bytes have not moved since the sparse weights landed; a change
-    # here means the plain rounds or the export format changed.
-    config = load_config(default_config_path("with"))
+@pytest.mark.parametrize(
+    ("mode", "digest"),
+    [("with", "4cb914456c66a81e"), ("without", "0457c6e923306fbc")],
+    ids=["with", "without"],
+)
+def test_shipped_export_is_pinned(tmp_path, mode, digest):
+    # With coordination every consensus call stops within plain rounds, so
+    # those bytes have not moved since the sparse weights landed. Without
+    # it, most flow calls run past the switch round K (82 rounds on this
+    # ring), so those bytes pin the Chebyshev rounds as well. A change here
+    # means the rounds or the export format changed.
+    config = load_config(default_config_path(mode))
     csv_path, _ = export_record(run(config), tmp_path)
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest()[:16] == "4cb914456c66a81e"
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest()[:16] == digest
