@@ -1,8 +1,7 @@
 """Command-line entry points: validate, coordinate, run.
 
 Exit codes are part of the contract: 0 success, 1 domain or validation
-failure, 2 I/O or document-parse failure. Set GRIDCONSENSUS_LOG=DEBUG (or
-any logging level name) for diagnostics on stderr.
+failure, 2 I/O or document-parse failure.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import sys
 from dataclasses import replace
 
@@ -31,19 +28,6 @@ from .simulation import (
     generate_desired_profile,
     run,
 )
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("GRIDCONSENSUS_LOG")
-    if not level_name:
-        return
-    level = logging.getLevelName(level_name.upper())
-    if not isinstance(level, int):
-        level = logging.INFO
-    logging.basicConfig(
-        level=level, stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +177,6 @@ def cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,21 +8,13 @@ ratio consensus, where only the leading node knows the total demand.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .consensus import ConvergenceCriteria, ratio_consensus
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    DegenerateDenominatorError,
-    NotRealizableError,
-)
+from .errors import CapacityError, ConvergenceError, NotRealizableError
 from .graph import GridTopology, degree_weight_matrix
-
-log = logging.getLogger(__name__)
 
 _BALANCE_TOL = 1e-6
 
@@ -135,36 +127,16 @@ def _require_realizable(p_demand: float, caps: NodeCapacities) -> RealizabilityR
     return report
 
 
-def _audit_net_bounds(desired: np.ndarray, caps: NodeCapacities) -> None:
-    # Capacity validation makes violations impossible for consistent inputs;
-    # a hit here signals hand-built capacities that skipped it. The slack
-    # absorbs consensus dust at boundary demands (desired can undershoot a
-    # coincident gen/net floor by range*eps), which is not a violation.
-    low = desired < caps.net_lo - 1e-6
-    high = desired > caps.net_hi + 1e-6
-    if np.any(low | high):
-        bad = np.nonzero(low | high)[0] + 1
-        log.warning(
-            "desired net power violates net-power bounds at nodes %s; "
-            "input capacities are inconsistent",
-            bad.tolist(),
-        )
+def _all_fixed_floors(caps: NodeCapacities) -> np.ndarray | None:
+    """The floors when every generator is fixed (zero total range), or
+    None when there is a range to split demand over.
 
-
-def _all_fixed_floors(p_demand: float, caps: NodeCapacities) -> np.ndarray | None:
-    """The all-floors split when every generator is fixed (zero total
-    range), or None when there is a range to split demand over.
-
-    With every generator fixed the demand must equal the aggregate floor
-    exactly; the floors are then the only answer.
+    Zero total range means gen_lo == gen_hi at every node, so a realizable
+    demand equals the aggregate floor exactly; the floors are then the
+    only answer.
     """
     if float(np.sum(caps.gen_range)) > 0.0:
         return None
-    if abs(p_demand - caps.total_gen_lo) > 1e-9 * (1.0 + abs(p_demand)):
-        raise DegenerateDenominatorError(
-            f"all generators fixed but demand {p_demand} != "
-            f"aggregate floor {caps.total_gen_lo}"
-        )
     return caps.gen_lo.copy()
 
 
@@ -177,11 +149,10 @@ def coordinate_closed_form(p_demand: float, caps: NodeCapacities) -> Coordinatio
     When every generator is fixed, the floors are the only answer.
     """
     _require_realizable(p_demand, caps)
-    desired = _all_fixed_floors(p_demand, caps)
+    desired = _all_fixed_floors(caps)
     if desired is None:
         surplus = p_demand - caps.total_gen_lo
         desired = caps.gen_lo + caps.gen_range * (surplus / float(np.sum(caps.gen_range)))
-    _audit_net_bounds(desired, caps)
     return CoordinationResult(desired=desired, method="closed-form")
 
 
@@ -202,12 +173,12 @@ def coordinate_distributed(
     """
     if caps.n != topology.n:
         raise CapacityError(f"capacities for {caps.n} nodes, topology has {topology.n}")
-    if not 1 <= leader <= topology.n:
-        raise ValueError(f"leader {leader} outside 1..{topology.n}")
+    if type(leader) is not int or not 1 <= leader <= topology.n:  # bool subclasses int
+        raise ValueError(f"leader must be an integer in 1..{topology.n}, got {leader!r}")
     _require_realizable(p_demand, caps)
     # Nothing to negotiate when every generator is fixed: consensus cannot
     # run on a zero denominator, but the all-floors profile still answers.
-    floors = _all_fixed_floors(p_demand, caps)
+    floors = _all_fixed_floors(caps)
     if floors is not None:
         return CoordinationResult(desired=floors, method="distributed")
 
@@ -224,7 +195,6 @@ def coordinate_distributed(
             values=desired,
             iters=result.iters,
         )
-    _audit_net_bounds(desired, caps)
     return CoordinationResult(
         desired=desired,
         method="distributed",

@@ -291,35 +291,31 @@ def apply_step(state: GridState, delta, flows, topology: GridTopology) -> GridSt
 
 @dataclass(frozen=True)
 class StepAudit:
-    """Constraint checks for one committed step."""
+    """Constraint checks for one committed step.
+
+    ``margins`` maps each check's name to how far the step sits inside
+    that check's bound, in the check's own units (for the bounds, the
+    worst node's distance). A check fails when its margin is negative or
+    NaN.
+    """
 
     step: int
-    gen_bounds_ok: bool
-    net_bounds_ok: bool
-    conservation_ok: bool
-    balance_ok: bool
-    error_ok: bool
     max_abs_error: float
     balance_residual: float
+    margins: dict[str, float]
 
     @property
     def passed(self) -> bool:
-        return (self.gen_bounds_ok and self.net_bounds_ok and self.conservation_ok
-                and self.balance_ok and self.error_ok)
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        out = []
-        if not self.gen_bounds_ok:
-            out.append("generation bounds")
-        if not self.net_bounds_ok:
-            out.append("net-power bounds")
-        if not self.conservation_ok:
-            out.append("flow conservation")
-        if not self.balance_ok:
-            out.append("supply-demand balance")
-        if not self.error_ok:
-            out.append("error annihilation")
-        return out
+        return [name for name, margin in self.margins.items() if not margin >= 0.0]
+
+
+def _bound_margin(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Smallest distance of any entry of v inside its slack-widened box."""
+    inside = np.minimum(v - (lo - _BOUND_SLACK), (hi + _BOUND_SLACK) - v)
+    return float(inside.min(initial=np.inf))
 
 
 def audit_state(state: GridState, caps: NodeCapacities) -> StepAudit:
@@ -330,25 +326,19 @@ def audit_state(state: GridState, caps: NodeCapacities) -> StepAudit:
     the demand scale, conservation (flows canceling in the total) is a
     float-dust check.
     """
-    gen_ok = bool(
-        np.all(state.p_G >= caps.gen_lo - _BOUND_SLACK)
-        and np.all(state.p_G <= caps.gen_hi + _BOUND_SLACK)
-    )
-    net_ok = bool(
-        np.all(state.p >= caps.net_lo - _BOUND_SLACK)
-        and np.all(state.p <= caps.net_hi + _BOUND_SLACK)
-    )
     total_d = float(np.sum(state.p_d))
     residual = float(np.sum(state.p_G) - total_d)
     conservation = abs(float(np.sum(state.p) - np.sum(state.p_G)))
     max_err = float(np.max(np.abs(state.p_e), initial=0.0))
     return StepAudit(
         step=state.k,
-        gen_bounds_ok=gen_ok,
-        net_bounds_ok=net_ok,
-        conservation_ok=conservation <= 1e-9,
-        balance_ok=abs(residual) <= 1e-8 * (1.0 + abs(total_d)),
-        error_ok=max_err <= _MISMATCH_TOL,
         max_abs_error=max_err,
         balance_residual=residual,
+        margins={
+            "generation bounds": _bound_margin(state.p_G, caps.gen_lo, caps.gen_hi),
+            "net-power bounds": _bound_margin(state.p, caps.net_lo, caps.net_hi),
+            "flow conservation": 1e-9 - conservation,
+            "supply-demand balance": 1e-8 * (1.0 + abs(total_d)) - abs(residual),
+            "error annihilation": _MISMATCH_TOL - max_err,
+        },
     )

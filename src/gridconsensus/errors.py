@@ -78,7 +78,12 @@ class BalanceError(GridConsensusError):
 
 
 class AuditError(GridConsensusError):
-    """A simulation step failed a constraint audit (fail-fast mode)."""
+    """A simulation step failed a constraint audit (fail-fast mode);
+    ``audit`` is the failing StepAudit."""
+
+    def __init__(self, message, audit=None, step=None, phase=None):
+        super().__init__(message, step=step, phase=phase)
+        self.audit = audit
 
 
 class ConfigError(GridConsensusError):

@@ -96,6 +96,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in (MODE_WITH, MODE_WITHOUT):
             raise ValueError(f"mode must be {MODE_WITH!r} or {MODE_WITHOUT!r}, got {self.mode!r}")
+        for name in ("horizon", "seed", "leader"):
+            if type(getattr(self, name)) is not int:  # bool subclasses int
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if isinstance(self.capacities, NodeCapacities):
@@ -382,6 +385,7 @@ def run(config: ScenarioConfig) -> SimulationRecord:
                 f"step {step} audit failed: {', '.join(audit.failures())} "
                 f"(max |error| {audit.max_abs_error:.3e}, "
                 f"balance residual {audit.balance_residual:.3e})",
+                audit=audit,
                 step=step,
                 phase="audit",
             )

@@ -70,15 +70,28 @@ def random_capacities(rng: np.random.Generator, n: int) -> NodeCapacities:
     return NodeCapacities(gen_lo=gen_lo, gen_hi=gen_hi, net_lo=net_lo, net_hi=net_hi)
 
 
-def random_generation_instance(rng: np.random.Generator, max_nodes: int = 12):
+def tree_topology(kind: str, n: int, rng: np.random.Generator):
+    """A path (``kind`` "path") or a random tree ("tree") on n nodes.
+    Consensus mixes slowly on these, so from a handful of nodes on most
+    ratio consensus calls run past the switch round into the Chebyshev
+    phase, which small well-mixed random graphs mostly stop before."""
+    if kind == "path":
+        return path_topology(n)
+    return random_connected_topology(n, rng, extra_edge_prob=0.0)
+
+
+def random_generation_instance(
+    rng: np.random.Generator, max_nodes: int = 12, kind: str | None = None
+):
     """Random (topology, caps, state, bounds, desired) with a feasible step.
 
-    The per-node desired values are a random positive split of a realizable
-    total, so they may individually violate generation bounds — only the
-    aggregate is guaranteed feasible.
+    The topology is a random connected graph, or with ``kind`` "path" or
+    "tree" that kind of ``tree_topology``. The per-node desired values are
+    a random positive split of a realizable total, so they may individually
+    violate generation bounds — only the aggregate is guaranteed feasible.
     """
     n = int(rng.integers(1, max_nodes + 1))
-    topology = random_connected_topology(n, rng)
+    topology = random_connected_topology(n, rng) if kind is None else tree_topology(kind, n, rng)
     caps = random_capacities(rng, n)
     p_G = rng.uniform(caps.gen_lo, caps.gen_hi)
     state = GridState.initial(p_G).with_desired(p_G)

@@ -213,15 +213,3 @@ class TestMisc:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_log_env_smoke(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GRIDCONSENSUS_LOG", "debug")
-        code = main(["validate", "--config", str(default_config_path("with"))])
-        capsys.readouterr()
-        assert code == 0
-
-    def test_log_env_garbage_level(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GRIDCONSENSUS_LOG", "chatty")
-        code = main(["validate", "--config", str(default_config_path("without"))])
-        capsys.readouterr()
-        assert code == 0

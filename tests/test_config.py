@@ -10,6 +10,7 @@ import pytest
 
 from gridconsensus import (
     ConfigError,
+    DemandSpec,
     DesiredSpec,
     MODE_WITH,
     MODE_WITHOUT,
@@ -21,7 +22,7 @@ from gridconsensus import (
     parse_config,
     random_connected_topology,
 )
-from conftest import random_capacities
+from conftest import DESIRED_AT_150, random_capacities
 
 
 def good_doc():
@@ -218,9 +219,23 @@ class TestRoundTrip:
         assert again.topology == topology
         assert config_to_dict(again) == config_to_dict(config)
 
-    def test_schedule_not_representable(self, ref_caps, ring_chord):
-        from gridconsensus import DemandSpec
+    @pytest.mark.parametrize("mode", [MODE_WITH, MODE_WITHOUT])
+    def test_explicit_sources_dump_load_round_trip(self, tmp_path, ref_caps, ring_chord,
+                                                   mode):
+        if mode == MODE_WITH:
+            sources = {"demand": DemandSpec(kind="explicit", values=(100.0, 150.25))}
+        else:
+            rows = ((20.0, 40.5, 25.0, 15.0, 30.0, 19.5), tuple(DESIRED_AT_150))
+            sources = {"desired": DesiredSpec(kind="explicit", values=rows)}
+        config = ScenarioConfig(mode=mode, topology=ring_chord, capacities=ref_caps,
+                                horizon=2, **sources)
+        out = tmp_path / "scenario.json"
+        dump_config(config, out)
+        again = load_config(out)
+        assert again.demand == config.demand and again.desired == config.desired
+        assert config_to_dict(again) == config_to_dict(config)
 
+    def test_schedule_not_representable(self, ref_caps, ring_chord):
         config = ScenarioConfig(
             mode=MODE_WITH, topology=ring_chord, capacities=(ref_caps, ref_caps),
             horizon=2, demand=DemandSpec(),

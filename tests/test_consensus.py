@@ -30,6 +30,7 @@ from gridconsensus import (
 )
 from gridconsensus.consensus import _chebyshev_schedule
 from conftest import path_topology as path
+from conftest import tree_topology
 
 CRIT = ConvergenceCriteria()
 
@@ -350,11 +351,9 @@ class TestFlowAccumulate:
 
 
 def _topology(kind: str, n: int, rng: np.random.Generator):
-    if kind == "path":
-        return path(n)
-    if kind == "tree":
-        return random_connected_topology(n, rng, extra_edge_prob=0.0)
-    return random_connected_topology(n, rng, float(rng.uniform(0.0, 0.3)))
+    if kind == "random":
+        return random_connected_topology(n, rng, float(rng.uniform(0.0, 0.3)))
+    return tree_topology(kind, n, rng)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

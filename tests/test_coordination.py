@@ -18,7 +18,7 @@ from gridconsensus import (
     coordinate_distributed,
     random_connected_topology,
 )
-from conftest import DESIRED_AT_150, random_capacities
+from conftest import DESIRED_AT_150, random_capacities, tree_topology
 
 
 class TestNodeCapacities:
@@ -140,6 +140,11 @@ class TestDistributed:
             coordinate_distributed(150.0, ref_caps, ring_chord, leader=0)
         with pytest.raises(ValueError):
             coordinate_distributed(150.0, ref_caps, ring_chord, leader=7)
+        # non-integers used to index the leader's entry: IndexError, or
+        # node 1 for True
+        for leader in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="leader must be an integer"):
+                coordinate_distributed(150.0, ref_caps, ring_chord, leader=leader)
 
     def test_size_mismatch(self, ref_caps, path3):
         with pytest.raises(CapacityError):
@@ -163,10 +168,17 @@ class TestDistributed:
             coordinate_distributed(86.0, caps, ring_chord)
 
     def test_matches_closed_form_on_random_instances(self):
+        # Small random graphs mostly stop within plain rounds; most paths
+        # and trees of up to 40 nodes run on into the Chebyshev phase.
         rng = np.random.default_rng(29)
-        for _ in range(100):
-            n = int(rng.integers(1, 13))
-            topo = random_connected_topology(n, rng)
+        kinds = [None] * 100 + ["path"] * 20 + ["tree"] * 40
+        for kind in kinds:
+            if kind is None:
+                n = int(rng.integers(1, 13))
+                topo = random_connected_topology(n, rng)
+            else:
+                n = int(rng.integers(1, 41))
+                topo = tree_topology(kind, n, rng)
             caps = random_capacities(rng, n)
             p_D = rng.uniform(caps.total_gen_lo, caps.total_gen_hi)
             closed = coordinate_closed_form(p_D, caps).desired

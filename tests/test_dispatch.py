@@ -165,9 +165,13 @@ class TestGenerationDistributed:
         assert result.delta[0] == pytest.approx(7.0, abs=1e-9)
 
     def test_matches_closed_form_on_random_instances(self):
+        # Small random graphs mostly stop within plain rounds; most paths
+        # and trees of up to 40 nodes run on into the Chebyshev phase.
         rng = np.random.default_rng(41)
-        for _ in range(150):
-            topo, caps, state, db, desired = random_generation_instance(rng)
+        kinds = [None] * 150 + ["path"] * 20 + ["tree"] * 40
+        for kind in kinds:
+            max_nodes = 12 if kind is None else 40
+            topo, caps, state, db, desired = random_generation_instance(rng, max_nodes, kind)
             closed = generation_closed_form(float(desired.sum()), state, db)
             dist = generation_distributed(desired, state, db, topo, CRIT).delta
             assert np.allclose(dist, closed, rtol=1e-8, atol=1e-8)
@@ -334,12 +338,45 @@ class TestAudit:
         bad[2] = 30.0  # pushes node 3 above its 40 ceiling
         after = apply_step(state, bad, np.zeros(7), ring_chord)
         audit = audit_state(after, ref_caps)
-        assert not audit.gen_bounds_ok
-        assert "generation bounds" in audit.failures()
+        assert audit.margins["generation bounds"] == pytest.approx((40.0 + 1e-8) - 50.0)
+        # node 3's net power (50) stays inside its [20, 60] box
+        assert audit.failures() == [
+            "generation bounds", "supply-demand balance", "error annihilation",
+        ]
 
     def test_error_annihilation_flagged(self, ref_caps, ring_chord):
         state = GridState.initial(ref_caps.gen_lo).with_desired(ref_caps.gen_lo + 1.0)
         after = apply_step(state, np.zeros(6), np.zeros(7), ring_chord)
         audit = audit_state(after, ref_caps)
-        assert not audit.error_ok and not audit.balance_ok
+        assert audit.margins["error annihilation"] == pytest.approx(1e-6 - 1.0)
+        assert audit.margins["supply-demand balance"] == pytest.approx(1e-8 * 92.0 - 6.0)
+        assert audit.failures() == ["supply-demand balance", "error annihilation"]
         assert audit.max_abs_error == pytest.approx(1.0)
+
+    def test_margins_are_distances_inside_each_bound(self, ref_caps, ring_chord):
+        # Node 1 generates 0.5 below its ceiling, the others mid-range. With
+        # no flows and every target met exactly, the last three margins are
+        # the bare tolerances.
+        p_G = ref_caps.gen_lo + 0.5 * ref_caps.gen_range
+        p_G[0] = ref_caps.gen_hi[0] - 0.5
+        state = GridState.initial(p_G)
+        audit = audit_state(state, ref_caps)
+        net_room = np.minimum(p_G - ref_caps.net_lo, ref_caps.net_hi - p_G).min()
+        assert audit.margins == pytest.approx({
+            "generation bounds": 0.5 + 1e-8,
+            "net-power bounds": net_room + 1e-8,
+            "flow conservation": 1e-9,
+            "supply-demand balance": 1e-8 * (1.0 + p_G.sum()),
+            "error annihilation": 1e-6,
+        }, rel=1e-12, abs=0.0)
+        assert audit.passed
+
+    def test_nan_fails_every_check_that_reads_it(self, ref_caps, ring_chord):
+        p_G = ref_caps.gen_lo.copy()
+        p_G[2] = np.nan
+        audit = audit_state(GridState.initial(p_G).with_desired(ref_caps.gen_lo), ref_caps)
+        assert audit.failures() == [
+            "generation bounds", "net-power bounds", "flow conservation",
+            "supply-demand balance", "error annihilation",
+        ]
+        assert not audit.passed

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,12 @@ from gridconsensus import (
     default_config_path,
     export_record,
     load_config,
+    parse_config,
     run,
     write_timeseries_csv,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
 
 
 def test_timeseries_csv_golden(tmp_path):
@@ -54,17 +60,35 @@ def test_timeseries_csv_golden(tmp_path):
     )
 
 
+def _scenario(name: str):
+    """A shipped config, or a benchmark workload at seed 1 and the horizon
+    the benchmark runs it at, built from ``perfbench/scenarios.py``."""
+    if name in ("with", "without"):
+        return load_config(default_config_path(name))
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios", SCENARIOS)
+    scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenarios)
+    horizon = 2 if name == "feeder-without" else 4
+    return parse_config(json.loads(scenarios.workload_text(name, 1, horizon)))
+
+
 @pytest.mark.parametrize(
-    ("mode", "digest"),
-    [("with", "4cb914456c66a81e"), ("without", "0457c6e923306fbc")],
-    ids=["with", "without"],
+    ("name", "digest"),
+    [
+        ("with", "4cb914456c66a81e"),
+        ("without", "0457c6e923306fbc"),
+        ("feeder-without", "69f02ccbb264ecea"),
+        ("mesh-without", "187bd8751a40e30e"),
+    ],
+    ids=["with", "without", "feeder-without", "mesh-without"],
 )
-def test_shipped_export_is_pinned(tmp_path, mode, digest):
+def test_shipped_export_is_pinned(tmp_path, name, digest):
     # With coordination every consensus call stops within plain rounds, so
     # those bytes have not moved since the sparse weights landed. Without
     # it, most flow calls run past the switch round K (82 rounds on this
-    # ring), so those bytes pin the Chebyshev rounds as well. A change here
-    # means the rounds or the export format changed.
-    config = load_config(default_config_path(mode))
-    csv_path, _ = export_record(run(config), tmp_path)
+    # ring), so those bytes pin the Chebyshev rounds as well. The 120-node
+    # feeder runs both ratio and flow calls far past K; the 2000-node mesh
+    # pins the sparse rounds and the export at benchmark scale. A change
+    # here means the rounds or the export format changed.
+    csv_path, _ = export_record(run(_scenario(name)), tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest()[:16] == digest

@@ -22,16 +22,19 @@ from gridconsensus import (
     DemandSpec,
     DesiredSpec,
     FlowControlResult,
+    GridState,
     MODE_WITH,
     MODE_WITHOUT,
     NodeCapacities,
     NotRealizableError,
     ScenarioConfig,
     SimulationRecord,
+    compute_delta_bounds,
     coordinate_closed_form,
     default_config_path,
     generate_demand_profile,
     generate_desired_profile,
+    generation_closed_form,
     load_config,
     run,
 )
@@ -177,6 +180,19 @@ class TestScenarioConfig:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
                            horizon=1, demand=DemandSpec(), leader=7)
 
+    @pytest.mark.parametrize(("name", "value"), [
+        ("horizon", 2.5), ("horizon", True),
+        pytest.param("horizon", np.int64(2), id="horizon-int64"),
+        ("leader", 1.5), ("leader", True), ("seed", 1.5), ("seed", False),
+    ])
+    def test_run_settings_must_be_integers(self, ref_caps, ring_chord, name, value):
+        # Values like these used to be accepted and fail inside run() with a
+        # bare TypeError or IndexError, carrying no step or phase.
+        settings = {"horizon": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
+                           demand=DemandSpec(), **settings)
+
     def test_mode_and_source_must_agree(self, ref_caps, ring_chord):
         with pytest.raises(ValueError):
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
@@ -256,6 +272,18 @@ class TestRunWithoutCoordination:
         assert np.all(record.gen_iters > 0) and np.all(record.flow_iters > 0)
         assert np.all(record.coord_iters == 0)
 
+    def test_starts_from_the_initial_generation(self, without_config, ref_caps):
+        p_G0 = ref_caps.gen_lo + 0.25 * ref_caps.gen_range
+        record = run(replace(without_config, initial_generation=tuple(p_G0)))
+        assert record.all_audits_passed
+        state = GridState.initial(p_G0).with_desired(record.p_d[0])
+        oracle = generation_closed_form(
+            float(record.p_D[0]), state, compute_delta_bounds(state, ref_caps)
+        )
+        assert np.allclose(record.delta[0], oracle, rtol=1e-8, atol=1e-8)
+        # the seeded start sits at the floors, so this step really differs
+        assert np.max(np.abs(record.delta[0] - run(without_config).delta[0])) > 1.0
+
     def test_deterministic(self, without_config):
         a, b = run(without_config), run(without_config)
         for name in ("p_D", "p_d", "delta", "p_G", "p_F_net", "p", "p_e"):
@@ -312,6 +340,8 @@ class TestFailureHandling:
             run(without_config)
         assert info.value.step == 1
         assert info.value.phase == "audit"
+        assert info.value.audit.step == 1
+        assert info.value.audit.margins["error annihilation"] < 0
 
     def test_audit_failure_can_be_flagged_instead(self, without_config, monkeypatch):
         def no_flows(state, topology, weights, criteria):
