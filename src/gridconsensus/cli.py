@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="override the config seed")
     p_run.add_argument(
         "--mode", choices=("with", "without"),
-        help="override the config mode; a missing profile source falls back to seeded",
+        help="override the config mode; the new regime gets a seeded profile source",
     )
     p_run.add_argument(
         "--continue-on-audit-failure", action="store_true",
@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _profile_report(config: ScenarioConfig) -> list[str]:
     """Realizability lines for whichever profile source the config uses."""
-    caps0 = config.capacities_at(0)
-    lower, upper = caps0.total_gen_lo, caps0.total_gen_hi
+    lower, upper = config.capacities.total_gen_lo, config.capacities.total_gen_hi
     lines = []
     if config.demand is not None:
         profile = generate_demand_profile(
@@ -97,7 +96,7 @@ def _profile_report(config: ScenarioConfig) -> list[str]:
 
 def cmd_validate(args) -> int:
     config = load_config(args.config)
-    caps = config.capacities_at(0)
+    caps = config.capacities
     print(f"config:     {args.config}")
     print(
         f"scenario:   {config.mode}, horizon {config.horizon}, "
@@ -119,7 +118,7 @@ def cmd_validate(args) -> int:
 
 def cmd_coordinate(args) -> int:
     config = load_config(args.config)
-    caps = config.capacities_at(0)
+    caps = config.capacities
     closed = coordinate_closed_form(args.demand, caps)
     dist = coordinate_distributed(
         args.demand, caps, config.topology,
@@ -159,12 +158,12 @@ def cmd_run(args) -> int:
             if target == MODE_WITH:
                 config = replace(
                     config, mode=target, desired=None,
-                    demand=config.demand or DemandSpec(kind="seeded"),
+                    demand=DemandSpec(),
                 )
             else:
                 config = replace(
                     config, mode=target, demand=None,
-                    desired=config.desired or DesiredSpec(kind="seeded"),
+                    desired=DesiredSpec(),
                 )
     if args.continue_on_audit_failure:
         config = replace(config, fail_fast=False)

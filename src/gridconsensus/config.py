@@ -211,13 +211,7 @@ def _parse_source(raw, where: str, row_values: bool):
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    """Canonical JSON-ready form of a config; inverse of parse_config.
-
-    Capacity schedules exist only at the library level and cannot be
-    written to a file.
-    """
-    if not isinstance(config.capacities, NodeCapacities):
-        raise ConfigError("capacity schedules are not representable in config files")
+    """Canonical JSON-ready form of a config; inverse of parse_config."""
     caps = config.capacities
     doc = {
         "mode": config.mode,

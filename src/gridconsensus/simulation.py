@@ -83,7 +83,7 @@ class ScenarioConfig:
 
     mode: str
     topology: GridTopology
-    capacities: NodeCapacities | tuple[NodeCapacities, ...]
+    capacities: NodeCapacities
     horizon: int
     demand: DemandSpec | None = None
     desired: DesiredSpec | None = None
@@ -101,20 +101,16 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if isinstance(self.capacities, NodeCapacities):
-            schedule = (self.capacities,)
-        else:
-            schedule = tuple(self.capacities)
-            object.__setattr__(self, "capacities", schedule)
-            if len(schedule) != self.horizon:
-                raise ValueError(
-                    f"capacity schedule has {len(schedule)} entries for horizon {self.horizon}"
-                )
-        for caps in schedule:
-            if caps.n != self.topology.n:
-                raise ValueError(
-                    f"capacities cover {caps.n} nodes, topology has {self.topology.n}"
-                )
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.capacities, NodeCapacities):
+            raise ValueError(
+                f"capacities must be one NodeCapacities, got {type(self.capacities).__name__}"
+            )
+        if self.capacities.n != self.topology.n:
+            raise ValueError(
+                f"capacities cover {self.capacities.n} nodes, topology has {self.topology.n}"
+            )
         if not 1 <= self.leader <= self.topology.n:
             raise ValueError(f"leader {self.leader} outside 1..{self.topology.n}")
         if self.mode == MODE_WITH:
@@ -130,23 +126,21 @@ class ScenarioConfig:
         if self.initial_generation is not None:
             p_G0 = tuple(float(v) for v in self.initial_generation)
             object.__setattr__(self, "initial_generation", p_G0)
-            caps0 = self.capacities_at(0)
+            caps = self.capacities
             if len(p_G0) != self.topology.n:
                 raise ValueError(
                     f"initial generation has {len(p_G0)} entries for {self.topology.n} nodes"
                 )
             arr = np.asarray(p_G0)
-            if np.any(arr < caps0.gen_lo) or np.any(arr > caps0.gen_hi):
-                bad = int(np.argmax((arr < caps0.gen_lo) | (arr > caps0.gen_hi))) + 1
+            if np.any(arr < caps.gen_lo) or np.any(arr > caps.gen_hi):
+                bad = int(np.argmax((arr < caps.gen_lo) | (arr > caps.gen_hi))) + 1
                 raise ValueError(
                     f"initial generation at node {bad} outside its generation bounds"
                 )
 
     def capacities_at(self, k: int) -> NodeCapacities:
-        """Capacities in force at step index k (0-based)."""
-        if isinstance(self.capacities, NodeCapacities):
-            return self.capacities
-        return self.capacities[k]
+        """The run's capacities, the same at every step index k."""
+        return self.capacities
 
 
 @dataclass(frozen=True)
@@ -198,38 +192,28 @@ class SimulationRecord:
                        self.flow_iters.max(initial=0)))
 
 
-def _caps_schedule(caps, horizon: int) -> list[NodeCapacities]:
-    if isinstance(caps, NodeCapacities):
-        return [caps] * horizon
-    return list(caps)
-
-
-def generate_demand_profile(spec: DemandSpec, caps, horizon: int, seed: int) -> np.ndarray:
+def generate_demand_profile(
+    spec: DemandSpec, caps: NodeCapacities, horizon: int, seed: int
+) -> np.ndarray:
     """Per-step total demand, uniform over the realizable interval when seeded.
 
-    Explicit lists are length-checked and realizability-checked against the
-    capacities in force at each step.
+    Explicit lists are length-checked and each value realizability-checked.
     """
-    schedule = _caps_schedule(caps, horizon)
     if spec.kind == "explicit":
         if len(spec.values) != horizon:
             raise ValueError(
                 f"explicit demand has {len(spec.values)} entries for horizon {horizon}"
             )
         out = np.asarray(spec.values, dtype=float)
-        for k, (p_D, caps_k) in enumerate(zip(out, schedule)):
-            report = check_realizability(float(p_D), caps_k)
+        for k, p_D in enumerate(out):
+            report = check_realizability(float(p_D), caps)
             if not report:
                 raise NotRealizableError(
                     f"step {k + 1}: demand {p_D} outside [{report.lower}, {report.upper}]",
                     report=report,
                 )
         return out
-    rng = np.random.default_rng(seed)
-    out = np.empty(horizon)
-    for k, caps_k in enumerate(schedule):
-        out[k] = rng.uniform(caps_k.total_gen_lo, caps_k.total_gen_hi)
-    return out
+    return np.random.default_rng(seed).uniform(caps.total_gen_lo, caps.total_gen_hi, size=horizon)
 
 
 def _interior_profile(caps: NodeCapacities, target_sum: float) -> np.ndarray:
@@ -243,7 +227,7 @@ def _interior_profile(caps: NodeCapacities, target_sum: float) -> np.ndarray:
 
 
 def generate_desired_profile(
-    spec: DesiredSpec, caps, horizon: int, seed: int
+    spec: DesiredSpec, caps: NodeCapacities, horizon: int, seed: int
 ) -> np.ndarray:
     """Per-step, per-node desired net power.
 
@@ -253,28 +237,27 @@ def generate_desired_profile(
     Generation bounds are deliberately not enforced per node; targets a
     generator cannot meet alone are the point of the flow-control regime.
     """
-    schedule = _caps_schedule(caps, horizon)
-    n = schedule[0].n
+    n = caps.n
     if spec.kind == "explicit":
         if len(spec.values) != horizon:
             raise ValueError(
                 f"explicit desired profile has {len(spec.values)} rows for horizon {horizon}"
             )
         out = np.empty((horizon, n))
-        for k, (row, caps_k) in enumerate(zip(spec.values, schedule)):
+        for k, row in enumerate(spec.values):
             if len(row) != n:
                 raise ValueError(f"step {k + 1}: desired row has {len(row)} values for {n} nodes")
             arr = np.asarray(row, dtype=float)
-            low = arr < caps_k.net_lo
-            high = arr > caps_k.net_hi
+            low = arr < caps.net_lo
+            high = arr > caps.net_hi
             if np.any(low | high):
                 i = int(np.nonzero(low | high)[0][0])
                 raise BoundViolationError(
                     f"step {k + 1}, node {i + 1}: desired net power {arr[i]} outside "
-                    f"net-power bounds [{caps_k.net_lo[i]}, {caps_k.net_hi[i]}]"
+                    f"net-power bounds [{caps.net_lo[i]}, {caps.net_hi[i]}]"
                 )
             total = float(np.sum(arr))
-            report = check_realizability(total, caps_k)
+            report = check_realizability(total, caps)
             if not report:
                 raise NotRealizableError(
                     f"step {k + 1}: desired profile sums to {total}, outside "
@@ -284,13 +267,10 @@ def generate_desired_profile(
             out[k] = arr
         return out
 
-    rng = np.random.default_rng(seed)
-    out = np.empty((horizon, n))
-    for k, caps_k in enumerate(schedule):
-        lower = caps_k.total_gen_lo
-        upper = caps_k.total_gen_hi
-        center = _interior_profile(caps_k, 0.5 * (lower + upper))
-        row = rng.uniform(caps_k.net_lo, caps_k.net_hi)
+    lower, upper = caps.total_gen_lo, caps.total_gen_hi
+    center = _interior_profile(caps, 0.5 * (lower + upper))
+    out = np.random.default_rng(seed).uniform(caps.net_lo, caps.net_hi, size=(horizon, n))
+    for k, row in enumerate(out):
         for _ in range(_HALVING_CAP):
             if lower <= float(np.sum(row)) <= upper:
                 break
@@ -311,20 +291,20 @@ def run(config: ScenarioConfig) -> SimulationRecord:
     """
     K = config.horizon
     n = config.topology.n
-    schedule = _caps_schedule(config.capacities, K)
+    caps = config.capacities
     s_weights = metropolis_weight_matrix(config.topology)
 
     if config.initial_generation is not None:
         p_G0 = np.asarray(config.initial_generation, dtype=float)
     else:
-        p_G0 = schedule[0].gen_lo.copy()
+        p_G0 = caps.gen_lo.copy()
     state = GridState.initial(p_G0)
 
     if config.mode == MODE_WITH:
-        demand = generate_demand_profile(config.demand, schedule, K, config.seed)
+        demand = generate_demand_profile(config.demand, caps, K, config.seed)
         desired_rows = None
     else:
-        desired_rows = generate_desired_profile(config.desired, schedule, K, config.seed)
+        desired_rows = generate_desired_profile(config.desired, caps, K, config.seed)
         demand = desired_rows.sum(axis=1)
 
     p_d = np.empty((K, n))
@@ -339,24 +319,23 @@ def run(config: ScenarioConfig) -> SimulationRecord:
     audits: list[StepAudit] = []
 
     for k in range(K):
-        caps_k = schedule[k]
         step = k + 1
         try:
             if config.mode == MODE_WITH:
                 phase = "coordination"
                 coord = coordinate_distributed(
-                    float(demand[k]), caps_k, config.topology,
+                    float(demand[k]), caps, config.topology,
                     leader=config.leader, criteria=config.criteria,
                 )
                 coord_iters[k] = coord.iters
                 phase = "generation"
                 staged = state.with_desired(coord.desired)
-                step_delta = generation_with_coordination(staged, coord.desired, caps_k)
+                step_delta = generation_with_coordination(staged, coord.desired, caps)
                 flows = np.zeros(len(config.topology.edges))
             else:
                 phase = "generation"
                 staged = state.with_desired(desired_rows[k])
-                db = compute_delta_bounds(staged, caps_k)
+                db = compute_delta_bounds(staged, caps)
                 gen = generation_distributed(
                     desired_rows[k], staged, db, config.topology, config.criteria
                 )
@@ -378,7 +357,7 @@ def run(config: ScenarioConfig) -> SimulationRecord:
             exc.args = (f"step {step} ({phase}): {exc}", *exc.args[1:])
             raise
 
-        audit = audit_state(state, caps_k)
+        audit = audit_state(state, caps)
         audits.append(audit)
         if config.fail_fast and not audit.passed:
             raise AuditError(

@@ -200,7 +200,7 @@ def test_criterion_5_with_coordination_run():
 
 def test_criterion_6_without_coordination_run():
     config = load_config(default_config_path("without"))
-    caps = config.capacities_at(0)
+    caps = config.capacities
     start = time.perf_counter()
     record = run(config)
     elapsed = time.perf_counter() - start

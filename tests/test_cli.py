@@ -169,6 +169,37 @@ class TestRun:
         assert "with-coordination" in out
         assert "all 3 steps passed" in out
 
+    def test_mode_override_replaces_the_demand_source(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, mode="with",
+            demand={"kind": "explicit", "values": [10.0, 20.0, 25.0]},
+        )
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["desired"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(path), "--out", str(out_dir), "--mode", "without",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "without-coordination" in out
+        assert "all 3 steps passed" in out
+        # the explicit demand is dropped; the totals come from seeded rows
+        totals = [row.split(",")[2] for row in
+                  (out_dir / TIMESERIES_FILENAME).read_text(encoding="utf-8").splitlines()
+                  if ",total," in row]
+        assert totals != ["10", "20", "25"]
+
+    def test_negative_seed_is_exit_1(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        code = main([
+            "run", "--config", str(config), "--out", str(tmp_path / "out"), "--seed", "-1",
+        ])
+        assert code == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_audit_failure_aborts_with_exit_1(self, tmp_path, capsys, monkeypatch):
         def no_flows(state, topology, weights, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)

@@ -235,14 +235,6 @@ class TestRoundTrip:
         assert again.demand == config.demand and again.desired == config.desired
         assert config_to_dict(again) == config_to_dict(config)
 
-    def test_schedule_not_representable(self, ref_caps, ring_chord):
-        config = ScenarioConfig(
-            mode=MODE_WITH, topology=ring_chord, capacities=(ref_caps, ref_caps),
-            horizon=2, demand=DemandSpec(),
-        )
-        with pytest.raises(ConfigError, match="schedule"):
-            config_to_dict(config)
-
 
 class TestFiles:
     def test_load_missing_file_is_oserror(self, tmp_path):

@@ -79,8 +79,9 @@ def _scenario(name: str):
         ("without", "0457c6e923306fbc"),
         ("feeder-without", "69f02ccbb264ecea"),
         ("mesh-without", "187bd8751a40e30e"),
+        ("mesh-with", "3fa13fa4ad5db662"),
     ],
-    ids=["with", "without", "feeder-without", "mesh-without"],
+    ids=["with", "without", "feeder-without", "mesh-without", "mesh-with"],
 )
 def test_shipped_export_is_pinned(tmp_path, name, digest):
     # With coordination every consensus call stops within plain rounds, so
@@ -88,7 +89,8 @@ def test_shipped_export_is_pinned(tmp_path, name, digest):
     # it, most flow calls run past the switch round K (82 rounds on this
     # ring), so those bytes pin the Chebyshev rounds as well. The 120-node
     # feeder runs both ratio and flow calls far past K; the 2000-node mesh
-    # pins the sparse rounds and the export at benchmark scale. A change
-    # here means the rounds or the export format changed.
+    # pins the sparse rounds and the export at benchmark scale, and with
+    # coordination the seeded demand draw there too. A change here means
+    # the rounds, the seeded draws or the export format changed.
     csv_path, _ = export_record(run(_scenario(name)), tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest()[:16] == digest
