@@ -12,25 +12,37 @@ All rounds are synchronous: every node updates from the previous round's
 values, plus, after the switch below, its own value one round earlier.
 Nothing here mutates its inputs.
 
-Both engines run their rounds in ``_rounds`` and stop once the spread
-max - min of the node values (ratio consensus: of the ratios) is at most
-``eps``. Rounds are plain, x <- W x, up to round K; later ones follow the
-Chebyshev semi-iteration (Golub & Varga, 1961) on the shifted weights
-P = (W - cI)/(1 - c), c = -gap/2, where ``SparseWeights.gap`` is the
-topology's spectral bound (every eigenvalue but the consensus eigenvalue
-1 lies in [-1, 1 - gap]):
+Both engines run their rounds in ``_rounds``, which owns the one stopping
+rule: stop once the spread max - min of the node values (ratio consensus:
+of the ratios) is at most ``eps``. Rounds start plain, x <- W x. Later
+ones follow the Chebyshev semi-iteration (Golub & Varga, 1961) on the
+shifted weights P = (W - cI)/(1 - c), c = -gap/2
+(``SparseWeights.shifted``), where ``SparseWeights.gap`` is the topology's
+spectral bound (every eigenvalue but the consensus eigenvalue 1 lies in
+[-1, 1 - gap]):
 
     x_{t+1} = w_t P x_t - (w_t - 1) x_{t-1},
 
 with w_1 = 1, w_2 = 2mu^2/(2mu^2 - 1) and w_{t+1} = 1/(1 - w_t/(4mu^2)),
 where mu = (1 + gap/2)/(1 - gap/2). P keeps every column sum of W, and
 the weights w and 1 - w add to one, so sums stay preserved; a round still
-costs one neighbor exchange. K is the number of Chebyshev rounds the bound
-predicts for ``eps``, ceil(ln(2/eps)/acosh(mu)): a call that would stop
-within K plain rounds runs exactly as before, and one that would not takes
-at most about K more. On a radial feeder, where plain rounds grow like n^2,
-that is O(n) rounds. Dense ``np.ndarray`` weights carry no bound and stay
-plain: they are the reference engine.
+costs one neighbor exchange, and one product per vector as a plain round
+does.
+
+k Chebyshev rounds shrink the error by 1/cosh(k acosh mu) under the
+bound. Plain rounds go on while they keep pace with that: the switch
+comes at the first round t where
+
+    spread_t * cosh((t - t0) acosh mu) > 2 spread_t0,
+
+t0 being the first round whose spread is defined (ratio rounds skip
+denominators below the floor), and at round K = ceil(ln(2/eps)/acosh(mu))
+at the latest, the number of Chebyshev rounds the bound predicts for
+``eps``. On well-mixed graphs plain rounds beat the bound and a call runs
+them alone, exactly as the plain iteration would; on a radial feeder, where
+plain rounds need O(n^2), they fall behind once the fast modes are gone,
+and the call takes O(n) rounds. Dense ``np.ndarray`` weights carry no
+bound and stay plain: they are the reference engine.
 """
 
 from __future__ import annotations
@@ -83,14 +95,12 @@ class FlowAccumulator:
     iters: int
 
 
-def _chebyshev_schedule(
-    gap: float, criteria: ConvergenceCriteria
-) -> tuple[int, float, Iterator[float]]:
-    """The switch round K, the shift c and the recurrence weights w_1, w_2,
-    ... for weights with spectral bound ``gap`` (see the module docstring)."""
+def _chebyshev_schedule(gap: float, criteria: ConvergenceCriteria) -> tuple[int, float]:
+    """The switch round K at the latest and mu, for weights with spectral
+    bound ``gap`` (see the module docstring)."""
     mu = (1.0 + gap / 2.0) / (1.0 - gap / 2.0)
-    switch = math.ceil(math.log(2.0 / criteria.eps) / math.acosh(mu))
-    return switch, -gap / 2.0, _recurrence_weights(mu)
+    # ln(2/eps) as a difference: 2/eps overflows for a subnormal eps
+    return math.ceil((math.log(2.0) - math.log(criteria.eps)) / math.acosh(mu)), mu
 
 
 def _recurrence_weights(mu: float) -> Iterator[float]:
@@ -103,29 +113,51 @@ def _recurrence_weights(mu: float) -> Iterator[float]:
 
 
 def _rounds(
-    step: Callable, a: np.ndarray, b: np.ndarray, weights, criteria: ConvergenceCriteria
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield round t = 1 .. max_iters and both iterates after it.
+    plain: Callable, chebyshev: Callable, a: np.ndarray, b: np.ndarray, weights,
+    criteria: ConvergenceCriteria, spread: Callable,
+) -> tuple[int | None, np.ndarray, np.ndarray]:
+    """Run rounds t = 1, 2, ... on both arrays until ``spread(a, b)`` is at
+    most eps; return t and the arrays then, or None and the arrays after
+    ``max_iters`` rounds. ``spread`` returns None where it is undefined.
 
-    ``step(a, b, shift)`` applies one round to both arrays: of W when
-    ``shift`` is None, else of P with c = ``shift``. Past round K the
-    Chebyshev combination follows; dense weights carry no gap and stay plain.
+    ``plain(a, b)`` applies one round of W and returns new arrays. Plain
+    rounds run while they keep pace with the Chebyshev bound, to round K at
+    most (the module docstring gives the rule); then ``chebyshev()``,
+    called once, returns the same function for P. Dense weights carry no
+    gap and stay plain.
     """
-    if isinstance(weights, SparseWeights):
-        switch, shift, omegas = _chebyshev_schedule(weights.gap, criteria)
-    else:  # dense weights: the plain reference engine
-        switch, shift, omegas = criteria.max_iters, None, iter(())
+    eps, cap = criteria.eps, criteria.max_iters
+    sparse = isinstance(weights, SparseWeights)
+    switch, mu = _chebyshev_schedule(weights.gap, criteria) if sparse else (cap, 1.0)
+    rate = math.acosh(mu)
+    t, t0, limit = 0, 0, None
+    for t in range(1, min(switch, cap) + 1):
+        a, b = plain(a, b)
+        s = spread(a, b)
+        if s is None:
+            continue
+        if s <= eps:
+            return t, a, b
+        if limit is None:
+            t0, limit = t, 2.0 * s
+        # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
+        elif sparse and s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
+            break
+    if t == cap:
+        return None, a, b
+    step = chebyshev()
     a_prev, b_prev = a, b
-    for t in range(1, criteria.max_iters + 1):
-        if t <= switch:
-            a_next, b_next = step(a, b, None)
-        else:
-            a_next, b_next = step(a, b, shift)
-            omega = next(omegas)
-            a_next = omega * a_next - (omega - 1.0) * a_prev
-            b_next = omega * b_next - (omega - 1.0) * b_prev
+    for t, omega in zip(range(t + 1, cap + 1), _recurrence_weights(mu)):
+        a_next, b_next = step(a, b)
+        a_next *= omega
+        a_next -= (omega - 1.0) * a_prev
+        b_next *= omega
+        b_next -= (omega - 1.0) * b_prev
         a_prev, b_prev, a, b = a, b, a_next, b_next
-        yield t, a, b
+        s = spread(a, b)
+        if s is not None and s <= eps:
+            return t, a, b
+    return None, a, b
 
 
 def ratio_consensus(
@@ -163,18 +195,20 @@ def ratio_consensus(
     if not np.any(y > 0):
         raise DegenerateDenominatorError("y0 has no positive entries")
 
-    def step(x, y, shift):
-        wx, wy = weights @ x, weights @ y
-        if shift is None:
-            return wx, wy
-        return (wx - shift * x) / (1.0 - shift), (wy - shift * y) / (1.0 - shift)
-
-    for t, x, y in _rounds(step, x, y, weights, criteria):
+    def spread(x, y):
         if y.min() <= DENOMINATOR_FLOOR:
-            continue
+            return None
         ratio = x / y
-        if ratio.max() - ratio.min() <= criteria.eps:
-            return ConsensusResult(values=ratio, iters=t)
+        return ratio.max() - ratio.min()
+
+    def chebyshev():
+        p = weights.shifted()
+        return lambda x, y: (p @ x, p @ y)
+
+    t, x, y = _rounds(lambda x, y: (weights @ x, weights @ y), chebyshev, x, y, weights,
+                      criteria, spread)
+    if t is not None:
+        return ConsensusResult(values=x / y, iters=t)
     if y.min() <= DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"denominator still below {DENOMINATOR_FLOOR:g} after "
@@ -195,18 +229,20 @@ def flow_accumulate(
 ) -> FlowAccumulator:
     """Average g across the graph while integrating per-edge disagreement.
 
-    ``weights`` (the Metropolis weights of ``topology``, n x n) sets the
-    switch round K; the rounds apply the same weights per edge, from
-    ``metropolis_edge_weights``, so that each increment lands on its edge.
+    ``weights`` (the Metropolis weights of ``topology``, n x n) carries the
+    gap that sets the switch; the rounds apply the same weights per edge,
+    from ``metropolis_edge_weights``, so that each increment lands on its
+    edge, and those of P as a_e/(1 - c), so the shifted matrix is never
+    built.
 
     Each round, every edge e = (i, j) with i < j carries an increment
     a_e * (g_j - g_i); node values absorb their incident increments (one
     Metropolis averaging round: i gains it, j loses it) and the
     accumulator records it with h[e] += inc. By telescoping, at every
     round g_i(t) = g_i(0) + sum of h[e](t) over edges e = (i, j) minus sum
-    of h[e](t) over edges e = (j, i). Past round K a round books
-    inc/(1 - c), and the Chebyshev combination of g and h is linear, so
-    the identity still holds.
+    of h[e](t) over edges e = (j, i). A round of P books
+    a_e/(1 - c) * (g_j - g_i) instead, and the Chebyshev combination of g
+    and h is linear, so the identity still holds.
 
     Stops once the node values agree to within ``eps``: their sum is
     preserved, so they bracket their mean throughout and the spread
@@ -221,20 +257,22 @@ def flow_accumulate(
         raise ValueError(f"g0 shape {g.shape} does not match {n} nodes")
 
     heads, tails = topology.edge_index_arrays()
+
+    def rounds_of(a):
+        def step(g, h):
+            inc = a * (g[tails] - g[heads])
+            g_next = g.copy()
+            np.add.at(g_next, heads, inc)
+            np.subtract.at(g_next, tails, inc)
+            return g_next, h + inc
+        return step
+
     a = metropolis_edge_weights(topology)
-
-    def step(g, h, shift):
-        inc = a * (g[tails] - g[heads])
-        if shift is not None:
-            inc /= 1.0 - shift
-        g_next = g.copy()
-        np.add.at(g_next, heads, inc)
-        np.subtract.at(g_next, tails, inc)
-        return g_next, h + inc
-
-    for t, g, h in _rounds(step, g, np.zeros(heads.shape[0]), weights, criteria):
-        if g.max() - g.min() <= criteria.eps:
-            return FlowAccumulator(h=h, g=g, iters=t)
+    t, g, h = _rounds(rounds_of(a), lambda: rounds_of(a / (1.0 - weights.shift)),
+                      g, np.zeros(heads.shape[0]), weights, criteria,
+                      lambda g, h: g.max() - g.min())
+    if t is not None:
+        return FlowAccumulator(h=h, g=g, iters=t)
     raise ConvergenceError(
         f"flow iteration did not settle within {criteria.max_iters} rounds",
         values=g,

@@ -32,6 +32,10 @@ _BOUND_SLACK = 1e-8
 # Largest mismatch a step may leave: in the total that flow control is
 # handed, and at each node of a committed state.
 _MISMATCH_TOL = 1e-6
+# Flows only move power between nodes, so sum(p) may miss sum(p_G) by float dust alone.
+_CONSERVATION_TOL = 1e-9
+# Generation meets demand to consensus accuracy, relative to the demand: times 1 + |sum(p_d)|.
+_BALANCE_REL_TOL = 1e-8
 
 
 def _as_vector(a, n: int, name: str) -> np.ndarray:
@@ -337,8 +341,8 @@ def audit_state(state: GridState, caps: NodeCapacities) -> StepAudit:
         margins={
             "generation bounds": _bound_margin(state.p_G, caps.gen_lo, caps.gen_hi),
             "net-power bounds": _bound_margin(state.p, caps.net_lo, caps.net_hi),
-            "flow conservation": 1e-9 - conservation,
-            "supply-demand balance": 1e-8 * (1.0 + abs(total_d)) - abs(residual),
+            "flow conservation": _CONSERVATION_TOL - conservation,
+            "supply-demand balance": _BALANCE_REL_TOL * (1.0 + abs(total_d)) - abs(residual),
             "error annihilation": _MISMATCH_TOL - max_err,
         },
     )

@@ -51,16 +51,15 @@ class GridTopology:
 
     ``edges`` holds each unordered pair once as a sorted (i, j) tuple with
     1-based endpoints. ``neighbors[i]`` lists the 1-based neighbors of node
-    ``i+1``; ``degrees[i]`` is its degree. ``diameter_bound`` is
-    min(2 * eccentricity of node 1, n - 1), an upper bound on the diameter
-    that the connectivity search in ``build_topology`` records.
+    ``i+1``; ``degrees[i]`` is its degree. ``diameter_bound``, an upper
+    bound on the diameter, is worked out from three breadth-first searches
+    the first time the weights are built, not by ``build_topology``.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
-    diameter_bound: int
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays (heads, tails), one entry per edge."""
@@ -73,6 +72,25 @@ class GridTopology:
         arr.flags.writeable = False
         return arr[:, 0], arr[:, 1]
 
+    @cached_property
+    def diameter_bound(self) -> int:
+        """min(2 * ecc(1), 2 * ecc(m), n - 1), an upper bound on the diameter D.
+
+        Every node is within ecc(v) of any node v, so any two are within
+        2 * ecc(v) of each other. Node m is the midpoint of a double sweep:
+        the farthest node u from node 1, then a shortest path from u to the
+        node farthest from u. On a tree that path is a longest one, so
+        ecc(m) = ceil(D / 2) and the bound is at most D + 1; on any graph
+        it is at most 2 * D, like 2 * ecc(1) alone.
+        """
+        depth = _bfs_depths(self.neighbors, 1)
+        sweep = _bfs_depths(self.neighbors, depth.index(max(depth)))
+        mid = sweep.index(max(sweep))  # the far end of the path
+        for _ in range(max(sweep) // 2):  # walk halfway back towards u
+            mid = next(v for v in self.neighbors[mid - 1] if sweep[v] == sweep[mid] - 1)
+        ecc_mid = max(_bfs_depths(self.neighbors, mid))
+        return min(2 * max(depth), 2 * ecc_mid, self.n - 1)
+
     @property
     def spectral_gap_bound(self) -> float:
         """A lower bound gap on 1 - lambda_2 of both weight matrices.
@@ -83,7 +101,9 @@ class GridTopology:
         is at least lambda_2(L) / (1 + max degree): (I + Deg)^(-1/2) L
         (I + Deg)^(-1/2) for the degree weights, and the Laplacian with edge
         weights 1 / (1 + max(deg i, deg j)) for the Metropolis weights. Any
-        upper bound on D keeps this valid, so ``diameter_bound`` stands in.
+        upper bound on D keeps this valid, so ``diameter_bound`` stands in:
+        within 1 of D on a tree, where 2 * ecc(node 1) alone may double it
+        and so halve the gap.
         Both matrices also keep every eigenvalue at or above -1. For
         n >= 2 the bound never exceeds 1; a single node has no second
         eigenvalue, and the cap keeps its interval meaningful.
@@ -106,6 +126,23 @@ class GridTopology:
             np.concatenate((tails, heads)), weights=np.concatenate((a, a)), minlength=self.n
         )
         return _edge_weights(self, a, a, 1.0 - off)
+
+
+def _bfs_depths(neighbors, source: int) -> list[int]:
+    """Hop distance from node ``source`` to each node, indexed by node
+    number (entry 0 unused), -1 where unreachable; ``neighbors[i]`` lists
+    node i + 1's 1-based neighbors."""
+    depth = [-1] * (len(neighbors) + 1)
+    depth[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        d = depth[u] + 1
+        for v in neighbors[u - 1]:
+            if depth[v] < 0:
+                depth[v] = d
+                queue.append(v)
+    return depth
 
 
 def build_topology(n: int, edges) -> GridTopology:
@@ -136,34 +173,20 @@ def build_topology(n: int, edges) -> GridTopology:
         canonical.append(pair)
     canonical.sort()
 
-    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
+    adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, j in canonical:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
+        adjacency[i - 1].append(j)
+        adjacency[j - 1].append(i)
+    neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
 
-    # connectivity: BFS from node 1, recording each node's depth (-1: unseen)
-    depth = [-1] * (n + 1)
-    depth[1] = 0
-    queue = deque([1])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                reached += 1
-                queue.append(v)
-    if reached != n:
+    depth = _bfs_depths(neighbors, 1)
+    if depth.count(-1) > 1:
         missing = [v for v in range(1, n + 1) if depth[v] < 0]
         raise DisconnectedGraphError(
             f"graph is disconnected: nodes {missing} unreachable from node 1"
         )
-
-    neighbors = tuple(tuple(sorted(adjacency[i])) for i in range(1, n + 1))
     degrees = tuple(len(nbrs) for nbrs in neighbors)
-    # every node is within max(depth) of node 1, so any two are within twice that
-    return GridTopology(n=n, edges=tuple(canonical), neighbors=neighbors, degrees=degrees,
-                        diameter_bound=min(2 * max(depth), n - 1))
+    return GridTopology(n=n, edges=tuple(canonical), neighbors=neighbors, degrees=degrees)
 
 
 class SparseWeights:
@@ -181,7 +204,7 @@ class SparseWeights:
     instances, because it sets the switch round of every later caller.
     """
 
-    __slots__ = ("indptr", "indices", "data", "_gap", "_starts")
+    __slots__ = ("indptr", "indices", "data", "_gap", "_starts", "_shifted")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, gap: float):
         if indices.shape != data.shape or indptr[-1] != data.shape[0]:
@@ -195,10 +218,34 @@ class SparseWeights:
         self.data = data
         self._gap = gap
         self._starts = indptr[:-1]
+        self._shifted = None
 
     @property
     def gap(self) -> float:
         return self._gap
+
+    @property
+    def shift(self) -> float:
+        """The shift c = -gap/2 of ``shifted()``."""
+        return -self._gap / 2.0
+
+    def shifted(self) -> SparseWeights:
+        """P = (W - cI)/(1 - c) with c = ``shift``, in the same storage.
+
+        P moves [-1, 1 - gap] onto [-1/mu, 1/mu], mu = (1 - c)/(1 + c),
+        keeps the eigenvalue 1 and every column sum, and reaches the same
+        neighbors, so a round of P costs what a round of W does. Built on
+        the first call and kept, read-only, for every later caller.
+        """
+        if self._shifted is None:
+            c = self.shift
+            n = self.shape[0]
+            diagonal = self.indices == np.repeat(np.arange(n), np.diff(self.indptr))
+            data = np.where(diagonal, self.data - c, self.data) / (1.0 - c)
+            data.flags.writeable = False
+            self._shifted = SparseWeights(self.indptr, self.indices, data,
+                                          gap=self._gap / (1.0 - c))
+        return self._shifted
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -42,19 +42,38 @@ def _values_at_cap(weights, x0, y0, criteria):
         return exc.values
 
 
+def _flow_at_cap(topology, weights, g0, cap):
+    try:
+        return flow_accumulate(topology, weights, g0, ConvergenceCriteria(max_iters=cap)).g
+    except ConvergenceError as exc:
+        return exc.values
+
+
 class RecordingWeights(SparseWeights):
-    """The same weights and gap, remembering the sum of every operand: each
-    one is a current iterate of the engine."""
+    """The same weights and gap, logging each operand's sum and the matrix
+    it went through: "W" in a plain round, "P" in a Chebyshev round, which
+    applies ``shifted()``. Every operand is a current iterate of the
+    engine; ``shifts`` counts the calls that built or fetched P."""
 
-    __slots__ = ("sums",)
+    __slots__ = ("log", "kind", "shifts")
 
-    def __init__(self, weights: SparseWeights):
+    def __init__(self, weights: SparseWeights, log=None, kind="W"):
         super().__init__(weights.indptr, weights.indices, weights.data, gap=weights.gap)
-        self.sums = []
+        self.log = [] if log is None else log
+        self.kind = kind
+        self.shifts = 0
 
     def __matmul__(self, v):
-        self.sums.append(float(v.sum()))
+        self.log.append((self.kind, float(v.sum())))
         return super().__matmul__(v)
+
+    def shifted(self):
+        self.shifts += 1
+        return RecordingWeights(super().shifted(), self.log, "P")
+
+    def plain_rounds(self) -> int:
+        """Rounds of W the ratio engine ran: two operands each."""
+        return sum(kind == "W" for kind, _ in self.log) // 2
 
 
 def test_criteria_validation():
@@ -133,31 +152,36 @@ class TestRatioConsensus:
 
     def test_sparse_rounds_match_dense_reference(self):
         # The dense matrix is the reference engine, and it always runs plain
-        # rounds. Through the switch round K the sparse engine runs the same
-        # plain rounds, adding each row in a different order, so values
-        # agree to float dust and a stop before K may move by one round.
-        # Stops after K are the Chebyshev phase's, tested separately.
+        # rounds. Until its switch the sparse engine runs the same plain
+        # rounds, adding each row in a different order, so values agree to
+        # float dust and a stop before the switch may move by one round.
+        # Rounds after the switch are the Chebyshev phase's, tested
+        # separately.
         rng = np.random.default_rng(29)
+        switched = 0
         for _ in range(50):
             n = int(rng.integers(1, 31))
             topo = random_connected_topology(n, rng)
-            q = degree_weight_matrix(topo)
+            q = RecordingWeights(degree_weight_matrix(topo))
             x0 = rng.uniform(-5, 5, n)
             y0 = rng.uniform(0.1, 4.0, n)
-            switch = _chebyshev_schedule(q.gap, CRIT)[0]
+            sparse = ratio_consensus(q, x0, y0, CRIT)
             dense = ratio_consensus(q.toarray(), x0, y0, CRIT)
-            if dense.iters < switch:
-                sparse = ratio_consensus(q, x0, y0, CRIT)
+            switch = q.plain_rounds()
+            if switch == sparse.iters:  # plain rounds alone
+                assert q.shifts == 0
                 assert abs(sparse.iters - dense.iters) <= 1
                 assert np.max(np.abs(sparse.values - dense.values)) <= 1e-12
-            # the iterates at round K itself: only ratios that agree
-            # exactly meet this tolerance, so both engines run to a cap of
-            # K rounds, where they raise with their values
-            capped = ConvergenceCriteria(eps=1e-300, max_iters=switch)
-            assert _chebyshev_schedule(q.gap, capped)[0] >= switch
-            sparse_k = _values_at_cap(q, x0, y0, capped)
+                continue
+            # the iterates of the switch round itself: both engines run to
+            # a cap of that many rounds, where they raise with their values
+            switched += 1
+            assert dense.iters > switch
+            capped = ConvergenceCriteria(max_iters=switch)
+            sparse_k = _values_at_cap(degree_weight_matrix(topo), x0, y0, capped)
             dense_k = _values_at_cap(q.toarray(), x0, y0, capped)
             assert np.max(np.abs(sparse_k - dense_k)) <= 1e-12
+        assert 0 < switched < 50
 
     def test_round_cap_raises(self, path3):
         q = degree_weight_matrix(path3)
@@ -189,25 +213,100 @@ class TestChebyshevPhase:
             x0 = rng.uniform(-5.0, 5.0, n)
             y0 = rng.uniform(0.1, 4.0, n)
             res = ratio_consensus(q, x0, y0, CRIT)
-            assert res.iters > _chebyshev_schedule(q.gap, CRIT)[0]
+            assert q.plain_rounds() < res.iters and q.shifts == 1
             truth = x0.sum() / y0.sum()
             assert np.max(np.abs(res.values - truth)) <= CRIT.eps
-            # the operands alternate x_t and y_t for t = 0 .. iters - 1
-            assert len(q.sums) == 2 * res.iters
-            x_sums, y_sums = np.array(q.sums[0::2]), np.array(q.sums[1::2])
+            # the operands, of W and then of P, alternate x_t and y_t for
+            # t = 0 .. iters - 1
+            assert len(q.log) == 2 * res.iters
+            assert [kind for kind, _ in q.log] == \
+                ["W"] * (2 * q.plain_rounds()) + ["P"] * (2 * (res.iters - q.plain_rounds()))
+            sums = [total for _, total in q.log]
+            x_sums, y_sums = np.array(sums[0::2]), np.array(sums[1::2])
             assert np.max(np.abs(x_sums - x0.sum())) <= 1e-9 * (1.0 + abs(x0.sum()))
             assert np.max(np.abs(y_sums - y0.sum())) <= 1e-9 * y0.sum()
 
     def test_at_most_about_k_rounds_more_than_the_switch(self):
         # K Chebyshev rounds shrink a unit spread to eps under the bound
-        q = degree_weight_matrix(path(40))
+        q = RecordingWeights(degree_weight_matrix(path(40)))
         x0 = np.linspace(0.0, 1.0, 40)
         y0 = np.ones(40)
         fast = ratio_consensus(q, x0, y0, CRIT)
         plain = ratio_consensus(q.toarray(), x0, y0, CRIT)
-        switch = _chebyshev_schedule(q.gap, CRIT)[0]
-        assert switch < fast.iters <= 2 * switch < plain.iters
+        switch = q.plain_rounds()
+        assert switch < fast.iters <= switch + _chebyshev_schedule(q.gap, CRIT)[0] < plain.iters
         assert np.max(np.abs(fast.values - plain.values)) <= 2 * CRIT.eps
+
+    def test_path_switches_before_k_and_stops_sooner(self):
+        # On a path plain rounds fall behind the bound long before round K.
+        # Plain rounds up to K, then Chebyshev rounds, took 979 ratio and
+        # 1054 flow rounds on these inputs.
+        topo = path(40)
+        q = RecordingWeights(degree_weight_matrix(topo))
+        switch = _chebyshev_schedule(q.gap, CRIT)[0]
+        res = ratio_consensus(q, np.linspace(0.0, 1.0, 40), np.ones(40), CRIT)
+        assert q.plain_rounds() < switch
+        assert res.iters < 979
+
+        s = metropolis_weight_matrix(topo)
+        g0 = np.linspace(-1.0, 1.0, 40)
+        acc = flow_accumulate(topo, s, g0, CRIT)
+        assert acc.iters < 1054
+        # by round K the call has left the plain rounds of the reference
+        at_k = _flow_at_cap(topo, s, g0, switch)
+        assert np.max(np.abs(at_k - _flow_at_cap(topo, s.toarray(), g0, switch))) > 1e-6
+
+    def test_well_mixed_graph_never_switches(self):
+        # plain rounds beat the bound here, so a call runs them alone: the
+        # reference engine's rounds, and P is never built
+        rng = np.random.default_rng(71)
+        topo = random_connected_topology(40, rng, 0.3)
+        q = RecordingWeights(degree_weight_matrix(topo))
+        x0 = rng.uniform(-5.0, 5.0, 40)
+        y0 = rng.uniform(0.1, 4.0, 40)
+        res = ratio_consensus(q, x0, y0, CRIT)
+        dense = ratio_consensus(q.toarray(), x0, y0, CRIT)
+        assert q.shifts == 0 and q.plain_rounds() == res.iters == dense.iters
+        assert np.max(np.abs(res.values - dense.values)) <= 1e-12
+
+        s = RecordingWeights(metropolis_weight_matrix(topo))
+        g0 = rng.uniform(-8.0, 8.0, 40)
+        acc = flow_accumulate(topo, s, g0, CRIT)
+        ref = flow_accumulate(topo, s.toarray(), g0, CRIT)
+        assert s.shifts == 0 and acc.iters == ref.iters
+        assert np.max(np.abs(acc.h - ref.h)) <= 1e-12
+        assert np.max(np.abs(acc.g - ref.g)) <= 1e-12
+
+    def test_tiny_eps_runs_to_the_cap(self):
+        # no spread gets down to these; the smallest positive float makes
+        # 2 / eps overflow, which K must not compute
+        topo = path(40)
+        for eps in (1e-300, 5e-324):
+            capped = ConvergenceCriteria(eps=eps, max_iters=3000)
+            with pytest.raises(ConvergenceError) as info:
+                ratio_consensus(degree_weight_matrix(topo), np.linspace(0.0, 1.0, 40),
+                                np.ones(40), capped)
+            assert info.value.iters == 3000
+            with pytest.raises(ConvergenceError) as info:
+                flow_accumulate(topo, metropolis_weight_matrix(topo),
+                                np.linspace(-1.0, 1.0, 40), capped)
+            assert info.value.iters == 3000
+
+    def test_plain_rounds_keep_pace_past_the_range_of_cosh(self):
+        # On path-3, g0 = (1, 0, -1) is an eigenvector of the Metropolis
+        # weights (eigenvalue 2/3), so plain rounds shrink the spread by
+        # 2/3 a round, to 1e-320 near round 1820. A bound with
+        # acosh(mu) = 0.395 shrinks it by e^-0.395 < 2/3 a round: plain
+        # rounds keep pace past round 1800, where cosh(0.395 t) passes the
+        # largest float, and run alone to the stop.
+        topo = path(3)
+        s = metropolis_weight_matrix(topo)
+        mu = np.cosh(0.395)
+        loose = SparseWeights(s.indptr, s.indices, s.data, gap=2.0 * (mu - 1.0) / (mu + 1.0))
+        tiny = ConvergenceCriteria(eps=1e-320)
+        acc = flow_accumulate(topo, loose, [1.0, 0.0, -1.0], tiny)
+        assert 1800 < acc.iters < _chebyshev_schedule(loose.gap, tiny)[0]
+        assert np.ptp(acc.g) <= tiny.eps
 
     def test_flow_sums_and_telescoping_hold(self):
         rng = np.random.default_rng(41)
@@ -245,12 +344,12 @@ class TestChebyshevPhase:
         rng = np.random.default_rng(43)
         topo = build_topology(12, [(i, i % 12 + 1) for i in range(1, 13)])
         s = metropolis_weight_matrix(topo)
-        switch = _chebyshev_schedule(s.gap, CRIT)[0]
         for _ in range(2):
             g0 = rng.uniform(-8.0, 8.0, 12)
             g0 -= g0.mean()
             acc = flow_accumulate(topo, s, g0, CRIT)
-            assert acc.iters > switch
+            # sooner than plain rounds alone: Chebyshev rounds ran
+            assert acc.iters < flow_accumulate(topo, s.toarray(), g0, CRIT).iters
             assert np.ptp(acc.g) <= CRIT.eps
             # every round before the stop, plain or Chebyshev, was still
             # uncertified
@@ -277,14 +376,18 @@ class TestChebyshevPhase:
         with pytest.raises(DegenerateDenominatorError):
             ratio_consensus(loose, np.ones(60), y0, capped)
 
+        # ten rounds short of the stop a flow call on path-60 has left the
+        # plain rounds of the reference: the cap falls in the Chebyshev phase
         topo = path(60)
         s = metropolis_weight_matrix(topo)
-        cap = _chebyshev_schedule(s.gap, CRIT)[0] + 10
+        g0 = np.linspace(-1.0, 1.0, 60)
+        cap = flow_accumulate(topo, s, g0, CRIT).iters - 10
+        plain = _flow_at_cap(topo, s.toarray(), g0, cap)
         with pytest.raises(ConvergenceError) as info:
-            flow_accumulate(topo, s, np.linspace(-1.0, 1.0, 60),
-                            ConvergenceCriteria(max_iters=cap))
+            flow_accumulate(topo, s, g0, ConvergenceCriteria(max_iters=cap))
         assert info.value.iters == cap
         assert info.value.values.shape == (60,)
+        assert np.max(np.abs(info.value.values - plain)) > 1e-6
 
 
 class TestFlowAccumulate:

@@ -166,6 +166,30 @@ def test_diameter_bound_brackets_the_diameter():
     assert cases[4].diameter_bound == 2
 
 
+def test_diameter_bound_is_within_one_of_a_tree_diameter():
+    # 2 * ecc(node 1) alone reaches 2 * D on a tree seen from a leaf; the
+    # midpoint of the double sweep is a center, within ceil(D / 2) of all
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        topo = random_connected_topology(int(rng.integers(2, 60)), rng, 0.0)
+        d = all_pairs_diameter(topo)
+        assert d <= topo.diameter_bound <= d + 1
+    # a broom: node 1 at the tip of a 10-node handle, 12 bristles at its
+    # far end; D = 10, 2 * ecc(1) = 20 and n - 1 = 21
+    broom = build_topology(22, [(i, i + 1) for i in range(1, 10)]
+                           + [(10, j) for j in range(11, 23)])
+    assert broom.diameter_bound == 10
+
+
+def test_diameter_bound_waits_for_the_weights():
+    # build_topology (set-up) does no search beyond its connectivity check;
+    # the first weight build works the bound out and keeps it
+    topo = build_topology(7, [(i, i + 1) for i in range(1, 7)])
+    assert "diameter_bound" not in vars(topo)
+    degree_weight_matrix(topo)
+    assert vars(topo)["diameter_bound"] == 6
+
+
 def test_spectral_gap_bound_holds_for_both_weight_matrices():
     # every eigenvalue other than the consensus eigenvalue 1 lies in
     # [-1, 1 - gap]; the degree weights are similar to a symmetric matrix,

@@ -105,8 +105,8 @@ def test_feeder_run_passes_every_audit_and_oracle(mode):
                             **source)
     record = run(config)
     assert record.all_audits_passed
-    # every call stops within twice the switch round (K = 2297 here);
-    # plain rounds took 43 000 to 86 000 per call
+    # every call stops within twice the switch round (K = 1 657 here; the
+    # calls take 1 732 to 2 038 rounds); plain rounds took 43 000 to 86 000
     switch = _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0]
     iters = np.concatenate((record.coord_iters, record.gen_iters, record.flow_iters))
     assert iters.max() <= 2 * switch
