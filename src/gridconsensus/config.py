@@ -9,6 +9,7 @@ file that loads is a file that runs.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -63,7 +64,13 @@ def _as_int(value, field: str) -> int:
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", field=field)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past float range
+        number = math.inf
+    if not math.isfinite(number):  # json also reads Infinity, NaN and 1e999
+        raise ConfigError(f"expected a finite number, got {value!r}", field=field)
+    return number
 
 
 def _as_pair(value, field: str) -> tuple[float, float]:

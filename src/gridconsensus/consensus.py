@@ -57,7 +57,9 @@ from .errors import ConvergenceError, DegenerateDenominatorError
 from .graph import GridTopology, SparseWeights, metropolis_edge_weights
 
 # Denominators below this are treated as collapsed rather than divided by.
+# It guards a division, not a result, so no tolerance derives from it.
 DENOMINATOR_FLOOR = 1e-12
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,21 @@ class ConvergenceCriteria:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if type(self.max_iters) is not int or self.max_iters < 1:  # bool subclasses int
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+
+    def tolerance(self, width, magnitude, terms: int):
+        """The one error budget: how far a value computed from results this
+        rule certified may miss its exact value. That is ``eps * width``,
+        what the certificate allows, plus gamma_k * ``magnitude``, the
+        rounding on summed operand magnitudes (Higham, 2002, sec. 3.1).
+        numpy sums ``terms`` numbers in blocks of 128 (at most 24
+        roundings) and pairwise above, so k = 24 + bit_length(terms) leaves
+        a few for the elementwise operations before the sum."""
+        ku = (24 + terms.bit_length()) * _UNIT_ROUNDOFF
+        return self.eps * width + ku / (1.0 - ku) * magnitude
 
 
 @dataclass(frozen=True)

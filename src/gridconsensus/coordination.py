@@ -16,15 +16,14 @@ from .consensus import ConvergenceCriteria, ratio_consensus
 from .errors import CapacityError, ConvergenceError, NotRealizableError
 from .graph import GridTopology, degree_weight_matrix
 
-_BALANCE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class NodeCapacities:
     """Per-node generation bounds and net-power bounds.
 
-    Validates gen_lo <= gen_hi, net_lo <= net_hi, and that each node's
-    generation interval sits inside its net-power interval.
+    Validates that every bound is finite, gen_lo <= gen_hi, net_lo <= net_hi,
+    and that each node's generation interval sits inside its net-power
+    interval.
     """
 
     gen_lo: np.ndarray
@@ -33,11 +32,17 @@ class NodeCapacities:
     net_hi: np.ndarray
 
     def __post_init__(self):
-        for name in ("gen_lo", "gen_hi", "net_lo", "net_hi"):
+        names = ("gen_lo", "gen_hi", "net_lo", "net_hi")
+        for name in names:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        shapes = {getattr(self, f).shape for f in ("gen_lo", "gen_hi", "net_lo", "net_hi")}
+        shapes = {getattr(self, f).shape for f in names}
         if len(shapes) != 1 or self.gen_lo.ndim != 1:
             raise CapacityError(f"capacity arrays must share one 1-D shape, got {shapes}")
+        finite = np.isfinite([getattr(self, f) for f in names])
+        if not finite.all():
+            f, i = np.argwhere(~finite)[0]
+            value = getattr(self, names[f])[i]
+            raise CapacityError(f"node {i + 1}: {names[f]} {value} is not finite")
         for i in range(self.n):
             if self.gen_lo[i] > self.gen_hi[i]:
                 raise CapacityError(
@@ -169,7 +174,9 @@ def coordinate_distributed(
     generation floor on the leader and at minus the floor elsewhere; the
     denominator starts at each node's generation range. Every node's ratio
     converges to the global surplus over the total range, so applying it to
-    the local range reproduces the closed-form split.
+    the local range reproduces the closed-form split. Ratios within eps put
+    the total within eps * sum(range) of the demand; a total further off
+    raises ConvergenceError.
     """
     if caps.n != topology.n:
         raise CapacityError(f"capacities for {caps.n} nodes, topology has {topology.n}")
@@ -189,7 +196,12 @@ def coordinate_distributed(
     result = ratio_consensus(weights, x0, y0, criteria)
     desired = caps.gen_lo + caps.gen_range * result.values
     total = float(np.sum(desired))
-    if abs(total - p_demand) > _BALANCE_TOL * (1.0 + abs(p_demand)):
+    budget = criteria.tolerance(
+        float(np.sum(caps.gen_range)),
+        float(np.sum(np.abs(caps.gen_lo) + np.abs(caps.gen_hi))) + abs(p_demand),
+        caps.n,
+    )
+    if abs(total - p_demand) > budget:
         raise ConvergenceError(
             f"coordinated total {total} misses demand {p_demand}",
             values=desired,

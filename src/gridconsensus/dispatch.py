@@ -25,18 +25,6 @@ from .graph import (
     metropolis_weight_matrix,
 )
 
-_FEAS_TOL = 1e-9
-# A distributed split stopped at tolerance eps can cross a bound by up to
-# range*eps: 1e-8 for the default eps and the capacity scales in use.
-_BOUND_SLACK = 1e-8
-# Largest mismatch a step may leave: in the total that flow control is
-# handed, and at each node of a committed state.
-_MISMATCH_TOL = 1e-6
-# Flows only move power between nodes, so sum(p) may miss sum(p_G) by float dust alone.
-_CONSERVATION_TOL = 1e-9
-# Generation meets demand to consensus accuracy, relative to the demand: times 1 + |sum(p_d)|.
-_BALANCE_REL_TOL = 1e-8
-
 
 def _as_vector(a, n: int, name: str) -> np.ndarray:
     out = np.asarray(a, dtype=float)
@@ -138,19 +126,39 @@ def compute_delta_bounds(state: GridState, caps: NodeCapacities) -> DeltaBounds:
     return DeltaBounds(lo=caps.gen_lo - state.p_G, hi=caps.gen_hi - state.p_G)
 
 
+def _generation_slack(caps: NodeCapacities, criteria: ConvergenceCriteria) -> np.ndarray:
+    """Per node: a split whose ratios are certified within eps crosses a
+    generation bound by at most eps times the node's range."""
+    return criteria.tolerance(caps.gen_range, np.abs(caps.gen_lo) + np.abs(caps.gen_hi), caps.n)
+
+
+def _balance_tolerance(
+    state: GridState, caps: NodeCapacities, criteria: ConvergenceCriteria
+) -> float:
+    """How far sum(p_G) may miss sum(p_d) after generation control: every
+    ratio within eps moves the total by at most eps times the total range."""
+    return criteria.tolerance(
+        float(np.sum(caps.gen_range)),
+        float(np.sum(np.abs(state.p_G) + np.abs(state.p_d))),
+        state.n,
+    )
+
+
 def generation_with_coordination(
-    state: GridState, desired, caps: NodeCapacities
+    state: GridState, desired, caps: NodeCapacities,
+    criteria: ConvergenceCriteria = ConvergenceCriteria(),
 ) -> np.ndarray:
     """Move each generator straight to its coordinated target.
 
     Valid only when every target respects its node's generation bounds,
     which coordination guarantees; flows stay zero in this regime. The
-    bound check grants the targets the same ``_BOUND_SLACK`` for consensus
-    residue that audits grant committed states.
+    bound check grants the targets the same slack for consensus residue
+    that audits grant committed states.
     """
     desired = _as_vector(desired, state.n, "desired")
-    low = desired < caps.gen_lo - _BOUND_SLACK
-    high = desired > caps.gen_hi + _BOUND_SLACK
+    slack = _generation_slack(caps, criteria)
+    low = desired < caps.gen_lo - slack
+    high = desired > caps.gen_hi + slack
     if np.any(low | high):
         i = int(np.nonzero(low | high)[0][0])
         raise BoundViolationError(
@@ -164,11 +172,13 @@ def _require_feasible(
     p_D: float, state: GridState, db: DeltaBounds
 ) -> tuple[float, float, float]:
     """Check that reaching total p_D fits the summed delta bounds (up to
-    float dust); return the needed change and the two bound sums."""
+    rounding); return the needed change and the two bound sums."""
     needed = p_D - float(np.sum(state.p_G))
     lo_sum = float(np.sum(db.lo))
     hi_sum = float(np.sum(db.hi))
-    tol = _FEAS_TOL * (1.0 + abs(p_D) + abs(lo_sum) + abs(hi_sum))
+    magnitude = float(np.sum(np.abs(state.p_G) + np.abs(db.lo) + np.abs(db.hi)))
+    # width 0: no consensus result enters, so no eps does either
+    tol = ConvergenceCriteria().tolerance(0.0, abs(p_D) + magnitude, state.n)
     if needed < lo_sum - tol or needed > hi_sum + tol:
         raise InfeasibleStepError(
             f"required generation change {needed} outside feasible "
@@ -223,6 +233,7 @@ def flow_control(
     state_after_gen: GridState,
     topology: GridTopology,
     weights: SparseWeights | np.ndarray,
+    caps: NodeCapacities,
     criteria: ConvergenceCriteria = ConvergenceCriteria(),
 ) -> FlowControlResult:
     """Find per-edge flows that cancel each node's remaining mismatch.
@@ -233,14 +244,16 @@ def flow_control(
     way, negated, is exactly the flow needed. Entry e of the result, for
     edge (i, j) = ``topology.edges[e]``, is the power i sends to j.
 
-    Raises BalanceError when the mismatch total is not (near) zero: flows
-    only move power around, they cannot create it.
+    Raises BalanceError when the mismatch total exceeds what generation
+    control certified to eps can leave over ``caps``: flows only move power
+    around, they cannot create it.
     """
     mismatch = state_after_gen.p_G - state_after_gen.p_d
     total = float(np.sum(mismatch))
-    if abs(total) > _MISMATCH_TOL:
+    budget = _balance_tolerance(state_after_gen, caps, criteria)
+    if not abs(total) <= budget:
         raise BalanceError(
-            f"aggregate mismatch {total} exceeds {_MISMATCH_TOL}; generation "
+            f"aggregate mismatch {total} exceeds {budget:.3g}; generation "
             "control must balance totals before flow control can cancel "
             "per-node errors"
         )
@@ -316,33 +329,48 @@ class StepAudit:
         return [name for name, margin in self.margins.items() if not margin >= 0.0]
 
 
-def _bound_margin(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+def _bound_margin(v: np.ndarray, lo: np.ndarray, hi: np.ndarray, slack) -> float:
     """Smallest distance of any entry of v inside its slack-widened box."""
-    inside = np.minimum(v - (lo - _BOUND_SLACK), (hi + _BOUND_SLACK) - v)
+    inside = np.minimum(v - (lo - slack), (hi + slack) - v)
     return float(inside.min(initial=np.inf))
 
 
-def audit_state(state: GridState, caps: NodeCapacities) -> StepAudit:
+def audit_state(
+    state: GridState, caps: NodeCapacities,
+    criteria: ConvergenceCriteria = ConvergenceCriteria(),
+) -> StepAudit:
     """Check a committed state against capacities and balance targets.
 
-    Bounds get ``_BOUND_SLACK`` because the distributed allocations agree
-    with the exact ones only to consensus accuracy; balance is relative to
-    the demand scale, conservation (flows canceling in the total) is a
-    float-dust check.
+    Each check grants what consensus certified to ``criteria.eps`` can
+    leave (``ConvergenceCriteria.tolerance``): generation eps * range past
+    its bounds, its total eps * sum(range) past the demand, and each
+    node's error eps * (1 + sum(range) / n), since flow control spreads
+    that total and stops with every node within eps of the mean. Net
+    power grants the larger of the first and last; conservation (flows
+    cancel in the total) is rounding alone.
     """
-    total_d = float(np.sum(state.p_d))
-    residual = float(np.sum(state.p_G) - total_d)
-    conservation = abs(float(np.sum(state.p) - np.sum(state.p_G)))
-    max_err = float(np.max(np.abs(state.p_e), initial=0.0))
+    n = state.n
+    p, abs_err = state.p, np.abs(state.p_e)
+    flow_width = 1.0 + float(np.sum(caps.gen_range)) / n
+    residual = float(np.sum(state.p_G) - np.sum(state.p_d))
+    conservation = abs(float(np.sum(p) - np.sum(state.p_G)))
+    net_slack = criteria.tolerance(
+        np.maximum(caps.gen_range, flow_width), np.abs(caps.net_lo) + np.abs(caps.net_hi), n
+    )
+    err_tol = criteria.tolerance(flow_width, np.abs(p) + np.abs(state.p_d), n)
     return StepAudit(
         step=state.k,
-        max_abs_error=max_err,
+        max_abs_error=float(np.max(abs_err, initial=0.0)),
         balance_residual=residual,
         margins={
-            "generation bounds": _bound_margin(state.p_G, caps.gen_lo, caps.gen_hi),
-            "net-power bounds": _bound_margin(state.p, caps.net_lo, caps.net_hi),
-            "flow conservation": _CONSERVATION_TOL - conservation,
-            "supply-demand balance": _BALANCE_REL_TOL * (1.0 + abs(total_d)) - abs(residual),
-            "error annihilation": _MISMATCH_TOL - max_err,
+            "generation bounds": _bound_margin(
+                state.p_G, caps.gen_lo, caps.gen_hi, _generation_slack(caps, criteria)
+            ),
+            "net-power bounds": _bound_margin(p, caps.net_lo, caps.net_hi, net_slack),
+            "flow conservation": criteria.tolerance(
+                0.0, float(np.sum(np.abs(state.p_G) + np.abs(p))), n
+            ) - conservation,
+            "supply-demand balance": _balance_tolerance(state, caps, criteria) - abs(residual),
+            "error annihilation": float(np.min(err_tol - abs_err, initial=np.inf)),
         },
     )

@@ -330,7 +330,9 @@ def run(config: ScenarioConfig) -> SimulationRecord:
                 coord_iters[k] = coord.iters
                 phase = "generation"
                 staged = state.with_desired(coord.desired)
-                step_delta = generation_with_coordination(staged, coord.desired, caps)
+                step_delta = generation_with_coordination(
+                    staged, coord.desired, caps, config.criteria
+                )
                 flows = np.zeros(len(config.topology.edges))
             else:
                 phase = "generation"
@@ -344,7 +346,7 @@ def run(config: ScenarioConfig) -> SimulationRecord:
                 phase = "flow control"
                 fc = flow_control(
                     staged.after_generation(step_delta), config.topology,
-                    s_weights, config.criteria,
+                    s_weights, caps, config.criteria,
                 )
                 flow_iters[k] = fc.iters
                 flows = fc.flows
@@ -357,7 +359,7 @@ def run(config: ScenarioConfig) -> SimulationRecord:
             exc.args = (f"step {step} ({phase}): {exc}", *exc.args[1:])
             raise
 
-        audit = audit_state(state, caps)
+        audit = audit_state(state, caps, config.criteria)
         audits.append(audit)
         if config.fail_fast and not audit.passed:
             raise AuditError(

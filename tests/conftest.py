@@ -70,6 +70,17 @@ def random_capacities(rng: np.random.Generator, n: int) -> NodeCapacities:
     return NodeCapacities(gen_lo=gen_lo, gen_hi=gen_hi, net_lo=net_lo, net_hi=net_hi)
 
 
+def fixed_capacities(state: GridState) -> NodeCapacities:
+    """Capacities that pin every generator at its output in ``state`` and
+    let net power range between that output and the target. With no
+    generation range to certify, flow control's balance guard is rounding
+    alone, its strictest form."""
+    return NodeCapacities(
+        gen_lo=state.p_G, gen_hi=state.p_G,
+        net_lo=np.minimum(state.p_G, state.p_d), net_hi=np.maximum(state.p_G, state.p_d),
+    )
+
+
 def tree_topology(kind: str, n: int, rng: np.random.Generator):
     """A path (``kind`` "path") or a random tree ("tree") on n nodes.
     Consensus mixes slowly on these, so from a handful of nodes on most

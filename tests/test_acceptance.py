@@ -53,6 +53,7 @@ from gridconsensus import (
 )
 from conftest import (
     RING_CHORD_EDGES,
+    fixed_capacities,
     make_reference_caps,
     random_generation_instance,
 )
@@ -147,7 +148,7 @@ def test_criterion_4_flow_control_annihilates_mismatch():
         noise = rng.uniform(-5.0, 5.0, n)
         p_G = p_d + noise - noise.mean()  # balanced mismatch
         state = GridState.initial(p_G).with_desired(p_d)
-        result = flow_control(state, topology, weights)
+        result = flow_control(state, topology, weights, fixed_capacities(state))
         after = apply_step(state, np.zeros(n), result.flows, topology)
         worst_err = max(worst_err, float(np.max(np.abs(after.p_e))))
         worst_net = max(worst_net, abs(float(np.sum(after.p_F_net))))
@@ -157,13 +158,17 @@ def test_criterion_4_flow_control_annihilates_mismatch():
     # only edge (hub 1 is the lower endpoint, so leaf-to-hub flow is negative)
     path = build_topology(3, [(1, 2), (2, 3)])
     state = GridState.initial(np.array([3.0, 0.0, -3.0])).with_desired(np.zeros(3))
-    flows = flow_control(state, path, metropolis_weight_matrix(path)).flows
+    flows = flow_control(
+        state, path, metropolis_weight_matrix(path), fixed_capacities(state)
+    ).flows
     tree_gap = float(np.max(np.abs(flows - [3.0, 3.0])))
 
     star = build_topology(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
     mism = np.array([0.0, 4.0, -1.0, -2.0, -1.0])
     state = GridState.initial(mism).with_desired(np.zeros(5))
-    flows = flow_control(state, star, metropolis_weight_matrix(star)).flows
+    flows = flow_control(
+        state, star, metropolis_weight_matrix(star), fixed_capacities(state)
+    ).flows
     tree_gap = max(tree_gap, float(np.max(np.abs(flows + mism[1:]))))
 
     ok = worst_err <= 1e-6 and worst_net <= 1e-12 and tree_gap <= 1e-8

@@ -57,6 +57,12 @@ class TestValidate:
         assert code == 1
         assert "error:" in err and "node 1" in err
 
+    def test_infinite_eps_is_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, eps=float("inf"))
+        code = main(["validate", "--config", str(path)])
+        assert code == 1
+        assert "eps: expected a finite number" in capsys.readouterr().err
+
     def test_unreadable_file_is_exit_2(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "missing.json")])
         assert code == 2
@@ -201,7 +207,7 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_audit_failure_aborts_with_exit_1(self, tmp_path, capsys, monkeypatch):
-        def no_flows(state, topology, weights, criteria):
+        def no_flows(state, topology, weights, caps, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
@@ -213,7 +219,7 @@ class TestRun:
         assert not (tmp_path / "out" / TIMESERIES_FILENAME).exists()
 
     def test_audit_failure_can_be_recorded(self, tmp_path, capsys, monkeypatch):
-        def no_flows(state, topology, weights, criteria):
+        def no_flows(state, topology, weights, caps, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)

@@ -165,6 +165,20 @@ class TestParse:
         with pytest.raises(ConfigError, match="eps"):
             parse_config(doc)
 
+    @pytest.mark.parametrize(("key", "value", "field"), [
+        ("eps", float("inf"), "eps"),
+        ("net", [10, float("inf")], r"nodes\[0\]\.net"),
+        ("gen", [float("nan"), 50], r"nodes\[0\]\.gen"),
+    ], ids=["eps-infinity", "net-infinity", "gen-nan"])
+    def test_non_finite_numbers_name_their_field(self, key, value, field):
+        # json writes and reads these as Infinity and NaN
+        doc = good_doc()
+        (doc if key == "eps" else doc["nodes"][0])[key] = value
+        text = json.dumps(doc)
+        assert "Infinity" in text or "NaN" in text
+        with pytest.raises(ConfigError, match=rf"^{field}: expected a finite number"):
+            parse_config(json.loads(text))
+
     def test_initial_generation_parsed_and_checked(self):
         doc = good_doc()
         doc["initial_generation"] = [5.0, 10.0]

@@ -30,7 +30,7 @@ from gridconsensus import (
 )
 from gridconsensus.consensus import _chebyshev_schedule
 from conftest import path_topology as path
-from conftest import tree_topology
+from conftest import fixed_capacities, tree_topology
 
 CRIT = ConvergenceCriteria()
 
@@ -81,6 +81,9 @@ def test_criteria_validation():
         ConvergenceCriteria(eps=0.0)
     with pytest.raises(ValueError):
         ConvergenceCriteria(eps=-1e-9)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            ConvergenceCriteria(eps=bad)
     with pytest.raises(ValueError):
         ConvergenceCriteria(max_iters=0)
     # range() would reject these only at the first run, with a TypeError
@@ -479,6 +482,8 @@ def test_both_engines_meet_their_oracles(kind, n, seed):
     p_d = rng.uniform(-10.0, 10.0, n)
     noise = rng.uniform(-5.0, 5.0, n)
     state = GridState.initial(p_d + noise - noise.mean()).with_desired(p_d)
-    flows = flow_control(state, topo, metropolis_weight_matrix(topo), CRIT).flows
+    flows = flow_control(
+        state, topo, metropolis_weight_matrix(topo), fixed_capacities(state), CRIT
+    ).flows
     oracle = flow_closed_form(state.p_G - state.p_d, topo)
     assert np.max(np.abs(flows - oracle), initial=0.0) <= n * CRIT.eps

@@ -43,6 +43,11 @@ class TestNodeCapacities:
         with pytest.raises(CapacityError, match="node 1"):
             NodeCapacities(gen_lo=[0], gen_hi=[10], net_lo=[0], net_hi=[9])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_bounds(self, bad):
+        with pytest.raises(CapacityError, match="node 2: net_hi .* not finite"):
+            NodeCapacities(gen_lo=[0, 0], gen_hi=[1, 1], net_lo=[0, 0], net_hi=[1, bad])
+
     def test_shape_mismatch(self):
         with pytest.raises(CapacityError):
             NodeCapacities(gen_lo=[0, 0], gen_hi=[1], net_lo=[0, 0], net_hi=[1, 1])

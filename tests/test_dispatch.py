@@ -32,9 +32,12 @@ from gridconsensus import (
     metropolis_weight_matrix,
     random_connected_topology,
 )
-from conftest import DESIRED_AT_150, random_generation_instance
+from conftest import DESIRED_AT_150, fixed_capacities, random_generation_instance
 
 CRIT = ConvergenceCriteria()
+# Rounding that CRIT.tolerance grants per unit of summed magnitude on six
+# nodes: gamma_k with k = 24 + bit_length(6) = 27 unit roundoffs.
+GAMMA_6 = 27 * (np.finfo(float).eps / 2) / (1 - 27 * (np.finfo(float).eps / 2))
 
 
 def two_node_caps():
@@ -193,14 +196,14 @@ class TestFlowControl:
     def test_no_mismatch_no_flow(self, path3):
         s = metropolis_weight_matrix(path3)
         state = GridState.initial([1.0, 2.0, 3.0]).with_desired([1.0, 2.0, 3.0])
-        result = flow_control(state, path3, s, CRIT)
+        result = flow_control(state, path3, s, fixed_capacities(state), CRIT)
         assert np.all(result.flows == 0.0)
 
     def test_two_node_transfer(self):
         topo = build_topology(2, [(1, 2)])
         s = metropolis_weight_matrix(topo)
         state = GridState.initial([10.0, 5.0]).with_desired([5.0, 10.0])
-        result = flow_control(state, topo, s, CRIT)
+        result = flow_control(state, topo, s, fixed_capacities(state), CRIT)
         # node 1 runs a surplus of 5, so 5 units flow 1 -> 2 on edge (1,2)
         assert result.flows.shape == (1,)
         assert result.flows[0] == pytest.approx(5.0, abs=1e-8)
@@ -208,7 +211,7 @@ class TestFlowControl:
     def test_path3_cancellation(self, path3):
         s = metropolis_weight_matrix(path3)
         state = GridState.initial([3.0, 0.0, 0.0]).with_desired([0.0, 0.0, 3.0])
-        result = flow_control(state, path3, s, CRIT)
+        result = flow_control(state, path3, s, fixed_capacities(state), CRIT)
         # mismatch (3, 0, -3): node 1's surplus crosses both edges in turn
         assert np.max(np.abs(result.flows - [3.0, 3.0])) <= 1e-8
         after = apply_step(state, np.zeros(3), result.flows, path3)
@@ -218,7 +221,7 @@ class TestFlowControl:
         s = metropolis_weight_matrix(path3)
         state = GridState.initial([3.0, 0.0, 0.0]).with_desired([0.0, 0.0, 0.0])
         with pytest.raises(BalanceError):
-            flow_control(state, path3, s, CRIT)
+            flow_control(state, path3, s, fixed_capacities(state), CRIT)
 
 
 class TestFlowClosedForm:
@@ -265,7 +268,9 @@ class TestFlowClosedForm:
             p_d = rng.uniform(-10.0, 10.0, n)
             noise = rng.uniform(-5.0, 5.0, n)
             state = GridState.initial(p_d + noise - noise.mean()).with_desired(p_d)
-            result = flow_control(state, topo, metropolis_weight_matrix(topo), CRIT)
+            result = flow_control(
+                state, topo, metropolis_weight_matrix(topo), fixed_capacities(state), CRIT
+            )
             oracle = flow_closed_form(state.p_G - state.p_d, topo)
             assert np.max(np.abs(result.flows - oracle)) <= n * CRIT.eps
             after = apply_step(state, np.zeros(n), oracle, topo)
@@ -337,8 +342,10 @@ class TestAudit:
         bad = np.zeros(6)
         bad[2] = 30.0  # pushes node 3 above its 40 ceiling
         after = apply_step(state, bad, np.zeros(7), ring_chord)
-        audit = audit_state(after, ref_caps)
-        assert audit.margins["generation bounds"] == pytest.approx((40.0 + 1e-8) - 50.0)
+        audit = audit_state(after, ref_caps, CRIT)
+        # node 3's range is 20 and its bounds sum to 60
+        slack = CRIT.eps * 20.0 + GAMMA_6 * 60.0
+        assert audit.margins["generation bounds"] == pytest.approx(40.0 + slack - 50.0, rel=1e-12)
         # node 3's net power (50) stays inside its [20, 60] box
         assert audit.failures() == [
             "generation bounds", "supply-demand balance", "error annihilation",
@@ -347,28 +354,47 @@ class TestAudit:
     def test_error_annihilation_flagged(self, ref_caps, ring_chord):
         state = GridState.initial(ref_caps.gen_lo).with_desired(ref_caps.gen_lo + 1.0)
         after = apply_step(state, np.zeros(6), np.zeros(7), ring_chord)
-        audit = audit_state(after, ref_caps)
-        assert audit.margins["error annihilation"] == pytest.approx(1e-6 - 1.0)
-        assert audit.margins["supply-demand balance"] == pytest.approx(1e-8 * 92.0 - 6.0)
+        audit = audit_state(after, ref_caps, CRIT)
+        # every node misses by 1; the smallest magnitude, node 1's 10 + 11,
+        # gets the least rounding. The total range is 245.
+        tol = CRIT.eps * (1.0 + 245.0 / 6) + GAMMA_6 * 21.0
+        assert audit.margins["error annihilation"] == pytest.approx(tol - 1.0, rel=1e-12)
+        balance = CRIT.eps * 245.0 + GAMMA_6 * (85.0 + 91.0)
+        assert audit.margins["supply-demand balance"] == pytest.approx(balance - 6.0, rel=1e-12)
         assert audit.failures() == ["supply-demand balance", "error annihilation"]
         assert audit.max_abs_error == pytest.approx(1.0)
 
     def test_margins_are_distances_inside_each_bound(self, ref_caps, ring_chord):
         # Node 1 generates 0.5 below its ceiling, the others mid-range. With
         # no flows and every target met exactly, the last three margins are
-        # the bare tolerances.
+        # the bare tolerances: eps times what consensus certifies (node 1's
+        # range 40, the total range 245, 1 + 245/6 per node for flows) plus
+        # rounding on the summed magnitudes. Each is tighter than the fixed
+        # constant it replaced.
         p_G = ref_caps.gen_lo + 0.5 * ref_caps.gen_range
         p_G[0] = ref_caps.gen_hi[0] - 0.5
         state = GridState.initial(p_G)
-        audit = audit_state(state, ref_caps)
-        net_room = np.minimum(p_G - ref_caps.net_lo, ref_caps.net_hi - p_G).min()
-        assert audit.margins == pytest.approx({
+        audit = audit_state(state, ref_caps, CRIT)
+        room = np.minimum(p_G - ref_caps.net_lo, ref_caps.net_hi - p_G)
+        per_node = 1.0 + 245.0 / 6
+        net_slack = (CRIT.eps * np.maximum(ref_caps.gen_range, per_node)
+                     + GAMMA_6 * (ref_caps.net_lo + ref_caps.net_hi))
+        derived = {
+            "generation bounds": 0.5 + CRIT.eps * 40.0 + GAMMA_6 * 60.0,
+            "net-power bounds": float(np.min(room + net_slack)),
+            "flow conservation": GAMMA_6 * 2.0 * p_G.sum(),
+            "supply-demand balance": CRIT.eps * 245.0 + GAMMA_6 * 2.0 * p_G.sum(),
+            "error annihilation": CRIT.eps * per_node + GAMMA_6 * 2.0 * p_G.min(),
+        }
+        assert audit.margins == pytest.approx(derived, rel=1e-12, abs=0.0)
+        fixed = {
             "generation bounds": 0.5 + 1e-8,
-            "net-power bounds": net_room + 1e-8,
+            "net-power bounds": room.min() + 1e-8,
             "flow conservation": 1e-9,
             "supply-demand balance": 1e-8 * (1.0 + p_G.sum()),
             "error annihilation": 1e-6,
-        }, rel=1e-12, abs=0.0)
+        }
+        assert all(derived[name] <= fixed[name] for name in fixed)
         assert audit.passed
 
     def test_nan_fails_every_check_that_reads_it(self, ref_caps, ring_chord):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import path_topology as path
-from conftest import random_capacities
+from conftest import fixed_capacities, random_capacities
 from gridconsensus import (
     MODE_WITH,
     MODE_WITHOUT,
@@ -88,7 +88,9 @@ def test_flow_control_matches_the_flow_oracle(name):
     p_d = rng.uniform(-10.0, 10.0, topo.n)
     noise = rng.uniform(-5.0, 5.0, topo.n)
     state = GridState.initial(p_d + noise - noise.mean()).with_desired(p_d)
-    result = flow_control(state, topo, metropolis_weight_matrix(topo), CRIT)
+    result = flow_control(
+        state, topo, metropolis_weight_matrix(topo), fixed_capacities(state), CRIT
+    )
     oracle = flow_closed_form(state.p_G - state.p_d, topo)
     assert np.max(np.abs(result.flows - oracle)) <= topo.n * CRIT.eps
     after = apply_step(state, np.zeros(topo.n), result.flows, topo)

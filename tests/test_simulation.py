@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridconsensus.simulation as sim
 from gridconsensus import (
@@ -36,9 +38,10 @@ from gridconsensus import (
     generate_desired_profile,
     generation_closed_form,
     load_config,
+    random_connected_topology,
     run,
 )
-from conftest import make_reference_caps
+from conftest import make_reference_caps, path_topology, random_capacities
 
 
 @pytest.fixture
@@ -340,7 +343,7 @@ class TestFailureHandling:
 
     def test_audit_failure_raises_by_default(self, without_config, monkeypatch):
         # sabotage flow control so per-node mismatches are left standing
-        def no_flows(state, topology, weights, criteria):
+        def no_flows(state, topology, weights, caps, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
@@ -352,7 +355,7 @@ class TestFailureHandling:
         assert info.value.audit.margins["error annihilation"] < 0
 
     def test_audit_failure_can_be_flagged_instead(self, without_config, monkeypatch):
-        def no_flows(state, topology, weights, criteria):
+        def no_flows(state, topology, weights, caps, criteria):
             return FlowControlResult(flows=np.zeros(len(topology.edges)), iters=1)
 
         monkeypatch.setattr(sim, "flow_control", no_flows)
@@ -361,3 +364,88 @@ class TestFailureHandling:
         assert record.horizon == without_config.horizon
         assert not record.all_audits_passed
         assert record.max_abs_error > 1e-6
+
+
+def _scaled(caps: NodeCapacities, scale: float) -> NodeCapacities:
+    return NodeCapacities(gen_lo=caps.gen_lo * scale, gen_hi=caps.gen_hi * scale,
+                          net_lo=caps.net_lo * scale, net_hi=caps.net_hi * scale)
+
+
+def _assert_within_budget(config: ScenarioConfig) -> None:
+    """Run the config: every audit passes, and every step matches its
+    closed form within what eps certifies per node, eps * range plus
+    rounding, the slack the generation bounds get."""
+    record = run(config)
+    assert record.all_audits_passed
+    caps, crit = config.capacities, config.criteria
+    budget = crit.tolerance(caps.gen_range, np.abs(caps.gen_lo) + np.abs(caps.gen_hi), caps.n)
+    p_G = caps.gen_lo
+    for k in range(record.horizon):
+        p_D = float(record.p_D[k])
+        if record.mode == MODE_WITH:
+            closed = coordinate_closed_form(p_D, caps).desired
+            assert np.all(np.abs(record.p_d[k] - closed) <= budget)
+        else:
+            state = GridState.initial(p_G).with_desired(record.p_d[k])
+            closed = generation_closed_form(p_D, state, compute_delta_bounds(state, caps))
+            assert np.all(np.abs(record.delta[k] - closed) <= budget)
+        p_G = record.p_G[k]
+
+
+class TestErrorBudget:
+    """Every check's tolerance scales with eps and the capacity ranges, so
+    valid configs pass at any capacity scale and any eps."""
+
+    @pytest.mark.parametrize(("scale", "eps"), [
+        (1e-3, 1e-5), (1.0, 1e-5), (1e3, 1e-8), (1e3, 1e-5),
+        (1e6, 1e-12), (1e6, 1e-10), (1e6, 1e-8), (1e6, 1e-5),
+    ])
+    def test_shipped_without_config_at_any_scale(self, scale, eps):
+        # Each cell failed while the tolerances were absolute: the flow
+        # guard raised BalanceError, or at 1e-3 the audit's balance and
+        # error checks failed.
+        config = load_config(default_config_path("without"))
+        _assert_within_budget(replace(
+            config, capacities=_scaled(config.capacities, scale), horizon=5,
+            criteria=ConvergenceCriteria(eps=eps),
+        ))
+
+    @pytest.mark.parametrize("end", ["total_gen_hi", "total_gen_lo"])
+    @pytest.mark.parametrize(("scale", "eps"), [(10.0, 1e-10), (1.0, 1e-6)])
+    def test_shipped_with_config_at_the_capacity_ends(self, end, scale, eps):
+        # Demand at an end puts every exact target on a generation bound,
+        # so the split crosses it by up to eps * range: 1.6e-8 against a
+        # fixed slack of 1e-8 at x10 capacities and the default eps.
+        config = load_config(default_config_path("with"))
+        caps = _scaled(config.capacities, scale)
+        _assert_within_budget(replace(
+            config, capacities=caps, horizon=1,
+            demand=DemandSpec(kind="explicit", values=(getattr(caps, end),)),
+            criteria=ConvergenceCriteria(eps=eps),
+        ))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("shipped", "path", "random")),
+    mode=st.sampled_from((MODE_WITH, MODE_WITHOUT)),
+    n=st.integers(1, 20),
+    log_eps=st.floats(-12.0, -5.0),
+    log_scale=st.floats(-3.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_audit_and_oracle_holds_at_any_eps_and_scale(
+    kind, mode, n, log_eps, log_scale, seed
+):
+    rng = np.random.default_rng(seed)
+    if kind == "shipped":
+        shipped = load_config(default_config_path("with"))
+        topo, caps = shipped.topology, shipped.capacities
+    else:
+        topo = path_topology(n) if kind == "path" else random_connected_topology(n, rng, 0.3)
+        caps = random_capacities(rng, n)
+    source = {"demand": DemandSpec()} if mode == MODE_WITH else {"desired": DesiredSpec()}
+    _assert_within_budget(ScenarioConfig(
+        mode=mode, topology=topo, capacities=_scaled(caps, 10.0**log_scale), horizon=3,
+        criteria=ConvergenceCriteria(eps=10.0**log_eps), seed=seed % 1000, **source,
+    ))
