@@ -16,21 +16,22 @@ Both engines run their rounds in ``_rounds``, which owns the one stopping
 rule: stop once the spread max - min of the node values (ratio consensus:
 of the ratios) is at most ``eps``. Rounds start plain, x <- W x. Later
 ones follow the Chebyshev semi-iteration (Golub & Varga, 1961) on the
-shifted weights P = (W - cI)/(1 - c), c = -gap/2
-(``SparseWeights.shifted``), where ``SparseWeights.gap`` is the topology's
-spectral bound (every eigenvalue but the consensus eigenvalue 1 lies in
-[-1, 1 - gap]):
+shifted weights P = (W - cI)/(1 - c) (``SparseWeights.shifted``), where
+every eigenvalue of W but the consensus eigenvalue 1 lies in the
+interval [lo, hi] (``SparseWeights.interval``, measured from the weights
+by Lanczos) and c = (lo + hi)/2 is its middle:
 
     x_{t+1} = w_t P x_t - (w_t - 1) x_{t-1},
 
 with w_1 = 1, w_2 = 2mu^2/(2mu^2 - 1) and w_{t+1} = 1/(1 - w_t/(4mu^2)),
-where mu = (1 + gap/2)/(1 - gap/2). P keeps every column sum of W, and
-the weights w and 1 - w add to one, so sums stay preserved; a round still
+where mu = (1 - c)/((hi - lo)/2); a one-point interval has its half-width
+floored, so mu stays finite. P keeps every column sum of W, and the
+weights w and 1 - w add to one, so sums stay preserved; a round still
 costs one neighbor exchange, and one product per vector as a plain round
 does.
 
 k Chebyshev rounds shrink the error by 1/cosh(k acosh mu) under the
-bound. Plain rounds go on while they keep pace with that: the switch
+interval. Plain rounds go on while they keep pace with that: the switch
 comes at the first round t where
 
     spread_t * cosh((t - t0) acosh mu) > 2 spread_t0,
@@ -38,11 +39,26 @@ comes at the first round t where
 t0 being the first round whose spread is defined (ratio rounds skip
 denominators below the floor), and at round K = ceil(ln(2/eps)/acosh(mu))
 at the latest, the number of Chebyshev rounds the bound predicts for
-``eps``. On well-mixed graphs plain rounds beat the bound and a call runs
-them alone, exactly as the plain iteration would; on a radial feeder, where
-plain rounds need O(n^2), they fall behind once the fast modes are gone,
-and the call takes O(n) rounds. Dense ``np.ndarray`` weights carry no
-bound and stay plain: they are the reference engine.
+``eps``. On the measured interval, which is nearly exact, plain rounds
+fall behind early (after about 5 rounds on the 2000-node benchmark mesh,
+80 to 115 on the 120-node feeder), and a call then takes about
+ln(spread/eps)/acosh(mu) more: O(n) rounds on a radial feeder, where
+plain rounds need O(n^2).
+
+Lanczos can misjudge an interval, and so the Chebyshev rounds watch the
+same bound: they fall back once, at the first round t where
+
+    spread_t * cosh((t - t0) acosh mu) > 2 sqrt(n) spread_t0,
+
+t0 being the switch round. A correct interval keeps the flow rounds
+inside it (spread_t is at most twice the 2-norm of the error, which
+starts at most sqrt(n) spread_t0), and measured ratio rounds stay within
+twice the bound too. The call then starts over, from its current values,
+with plain rounds and then Chebyshev rounds on Mohar's interval
+[-1, 1 - gap] (``SparseWeights.fallback``), which holds on every graph.
+Sums are preserved throughout, so the restart loses nothing, and a wrong
+interval costs rounds, never the result. Dense ``np.ndarray`` weights
+carry no interval and stay plain: they are the reference engine.
 """
 
 from __future__ import annotations
@@ -54,12 +70,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDenominatorError
-from .graph import GridTopology, SparseWeights, metropolis_edge_weights
+from .graph import _UNIT_ROUNDOFF, GridTopology, SparseWeights, metropolis_edge_weights
 
 # Denominators below this are treated as collapsed rather than divided by.
 # It guards a division, not a result, so no tolerance derives from it.
 DENOMINATOR_FLOOR = 1e-12
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+# Half-widths below this are rounding noise around a one-point spectrum;
+# flooring them keeps mu finite.
+_HALF_WIDTH_FLOOR = math.sqrt(_UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True)
@@ -108,10 +126,14 @@ class FlowAccumulator:
     iters: int
 
 
-def _chebyshev_schedule(gap: float, criteria: ConvergenceCriteria) -> tuple[int, float]:
-    """The switch round K at the latest and mu, for weights with spectral
-    bound ``gap`` (see the module docstring)."""
-    mu = (1.0 + gap / 2.0) / (1.0 - gap / 2.0)
+def _chebyshev_schedule(
+    interval: tuple[float, float], criteria: ConvergenceCriteria
+) -> tuple[int, float]:
+    """The switch round K at the latest and mu, for weights whose
+    eigenvalues other than 1 lie in ``interval`` (see the module
+    docstring)."""
+    lo, hi = interval
+    mu = (1.0 - (lo + hi) / 2.0) / max((hi - lo) / 2.0, _HALF_WIDTH_FLOOR)
     # ln(2/eps) as a difference: 2/eps overflows for a subnormal eps
     return math.ceil((math.log(2.0) - math.log(criteria.eps)) / math.acosh(mu)), mu
 
@@ -134,43 +156,60 @@ def _rounds(
     ``max_iters`` rounds. ``spread`` returns None where it is undefined.
 
     ``plain(a, b)`` applies one round of W and returns new arrays. Plain
-    rounds run while they keep pace with the Chebyshev bound, to round K at
-    most (the module docstring gives the rule); then ``chebyshev()``,
-    called once, returns the same function for P. Dense weights carry no
-    gap and stay plain.
+    rounds run while they keep pace with the Chebyshev bound of the
+    weights' interval, to round K at most; then ``chebyshev(weights)``,
+    called once, returns the same function for their P. The module
+    docstring gives both rules, and the fallback: Chebyshev rounds that
+    fall behind the measured interval's bound restart, from the current
+    arrays, on ``weights.fallback()``. Dense weights carry no interval and
+    stay plain.
     """
     eps, cap = criteria.eps, criteria.max_iters
     sparse = isinstance(weights, SparseWeights)
-    switch, mu = _chebyshev_schedule(weights.gap, criteria) if sparse else (cap, 1.0)
-    rate = math.acosh(mu)
-    t, t0, limit = 0, 0, None
-    for t in range(1, min(switch, cap) + 1):
-        a, b = plain(a, b)
-        s = spread(a, b)
-        if s is None:
-            continue
-        if s <= eps:
-            return t, a, b
-        if limit is None:
-            t0, limit = t, 2.0 * s
-        # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
-        elif sparse and s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
-            break
-    if t == cap:
-        return None, a, b
-    step = chebyshev()
-    a_prev, b_prev = a, b
-    for t, omega in zip(range(t + 1, cap + 1), _recurrence_weights(mu)):
-        a_next, b_next = step(a, b)
-        a_next *= omega
-        a_next -= (omega - 1.0) * a_prev
-        b_next *= omega
-        b_next -= (omega - 1.0) * b_prev
-        a_prev, b_prev, a, b = a, b, a_next, b_next
-        s = spread(a, b)
-        if s is not None and s <= eps:
-            return t, a, b
-    return None, a, b
+    watch, t = sparse, 0
+    while True:
+        switch, mu = _chebyshev_schedule(weights.interval, criteria) if sparse else (cap, 1.0)
+        rate = math.acosh(mu)
+        limit = None
+        for t in range(t + 1, min(t + switch, cap) + 1):
+            a, b = plain(a, b)
+            s = spread(a, b)
+            if s is None:
+                continue
+            if s <= eps:
+                return t, a, b
+            if limit is None:
+                t0, limit = t, 2.0 * s
+            # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
+            elif sparse and s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
+                break
+        if t == cap:
+            return None, a, b
+        step = chebyshev(weights)
+        slack = 2.0 * math.sqrt(a.size)
+        t0, limit = t, None if s is None else slack * s
+        a_prev, b_prev = a, b
+        for t, omega in zip(range(t + 1, cap + 1), _recurrence_weights(mu)):
+            a_next, b_next = step(a, b)
+            a_next *= omega
+            a_next -= (omega - 1.0) * a_prev
+            b_next *= omega
+            b_next -= (omega - 1.0) * b_prev
+            a_prev, b_prev, a, b = a, b, a_next, b_next
+            s = spread(a, b)
+            if s is None:
+                continue
+            if s <= eps:
+                return t, a, b
+            if not watch:
+                continue
+            if limit is None:
+                t0, limit = t, slack * s
+            elif s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
+                break
+        else:
+            return None, a, b
+        weights, watch = weights.fallback(), False
 
 
 def ratio_consensus(
@@ -214,7 +253,7 @@ def ratio_consensus(
         ratio = x / y
         return ratio.max() - ratio.min()
 
-    def chebyshev():
+    def chebyshev(weights):
         p = weights.shifted()
         return lambda x, y: (p @ x, p @ y)
 
@@ -243,7 +282,7 @@ def flow_accumulate(
     """Average g across the graph while integrating per-edge disagreement.
 
     ``weights`` (the Metropolis weights of ``topology``, n x n) carries the
-    gap that sets the switch; the rounds apply the same weights per edge,
+    interval that sets the switch; the rounds apply the same weights per edge,
     from ``metropolis_edge_weights``, so that each increment lands on its
     edge, and those of P as a_e/(1 - c), so the shifted matrix is never
     built.
@@ -281,7 +320,7 @@ def flow_accumulate(
         return step
 
     a = metropolis_edge_weights(topology)
-    t, g, h = _rounds(rounds_of(a), lambda: rounds_of(a / (1.0 - weights.shift)),
+    t, g, h = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
                       g, np.zeros(heads.shape[0]), weights, criteria,
                       lambda g, h: g.max() - g.min())
     if t is not None:

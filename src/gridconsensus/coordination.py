@@ -43,20 +43,22 @@ class NodeCapacities:
             f, i = np.argwhere(~finite)[0]
             value = getattr(self, names[f])[i]
             raise CapacityError(f"node {i + 1}: {names[f]} {value} is not finite")
-        for i in range(self.n):
-            if self.gen_lo[i] > self.gen_hi[i]:
-                raise CapacityError(
-                    f"node {i + 1}: generation bounds [{self.gen_lo[i]}, {self.gen_hi[i]}] inverted"
-                )
-            if self.net_lo[i] > self.net_hi[i]:
-                raise CapacityError(
-                    f"node {i + 1}: net-power bounds [{self.net_lo[i]}, {self.net_hi[i]}] inverted"
-                )
-            if self.gen_lo[i] < self.net_lo[i] or self.gen_hi[i] > self.net_hi[i]:
-                raise CapacityError(
-                    f"node {i + 1}: generation interval [{self.gen_lo[i]}, {self.gen_hi[i]}] "
-                    f"not contained in net-power interval [{self.net_lo[i]}, {self.net_hi[i]}]"
-                )
+        gen_inverted = self.gen_lo > self.gen_hi
+        net_inverted = self.net_lo > self.net_hi
+        uncontained = (self.gen_lo < self.net_lo) | (self.gen_hi > self.net_hi)
+        bad = gen_inverted | net_inverted | uncontained
+        if bad.any():
+            # the first bad node, and its first failing check
+            i = int(bad.argmax())
+            gen = f"[{self.gen_lo[i]}, {self.gen_hi[i]}]"
+            net = f"[{self.net_lo[i]}, {self.net_hi[i]}]"
+            if gen_inverted[i]:
+                raise CapacityError(f"node {i + 1}: generation bounds {gen} inverted")
+            if net_inverted[i]:
+                raise CapacityError(f"node {i + 1}: net-power bounds {net} inverted")
+            raise CapacityError(
+                f"node {i + 1}: generation interval {gen} not contained in net-power interval {net}"
+            )
 
     @property
     def n(self) -> int:

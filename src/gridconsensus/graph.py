@@ -22,14 +22,18 @@ because ``reduceat`` cannot express an empty row: for an empty segment it
 returns the next row's first product instead of zero.
 
 Each topology builds each matrix once and hands the same read-only
-instance to every caller. Both carry ``gap``, the topology's
-``spectral_gap_bound``: every eigenvalue other than the consensus
-eigenvalue 1 lies in [-1, 1 - gap], which is what the accelerated rounds
-in ``consensus`` need to know about the graph.
+instance to every caller. What the accelerated rounds in ``consensus``
+need to know about the graph is an interval holding every eigenvalue
+other than the consensus eigenvalue 1. Each matrix measures its own,
+``interval``, by Lanczos on the first read, and keeps it; Lanczos can
+misjudge it, so each also carries ``gap``, the topology's
+``spectral_gap_bound``, for Mohar's interval [-1, 1 - gap], which always
+holds and is far wider.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,9 +117,11 @@ class GridTopology:
 
     @cached_property
     def _degree_weights(self) -> SparseWeights:
-        share = 1.0 / (1.0 + np.asarray(self.degrees, dtype=float))
+        stationary = 1.0 + np.asarray(self.degrees, dtype=float)
+        stationary.flags.writeable = False
+        share = 1.0 / stationary
         heads, tails = self.edge_index_arrays()
-        return _edge_weights(self, share[tails], share[heads], share)
+        return _edge_weights(self, share[tails], share[heads], share, stationary)
 
     @cached_property
     def _metropolis_weights(self) -> SparseWeights:
@@ -198,25 +204,38 @@ class SparseWeights:
     the round in ``__matmul__`` relies on; the constructor rejects empty
     rows.
 
+    The weights are reversible: W pi = pi for the positive vector
+    ``stationary`` (None for symmetric weights, where pi is all ones), and
+    diag(pi)^(-1/2) W diag(pi)^(1/2) is symmetric, so the spectrum is real.
     ``gap`` promises that every eigenvalue other than the consensus
-    eigenvalue 1 lies in [-1, 1 - gap]; ``consensus`` uses it to speed up
-    rounds that run long. It is read-only, like the arrays of the shared
-    instances, because it sets the switch round of every later caller.
+    eigenvalue 1 lies in [-1, 1 - gap]. ``interval`` is a tighter [lo, hi]
+    for the same eigenvalues, measured from the weights by Lanczos on the
+    first read unless pinned at construction; ``consensus`` runs its
+    Chebyshev rounds on it, and on ``fallback()``, Mohar's [-1, 1 - gap],
+    if it proves wrong. All of these are read-only, like the arrays of the
+    shared instances, because they set the rounds of every later caller.
     """
 
-    __slots__ = ("indptr", "indices", "data", "_gap", "_starts", "_shifted")
+    __slots__ = ("indptr", "indices", "data", "_gap", "_stationary", "_interval", "_starts",
+                 "_shifted")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, gap: float):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, gap: float,
+                 stationary: np.ndarray | None = None,
+                 interval: tuple[float, float] | None = None):
         if indices.shape != data.shape or indptr[-1] != data.shape[0]:
             raise ValueError("indptr, indices and data do not describe the same entries")
         if np.any(np.diff(indptr) < 1):
             raise ValueError("every row must store at least its diagonal entry")
         if not 0.0 < gap <= 1.0:
             raise ValueError(f"gap must lie in (0, 1], got {gap}")
+        if interval is not None and not -1.0 <= interval[0] <= interval[1] < 1.0:
+            raise ValueError(f"interval must satisfy -1 <= lo <= hi < 1, got {interval}")
         self.indptr = indptr
         self.indices = indices
         self.data = data
         self._gap = gap
+        self._stationary = stationary
+        self._interval = interval
         self._starts = indptr[:-1]
         self._shifted = None
 
@@ -225,26 +244,53 @@ class SparseWeights:
         return self._gap
 
     @property
+    def stationary(self) -> np.ndarray | None:
+        return self._stationary
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        """[lo, hi] holding every eigenvalue but the consensus eigenvalue 1.
+
+        Measured on the first read (``_lanczos_interval``) and kept, so the
+        cost falls on the first consensus call on the shared weights, not
+        on building them."""
+        if self._interval is None:
+            self._interval = _lanczos_interval(self)[0]
+        return self._interval
+
+    @property
     def shift(self) -> float:
-        """The shift c = -gap/2 of ``shifted()``."""
-        return -self._gap / 2.0
+        """The shift c = (lo + hi)/2 of ``shifted()``, the middle of
+        ``interval``."""
+        lo, hi = self.interval
+        return (lo + hi) / 2.0
+
+    def fallback(self) -> SparseWeights:
+        """The same weights on Mohar's interval [-1, 1 - gap]: valid
+        whatever the measured one did, and far wider."""
+        return SparseWeights(self.indptr, self.indices, self.data, self._gap,
+                             self._stationary, (-1.0, 1.0 - self._gap))
 
     def shifted(self) -> SparseWeights:
         """P = (W - cI)/(1 - c) with c = ``shift``, in the same storage.
 
-        P moves [-1, 1 - gap] onto [-1/mu, 1/mu], mu = (1 - c)/(1 + c),
+        P moves ``interval`` onto [-1/mu, 1/mu], mu = (1 - c)/((hi - lo)/2),
         keeps the eigenvalue 1 and every column sum, and reaches the same
         neighbors, so a round of P costs what a round of W does. Built on
         the first call and kept, read-only, for every later caller.
         """
         if self._shifted is None:
+            lo, hi = self.interval
             c = self.shift
             n = self.shape[0]
             diagonal = self.indices == np.repeat(np.arange(n), np.diff(self.indptr))
             data = np.where(diagonal, self.data - c, self.data) / (1.0 - c)
             data.flags.writeable = False
-            self._shifted = SparseWeights(self.indptr, self.indices, data,
-                                          gap=self._gap / (1.0 - c))
+            # the measured and Mohar's intervals keep c <= hi <= 1 - gap, so
+            # the gap stays in (0, 1]
+            self._shifted = SparseWeights(self.indptr, self.indices, data, self._gap / (1.0 - c),
+                                          self._stationary,
+                                          ((lo - c) / (1.0 - c), (hi - c) / (1.0 - c)))
         return self._shifted
 
     @property
@@ -260,7 +306,9 @@ class SparseWeights:
         """One synchronous round: entry i is the sum over row i's stored
         columns j of w_ij * x_j, added in column order. ``x`` must be a
         float array of length n; callers check that once, not per round."""
-        return np.add.reduceat(self.data * x[self.indices], self._starts)
+        products = x[self.indices]
+        products *= self.data
+        return np.add.reduceat(products, self._starts)
 
     def toarray(self) -> np.ndarray:
         """The dense n x n matrix these weights store."""
@@ -271,12 +319,155 @@ class SparseWeights:
         return dense
 
 
-def _edge_weights(topology: GridTopology, upper, lower, diagonal) -> SparseWeights:
+# Lanczos checks its top Ritz pair every _RITZ_CHECK steps. It stops once
+# _SETTLED_CHECKS checks in a row find the pair's residual r at most
+# _RESIDUAL_SHARE of the Ritz value's distance from 1, the value moving by
+# at most r from one to the next. The start vector comes from a generator
+# seeded with _START_SEED, so every run measures the same interval.
+_RITZ_CHECK = 5
+_RESIDUAL_SHARE = 0.1
+_SETTLED_CHECKS = 3
+_START_SEED = 0
+_BLOCK_ROWS = 16
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+# A Lanczos vector shorter than this after reorthogonalisation is rounding
+# noise: the Krylov space is invariant, and its Ritz values are exact.
+_BREAKDOWN = math.sqrt(_UNIT_ROUNDOFF)
+# Laguerre's iteration converges cubically; this many steps is a backstop.
+_LAGUERRE_STEPS = 50
+# Inverse iteration shifts this far beyond the root: far above the root's
+# rounding error, far below the Ritz value gaps the interval resolves.
+_NUDGE = 1e-10
+
+
+def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]:
+    """An interval holding every eigenvalue of ``weights`` but 1, and the
+    Lanczos steps (Lanczos, 1950; Golub & Kent, 1989) that measured it.
+
+    Lanczos runs on the symmetric S = diag(pi)^(-1/2) W diag(pi)^(1/2),
+    pi = ``weights.stationary``, which has W's eigenvalues, with the
+    consensus eigenvector sqrt(pi) projected out. Each new vector is
+    orthogonalised twice against all earlier ones and sqrt(pi), so no
+    eigenvalue repeats and the basis stays orthonormal; the basis grows a
+    block of rows at a time as the steps need it. A Ritz value theta of
+    the tridiagonal T
+    with residual r has an eigenvalue of S within r, so the extreme Ritz
+    pairs give [max(theta_min - r_min, -1), min(theta_max + r, 1 - gap)],
+    the upper end capped by Mohar's bound, which holds whatever Lanczos
+    found. n = 1 leaves nothing to measure, and Mohar's interval stands.
+    """
+    n = weights.shape[0]
+    pi = weights.stationary
+    root = np.ones(n) if pi is None else np.sqrt(pi)
+    # the basis, sqrt(pi) first, row i in row i % _BLOCK_ROWS of block
+    # i // _BLOCK_ROWS: it grows a block at a time and is never copied
+    blocks, rows = [], 0
+
+    def append(v):
+        nonlocal rows
+        if rows == len(blocks) * _BLOCK_ROWS:
+            blocks.append(np.empty((_BLOCK_ROWS, n)))
+        blocks[-1][rows % _BLOCK_ROWS] = v
+        rows += 1
+
+    def orthogonalise(v):
+        # classical Gram-Schmidt twice: orthogonal to working accuracy
+        for _ in range(2):
+            for j, block in enumerate(blocks):
+                block = block[:rows - j * _BLOCK_ROWS]
+                v -= block.T @ (block @ v)
+        return v
+
+    append(root / math.sqrt(root @ root))
+    w = orthogonalise(np.random.default_rng(_START_SEED).standard_normal(n))
+    b = math.sqrt(w @ w)
+    alpha, beta = [], []
+    top, settled = None, 0
+    while b > _BREAKDOWN:
+        if alpha:
+            beta.append(b)
+        v = w / b
+        append(v)
+        w = weights @ (root * v) / root
+        alpha.append(float(v @ w))
+        w = orthogonalise(w)
+        b = math.sqrt(w @ w)
+        if len(alpha) % _RITZ_CHECK == 0 or b <= _BREAKDOWN:
+            last, (top, r) = top, _ritz_pair(alpha, beta, b, 1.0)
+            settled = settled + 1 if r <= _RESIDUAL_SHARE * (1.0 - top) and (
+                last is None or top - last <= r) else 0
+            if settled == _SETTLED_CHECKS:
+                break
+    if not alpha:
+        return (-1.0, 1.0 - weights.gap), 0
+    bottom, r_bottom = _ritz_pair(alpha, beta, b, -1.0)
+    hi = min(top + r, 1.0 - weights.gap)
+    return (min(max(bottom - r_bottom, -1.0), hi), hi), len(alpha)
+
+
+def _ritz_pair(alpha: list, beta: list, b: float, side: float) -> tuple[float, float]:
+    """The largest (``side`` 1) or smallest (``side`` -1) Ritz value of the
+    tridiagonal T with diagonal ``alpha`` and off-diagonal ``beta``, and
+    the residual norm of its Ritz vector given Lanczos's next off-diagonal
+    ``b``. Pure Python and numpy: no LAPACK on the run path.
+
+    From x = ``side``, beyond every Ritz value (they lie in [-1, 1]),
+    Laguerre's iteration on det(T - xI) moves monotonically, and cubically
+    near the end, to the nearest root. It needs G = sum 1/(x - theta_i)
+    and H = sum 1/(x - theta_i)^2, which come from the pivots d_j of
+    T - xI = L D L^T and their first two derivatives in x. Two steps of
+    inverse iteration from just beyond the root, where T - xI is definite
+    and its factorisation stable, give the Ritz vector y; for its Rayleigh
+    quotient rho, ||S Q y - rho Q y||^2 = ||T y - rho y||^2 + b^2 y_k^2.
+    """
+    k = len(alpha)
+    x = side
+    for _ in range(_LAGUERRE_STEPS):
+        g = h = 0.0
+        d, e, f = 1.0, 0.0, 0.0  # previous pivot, and d'/d and d''/d of it
+        for j in range(k):
+            q = beta[j - 1] ** 2 / d if j else 0.0
+            # a zero pivot means x is a root of a leading block; nudging it
+            # costs a rounding error where dividing would cost the result
+            d = alpha[j] - x - q or _UNIT_ROUNDOFF
+            e, f = (q * e - 1.0) / d, q * (f - 2.0 * e * e) / d
+            g += e
+            h += e * e - f
+        spread = math.sqrt(max((k - 1) * (k * h - g * g), 0.0))
+        step = k / (g + math.copysign(spread, g))
+        if not abs(step) > _UNIT_ROUNDOFF:  # converged, or no finite step left
+            break
+        x -= step
+    x += side * _NUDGE
+    pivots, d = [], 1.0
+    for j in range(k):
+        d = alpha[j] - x - (beta[j - 1] ** 2 / d if j else 0.0) or _UNIT_ROUNDOFF
+        pivots.append(d)
+    y = [1.0] * k
+    for _ in range(2):  # y <- (L D L^T)^-1 y, L unit lower bidiagonal
+        for j in range(1, k):
+            y[j] -= beta[j - 1] / pivots[j - 1] * y[j - 1]
+        y[-1] /= pivots[-1]
+        for j in range(k - 2, -1, -1):
+            y[j] = (y[j] - beta[j] * y[j + 1]) / pivots[j]
+    y = np.array(y)
+    ty = np.array(alpha) * y
+    ty[:-1] += np.array(beta) * y[1:]
+    ty[1:] += np.array(beta) * y[:-1]
+    norm2 = y @ y
+    rho = (y @ ty) / norm2
+    res = ty - rho * y
+    return float(rho), math.sqrt((res @ res + (b * y[-1]) ** 2) / norm2)
+
+
+def _edge_weights(topology: GridTopology, upper, lower, diagonal,
+                  stationary=None) -> SparseWeights:
     """CSR weights of ``topology`` from per-edge values: for edge e with
     0-based endpoints heads[e] < tails[e] (``edge_index_arrays``), entry
     (heads[e], tails[e]) is ``upper[e]`` and entry (tails[e], heads[e]) is
-    ``lower[e]``; entry (i, i) is ``diagonal[i]``. The arrays are read-only
-    because the topology shares them with every caller."""
+    ``lower[e]``; entry (i, i) is ``diagonal[i]``; ``stationary`` is as in
+    ``SparseWeights``. The arrays are read-only because the topology shares
+    them with every caller."""
     n = topology.n
     heads, tails = topology.edge_index_arrays()
     nodes = np.arange(n)
@@ -291,7 +482,7 @@ def _edge_weights(topology: GridTopology, upper, lower, diagonal) -> SparseWeigh
     data = np.concatenate((lower, diagonal, upper))[order]
     for arr in (indptr, indices, data):
         arr.flags.writeable = False
-    return SparseWeights(indptr, indices, data, gap=topology.spectral_gap_bound)
+    return SparseWeights(indptr, indices, data, topology.spectral_gap_bound, stationary)
 
 
 def degree_weight_matrix(topology: GridTopology) -> SparseWeights:

@@ -117,6 +117,19 @@ class TestParse:
         with pytest.raises(ConfigError, match="nodes"):
             parse_config(doc)
 
+    def test_two_bad_nodes_blame_the_lower_numbered(self):
+        # listed out of order: node 2's net bounds are inverted, node 1's
+        # generation range leaves its net range; node 1 is reported
+        doc = good_doc()
+        doc["nodes"] = [
+            {"id": 2, "gen": [5, 25], "net": [30, 0]},
+            {"id": 1, "gen": [0, 10], "net": [1, 15]},
+        ]
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == ("nodes: node 1: generation interval [0.0, 10.0] not "
+                                   "contained in net-power interval [1.0, 15.0]")
+
     def test_bad_edges_blame_edges(self):
         doc = good_doc()
         doc["edges"] = [[1, 1]]

@@ -50,15 +50,16 @@ def _flow_at_cap(topology, weights, g0, cap):
 
 
 class RecordingWeights(SparseWeights):
-    """The same weights and gap, logging each operand's sum and the matrix
-    it went through: "W" in a plain round, "P" in a Chebyshev round, which
-    applies ``shifted()``. Every operand is a current iterate of the
-    engine; ``shifts`` counts the calls that built or fetched P."""
+    """The same weights, gap and interval, logging each operand's sum and
+    the matrix it went through: "W" in a plain round, "P" in a Chebyshev
+    round, which applies ``shifted()``. Every operand is a current iterate
+    of the engine; ``shifts`` counts the calls that built or fetched P."""
 
     __slots__ = ("log", "kind", "shifts")
 
     def __init__(self, weights: SparseWeights, log=None, kind="W"):
-        super().__init__(weights.indptr, weights.indices, weights.data, gap=weights.gap)
+        super().__init__(weights.indptr, weights.indices, weights.data, weights.gap,
+                         weights.stationary, weights.interval)
         self.log = [] if log is None else log
         self.kind = kind
         self.shifts = 0
@@ -199,13 +200,24 @@ class TestChebyshevPhase:
     """Rounds after the switch round K, where plain rounds end."""
 
     def test_switch_round_follows_the_bound(self):
-        # K = ceil(ln(2/eps) / acosh(mu)), mu = (1 + gap/2) / (1 - gap/2);
-        # path-3 has n = 3, diameter bound 2 and max degree 2: gap = 2/9
+        # K = ceil(ln(2/eps) / acosh(mu)), mu = (1 - c) / ((hi - lo) / 2) and
+        # c = (lo + hi) / 2. On Mohar's interval [-1, 1 - gap] that is
+        # mu = (1 + gap/2) / (1 - gap/2); path-3 has n = 3, diameter bound 2
+        # and max degree 2: gap = 2/9
         topo = path(3)
         q = degree_weight_matrix(topo)
         assert q.gap == metropolis_weight_matrix(topo).gap == pytest.approx(2.0 / 9.0)
+        assert q.fallback().interval == (-1.0, 1.0 - q.gap)
         mu = (1.0 + 1.0 / 9.0) / (1.0 - 1.0 / 9.0)
-        assert _chebyshev_schedule(q.gap, CRIT)[0] == int(np.ceil(np.log(2e10) / np.arccosh(mu)))
+        assert _chebyshev_schedule(q.fallback().interval, CRIT) == \
+            (int(np.ceil(np.log(2e10) / np.arccosh(mu))), pytest.approx(mu))
+        # Lanczos measures the exact spectrum of path-3, {1, 1/2, -1/6}: the
+        # eigenvectors (1, 0, -1) and (2, -3, 2) of S = D^-1/2 W D^1/2 give
+        # the two below 1. Then c = 1/6 and mu = (5/6) / (1/3) = 5/2.
+        assert q.interval == pytest.approx((-1.0 / 6.0, 0.5), abs=1e-12)
+        assert q.shift == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert _chebyshev_schedule(q.interval, CRIT) == \
+            (int(np.ceil(np.log(2e10) / np.arccosh(2.5))), pytest.approx(2.5))
 
     def test_sums_preserved_and_ratios_certified(self):
         rng = np.random.default_rng(37)
@@ -237,7 +249,8 @@ class TestChebyshevPhase:
         fast = ratio_consensus(q, x0, y0, CRIT)
         plain = ratio_consensus(q.toarray(), x0, y0, CRIT)
         switch = q.plain_rounds()
-        assert switch < fast.iters <= switch + _chebyshev_schedule(q.gap, CRIT)[0] < plain.iters
+        assert switch < fast.iters <= switch + _chebyshev_schedule(q.interval, CRIT)[0] \
+            < plain.iters
         assert np.max(np.abs(fast.values - plain.values)) <= 2 * CRIT.eps
 
     def test_path_switches_before_k_and_stops_sooner(self):
@@ -246,7 +259,7 @@ class TestChebyshevPhase:
         # 1054 flow rounds on these inputs.
         topo = path(40)
         q = RecordingWeights(degree_weight_matrix(topo))
-        switch = _chebyshev_schedule(q.gap, CRIT)[0]
+        switch = _chebyshev_schedule(q.interval, CRIT)[0]
         res = ratio_consensus(q, np.linspace(0.0, 1.0, 40), np.ones(40), CRIT)
         assert q.plain_rounds() < switch
         assert res.iters < 979
@@ -260,11 +273,12 @@ class TestChebyshevPhase:
         assert np.max(np.abs(at_k - _flow_at_cap(topo, s.toarray(), g0, switch))) > 1e-6
 
     def test_well_mixed_graph_never_switches(self):
-        # plain rounds beat the bound here, so a call runs them alone: the
-        # reference engine's rounds, and P is never built
+        # plain rounds beat Mohar's bound here, so a call on that interval
+        # runs them alone: the reference engine's rounds, and P is never
+        # built
         rng = np.random.default_rng(71)
         topo = random_connected_topology(40, rng, 0.3)
-        q = RecordingWeights(degree_weight_matrix(topo))
+        q = RecordingWeights(degree_weight_matrix(topo).fallback())
         x0 = rng.uniform(-5.0, 5.0, 40)
         y0 = rng.uniform(0.1, 4.0, 40)
         res = ratio_consensus(q, x0, y0, CRIT)
@@ -272,13 +286,22 @@ class TestChebyshevPhase:
         assert q.shifts == 0 and q.plain_rounds() == res.iters == dense.iters
         assert np.max(np.abs(res.values - dense.values)) <= 1e-12
 
-        s = RecordingWeights(metropolis_weight_matrix(topo))
+        s = RecordingWeights(metropolis_weight_matrix(topo).fallback())
         g0 = rng.uniform(-8.0, 8.0, 40)
         acc = flow_accumulate(topo, s, g0, CRIT)
         ref = flow_accumulate(topo, s.toarray(), g0, CRIT)
         assert s.shifts == 0 and acc.iters == ref.iters
         assert np.max(np.abs(acc.h - ref.h)) <= 1e-12
         assert np.max(np.abs(acc.g - ref.g)) <= 1e-12
+
+        # the measured interval is nearly exact, and Chebyshev rounds on it
+        # beat plain ones here too: both calls switch and stop sooner
+        fast = ratio_consensus(degree_weight_matrix(topo), x0, y0, CRIT)
+        assert fast.iters < res.iters
+        assert np.max(np.abs(fast.values - x0.sum() / y0.sum())) <= CRIT.eps
+        fast = flow_accumulate(topo, metropolis_weight_matrix(topo), g0, CRIT)
+        assert fast.iters < acc.iters
+        assert np.max(np.abs(fast.h - acc.h)) <= 40 * CRIT.eps
 
     def test_tiny_eps_runs_to_the_cap(self):
         # no spread gets down to these; the smallest positive float makes
@@ -305,10 +328,11 @@ class TestChebyshevPhase:
         topo = path(3)
         s = metropolis_weight_matrix(topo)
         mu = np.cosh(0.395)
-        loose = SparseWeights(s.indptr, s.indices, s.data, gap=2.0 * (mu - 1.0) / (mu + 1.0))
+        gap = 2.0 * (mu - 1.0) / (mu + 1.0)
+        loose = SparseWeights(s.indptr, s.indices, s.data, gap, interval=(-1.0, 1.0 - gap))
         tiny = ConvergenceCriteria(eps=1e-320)
         acc = flow_accumulate(topo, loose, [1.0, 0.0, -1.0], tiny)
-        assert 1800 < acc.iters < _chebyshev_schedule(loose.gap, tiny)[0]
+        assert 1800 < acc.iters < _chebyshev_schedule(loose.interval, tiny)[0]
         assert np.ptp(acc.g) <= tiny.eps
 
     def test_flow_sums_and_telescoping_hold(self):
@@ -318,7 +342,7 @@ class TestChebyshevPhase:
         g0 = rng.uniform(-8.0, 8.0, 50)
         g0 -= g0.mean()
         acc = flow_accumulate(topo, s, g0, CRIT)
-        assert acc.iters > _chebyshev_schedule(s.gap, CRIT)[0]
+        assert acc.iters > _chebyshev_schedule(s.interval, CRIT)[0]
         heads, tails = topo.edge_index_arrays()
         inflow = np.bincount(np.concatenate((heads, tails)),
                              weights=np.concatenate((acc.h, -acc.h)), minlength=50)
@@ -336,7 +360,7 @@ class TestChebyshevPhase:
         g0 = np.linspace(-1.0, 1.0, 40)
         fast = flow_accumulate(topo, s, g0, CRIT)
         plain = flow_accumulate(topo, s.toarray(), g0, CRIT)
-        assert fast.iters <= 2 * _chebyshev_schedule(s.gap, CRIT)[0] < plain.iters
+        assert fast.iters <= 2 * _chebyshev_schedule(s.interval, CRIT)[0] < plain.iters
         assert np.max(np.abs(fast.h - plain.h)) <= 40 * CRIT.eps
 
     def test_flows_stop_at_the_first_certified_round(self):
@@ -362,11 +386,12 @@ class TestChebyshevPhase:
                 assert np.ptp(info.value.values) > CRIT.eps
 
     def test_round_cap_raises_with_its_fields(self):
-        # a gap of 1 claims far more than a 60-node path has; K is then 14,
-        # so a cap of 50 rounds falls in the Chebyshev phase
+        # an interval [-1, 0], Mohar's for a gap of 1, claims far more than
+        # a 60-node path has; K is then 14, so a cap of 50 rounds falls in
+        # the Chebyshev phase
         q = degree_weight_matrix(path(60))
-        loose = SparseWeights(q.indptr, q.indices, q.data, gap=1.0)
-        assert _chebyshev_schedule(loose.gap, CRIT)[0] == 14
+        loose = SparseWeights(q.indptr, q.indices, q.data, 1.0, q.stationary, (-1.0, 0.0))
+        assert _chebyshev_schedule(loose.interval, CRIT)[0] == 14
         capped = ConvergenceCriteria(max_iters=50)
         with pytest.raises(ConvergenceError) as info:
             ratio_consensus(loose, np.arange(60.0), np.ones(60), capped)
@@ -391,6 +416,94 @@ class TestChebyshevPhase:
         assert info.value.iters == cap
         assert info.value.values.shape == (60,)
         assert np.max(np.abs(info.value.values - plain)) > 1e-6
+
+
+class TestMeasuredInterval:
+    """Chebyshev rounds on the interval Lanczos measured, and the fallback
+    to Mohar's interval when that interval is wrong."""
+
+    def test_too_narrow_interval_converges_through_the_fallback(self, monkeypatch):
+        # The pinned interval claims four times the true gap 1 - lambda_2,
+        # so the slowest mode lies outside it, where Chebyshev rounds do not
+        # damp it. The spread falls behind the interval's bound, and the call
+        # restarts from its current values on Mohar's interval. It still
+        # meets the oracle, within the rounds of a call on Mohar's interval
+        # alone, plus 2K of the narrow interval (K plain rounds at most, and
+        # Chebyshev rounds until the spread falls behind), plus the rounds
+        # Mohar's bound needs to take off the factor 2 sqrt(n) by which the
+        # spread may exceed its first value before the restart.
+        fallbacks = []
+        fallback = SparseWeights.fallback
+        monkeypatch.setattr(SparseWeights, "fallback",
+                            lambda self: fallbacks.append(self) or fallback(self))
+        rng = np.random.default_rng(83)
+        topo = path(40)
+        x0 = rng.uniform(-5.0, 5.0, 40)
+        y0 = rng.uniform(0.1, 4.0, 40)
+        g0 = rng.uniform(-8.0, 8.0, 40)
+        oracle = flow_accumulate(topo, metropolis_weight_matrix(topo).toarray(), g0, CRIT)
+        for build, call, check in (
+            (degree_weight_matrix, lambda w: ratio_consensus(w, x0, y0, CRIT),
+             lambda res: np.max(np.abs(res.values - x0.sum() / y0.sum())) <= CRIT.eps),
+            (metropolis_weight_matrix, lambda w: flow_accumulate(topo, w, g0, CRIT),
+             lambda res: np.max(np.abs(res.h - oracle.h)) <= 40 * CRIT.eps),
+        ):
+            weights = build(topo)
+            lo, hi = weights.interval
+            narrow = SparseWeights(weights.indptr, weights.indices, weights.data, weights.gap,
+                                   weights.stationary, (lo, 1.0 - 4.0 * (1.0 - hi)))
+            fallbacks.clear()
+            res = call(narrow)
+            assert fallbacks == [narrow] and check(res)
+            mohar = call(weights.fallback())
+            mohar_mu = _chebyshev_schedule(weights.fallback().interval, CRIT)[1]
+            bound = (mohar.iters + 2 * _chebyshev_schedule(narrow.interval, CRIT)[0]
+                     + np.ceil(np.log(2.0 * np.sqrt(40)) / np.arccosh(mohar_mu)))
+            assert res.iters <= bound
+            # on the measured interval the fallback never fires
+            fallbacks.clear()
+            assert call(weights).iters < res.iters and fallbacks == []
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_point_spectra_stay_finite(self, n):
+        # A single node has no eigenvalue but 1; two nodes and the complete
+        # graph K5 have one more, 0, in both weight matrices, so Lanczos
+        # measures a one-point interval. The floored half-width keeps mu and
+        # K finite there, and on an interval pinned to the point exactly.
+        topo = build_topology(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        rng = np.random.default_rng(89 + n)
+        x0 = rng.uniform(-5.0, 5.0, n)
+        y0 = rng.uniform(0.1, 4.0, n)
+        g0 = rng.uniform(-8.0, 8.0, n)
+        q, s = degree_weight_matrix(topo), metropolis_weight_matrix(topo)
+        if n > 1:
+            assert q.interval == pytest.approx((0.0, 0.0), abs=1e-12)
+            assert s.interval == pytest.approx((0.0, 0.0), abs=1e-12)
+        point = [SparseWeights(w.indptr, w.indices, w.data, w.gap, w.stationary, (0.0, 0.0))
+                 for w in (q, s)]
+        for w in (q, s, *point):
+            switch, mu = _chebyshev_schedule(w.interval, CRIT)
+            assert 1 <= switch < 100 and 1.0 < mu < np.inf
+        truth = x0.sum() / y0.sum()
+        oracle = flow_closed_form(g0 - g0.mean(), topo)
+        # a tiny eps forces Chebyshev rounds after the first plain one, and
+        # on to the cap: the values stay finite and at the limit
+        tiny = ConvergenceCriteria(eps=1e-300, max_iters=30)
+        for ratio_weights, flow_weights in ((q, s), point):
+            res = ratio_consensus(ratio_weights, x0, y0, CRIT)
+            assert res.iters == 1 and np.max(np.abs(res.values - truth)) <= CRIT.eps
+            acc = flow_accumulate(topo, flow_weights, g0, CRIT)
+            assert acc.iters == 1 and np.ptp(acc.g) <= CRIT.eps
+            assert np.max(np.abs(-acc.h - oracle), initial=0.0) <= n * CRIT.eps
+            for run, limit in ((lambda: ratio_consensus(ratio_weights, x0, y0, tiny).values,
+                                truth),
+                               (lambda: flow_accumulate(topo, flow_weights, g0, tiny).g,
+                                g0.mean())):
+                try:
+                    values = run()  # one node: the first round is exact
+                except ConvergenceError as exc:
+                    values = exc.values
+                assert np.max(np.abs(values - limit)) <= 1e-12
 
 
 class TestFlowAccumulate:

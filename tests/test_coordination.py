@@ -43,6 +43,36 @@ class TestNodeCapacities:
         with pytest.raises(CapacityError, match="node 1"):
             NodeCapacities(gen_lo=[0], gen_hi=[10], net_lo=[0], net_hi=[9])
 
+    @pytest.mark.parametrize(
+        ("gen_lo", "gen_hi", "net_lo", "net_hi", "message"),
+        [
+            ([20], [10], [0], [30], "node 1: generation bounds [20.0, 10.0] inverted"),
+            ([1], [1], [5], [2], "node 1: net-power bounds [5.0, 2.0] inverted"),
+            ([0], [10], [1], [20], "node 1: generation interval [0.0, 10.0] not contained "
+             "in net-power interval [1.0, 20.0]"),
+            ([0], [10.5], [0], [9], "node 1: generation interval [0.0, 10.5] not contained "
+             "in net-power interval [0.0, 9.0]"),
+            # every check fails on this node; the first in order names it
+            ([5], [0], [9], [-9], "node 1: generation bounds [5.0, 0.0] inverted"),
+            # net bounds inverted and generation outside them: net first
+            ([0], [1], [5], [2], "node 1: net-power bounds [5.0, 2.0] inverted"),
+        ],
+    )
+    def test_error_text_names_the_node_and_its_first_failing_check(
+        self, gen_lo, gen_hi, net_lo, net_hi, message
+    ):
+        with pytest.raises(CapacityError) as info:
+            NodeCapacities(gen_lo=gen_lo, gen_hi=gen_hi, net_lo=net_lo, net_hi=net_hi)
+        assert str(info.value) == message
+
+    def test_the_lowest_bad_node_is_reported(self):
+        # node 2 fails the last check, node 4 the first: node order decides
+        with pytest.raises(CapacityError) as info:
+            NodeCapacities(gen_lo=[0, 0, 0, 8, 0], gen_hi=[1, 3, 1, 2, 1],
+                           net_lo=[0, 1, 0, 0, 0], net_hi=[1, 3, 1, 9, 1])
+        assert str(info.value) == ("node 2: generation interval [0.0, 3.0] not contained "
+                                   "in net-power interval [1.0, 3.0]")
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_bounds(self, bad):
         with pytest.raises(CapacityError, match="node 2: net_hi .* not finite"):

@@ -75,23 +75,35 @@ def _scenario(name: str):
 @pytest.mark.parametrize(
     ("name", "digest"),
     [
-        ("with", "4cb914456c66a81e"),
-        ("without", "0457c6e923306fbc"),
-        ("feeder-without", "9104279d9a2182e1"),
-        ("mesh-without", "187bd8751a40e30e"),
-        ("mesh-with", "3fa13fa4ad5db662"),
+        ("with", "6ffebcaec0e8f5fc"),
+        ("without", "f59db8b6e6ee64bb"),
+        ("feeder-without", "bc87ab17290dc8c9"),
+        ("mesh-without", "2cd26650b1dbeb5d"),
+        ("mesh-with", "f495f032145d6854"),
     ],
     ids=["with", "without", "feeder-without", "mesh-without", "mesh-with"],
 )
 def test_shipped_export_is_pinned(tmp_path, name, digest):
-    # With coordination every consensus call stops within plain rounds, so
-    # those bytes have not moved since the sparse weights landed. Without
-    # it, most flow calls run past the switch round K (82 rounds on this
-    # ring), so those bytes pin the Chebyshev rounds as well. On the 120-node
-    # feeder plain rounds fall behind the bound early in every ratio and
-    # flow call, so those bytes pin the switch rule; the 2000-node mesh
-    # pins the sparse rounds and the export at benchmark scale, and with
-    # coordination the seeded demand draw there too. A change here means
-    # the rounds, the seeded draws or the export format changed.
+    # On the measured spectral interval plain rounds fall behind the
+    # Chebyshev bound within a few rounds on every topology here: the
+    # shipped 6-node ring, the 120-node feeder and the 2000-node mesh. So
+    # the bytes pin the Lanczos interval, the switch rule and the Chebyshev
+    # rounds of every ratio and flow call; the mesh also pins the sparse
+    # rounds and the export at benchmark scale, and with coordination the
+    # seeded demand draw there too. A change here means the intervals, the
+    # rounds, the seeded draws or the export format changed.
     csv_path, _ = export_record(run(_scenario(name)), tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_repeated_runs_export_identical_bytes(tmp_path):
+    # The first run measures the feeder's spectral intervals and keeps them
+    # on the topology's shared weights; a second run reuses them, and a
+    # freshly parsed config measures them again. All three export the same
+    # bytes.
+    config = _scenario("feeder-without")
+    exports = []
+    for k, cfg in enumerate((config, config, _scenario("feeder-without"))):
+        csv_path, _ = export_record(run(cfg), tmp_path / str(k))
+        exports.append(csv_path.read_bytes())
+    assert exports[0] == exports[1] == exports[2]

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gridconsensus.graph as graph_mod
 from gridconsensus import (
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -23,8 +26,10 @@ from gridconsensus import (
     degree_weight_matrix,
     metropolis_edge_weights,
     metropolis_weight_matrix,
+    parse_config,
     random_connected_topology,
 )
+from conftest import tree_topology
 
 def dense_degree_reference(topology):
     """Loop-built dense degree weights: column j holds 1/(1 + deg(j)) at j
@@ -124,11 +129,16 @@ def test_weights_are_built_once_and_read_only():
         for arr in (w.indptr, w.indices, w.data):
             with pytest.raises(ValueError):
                 arr[0] = 7
-        # the gap sets every later caller's switch round, so it is fixed too
+        # the gap and the interval set every later caller's rounds, so they
+        # are fixed too
         for gap in (1.0, None):
             with pytest.raises(AttributeError):
                 w.gap = gap
         assert w.gap == topo.spectral_gap_bound
+        interval = w.interval
+        with pytest.raises(AttributeError):
+            w.interval = (-1.0, 0.0)
+        assert w.interval is interval
     # an equal topology built separately has its own instances
     assert degree_weight_matrix(build_topology(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) \
         is not degree_weight_matrix(topo)
@@ -211,6 +221,115 @@ def test_spectral_gap_bound_holds_for_both_weight_matrices():
             assert eig[-2] <= 1.0 - gap + 1e-12
             assert eig[0] >= -1.0 - 1e-12
     assert build_topology(1, []).spectral_gap_bound == 1.0
+
+
+def symmetrised_spectrum(weights) -> np.ndarray:
+    """Eigenvalues of diag(pi)^-1/2 W diag(pi)^1/2, ascending, from the
+    dense matrix (pi = ``weights.stationary``, ones when None)."""
+    n = weights.shape[0]
+    root = np.ones(n) if weights.stationary is None else np.sqrt(weights.stationary)
+    sym = weights.toarray() / root[:, None] * root[None, :]
+    assert np.max(np.abs(sym - sym.T)) <= 1e-15
+    return np.linalg.eigvalsh(sym)
+
+
+def test_stationary_vector_is_kept_by_the_weights():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        topo = random_connected_topology(int(rng.integers(1, 20)), rng)
+        q = degree_weight_matrix(topo)
+        assert np.array_equal(q.stationary, 1.0 + np.asarray(topo.degrees))
+        assert np.max(np.abs(q @ q.stationary - q.stationary)) <= 1e-13
+        assert metropolis_weight_matrix(topo).stationary is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("random", "path", "tree")),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_measured_interval_brackets_the_spectrum(kind, n, seed):
+    # Every eigenvalue but the consensus eigenvalue 1 lies in [lo, hi], to
+    # within float dust, and the interval sits inside Mohar's [-1, 1 - gap].
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        topo = random_connected_topology(n, rng, float(rng.uniform(0.0, 0.3)))
+    else:
+        topo = tree_topology(kind, n, rng)
+    for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
+        lo, hi = weights.interval
+        assert -1.0 <= lo <= hi <= 1.0 - weights.gap
+        eig = symmetrised_spectrum(weights)
+        assert abs(eig[-1] - 1.0) <= 1e-12
+        if n > 1:
+            assert lo - 1e-9 <= eig[0] and eig[-2] <= hi + 1e-9
+
+
+def test_interval_is_measured_on_first_use_only(monkeypatch):
+    # Neither set-up nor the weight build runs Lanczos; the first read of
+    # each matrix's interval does, once, and keeps it.
+    calls = []
+    measure = graph_mod._lanczos_interval
+    monkeypatch.setattr(graph_mod, "_lanczos_interval",
+                        lambda weights: calls.append(weights) or measure(weights))
+    config = parse_config({
+        "mode": "without", "horizon": 1,
+        "nodes": [{"id": i, "gen": [0, 10], "net": [-5, 15]} for i in range(1, 6)],
+        "edges": [[i, i + 1] for i in range(1, 5)],
+        "desired": {"kind": "seeded"},
+    })
+    q = degree_weight_matrix(config.topology)
+    s = metropolis_weight_matrix(config.topology)
+    assert calls == []
+    for _ in range(2):
+        assert q.interval == q.interval and s.interval == s.interval
+    assert calls == [q, s]
+
+
+def test_intervals_are_bit_identical_whichever_matrix_comes_first():
+    rng = np.random.default_rng(17)
+    for n in (2, 9, 40, 120):
+        edges = random_connected_topology(n, rng, 0.05).edges
+        first, second = build_topology(n, edges), build_topology(n, edges)
+        degree_first = [degree_weight_matrix(first).interval,
+                        metropolis_weight_matrix(first).interval]
+        metropolis_first = [metropolis_weight_matrix(second).interval,
+                            degree_weight_matrix(second).interval][::-1]
+        assert degree_first == metropolis_first
+
+
+def test_fallback_is_mohars_interval_on_the_same_weights():
+    topo = random_connected_topology(12, np.random.default_rng(19))
+    for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
+        fallback = weights.fallback()
+        assert fallback.interval == (-1.0, 1.0 - weights.gap)
+        assert fallback.gap == weights.gap and fallback.stationary is weights.stationary
+        assert fallback.data is weights.data and fallback.indices is weights.indices
+
+
+def test_shifted_weights_map_the_interval_onto_plus_minus_one_over_mu():
+    topo = build_topology(30, [(i, i + 1) for i in range(1, 30)])
+    for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
+        lo, hi = weights.interval
+        c = weights.shift
+        assert c == (lo + hi) / 2.0
+        p = weights.shifted()
+        assert p is weights.shifted()
+        expected = (weights.toarray() - c * np.eye(30)) / (1.0 - c)
+        assert np.max(np.abs(p.toarray() - expected)) <= 1e-15
+        mu = (1.0 - c) / ((hi - lo) / 2.0)
+        assert p.interval == pytest.approx((-1.0 / mu, 1.0 / mu), abs=1e-15)
+        # the column sums, and so the sums of the values, are kept
+        assert np.allclose(p.toarray().sum(axis=0), weights.toarray().sum(axis=0),
+                           atol=1e-14)
+
+
+def test_sparse_weights_reject_an_interval_outside_minus_1_1():
+    w = degree_weight_matrix(build_topology(2, [(1, 2)]))
+    for interval in ((-1.5, 0.0), (0.2, 0.1), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            SparseWeights(w.indptr, w.indices, w.data, w.gap, interval=interval)
 
 
 def test_degree_weights_path3_exact(path3):

@@ -38,6 +38,7 @@ from gridconsensus import (
     run,
 )
 from gridconsensus.consensus import _chebyshev_schedule
+from gridconsensus.graph import _lanczos_interval
 
 CRIT = ConvergenceCriteria()
 
@@ -107,9 +108,9 @@ def test_feeder_run_passes_every_audit_and_oracle(mode):
                             **source)
     record = run(config)
     assert record.all_audits_passed
-    # every call stops within twice the switch round (K = 1 657 here; the
-    # calls take 1 732 to 2 038 rounds); plain rounds took 43 000 to 86 000
-    switch = _chebyshev_schedule(topo.spectral_gap_bound, CRIT)[0]
+    # every call stops within twice the switch round K of Mohar's interval
+    # [-1, 1 - gap] (K = 1 657 here); plain rounds took 43 000 to 86 000
+    switch = _chebyshev_schedule((-1.0, 1.0 - topo.spectral_gap_bound), CRIT)[0]
     iters = np.concatenate((record.coord_iters, record.gen_iters, record.flow_iters))
     assert iters.max() <= 2 * switch
     p_G = caps.gen_lo
@@ -124,3 +125,16 @@ def test_feeder_run_passes_every_audit_and_oracle(mode):
             assert np.max(np.abs(record.delta[k] - oracle) / np.maximum(np.abs(oracle), 1.0)) \
                 <= 1e-8
         p_G = record.p_G[k]
+
+
+def test_lanczos_steps_stay_bounded_on_the_1002_node_feeder():
+    # The measured interval costs one Lanczos run per weight matrix, and
+    # steps are what it costs: each step is a round plus the
+    # reorthogonalisation against all earlier steps. This feeder takes 535
+    # (degree weights) and 600 (Metropolis) steps. Its symmetric laterals
+    # repeat eigenvalues, so Lanczos runs out of directions after 801 and
+    # 837 steps whatever its stopping rule: a bound at or above those could
+    # never fail. 700 sits between.
+    topo = TOPOLOGIES["feeder-1002"]()
+    for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
+        assert _lanczos_interval(weights)[1] <= 700
