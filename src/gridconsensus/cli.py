@@ -7,7 +7,6 @@ failure, 2 I/O or document-parse failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -17,7 +16,7 @@ import numpy as np
 from .config import load_config
 from .coordination import coordinate_closed_form, coordinate_distributed
 from .errors import GridConsensusError
-from .export import export_record, summarize
+from .export import export_record, summarize, write_table_csv
 from .simulation import (
     MODE_WITH,
     MODE_WITHOUT,
@@ -134,16 +133,10 @@ def cmd_coordinate(args) -> int:
     print(f"{'sum':>4}  {closed.desired.sum():>18.12f}  "
           f"{dist.desired.sum():>18.12f}  {np.max(gap):>12.3e}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("node", "closed_form", "distributed", "abs_difference"))
-            for i in range(caps.n):
-                writer.writerow((
-                    i + 1,
-                    format(closed.desired[i], ".17g"),
-                    format(dist.desired[i], ".17g"),
-                    format(gap[i], ".17g"),
-                ))
+        write_table_csv(
+            args.out, ("node", "closed_form", "distributed", "abs_difference"),
+            np.column_stack((closed.desired, dist.desired, gap)),
+        )
         print(f"wrote {args.out}")
     return 0
 

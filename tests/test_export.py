@@ -5,10 +5,16 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import math
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridconsensus import (
     SimulationRecord,
@@ -19,6 +25,7 @@ from gridconsensus import (
     run,
     write_timeseries_csv,
 )
+from gridconsensus.export import _g17
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
 
@@ -58,6 +65,126 @@ def test_timeseries_csv_golden(tmp_path):
         "2,total,2,2.0000000000000001e-300,0,2,0.30000000000000004,0.30000000000000004,"
         "0,0,12,345\n"
     )
+
+    # One step, three nodes, on the edges of the array formatter's fixed
+    # notation path: 1e-4 (in) and the double below it (out, exponent form),
+    # the double below 1e16 (in) and 1e16 (out), exact decimal ties that
+    # round half to even (…345.625 down, …456.25 down, …456.75 up), and -0
+    # beside fixed-path values.
+    record = SimulationRecord(
+        mode="without-coordination",
+        p_D=np.array([150.0]),
+        p_d=np.array([[1e-4, math.nextafter(1e-4, 0.0), -0.0]]),
+        delta=np.array([[math.nextafter(1e16, 0.0), 1e16, 123456789012345.625]]),
+        p_G=np.array([[-123456789012345.625, 1234567890123456.25, 0.125]]),
+        p_F_net=np.array([[-1e-4, 99999.999999999985, -9.5]]),
+        p=np.array([[0.00012345678901234567, 1.0000000000000002, -1234567890123456.75]]),
+        p_e=np.array([[-0.0, 2.5, 1e15 + 0.5]]),
+        coord_iters=np.array([0]),
+        gen_iters=np.array([23]),
+        flow_iters=np.array([31]),
+        audits=(),
+    )
+    write_timeseries_csv(record, path)
+    assert path.read_bytes().decode("utf-8") == (
+        "k,node,p_D,p_d,delta_pG,p_G,p_F_net,p_net,p_e,coord_iters,gen_iters,flow_iters\n"
+        "1,1,150,0.0001,9999999999999998,-123456789012345.62,-0.0001,"
+        "0.00012345678901234567,-0,0,23,31\n"
+        "1,2,150,9.9999999999999991e-05,10000000000000000,1234567890123456.2,"
+        "99999.999999999985,1.0000000000000002,2.5,0,23,31\n"
+        "1,3,150,-0,123456789012345.62,0.125,-9.5,-1234567890123456.8,"
+        "1000000000000000.5,0,23,31\n"
+        "1,total,150,0.00019999999999999998,20123456789012344,1111111101111110.8,"
+        "99990.499899999981,-1234567890123455.8,1000000000000003,0,23,31\n"
+    )
+
+
+def _assert_g17(values) -> None:
+    """Each row of ``_g17`` is the NUL-padded text of ``'%.17g' % v``."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = _g17(values)
+    assert rows.shape == (values.size, 24) and rows.dtype == np.uint8
+    got = [row.tobytes().rstrip(b"\0") for row in rows]
+    assert got == [("%.17g" % v).encode("ascii") for v in values.tolist()]
+
+
+def test_g17_on_decimal_edges():
+    powers = [10.0**p for p in range(-5, 18)]
+    edges = [
+        *powers,
+        *(math.nextafter(x, 0.0) for x in powers),
+        *(math.nextafter(x, math.inf) for x in powers),
+        1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e16, 0.0), 1e16,
+        123456789012345.625, 0.5, 2.5, 0.1, 1.0 / 3.0, 2.0**53, 2.0**53 + 2.0,
+        0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    ]
+    _assert_g17(edges + [-x for x in edges])
+    assert _g17(np.array([123456789012345.625]))[0].tobytes().rstrip(b"\0") == (
+        b"123456789012345.62"
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_g17_matches_percent_format_on_raw_bit_patterns(bits):
+    # Every double: nan payloads, infinities, signed zeros, subnormals.
+    _assert_g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(
+    st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from((x, -x))),
+    min_size=1, max_size=64,
+))
+def test_g17_matches_percent_format_on_the_fixed_notation_range(values):
+    _assert_g17(values)
+
+
+@st.composite
+def _exact_ties(draw) -> float:
+    """A double between 1e-4 and 2**51 whose exact decimal expansion has 18
+    significant digits, the last a 5: a tie for 17-digit rounding. With
+    ``digits`` integer digits (leading zeros after the point when <= 0) it
+    is an odd integer over 2**(18 - digits)."""
+    digits = draw(st.integers(-3, 16))
+    j = 18 - digits
+    low = math.ceil(Fraction(10) ** (digits - 1) * 2**j)
+    high = min(math.floor(Fraction(10) ** digits * 2**j), 2**53)
+    return (2 * draw(st.integers(low // 2, (high - 2) // 2)) + 1) / 2**j
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_exact_ties(), min_size=1, max_size=32))
+def test_g17_rounds_exact_ties_half_to_even(values):
+    for v in values:
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    _assert_g17(values + [-v for v in values])
+
+
+def test_csv_temporaries_stay_bounded_by_the_chunk(tmp_path):
+    # 100 000 node rows in one step. A writer holding one step's values as
+    # Python floats peaks at ~18 MB here; chunks of node rows keep ~1.5 MB,
+    # 0.6 MB of it the text of the node numbers.
+    rng = np.random.default_rng(0)
+    n = 100_000
+    series = rng.uniform(-60.0, 60.0, (6, 1, n))
+    series[5] *= 1e-9  # residuals: the exponent form, through Python
+    record = SimulationRecord(
+        mode="without-coordination",
+        p_D=np.array([150.0]),
+        p_d=series[0], delta=series[1], p_G=series[2],
+        p_F_net=series[3], p=series[4], p_e=series[5],
+        coord_iters=np.array([0]), gen_iters=np.array([9]), flow_iters=np.array([11]),
+        audits=(),
+    )
+    tracemalloc.start()
+    try:
+        write_timeseries_csv(record, tmp_path / "timeseries.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _scenario(name: str):
