@@ -46,7 +46,7 @@ ln(spread/eps)/acosh(mu) more: O(n) rounds on a radial feeder, where
 plain rounds need O(n^2).
 
 Lanczos can misjudge an interval, and so the Chebyshev rounds watch the
-same bound: they fall back once, at the first round t where
+same bound: they fall back at the first round t where
 
     spread_t * cosh((t - t0) acosh mu) > 2 sqrt(n) spread_t0,
 
@@ -54,11 +54,12 @@ t0 being the switch round. A correct interval keeps the flow rounds
 inside it (spread_t is at most twice the 2-norm of the error, which
 starts at most sqrt(n) spread_t0), and measured ratio rounds stay within
 twice the bound too. The call then starts over, from its current values,
-with plain rounds and then Chebyshev rounds on Mohar's interval
-[-1, 1 - gap] (``SparseWeights.fallback``), which holds on every graph.
-Sums are preserved throughout, so the restart loses nothing, and a wrong
-interval costs rounds, never the result. Dense ``np.ndarray`` weights
-carry no interval and stay plain: they are the reference engine.
+with plain rounds and then Chebyshev rounds on the wider interval
+[-1, 1 - (1 - hi)/4] (``SparseWeights.fallback``), and watches that one
+the same way, so an interval still too narrow widens again. Sums are
+preserved throughout, so a restart loses nothing, and a wrong interval
+costs rounds, never the result. Dense ``np.ndarray`` weights carry no
+interval and stay plain: they are the reference engine.
 """
 
 from __future__ import annotations
@@ -160,13 +161,13 @@ def _rounds(
     weights' interval, to round K at most; then ``chebyshev(weights)``,
     called once, returns the same function for their P. The module
     docstring gives both rules, and the fallback: Chebyshev rounds that
-    fall behind the measured interval's bound restart, from the current
-    arrays, on ``weights.fallback()``. Dense weights carry no interval and
-    stay plain.
+    fall behind their interval's bound restart, from the current arrays,
+    on ``weights.fallback()``, as often as they fall behind. Dense weights
+    carry no interval and stay plain.
     """
     eps, cap = criteria.eps, criteria.max_iters
     sparse = isinstance(weights, SparseWeights)
-    watch, t = sparse, 0
+    t = 0
     while True:
         switch, mu = _chebyshev_schedule(weights.interval, criteria) if sparse else (cap, 1.0)
         rate = math.acosh(mu)
@@ -201,15 +202,13 @@ def _rounds(
                 continue
             if s <= eps:
                 return t, a, b
-            if not watch:
-                continue
             if limit is None:
                 t0, limit = t, slack * s
             elif s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
                 break
         else:
             return None, a, b
-        weights, watch = weights.fallback(), False
+        weights = weights.fallback()
 
 
 def ratio_consensus(

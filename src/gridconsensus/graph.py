@@ -25,10 +25,8 @@ Each topology builds each matrix once and hands the same read-only
 instance to every caller. What the accelerated rounds in ``consensus``
 need to know about the graph is an interval holding every eigenvalue
 other than the consensus eigenvalue 1. Each matrix measures its own,
-``interval``, by Lanczos on the first read, and keeps it; Lanczos can
-misjudge it, so each also carries ``gap``, the topology's
-``spectral_gap_bound``, for Mohar's interval [-1, 1 - gap], which always
-holds and is far wider.
+``interval``, by Lanczos on the first read, and keeps it. Lanczos can
+misjudge it, so ``fallback()`` gives the same weights on a wider one.
 """
 
 from __future__ import annotations
@@ -55,9 +53,7 @@ class GridTopology:
 
     ``edges`` holds each unordered pair once as a sorted (i, j) tuple with
     1-based endpoints. ``neighbors[i]`` lists the 1-based neighbors of node
-    ``i+1``; ``degrees[i]`` is its degree. ``diameter_bound``, an upper
-    bound on the diameter, is worked out from three breadth-first searches
-    the first time the weights are built, not by ``build_topology``.
+    ``i+1``; ``degrees[i]`` is its degree.
     """
 
     n: int
@@ -75,45 +71,6 @@ class GridTopology:
         arr = np.asarray(self.edges, dtype=int).reshape(-1, 2) - 1
         arr.flags.writeable = False
         return arr[:, 0], arr[:, 1]
-
-    @cached_property
-    def diameter_bound(self) -> int:
-        """min(2 * ecc(1), 2 * ecc(m), n - 1), an upper bound on the diameter D.
-
-        Every node is within ecc(v) of any node v, so any two are within
-        2 * ecc(v) of each other. Node m is the midpoint of a double sweep:
-        the farthest node u from node 1, then a shortest path from u to the
-        node farthest from u. On a tree that path is a longest one, so
-        ecc(m) = ceil(D / 2) and the bound is at most D + 1; on any graph
-        it is at most 2 * D, like 2 * ecc(1) alone.
-        """
-        depth = _bfs_depths(self.neighbors, 1)
-        sweep = _bfs_depths(self.neighbors, depth.index(max(depth)))
-        mid = sweep.index(max(sweep))  # the far end of the path
-        for _ in range(max(sweep) // 2):  # walk halfway back towards u
-            mid = next(v for v in self.neighbors[mid - 1] if sweep[v] == sweep[mid] - 1)
-        ecc_mid = max(_bfs_depths(self.neighbors, mid))
-        return min(2 * max(depth), 2 * ecc_mid, self.n - 1)
-
-    @property
-    def spectral_gap_bound(self) -> float:
-        """A lower bound gap on 1 - lambda_2 of both weight matrices.
-
-        Mohar (1991) bounds the Laplacian's second eigenvalue by
-        lambda_2(L) >= 4 / (n * D) for diameter D. For either weight matrix
-        W, I - W is similar to a symmetric matrix whose second eigenvalue
-        is at least lambda_2(L) / (1 + max degree): (I + Deg)^(-1/2) L
-        (I + Deg)^(-1/2) for the degree weights, and the Laplacian with edge
-        weights 1 / (1 + max(deg i, deg j)) for the Metropolis weights. Any
-        upper bound on D keeps this valid, so ``diameter_bound`` stands in:
-        within 1 of D on a tree, where 2 * ecc(node 1) alone may double it
-        and so halve the gap.
-        Both matrices also keep every eigenvalue at or above -1. For
-        n >= 2 the bound never exceeds 1; a single node has no second
-        eigenvalue, and the cap keeps its interval meaningful.
-        """
-        spread = self.n * max(self.diameter_bound, 1) * (1 + max(self.degrees))
-        return min(1.0, 4.0 / spread)
 
     @cached_property
     def _degree_weights(self) -> SparseWeights:
@@ -154,19 +111,25 @@ def _bfs_depths(neighbors, source: int) -> list[int]:
 def build_topology(n: int, edges) -> GridTopology:
     """Validate a node count and edge list into a GridTopology.
 
-    Raises a distinct TopologyError subclass for each failure mode:
-    out-of-range endpoints, self-loops, duplicate edges, and
-    disconnectedness (checked by breadth-first traversal from node 1).
+    Raises TopologyError for a node count or an edge that is not one, and
+    a distinct subclass for each other failure mode: out-of-range
+    endpoints, self-loops, duplicate edges, and disconnectedness (checked
+    by breadth-first traversal from node 1). A bool is no integer here.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
 
     seen: set[tuple[int, int]] = set()
     canonical: list[tuple[int, int]] = []
     for edge in edges:
-        i, j = edge
+        try:
+            i, j = edge
+        except (TypeError, ValueError):
+            raise TopologyError(f"edge {edge!r} is not a pair of endpoints") from None
         for endpoint in (i, j):
-            if not isinstance(endpoint, (int, np.integer)) or not 1 <= endpoint <= n:
+            # True == 1 would pass the range check, and False == 0 fails it
+            if endpoint is True or not isinstance(endpoint, (int, np.integer)) \
+                    or not 1 <= endpoint <= n:
                 raise EndpointOutOfRangeError(
                     f"edge ({i}, {j}): endpoint {endpoint} outside 1..{n}"
                 )
@@ -207,41 +170,32 @@ class SparseWeights:
     The weights are reversible: W pi = pi for the positive vector
     ``stationary`` (None for symmetric weights, where pi is all ones), and
     diag(pi)^(-1/2) W diag(pi)^(1/2) is symmetric, so the spectrum is real.
-    ``gap`` promises that every eigenvalue other than the consensus
-    eigenvalue 1 lies in [-1, 1 - gap]. ``interval`` is a tighter [lo, hi]
-    for the same eigenvalues, measured from the weights by Lanczos on the
-    first read unless pinned at construction; ``consensus`` runs its
-    Chebyshev rounds on it, and on ``fallback()``, Mohar's [-1, 1 - gap],
-    if it proves wrong. All of these are read-only, like the arrays of the
-    shared instances, because they set the rounds of every later caller.
+    ``interval`` is an interval [lo, hi] holding every eigenvalue other
+    than the consensus eigenvalue 1, measured from the weights by Lanczos
+    on the first read unless pinned at construction; ``consensus`` runs
+    its Chebyshev rounds on it, and on ``fallback()``, a wider one, if it
+    proves wrong. Both are read-only, like the arrays of the shared
+    instances, because they set the rounds of every later caller.
     """
 
-    __slots__ = ("indptr", "indices", "data", "_gap", "_stationary", "_interval", "_starts",
-                 "_shifted")
+    __slots__ = ("indptr", "indices", "data", "_stationary", "_interval", "_starts", "_shifted")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, gap: float,
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                  stationary: np.ndarray | None = None,
                  interval: tuple[float, float] | None = None):
         if indices.shape != data.shape or indptr[-1] != data.shape[0]:
             raise ValueError("indptr, indices and data do not describe the same entries")
         if np.any(np.diff(indptr) < 1):
             raise ValueError("every row must store at least its diagonal entry")
-        if not 0.0 < gap <= 1.0:
-            raise ValueError(f"gap must lie in (0, 1], got {gap}")
         if interval is not None and not -1.0 <= interval[0] <= interval[1] < 1.0:
             raise ValueError(f"interval must satisfy -1 <= lo <= hi < 1, got {interval}")
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._gap = gap
         self._stationary = stationary
         self._interval = interval
         self._starts = indptr[:-1]
         self._shifted = None
-
-    @property
-    def gap(self) -> float:
-        return self._gap
 
     @property
     def stationary(self) -> np.ndarray | None:
@@ -266,10 +220,16 @@ class SparseWeights:
         return (lo + hi) / 2.0
 
     def fallback(self) -> SparseWeights:
-        """The same weights on Mohar's interval [-1, 1 - gap]: valid
-        whatever the measured one did, and far wider."""
-        return SparseWeights(self.indptr, self.indices, self.data, self._gap,
-                             self._stationary, (-1.0, 1.0 - self._gap))
+        """The same weights on [-1, 1 - (1 - hi)/4], hi the top of
+        ``interval``: the whole lower range, and the distance from hi to 1
+        cut to a quarter. That distance stops shrinking at 4u, u the unit
+        roundoff, so hi stays below 1, and mu above 1, however often a
+        call widens."""
+        hi = self.interval[1]
+        gap = (1.0 - hi) / 4.0
+        if gap >= 4.0 * _UNIT_ROUNDOFF:
+            hi = 1.0 - gap
+        return SparseWeights(self.indptr, self.indices, self.data, self._stationary, (-1.0, hi))
 
     def shifted(self) -> SparseWeights:
         """P = (W - cI)/(1 - c) with c = ``shift``, in the same storage.
@@ -286,10 +246,7 @@ class SparseWeights:
             diagonal = self.indices == np.repeat(np.arange(n), np.diff(self.indptr))
             data = np.where(diagonal, self.data - c, self.data) / (1.0 - c)
             data.flags.writeable = False
-            # the measured and Mohar's intervals keep c <= hi <= 1 - gap, so
-            # the gap stays in (0, 1]
-            self._shifted = SparseWeights(self.indptr, self.indices, data, self._gap / (1.0 - c),
-                                          self._stationary,
+            self._shifted = SparseWeights(self.indptr, self.indices, data, self._stationary,
                                           ((lo - c) / (1.0 - c), (hi - c) / (1.0 - c)))
         return self._shifted
 
@@ -352,9 +309,11 @@ def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]
     block of rows at a time as the steps need it. A Ritz value theta of
     the tridiagonal T
     with residual r has an eigenvalue of S within r, so the extreme Ritz
-    pairs give [max(theta_min - r_min, -1), min(theta_max + r, 1 - gap)],
-    the upper end capped by Mohar's bound, which holds whatever Lanczos
-    found. n = 1 leaves nothing to measure, and Mohar's interval stands.
+    pairs give [max(theta_min - r_min, -1), theta_max + r]. Lanczos stops
+    once r is at most a tenth of 1 - theta_max, so theta_max + r stays
+    below 1; where it stops because the Krylov space is invariant, its
+    Ritz values are eigenvalues and r is rounding, held to the same tenth.
+    n = 1 leaves no eigenvalue to bracket, and the interval is the point 0.
     """
     n = weights.shape[0]
     pi = weights.stationary
@@ -399,9 +358,9 @@ def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]
             if settled == _SETTLED_CHECKS:
                 break
     if not alpha:
-        return (-1.0, 1.0 - weights.gap), 0
+        return (0.0, 0.0), 0
     bottom, r_bottom = _ritz_pair(alpha, beta, b, -1.0)
-    hi = min(top + r, 1.0 - weights.gap)
+    hi = top + min(r, _RESIDUAL_SHARE * (1.0 - top))
     return (min(max(bottom - r_bottom, -1.0), hi), hi), len(alpha)
 
 
@@ -482,7 +441,7 @@ def _edge_weights(topology: GridTopology, upper, lower, diagonal,
     data = np.concatenate((lower, diagonal, upper))[order]
     for arr in (indptr, indices, data):
         arr.flags.writeable = False
-    return SparseWeights(indptr, indices, data, topology.spectral_gap_bound, stationary)
+    return SparseWeights(indptr, indices, data, stationary)
 
 
 def degree_weight_matrix(topology: GridTopology) -> SparseWeights:

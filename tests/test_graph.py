@@ -3,8 +3,9 @@
 Covers: edge-list validation (range, loops, duplicates, connectivity),
 canonical edge ordering, exact weight values on small graphs,
 stochasticity/symmetry properties over random connected graphs, the
-compressed-row weights against dense loop-built references, and their
-memory on a large ring.
+compressed-row weights against dense loop-built references, their
+memory on a large ring, and the measured spectral interval and its
+widened fallback.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import gridconsensus.graph as graph_mod
 from gridconsensus import (
+    ConvergenceCriteria,
     DisconnectedGraphError,
     DuplicateEdgeError,
     EndpointOutOfRangeError,
@@ -29,6 +31,7 @@ from gridconsensus import (
     parse_config,
     random_connected_topology,
 )
+from gridconsensus.consensus import _chebyshev_schedule
 from conftest import tree_topology
 
 def dense_degree_reference(topology):
@@ -75,8 +78,17 @@ def test_build_topology_single_node():
 def test_endpoint_out_of_range():
     with pytest.raises(EndpointOutOfRangeError):
         build_topology(3, [(1, 2), (2, 4)])
-    with pytest.raises(EndpointOutOfRangeError):
-        build_topology(3, [(0, 1)])
+    # True == 1, but an endpoint is a node number, not a flag
+    for edge in ((0, 1), (True, 2), (1, False), (np.int64(1), True)):
+        with pytest.raises(EndpointOutOfRangeError):
+            build_topology(3, [edge, (2, 3)])
+
+
+def test_malformed_edge_rejected():
+    for edge in ((1, 2, 3), (1,), 7, None):
+        with pytest.raises(TopologyError, match="not a pair") as info:
+            build_topology(3, [(1, 2), edge, (2, 3)])
+        assert repr(edge) in str(info.value)
 
 
 def test_self_loop_rejected():
@@ -96,9 +108,20 @@ def test_disconnected_rejected():
         build_topology(2, [])
 
 
+def test_bfs_depths_are_hop_distances_from_the_source():
+    # the traversal behind the connectivity check: entry 0 unused, -1 for
+    # a node the source cannot reach
+    star = build_topology(5, [(1, 2), (1, 3), (1, 4), (4, 5)])
+    assert graph_mod._bfs_depths(star.neighbors, 1) == [-1, 0, 1, 1, 1, 2]
+    assert graph_mod._bfs_depths(star.neighbors, 5) == [-1, 2, 3, 3, 1, 0]
+    split = ((2,), (1,), (4,), (3,))
+    assert graph_mod._bfs_depths(split, 3) == [-1, -1, -1, 0, 1]
+
+
 def test_bad_node_count():
-    with pytest.raises(TopologyError):
-        build_topology(0, [])
+    for n in (0, -1, 2.0, True, False):
+        with pytest.raises(TopologyError, match="node count"):
+            build_topology(n, [])
 
 
 def test_edge_index_arrays():
@@ -129,12 +152,7 @@ def test_weights_are_built_once_and_read_only():
         for arr in (w.indptr, w.indices, w.data):
             with pytest.raises(ValueError):
                 arr[0] = 7
-        # the gap and the interval set every later caller's rounds, so they
-        # are fixed too
-        for gap in (1.0, None):
-            with pytest.raises(AttributeError):
-                w.gap = gap
-        assert w.gap == topo.spectral_gap_bound
+        # the interval sets every later caller's rounds, so it is fixed too
         interval = w.interval
         with pytest.raises(AttributeError):
             w.interval = (-1.0, 0.0)
@@ -142,85 +160,6 @@ def test_weights_are_built_once_and_read_only():
     # an equal topology built separately has its own instances
     assert degree_weight_matrix(build_topology(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) \
         is not degree_weight_matrix(topo)
-
-
-def all_pairs_diameter(topology) -> int:
-    """Longest shortest path, by repeated squaring of the reachability
-    matrix (reference for the recorded bound)."""
-    n = topology.n
-    reach = np.eye(n, dtype=bool)
-    heads, tails = topology.edge_index_arrays()
-    adj = reach.copy()
-    adj[heads, tails] = adj[tails, heads] = True
-    steps = 0
-    while not reach.all():
-        reach = (reach.astype(int) @ adj.astype(int)) > 0
-        steps += 1
-    return steps
-
-
-def test_diameter_bound_brackets_the_diameter():
-    cases = [build_topology(1, []), build_topology(2, [(1, 2)]),
-             build_topology(7, [(i, i + 1) for i in range(1, 7)]),
-             build_topology(7, [(i, i + 1) for i in range(3, 7)] + [(1, 2), (1, 3)]),
-             build_topology(6, [(1, i) for i in range(2, 7)])]
-    rng = np.random.default_rng(43)
-    cases += [random_connected_topology(int(rng.integers(2, 25)), rng, 0.05)
-              for _ in range(40)]
-    for topo in cases:
-        d = all_pairs_diameter(topo)
-        assert d <= topo.diameter_bound <= min(2 * d, topo.n - 1)
-    # the path 1-2-...-7 seen from its end: 2 * 6 is capped at n - 1 = 6;
-    # the star seen from its hub: 2 * 1 is the diameter
-    assert cases[2].diameter_bound == 6
-    assert cases[4].diameter_bound == 2
-
-
-def test_diameter_bound_is_within_one_of_a_tree_diameter():
-    # 2 * ecc(node 1) alone reaches 2 * D on a tree seen from a leaf; the
-    # midpoint of the double sweep is a center, within ceil(D / 2) of all
-    rng = np.random.default_rng(67)
-    for _ in range(40):
-        topo = random_connected_topology(int(rng.integers(2, 60)), rng, 0.0)
-        d = all_pairs_diameter(topo)
-        assert d <= topo.diameter_bound <= d + 1
-    # a broom: node 1 at the tip of a 10-node handle, 12 bristles at its
-    # far end; D = 10, 2 * ecc(1) = 20 and n - 1 = 21
-    broom = build_topology(22, [(i, i + 1) for i in range(1, 10)]
-                           + [(10, j) for j in range(11, 23)])
-    assert broom.diameter_bound == 10
-
-
-def test_diameter_bound_waits_for_the_weights():
-    # build_topology (set-up) does no search beyond its connectivity check;
-    # the first weight build works the bound out and keeps it
-    topo = build_topology(7, [(i, i + 1) for i in range(1, 7)])
-    assert "diameter_bound" not in vars(topo)
-    degree_weight_matrix(topo)
-    assert vars(topo)["diameter_bound"] == 6
-
-
-def test_spectral_gap_bound_holds_for_both_weight_matrices():
-    # every eigenvalue other than the consensus eigenvalue 1 lies in
-    # [-1, 1 - gap]; the degree weights are similar to a symmetric matrix,
-    # so their spectrum is real
-    rng = np.random.default_rng(47)
-    cases = [build_topology(2, [(1, 2)]),
-             build_topology(9, [(i, i + 1) for i in range(1, 9)]),
-             build_topology(9, [(i, i + 1) for i in range(1, 9)] + [(1, 9)]),
-             build_topology(8, [(1, i) for i in range(2, 9)])]
-    cases += [random_connected_topology(int(rng.integers(2, 30)), rng, float(p))
-              for p in rng.uniform(0.0, 0.5, 60)]
-    for topo in cases:
-        gap = topo.spectral_gap_bound
-        assert 0.0 < gap <= 1.0
-        for w in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
-            assert w.gap == gap
-            eig = np.sort(np.linalg.eigvals(w.toarray()).real)
-            assert abs(eig[-1] - 1.0) <= 1e-12
-            assert eig[-2] <= 1.0 - gap + 1e-12
-            assert eig[0] >= -1.0 - 1e-12
-    assert build_topology(1, []).spectral_gap_bound == 1.0
 
 
 def symmetrised_spectrum(weights) -> np.ndarray:
@@ -251,7 +190,7 @@ def test_stationary_vector_is_kept_by_the_weights():
 )
 def test_measured_interval_brackets_the_spectrum(kind, n, seed):
     # Every eigenvalue but the consensus eigenvalue 1 lies in [lo, hi], to
-    # within float dust, and the interval sits inside Mohar's [-1, 1 - gap].
+    # within float dust, and the interval sits inside [-1, 1).
     rng = np.random.default_rng(seed)
     if kind == "random":
         topo = random_connected_topology(n, rng, float(rng.uniform(0.0, 0.3)))
@@ -259,7 +198,7 @@ def test_measured_interval_brackets_the_spectrum(kind, n, seed):
         topo = tree_topology(kind, n, rng)
     for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
         lo, hi = weights.interval
-        assert -1.0 <= lo <= hi <= 1.0 - weights.gap
+        assert -1.0 <= lo <= hi < 1.0
         eig = symmetrised_spectrum(weights)
         assert abs(eig[-1] - 1.0) <= 1e-12
         if n > 1:
@@ -299,13 +238,60 @@ def test_intervals_are_bit_identical_whichever_matrix_comes_first():
         assert degree_first == metropolis_first
 
 
-def test_fallback_is_mohars_interval_on_the_same_weights():
+def test_fallback_widens_the_interval_on_the_same_weights():
     topo = random_connected_topology(12, np.random.default_rng(19))
     for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
-        fallback = weights.fallback()
-        assert fallback.interval == (-1.0, 1.0 - weights.gap)
-        assert fallback.gap == weights.gap and fallback.stationary is weights.stationary
-        assert fallback.data is weights.data and fallback.indices is weights.indices
+        hi = weights.interval[1]
+        wide = weights.fallback()
+        assert wide.interval == (-1.0, 1.0 - (1.0 - hi) / 4.0)
+        assert wide.stationary is weights.stationary
+        assert wide.data is weights.data and wide.indices is weights.indices
+        # widening again quarters the distance to 1 again, down to 4u and
+        # no further: hi never reaches 1, which SparseWeights rejects, and mu
+        # and the switch round K stay finite
+        his = [hi]
+        for _ in range(40):
+            wide = wide.fallback()
+            his.append(wide.interval[1])
+        assert his == sorted(his) and his[-1] == his[-2] < 1.0
+        assert 1.0 - his[-1] >= 4.0 * graph_mod._UNIT_ROUNDOFF
+        switch, mu = _chebyshev_schedule(wide.interval, ConvergenceCriteria())
+        assert mu > 1.0 and switch < np.inf
+
+
+def test_breakdown_measures_the_spectrum_edges_below_one():
+    # Below the settled rule's fifteen steps Lanczos can only stop at a
+    # breakdown: the Krylov space is invariant, its Ritz values are the
+    # extreme eigenvalues, and hi stays below 1 without any cap from the
+    # graph
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 5, 8, 12):
+        for topo in (build_topology(n, [(i, i + 1) for i in range(1, n)]),
+                     random_connected_topology(n, rng, 0.4)):
+            for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
+                (lo, hi), steps = graph_mod._lanczos_interval(weights)
+                assert steps <= n - 1
+                eig = symmetrised_spectrum(weights)
+                assert hi == pytest.approx(eig[-2], abs=1e-12)
+                assert lo == pytest.approx(eig[0], abs=1e-12)
+                assert hi < 1.0
+
+
+def test_widening_measures_nothing_again(monkeypatch):
+    # the widened interval comes from hi alone: after the first measurement
+    # neither fallback() nor the shifted weights on the widened interval
+    # run Lanczos
+    calls = []
+    measure = graph_mod._lanczos_interval
+    monkeypatch.setattr(graph_mod, "_lanczos_interval",
+                        lambda weights: calls.append(weights) or measure(weights))
+    weights = degree_weight_matrix(build_topology(20, [(i, i + 1) for i in range(1, 20)]))
+    wide = weights
+    for _ in range(5):
+        wide = wide.fallback()
+        wide.shifted()
+    assert calls == [weights]
+    assert wide.interval[0] == -1.0 and weights.interval[1] < wide.interval[1] < 1.0
 
 
 def test_shifted_weights_map_the_interval_onto_plus_minus_one_over_mu():
@@ -329,7 +315,7 @@ def test_sparse_weights_reject_an_interval_outside_minus_1_1():
     w = degree_weight_matrix(build_topology(2, [(1, 2)]))
     for interval in ((-1.5, 0.0), (0.2, 0.1), (0.0, 1.0)):
         with pytest.raises(ValueError):
-            SparseWeights(w.indptr, w.indices, w.data, w.gap, interval=interval)
+            SparseWeights(w.indptr, w.indices, w.data, interval=interval)
 
 
 def test_degree_weights_path3_exact(path3):
@@ -419,19 +405,12 @@ def test_sparse_round_matches_dense_product():
             assert np.all(np.abs(w @ x - dense @ x) <= 1e-13 * scale)
 
 
-def test_sparse_weights_reject_a_gap_outside_0_1():
-    w = degree_weight_matrix(build_topology(2, [(1, 2)]))
-    for gap in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            SparseWeights(w.indptr, w.indices, w.data, gap=gap)
-
-
 def test_sparse_weights_reject_empty_rows():
     # an empty row would make reduceat return the next row's first product
     with pytest.raises(ValueError):
-        SparseWeights(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), gap=1.0)
+        SparseWeights(np.array([0, 1, 1]), np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        SparseWeights(np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0]), gap=1.0)
+        SparseWeights(np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0]))
 
 
 def test_weights_memory_is_linear_on_large_ring():
