@@ -67,18 +67,17 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDenominatorError
 from .graph import _UNIT_ROUNDOFF, GridTopology, SparseWeights, metropolis_edge_weights
+from .graph import _chebyshev_mu
 
 # Denominators below this are treated as collapsed rather than divided by.
 # It guards a division, not a result, so no tolerance derives from it.
 DENOMINATOR_FLOOR = 1e-12
-# Half-widths below this are rounding noise around a one-point spectrum;
-# flooring them keeps mu finite.
-_HALF_WIDTH_FLOOR = math.sqrt(_UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ class ConvergenceCriteria:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not isinstance(self.eps, Real) or self.eps is True or not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be a positive finite number, got {self.eps!r}")
         if type(self.max_iters) is not int or self.max_iters < 1:  # bool subclasses int
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
@@ -133,8 +132,7 @@ def _chebyshev_schedule(
     """The switch round K at the latest and mu, for weights whose
     eigenvalues other than 1 lie in ``interval`` (see the module
     docstring)."""
-    lo, hi = interval
-    mu = (1.0 - (lo + hi) / 2.0) / max((hi - lo) / 2.0, _HALF_WIDTH_FLOOR)
+    mu = _chebyshev_mu(interval)
     # ln(2/eps) as a difference: 2/eps overflows for a subnormal eps
     return math.ceil((math.log(2.0) - math.log(criteria.eps)) / math.acosh(mu)), mu
 

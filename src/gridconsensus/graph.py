@@ -1,8 +1,8 @@
 """Grid topology and consensus weight matrices.
 
-Nodes are numbered 1..n in the public API (edge lists, neighbor sets,
-leader indices); matrices and other arrays are 0-indexed with row/column
-``i`` belonging to node ``i+1``.
+Nodes are numbered 1..n in the public API (edge lists, leader indices);
+matrices and other arrays are 0-indexed with row/column ``i`` belonging
+to node ``i+1``.
 
 Two weight matrices drive every iteration in this package:
 
@@ -52,13 +52,12 @@ class GridTopology:
     """Undirected connected graph of power nodes.
 
     ``edges`` holds each unordered pair once as a sorted (i, j) tuple with
-    1-based endpoints. ``neighbors[i]`` lists the 1-based neighbors of node
-    ``i+1``; ``degrees[i]`` is its degree.
+    1-based endpoints, in increasing order; ``degrees[i]`` is the degree of
+    node ``i+1``.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    neighbors: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +111,15 @@ def build_topology(n: int, edges) -> GridTopology:
     """Validate a node count and edge list into a GridTopology.
 
     Raises TopologyError for a node count or an edge that is not one, and
-    a distinct subclass for each other failure mode: out-of-range
-    endpoints, self-loops, duplicate edges, and disconnectedness (checked
-    by breadth-first traversal from node 1). A bool is no integer here.
+    a distinct subclass for each other failure mode: endpoints not integers
+    or outside 1..n (a bool is no integer here), self-loops, duplicate
+    edges, and disconnectedness (checked by breadth-first traversal from
+    node 1). Each message quotes the edge as given.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
 
     seen: set[tuple[int, int]] = set()
-    canonical: list[tuple[int, int]] = []
     for edge in edges:
         try:
             i, j = edge
@@ -130,32 +129,31 @@ def build_topology(n: int, edges) -> GridTopology:
             # True == 1 would pass the range check, and False == 0 fails it
             if endpoint is True or not isinstance(endpoint, (int, np.integer)) \
                     or not 1 <= endpoint <= n:
-                raise EndpointOutOfRangeError(
-                    f"edge ({i}, {j}): endpoint {endpoint} outside 1..{n}"
-                )
+                integer = isinstance(endpoint, (int, np.integer)) and type(endpoint) is not bool
+                problem = f"outside 1..{n}" if integer else "is not an integer"
+                raise EndpointOutOfRangeError(f"edge {edge!r}: endpoint {endpoint!r} {problem}")
         if i == j:
-            raise SelfLoopError(f"edge ({i}, {j}) is a self-loop")
+            raise SelfLoopError(f"edge {edge!r} is a self-loop")
         pair = (int(min(i, j)), int(max(i, j)))
         if pair in seen:
-            raise DuplicateEdgeError(f"edge {pair} appears more than once")
+            raise DuplicateEdgeError(f"edge {edge!r} repeats the edge {pair}")
         seen.add(pair)
-        canonical.append(pair)
-    canonical.sort()
+    canonical = sorted(seen)
 
+    # Each list comes out in increasing order because the edges are sorted.
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, j in canonical:
         adjacency[i - 1].append(j)
         adjacency[j - 1].append(i)
-    neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
 
-    depth = _bfs_depths(neighbors, 1)
+    depth = _bfs_depths(adjacency, 1)
     if depth.count(-1) > 1:
         missing = [v for v in range(1, n + 1) if depth[v] < 0]
         raise DisconnectedGraphError(
             f"graph is disconnected: nodes {missing} unreachable from node 1"
         )
-    degrees = tuple(len(nbrs) for nbrs in neighbors)
-    return GridTopology(n=n, edges=tuple(canonical), neighbors=neighbors, degrees=degrees)
+    degrees = tuple(len(nbrs) for nbrs in adjacency)
+    return GridTopology(n=n, edges=tuple(canonical), degrees=degrees)
 
 
 class SparseWeights:
@@ -187,8 +185,9 @@ class SparseWeights:
             raise ValueError("indptr, indices and data do not describe the same entries")
         if np.any(np.diff(indptr) < 1):
             raise ValueError("every row must store at least its diagonal entry")
-        if interval is not None and not -1.0 <= interval[0] <= interval[1] < 1.0:
-            raise ValueError(f"interval must satisfy -1 <= lo <= hi < 1, got {interval}")
+        if interval is not None and not (-1.0 <= interval[0] <= interval[1] < 1.0
+                                         and _chebyshev_mu(interval) > 1.0):
+            raise ValueError(f"interval must satisfy -1 <= lo <= hi < 1 and mu > 1, got {interval}")
         self.indptr = indptr
         self.indices = indices
         self.data = data
@@ -224,7 +223,7 @@ class SparseWeights:
         ``interval``: the whole lower range, and the distance from hi to 1
         cut to a quarter. That distance stops shrinking at 4u, u the unit
         roundoff, so hi stays below 1, and mu above 1, however often a
-        call widens."""
+        call widens; only a pinned hi of nextafter(1, 0) has none."""
         hi = self.interval[1]
         gap = (1.0 - hi) / 4.0
         if gap >= 4.0 * _UNIT_ROUNDOFF:
@@ -290,11 +289,21 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 # A Lanczos vector shorter than this after reorthogonalisation is rounding
 # noise: the Krylov space is invariant, and its Ritz values are exact.
 _BREAKDOWN = math.sqrt(_UNIT_ROUNDOFF)
+# Half-widths below this are rounding noise around a one-point spectrum;
+# flooring them keeps mu finite.
+_HALF_WIDTH_FLOOR = math.sqrt(_UNIT_ROUNDOFF)
 # Laguerre's iteration converges cubically; this many steps is a backstop.
 _LAGUERRE_STEPS = 50
 # Inverse iteration shifts this far beyond the root: far above the root's
 # rounding error, far below the Ritz value gaps the interval resolves.
 _NUDGE = 1e-10
+
+
+def _chebyshev_mu(interval: tuple[float, float]) -> float:
+    """mu = (1 - c)/((hi - lo)/2) of ``interval``, c its middle, with the
+    half-width floored; the Chebyshev rounds in ``consensus`` need mu > 1."""
+    lo, hi = interval
+    return (1.0 - (lo + hi) / 2.0) / max((hi - lo) / 2.0, _HALF_WIDTH_FLOOR)
 
 
 def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]:

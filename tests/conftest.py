@@ -60,6 +60,16 @@ def path_topology(n: int):
     return build_topology(n, [(i, i + 1) for i in range(1, n)])
 
 
+def neighbor_lists(topology):
+    """Each node's 1-based neighbors, read from ``topology.edges``: entry i
+    belongs to node i + 1."""
+    lists = [[] for _ in range(topology.n)]
+    for i, j in topology.edges:
+        lists[i - 1].append(j)
+        lists[j - 1].append(i)
+    return lists
+
+
 def random_capacities(rng: np.random.Generator, n: int) -> NodeCapacities:
     """Consistent random capacities; generation ranges kept <= 100 so
     consensus dust stays well under the 1e-8 comparison slack."""

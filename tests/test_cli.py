@@ -63,6 +63,12 @@ class TestValidate:
         assert code == 1
         assert "eps: expected a finite number" in capsys.readouterr().err
 
+    def test_non_integer_endpoint_is_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, edges=[[1, 1.5]])
+        code = main(["validate", "--config", str(path)])
+        assert code == 1
+        assert "edges: edge [1, 1.5]: endpoint 1.5 is not an integer" in capsys.readouterr().err
+
     def test_unreadable_file_is_exit_2(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "missing.json")])
         assert code == 2

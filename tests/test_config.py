@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridconsensus import (
     ConfigError,
@@ -15,6 +17,8 @@ from gridconsensus import (
     MODE_WITH,
     MODE_WITHOUT,
     ScenarioConfig,
+    TopologyError,
+    build_topology,
     config_to_dict,
     default_config_path,
     dump_config,
@@ -138,6 +142,20 @@ class TestParse:
         doc["edges"] = []
         with pytest.raises(ConfigError, match="edges"):
             parse_config(doc)
+
+    def test_edge_errors_are_build_topologys_own(self):
+        # parse_config checks only that edges is a list: every other edge
+        # message comes from build_topology, behind the field name
+        for edges in ([[1, 1.5]], [[1, "1"]], [[True, 2]], [[1, 3]], [[1, 1]],
+                      [[1, 2], [2, 1]], [[1, 2, 3]], [7], [None], [], [[1, 2], "12"]):
+            doc = good_doc()
+            doc["edges"] = edges
+            with pytest.raises(TopologyError) as expected:
+                build_topology(2, edges)
+            with pytest.raises(ConfigError) as info:
+                parse_config(doc)
+            assert str(info.value) == "edges: " + str(expected.value)
+            assert type(info.value.__cause__) is type(expected.value)
 
     def test_seeded_source_with_values(self):
         doc = good_doc()
@@ -292,3 +310,61 @@ def test_parse_does_not_mutate_input():
     snapshot = copy.deepcopy(doc)
     parse_config(doc)
     assert doc == snapshot
+
+
+def rich_doc():
+    """A valid document that sets every field, so that each one can be
+    replaced."""
+    return {
+        "mode": "without",
+        "horizon": 2,
+        "seed": 4,
+        "leader": 2,
+        "eps": 1e-9,
+        "max_iters": 5000,
+        "nodes": [
+            {"id": 1, "gen": [0, 10], "net": [-5, 15]},
+            {"id": 2, "gen": [5, 25], "net": [0, 30]},
+            {"id": 3, "gen": [0, 5], "net": [-5, 5]},
+        ],
+        "edges": [[1, 2], [3, 2]],
+        "desired": {"kind": "explicit", "values": [[5.0, 10.0, 1.0], [6.0, 11.0, 2.0]]},
+        "initial_generation": [5.0, 10.0, 1.0],
+    }
+
+
+def field_paths(value, path=()):
+    """The path of every value inside ``value``, at every depth."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("path", list(field_paths(rich_doc())),
+                         ids=lambda path: ".".join(map(str, path)))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_one_bad_field_raises_config_error(path, value):
+    # top level, a node and its fields, an edge, an endpoint, a source,
+    # initial_generation: whatever JSON replaces it, the checks that moved
+    # out of parse_config still answer with a ConfigError and nothing else
+    doc = rich_doc()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        config = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(config, ScenarioConfig)

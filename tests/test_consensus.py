@@ -82,9 +82,12 @@ def test_criteria_validation():
         ConvergenceCriteria(eps=0.0)
     with pytest.raises(ValueError):
         ConvergenceCriteria(eps=-1e-9)
-    for bad in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="finite"):
+    # a bool is no number, as it is no integer for max_iters; a string or
+    # None fails with a ValueError, not a TypeError from the range check
+    for bad in (float("inf"), float("nan"), True, "1e-10", None, 1e-10j):
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
             ConvergenceCriteria(eps=bad)
+    assert ConvergenceCriteria(eps=np.float64(1e-9)).eps == 1e-9
     with pytest.raises(ValueError):
         ConvergenceCriteria(max_iters=0)
     # range() would reject these only at the first run, with a TypeError

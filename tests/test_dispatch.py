@@ -32,7 +32,12 @@ from gridconsensus import (
     metropolis_weight_matrix,
     random_connected_topology,
 )
-from conftest import DESIRED_AT_150, fixed_capacities, random_generation_instance
+from conftest import (
+    DESIRED_AT_150,
+    fixed_capacities,
+    neighbor_lists,
+    random_generation_instance,
+)
 
 CRIT = ConvergenceCriteria()
 # Rounding that CRIT.tolerance grants per unit of summed magnitude on six
@@ -244,12 +249,13 @@ class TestFlowClosedForm:
             mism = rng.uniform(-10.0, 10.0, n)
             mism -= mism.mean()
             flows = flow_closed_form(mism, tree)
+            neighbors = neighbor_lists(tree)
             for e, (i, j) in enumerate(tree.edges):
                 # the side of edge (i, j) that holds i sends its total to j
                 side, frontier = {i}, [i]
                 while frontier:
                     u = frontier.pop()
-                    for v in tree.neighbors[u - 1]:
+                    for v in neighbors[u - 1]:
                         if v not in side and (u, v) != (i, j):
                             side.add(v)
                             frontier.append(v)

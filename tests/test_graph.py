@@ -10,6 +10,8 @@ widened fallback.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from gridconsensus import (
     random_connected_topology,
 )
 from gridconsensus.consensus import _chebyshev_schedule
-from conftest import tree_topology
+from conftest import neighbor_lists, tree_topology
 
 def dense_degree_reference(topology):
     """Loop-built dense degree weights: column j holds 1/(1 + deg(j)) at j
@@ -40,9 +42,9 @@ def dense_degree_reference(topology):
     n = topology.n
     w = np.zeros((n, n))
     share = 1.0 / (1.0 + np.asarray(topology.degrees, dtype=float))
-    for j in range(n):
+    for j, nbrs in enumerate(neighbor_lists(topology)):
         w[j, j] = share[j]
-        for nbr in topology.neighbors[j]:
+        for nbr in nbrs:
             w[nbr - 1, j] = share[j]
     return w
 
@@ -64,7 +66,6 @@ def dense_metropolis_reference(topology):
 def test_build_topology_canonicalizes_edges():
     topo = build_topology(4, [(3, 2), (1, 2), (4, 3)])
     assert topo.edges == ((1, 2), (2, 3), (3, 4))
-    assert topo.neighbors == ((2,), (1, 3), (2, 4), (3,))
     assert topo.degrees == (1, 2, 2, 1)
 
 
@@ -82,6 +83,29 @@ def test_endpoint_out_of_range():
     for edge in ((0, 1), (True, 2), (1, False), (np.int64(1), True)):
         with pytest.raises(EndpointOutOfRangeError):
             build_topology(3, [edge, (2, 3)])
+
+
+def test_edge_errors_quote_the_edge_and_say_what_is_wrong():
+    # build_topology is the only edge check on the way from a config file,
+    # so its messages say whether an endpoint is not an integer or is out
+    # of range, and quote the edge as given
+    cases = (
+        ([1, 1.5], "endpoint 1.5 is not an integer"),
+        ([1, "1"], "endpoint '1' is not an integer"),
+        ([True, 2], "endpoint True is not an integer"),
+        ((2, False), "endpoint False is not an integer"),
+        ([0, 1], "endpoint 0 outside 1..3"),
+        ((np.int64(2), 4), "endpoint 4 outside 1..3"),
+    )
+    for edge, problem in cases:
+        with pytest.raises(EndpointOutOfRangeError) as info:
+            build_topology(3, [(1, 2), edge, (2, 3)])
+        assert str(info.value) == f"edge {edge!r}: {problem}"
+    with pytest.raises(SelfLoopError, match=r"^edge \[2, 2\] is a self-loop$"):
+        build_topology(3, [[1, 2], [2, 2]])
+    with pytest.raises(DuplicateEdgeError,
+                       match=r"^edge \[2, 1\] repeats the edge \(1, 2\)$"):
+        build_topology(3, [[1, 2], [2, 1]])
 
 
 def test_malformed_edge_rejected():
@@ -112,8 +136,8 @@ def test_bfs_depths_are_hop_distances_from_the_source():
     # the traversal behind the connectivity check: entry 0 unused, -1 for
     # a node the source cannot reach
     star = build_topology(5, [(1, 2), (1, 3), (1, 4), (4, 5)])
-    assert graph_mod._bfs_depths(star.neighbors, 1) == [-1, 0, 1, 1, 1, 2]
-    assert graph_mod._bfs_depths(star.neighbors, 5) == [-1, 2, 3, 3, 1, 0]
+    assert graph_mod._bfs_depths(neighbor_lists(star), 1) == [-1, 0, 1, 1, 1, 2]
+    assert graph_mod._bfs_depths(neighbor_lists(star), 5) == [-1, 2, 3, 3, 1, 0]
     split = ((2,), (1,), (4,), (3,))
     assert graph_mod._bfs_depths(split, 3) == [-1, -1, -1, 0, 1]
 
@@ -252,11 +276,22 @@ def test_fallback_widens_the_interval_on_the_same_weights():
         his = [hi]
         for _ in range(40):
             wide = wide.fallback()
+            wide.shifted()  # every widened interval, and its shift, constructs
             his.append(wide.interval[1])
         assert his == sorted(his) and his[-1] == his[-2] < 1.0
         assert 1.0 - his[-1] >= 4.0 * graph_mod._UNIT_ROUNDOFF
         switch, mu = _chebyshev_schedule(wide.interval, ConvergenceCriteria())
         assert mu > 1.0 and switch < np.inf
+    # the constructor decides with the schedule's own mu, bit for bit: at the
+    # 4u cap mu is one step above 1, and only a pinned hi of nextafter(1, 0)
+    # cannot widen
+    capped = (-1.0, 1.0 - 4.0 * graph_mod._UNIT_ROUNDOFF)
+    assert graph_mod._chebyshev_mu(capped) == 1.0000000000000004
+    SparseWeights(weights.indptr, weights.indices, weights.data, interval=capped).shifted()
+    top = SparseWeights(weights.indptr, weights.indices, weights.data,
+                        interval=(0.0, math.nextafter(1.0, 0.0)))
+    with pytest.raises(ValueError, match="mu > 1"):
+        top.fallback()
 
 
 def test_breakdown_measures_the_spectrum_edges_below_one():
@@ -316,6 +351,16 @@ def test_sparse_weights_reject_an_interval_outside_minus_1_1():
     for interval in ((-1.5, 0.0), (0.2, 0.1), (0.0, 1.0)):
         with pytest.raises(ValueError):
             SparseWeights(w.indptr, w.indices, w.data, interval=interval)
+    # these lie in [-1, 1), but the Chebyshev rounds need mu > 1: on the
+    # first mu rounds to 1, so acosh(mu) = 0 and the switch round divides by
+    # zero; on the one-point ones the half-width floor puts mu below 1
+    path5 = build_topology(5, [(i, i + 1) for i in range(1, 5)])
+    for w in (degree_weight_matrix(path5), metropolis_weight_matrix(path5)):
+        for interval in ((-1.0, math.nextafter(1.0, 0.0)),
+                         (1.0 - 1e-16, 1.0 - 1e-16), (1.0 - 1e-10, 1.0 - 1e-10)):
+            assert graph_mod._chebyshev_mu(interval) <= 1.0
+            with pytest.raises(ValueError, match="mu > 1"):
+                SparseWeights(w.indptr, w.indices, w.data, w.stationary, interval)
 
 
 def test_degree_weights_path3_exact(path3):
