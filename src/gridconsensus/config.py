@@ -4,8 +4,11 @@ A config file mirrors ScenarioConfig: node capacities, edge list, mode,
 horizon, one profile source, and solver knobs. Parsing is strict — unknown
 fields are rejected and every failure names the offending field path — and
 checks each value's type and range, the graph and the capacities, each in
-one place. ``gridconsensus validate`` also checks explicit profiles against
-horizon and capacities; loading does not, so such a file can load and fail.
+one place. The node list and every list of numbers are checked whole, by
+type passes and array comparisons; only a list found faulty is walked item
+by item, so that the error names the first bad field. ``gridconsensus
+validate`` also checks explicit profiles against horizon and capacities;
+loading does not, so such a file can load and fail.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .consensus import ConvergenceCriteria
 from .coordination import NodeCapacities
@@ -81,6 +88,87 @@ def _as_pair(value, field: str) -> tuple[float, float]:
     return _as_number(value[0], field), _as_number(value[1], field)
 
 
+def _all_of(values, kind) -> bool:
+    """Whether every item of ``values`` is an instance of ``kind`` and none
+    is a bool (a bool is no number here): one pass over their types."""
+    kinds = set(map(type, values))
+    return bool not in kinds and all(issubclass(t, kind) for t in kinds)
+
+
+def _finite_array(values: list) -> np.ndarray | None:
+    """``values`` as a float array if every one is a finite number, else
+    None."""
+    if not _all_of(values, (int, float)):
+        return None
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:  # an integer past float range
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _numbers(values: list, where: str) -> np.ndarray:
+    """``values`` as a float array; the first that is not a finite number
+    raises ConfigError naming ``where[index]``."""
+    array = _finite_array(values)
+    if array is None:
+        for i, value in enumerate(values):
+            _as_number(value, f"{where}[{i}]")
+    return array
+
+
+def _node_bounds(nodes: list) -> np.ndarray | None:
+    """Rows gen_lo, gen_hi, net_lo and net_hi of a (4, n) array, column i
+    for node i + 1, when every node is an object holding exactly an id,
+    a gen pair and a net pair, the ids are 1..n in some order and every
+    bound is a finite number; None otherwise."""
+    n = len(nodes)
+    if not _all_of(nodes, dict) or set(map(len, nodes)) != {3}:
+        return None
+    try:
+        ids, gens, nets = (list(map(itemgetter(key), nodes)) for key in ("id", "gen", "net"))
+    except KeyError:
+        return None
+    if not _all_of(ids, int):
+        return None
+    try:
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id past int64, so outside 1..n
+        return None
+    if ids.min() < 1 or ids.max() > n or np.bincount(ids).max() > 1:
+        return None
+    pairs = gens + nets
+    if not _all_of(pairs, list) or set(map(len, pairs)) != {2}:
+        return None
+    values = _finite_array(list(chain.from_iterable(pairs)))
+    if values is None:
+        return None
+    bounds = np.empty((4, n))
+    # values runs gen pairs, then net pairs, each in list order
+    bounds[:, ids - 1] = values.reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n)
+    return bounds
+
+
+def _raise_node_fault(nodes: list) -> None:
+    """Raise ConfigError for the first check, node by node in list order,
+    that a node fails."""
+    n = len(nodes)
+    seen_ids = set()
+    for idx, node in enumerate(nodes):
+        where = f"nodes[{idx}]"
+        if not isinstance(node, dict):
+            raise ConfigError(f"expected a node object, got {node!r}", field=where)
+        _check_unknown(node, _NODE_FIELDS, where)
+        node_id = _as_int(_get(node, "id"), f"{where}.id")
+        if not 1 <= node_id <= n:
+            raise ConfigError(f"node id {node_id} outside 1..{n}", field=f"{where}.id")
+        if node_id in seen_ids:
+            raise ConfigError(f"node id {node_id} repeated", field=f"{where}.id")
+        seen_ids.add(node_id)
+        _as_pair(_get(node, "gen"), f"{where}.gen")
+        _as_pair(_get(node, "net"), f"{where}.net")
+
+
 def parse_config(doc) -> ScenarioConfig:
     """Turn a decoded JSON document into a validated ScenarioConfig."""
     if not isinstance(doc, dict):
@@ -105,27 +193,10 @@ def parse_config(doc) -> ScenarioConfig:
     nodes = _get(doc, "nodes")
     if not isinstance(nodes, list) or not nodes:
         raise ConfigError("expected a nonempty list of node objects", field="nodes")
-    n = len(nodes)
-    gen_lo = [0.0] * n
-    gen_hi = [0.0] * n
-    net_lo = [0.0] * n
-    net_hi = [0.0] * n
-    seen_ids = set()
-    for idx, node in enumerate(nodes):
-        where = f"nodes[{idx}]"
-        if not isinstance(node, dict):
-            raise ConfigError(f"expected a node object, got {node!r}", field=where)
-        _check_unknown(node, _NODE_FIELDS, where)
-        node_id = _as_int(_get(node, "id"), f"{where}.id")
-        if not 1 <= node_id <= n:
-            raise ConfigError(f"node id {node_id} outside 1..{n}", field=f"{where}.id")
-        if node_id in seen_ids:
-            raise ConfigError(f"node id {node_id} repeated", field=f"{where}.id")
-        seen_ids.add(node_id)
-        g = _as_pair(_get(node, "gen"), f"{where}.gen")
-        v = _as_pair(_get(node, "net"), f"{where}.net")
-        gen_lo[node_id - 1], gen_hi[node_id - 1] = g
-        net_lo[node_id - 1], net_hi[node_id - 1] = v
+    bounds = _node_bounds(nodes)
+    if bounds is None:
+        _raise_node_fault(nodes)
+    gen_lo, gen_hi, net_lo, net_hi = bounds
     try:
         caps = NodeCapacities(gen_lo=gen_lo, gen_hi=gen_hi, net_lo=net_lo, net_hi=net_hi)
     except CapacityError as exc:
@@ -135,7 +206,7 @@ def parse_config(doc) -> ScenarioConfig:
     if not isinstance(edges, list):
         raise ConfigError("expected a list of [i, j] pairs", field="edges")
     try:
-        topology = build_topology(n, edges)
+        topology = build_topology(len(nodes), edges)
     except TopologyError as exc:
         raise ConfigError(str(exc), field="edges") from exc
 
@@ -152,26 +223,24 @@ def parse_config(doc) -> ScenarioConfig:
         if not isinstance(raw, list):
             raise ConfigError(f"expected a list of numbers, got {raw!r}",
                               field="initial_generation")
-        initial = tuple(_as_number(v, f"initial_generation[{i}]") for i, v in enumerate(raw))
+        initial = tuple(_numbers(raw, "initial_generation").tolist())
 
     try:
         criteria = ConvergenceCriteria(**knobs)
     except ValueError as exc:
         raise ConfigError(str(exc), field="eps/max_iters") from exc
-    try:
-        return ScenarioConfig(
-            mode=mode,
-            topology=topology,
-            capacities=caps,
-            horizon=horizon,
-            demand=demand,
-            desired=desired,
-            criteria=criteria,
-            initial_generation=initial,
-            **options,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # ScenarioConfig raises ConfigError naming the field it rejects
+    return ScenarioConfig(
+        mode=mode,
+        topology=topology,
+        capacities=caps,
+        horizon=horizon,
+        demand=demand,
+        desired=desired,
+        criteria=criteria,
+        initial_generation=initial,
+        **options,
+    )
 
 
 def _parse_source(raw, where: str, row_values: bool):
@@ -188,24 +257,17 @@ def _parse_source(raw, where: str, row_values: bool):
         return DesiredSpec(kind="seeded") if row_values else DemandSpec(kind="seeded")
     if not isinstance(values, list) or not values:
         raise ConfigError("explicit sources need a nonempty values list", field=f"{where}.values")
-    try:
-        if row_values:
-            rows = []
-            for i, row in enumerate(values):
-                if not isinstance(row, list):
-                    raise ConfigError(
-                        f"expected a per-node list, got {row!r}", field=f"{where}.values[{i}]"
-                    )
-                rows.append(tuple(
-                    _as_number(v, f"{where}.values[{i}][{j}]") for j, v in enumerate(row)
-                ))
-            return DesiredSpec(kind="explicit", values=tuple(rows))
-        flat = tuple(
-            _as_number(v, f"{where}.values[{i}]") for i, v in enumerate(values)
-        )
-        return DemandSpec(kind="explicit", values=flat)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=where) from exc
+    if not row_values:
+        return DemandSpec(kind="explicit",
+                          values=tuple(_numbers(values, f"{where}.values").tolist()))
+    if not _all_of(values, list) or _finite_array(list(chain.from_iterable(values))) is None:
+        for i, row in enumerate(values):  # words the first fault
+            if not isinstance(row, list):
+                raise ConfigError(
+                    f"expected a per-node list, got {row!r}", field=f"{where}.values[{i}]"
+                )
+            _numbers(row, f"{where}.values[{i}]")
+    return DesiredSpec(kind="explicit", values=tuple(map(tuple, values)))
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

@@ -86,11 +86,12 @@ class AuditError(GridConsensusError):
         self.audit = audit
 
 
-class ConfigError(GridConsensusError):
-    """A configuration document failed validation.
+class ConfigError(GridConsensusError, ValueError):
+    """A configuration document or a ScenarioConfig failed validation.
 
     ``field`` anchors the failure to the offending field path, e.g.
-    ``nodes[2].gen``.
+    ``nodes[2].gen`` or ``horizon``. It is also a ValueError, the class
+    a dataclass raises for a bad argument.
     """
 
     def __init__(self, message, field=None):

@@ -35,6 +35,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -90,21 +91,83 @@ class GridTopology:
         return _edge_weights(self, a, a, 1.0 - off)
 
 
-def _bfs_depths(neighbors, source: int) -> list[int]:
+def _bfs_depths(indptr, indices, source: int) -> list[int]:
     """Hop distance from node ``source`` to each node, indexed by node
-    number (entry 0 unused), -1 where unreachable; ``neighbors[i]`` lists
-    node i + 1's 1-based neighbors."""
-    depth = [-1] * (len(neighbors) + 1)
+    number (entry 0 unused), -1 where unreachable. The graph is in
+    compressed rows: node u's 1-based neighbors are
+    ``indices[indptr[u - 1]:indptr[u]]``."""
+    depth = [-1] * len(indptr)
     depth[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         d = depth[u] + 1
-        for v in neighbors[u - 1]:
+        for v in indices[indptr[u - 1]:indptr[u]]:
             if depth[v] < 0:
                 depth[v] = d
                 queue.append(v)
     return depth
+
+
+def _is_integer_type(kind: type) -> bool:
+    # True == 1 would pass the range check, and False == 0 fails it
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
+def _edge_keys(n: int, edges: list) -> np.ndarray | None:
+    """The sorted keys min·(n + 1) + max of the edges, one per edge, when
+    every edge has length 2 and holds two integers in 1..n, with no
+    self-loop and no edge given twice; None otherwise.
+
+    The checks run on whole lists: one pass over the lengths and one over
+    the endpoint types, then array comparisons, so no edge is looked at on
+    its own.
+    """
+    m = len(edges)
+    try:
+        lengths = set(map(len, edges))
+    except TypeError:  # an edge with no length
+        return None
+    if m and not (lengths == {2}
+                  and all(map(_is_integer_type, set(map(type, chain.from_iterable(edges)))))):
+        return None
+    try:
+        ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m)
+    except OverflowError:  # an endpoint past int64, so outside 1..n
+        return None
+    lo = np.minimum(ends[0::2], ends[1::2])
+    hi = np.maximum(ends[0::2], ends[1::2])
+    if m and (lo.min() < 1 or hi.max() > n or (lo == hi).any()):
+        return None
+    keys = np.sort(lo * (n + 1) + hi)
+    return None if (keys[1:] == keys[:-1]).any() else keys
+
+
+def _raise_edge_fault(n: int, edges) -> None:
+    """Raise the TopologyError subclass for the first edge, in order, that
+    ``_edge_keys`` refuses: not a pair (an edge of length 2) of integers
+    in 1..n, a self-loop, or a repeat of an earlier edge. The message
+    quotes the edge as given."""
+    seen: set[tuple[int, int]] = set()
+    for edge in edges:
+        try:
+            paired = len(edge) == 2
+        except TypeError:
+            paired = False
+        if not paired:
+            raise TopologyError(f"edge {edge!r} is not a pair of endpoints")
+        i, j = edge
+        for endpoint in (i, j):
+            integer = _is_integer_type(type(endpoint))
+            if not integer or not 1 <= endpoint <= n:
+                problem = f"outside 1..{n}" if integer else "is not an integer"
+                raise EndpointOutOfRangeError(f"edge {edge!r}: endpoint {endpoint!r} {problem}")
+        if i == j:
+            raise SelfLoopError(f"edge {edge!r} is a self-loop")
+        pair = (int(min(i, j)), int(max(i, j)))
+        if pair in seen:
+            raise DuplicateEdgeError(f"edge {edge!r} repeats the edge {pair}")
+        seen.add(pair)
 
 
 def build_topology(n: int, edges) -> GridTopology:
@@ -114,46 +177,35 @@ def build_topology(n: int, edges) -> GridTopology:
     a distinct subclass for each other failure mode: endpoints not integers
     or outside 1..n (a bool is no integer here), self-loops, duplicate
     edges, and disconnectedness (checked by breadth-first traversal from
-    node 1). Each message quotes the edge as given.
+    node 1). An edge is any item of length 2, such as a list, a tuple or a
+    numpy row. The edges are checked as arrays; only a faulty list is
+    walked edge by edge, so that each message quotes the first bad edge as
+    given.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
+    edges = list(edges)
+    keys = _edge_keys(n, edges)
+    if keys is None:
+        _raise_edge_fault(n, edges)
+    lo = keys // (n + 1)
+    hi = keys - lo * (n + 1)
+    degrees = np.bincount(np.concatenate((lo, hi)), minlength=n + 1)[1:]
 
-    seen: set[tuple[int, int]] = set()
-    for edge in edges:
-        try:
-            i, j = edge
-        except (TypeError, ValueError):
-            raise TopologyError(f"edge {edge!r} is not a pair of endpoints") from None
-        for endpoint in (i, j):
-            # True == 1 would pass the range check, and False == 0 fails it
-            if endpoint is True or not isinstance(endpoint, (int, np.integer)) \
-                    or not 1 <= endpoint <= n:
-                integer = isinstance(endpoint, (int, np.integer)) and type(endpoint) is not bool
-                problem = f"outside 1..{n}" if integer else "is not an integer"
-                raise EndpointOutOfRangeError(f"edge {edge!r}: endpoint {endpoint!r} {problem}")
-        if i == j:
-            raise SelfLoopError(f"edge {edge!r} is a self-loop")
-        pair = (int(min(i, j)), int(max(i, j)))
-        if pair in seen:
-            raise DuplicateEdgeError(f"edge {edge!r} repeats the edge {pair}")
-        seen.add(pair)
-    canonical = sorted(seen)
-
-    # Each list comes out in increasing order because the edges are sorted.
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j in canonical:
-        adjacency[i - 1].append(j)
-        adjacency[j - 1].append(i)
-
-    depth = _bfs_depths(adjacency, 1)
+    # The neighbors in compressed rows: each edge keyed from both ends,
+    # then sorted (np.argsort would fault in more of numpy's sort code).
+    # Memoryviews hand the traversal one int at a time, where tolist()
+    # would hold an object per entry; both show in peak memory.
+    indices = memoryview(np.sort(np.concatenate((keys, hi * (n + 1) + lo))) % (n + 1))
+    indptr = memoryview(np.concatenate(([0], np.cumsum(degrees))))
+    depth = _bfs_depths(indptr, indices, 1)
     if depth.count(-1) > 1:
         missing = [v for v in range(1, n + 1) if depth[v] < 0]
         raise DisconnectedGraphError(
             f"graph is disconnected: nodes {missing} unreachable from node 1"
         )
-    degrees = tuple(len(nbrs) for nbrs in adjacency)
-    return GridTopology(n=n, edges=tuple(canonical), degrees=degrees)
+    return GridTopology(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())),
+                        degrees=tuple(degrees.tolist()))
 
 
 class SparseWeights:

@@ -28,6 +28,7 @@ from .dispatch import (
 from .errors import (
     AuditError,
     BoundViolationError,
+    ConfigError,
     GridConsensusError,
     NotRealizableError,
 )
@@ -94,49 +95,45 @@ class ScenarioConfig:
     fail_fast: bool = True
 
     def __post_init__(self):
+        # ConfigError is a ValueError whose ``field`` names the bad field
         if self.mode not in (MODE_WITH, MODE_WITHOUT):
-            raise ValueError(f"mode must be {MODE_WITH!r} or {MODE_WITHOUT!r}, got {self.mode!r}")
+            raise ConfigError(f"must be {MODE_WITH!r} or {MODE_WITHOUT!r}, got {self.mode!r}",
+                              field="mode")
         for name in ("horizon", "seed", "leader"):
             if type(getattr(self, name)) is not int:  # bool subclasses int
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise ConfigError(f"must be an integer, got {getattr(self, name)!r}",
+                                  field=name)
         if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            raise ConfigError(f"must be >= 1, got {self.horizon}", field="horizon")
         if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+            raise ConfigError(f"must be a non-negative integer, got {self.seed}", field="seed")
         if not isinstance(self.capacities, NodeCapacities):
-            raise ValueError(
-                f"capacities must be one NodeCapacities, got {type(self.capacities).__name__}"
-            )
+            raise ConfigError(f"must be one NodeCapacities, got {type(self.capacities).__name__}",
+                              field="capacities")
         if self.capacities.n != self.topology.n:
-            raise ValueError(
-                f"capacities cover {self.capacities.n} nodes, topology has {self.topology.n}"
+            raise ConfigError(
+                f"cover {self.capacities.n} nodes, topology has {self.topology.n}",
+                field="capacities",
             )
         if not 1 <= self.leader <= self.topology.n:
-            raise ValueError(f"leader {self.leader} outside 1..{self.topology.n}")
-        if self.mode == MODE_WITH:
-            if self.demand is None or self.desired is not None:
-                raise ValueError(
-                    "with-coordination runs take a demand source and no desired profile"
-                )
-        else:
-            if self.desired is None or self.demand is not None:
-                raise ValueError(
-                    "without-coordination runs take a desired profile and no demand source"
-                )
+            raise ConfigError(f"{self.leader} outside 1..{self.topology.n}", field="leader")
+        needed, unused = ("demand", "desired") if self.mode == MODE_WITH else ("desired", "demand")
+        if getattr(self, needed) is None:
+            raise ConfigError(f"required by {self.mode} runs", field=needed)
+        if getattr(self, unused) is not None:
+            raise ConfigError(f"not taken by {self.mode} runs", field=unused)
         if self.initial_generation is not None:
             p_G0 = tuple(float(v) for v in self.initial_generation)
             object.__setattr__(self, "initial_generation", p_G0)
             caps = self.capacities
             if len(p_G0) != self.topology.n:
-                raise ValueError(
-                    f"initial generation has {len(p_G0)} entries for {self.topology.n} nodes"
-                )
+                raise ConfigError(f"{len(p_G0)} entries for {self.topology.n} nodes",
+                                  field="initial_generation")
             arr = np.asarray(p_G0)
             if np.any(arr < caps.gen_lo) or np.any(arr > caps.gen_hi):
                 bad = int(np.argmax((arr < caps.gen_lo) | (arr > caps.gen_hi))) + 1
-                raise ValueError(
-                    f"initial generation at node {bad} outside its generation bounds"
-                )
+                raise ConfigError(f"node {bad} outside its generation bounds",
+                                  field="initial_generation")
 
     def capacities_at(self, k: int) -> NodeCapacities:
         """The run's capacities, the same at every step index k."""

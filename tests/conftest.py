@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from gridconsensus import (
+    DisconnectedGraphError,
+    DuplicateEdgeError,
+    EndpointOutOfRangeError,
     GridState,
+    GridTopology,
     NodeCapacities,
+    SelfLoopError,
+    TopologyError,
     build_topology,
     compute_delta_bounds,
     random_connected_topology,
@@ -121,3 +129,49 @@ def random_generation_instance(
     weights = rng.random(n) + 1e-3
     desired = p_D * weights / weights.sum()
     return topology, caps, state, bounds, desired
+
+
+def reference_topology(n: int, edges) -> GridTopology:
+    """``build_topology`` as a loop over the edges, one at a time, with a
+    breadth-first search for connectivity: the reference that the array
+    checks must match, in the topology built and in each error's class
+    and message."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
+    seen = set()
+    for edge in edges:
+        try:
+            i, j = edge
+        except (TypeError, ValueError):
+            raise TopologyError(f"edge {edge!r} is not a pair of endpoints") from None
+        for endpoint in (i, j):
+            if endpoint is True or not isinstance(endpoint, (int, np.integer)) \
+                    or not 1 <= endpoint <= n:
+                integer = isinstance(endpoint, (int, np.integer)) and type(endpoint) is not bool
+                problem = f"outside 1..{n}" if integer else "is not an integer"
+                raise EndpointOutOfRangeError(f"edge {edge!r}: endpoint {endpoint!r} {problem}")
+        if i == j:
+            raise SelfLoopError(f"edge {edge!r} is a self-loop")
+        pair = (int(min(i, j)), int(max(i, j)))
+        if pair in seen:
+            raise DuplicateEdgeError(f"edge {edge!r} repeats the edge {pair}")
+        seen.add(pair)
+    canonical = sorted(seen)
+    adjacency = [[] for _ in range(n + 1)]
+    for i, j in canonical:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    reached = {1}
+    queue = deque([1])
+    while queue:
+        for v in adjacency[queue.popleft()]:
+            if v not in reached:
+                reached.add(v)
+                queue.append(v)
+    if len(reached) < n:
+        missing = [v for v in range(1, n + 1) if v not in reached]
+        raise DisconnectedGraphError(
+            f"graph is disconnected: nodes {missing} unreachable from node 1"
+        )
+    return GridTopology(n=n, edges=tuple(canonical),
+                        degrees=tuple(len(nbrs) for nbrs in adjacency[1:]))

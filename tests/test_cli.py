@@ -220,7 +220,7 @@ class TestRun:
             "run", "--config", str(config), "--out", str(tmp_path / "out"), "--seed", "-1",
         ])
         assert code == 1
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert "seed: must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_audit_failure_aborts_with_exit_1(self, tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridconsensus import (
+    CapacityError,
     ConfigError,
     DemandSpec,
     DesiredSpec,
@@ -220,6 +222,209 @@ class TestParse:
         doc["initial_generation"] = [5.0, "ten"]
         with pytest.raises(ConfigError, match=r"initial_generation\[1\]"):
             parse_config(doc)
+
+
+    @pytest.mark.parametrize(("key", "value", "field", "message"), [
+        ("horizon", "3", "horizon", "must be an integer, got '3'"),
+        ("horizon", 0, "horizon", "must be >= 1, got 0"),
+        ("seed", 1.5, "seed", "must be an integer, got 1.5"),
+        ("seed", -1, "seed", "must be a non-negative integer, got -1"),
+        ("leader", True, "leader", "must be an integer, got True"),
+        ("leader", 3, "leader", "3 outside 1..2"),
+        ("initial_generation", [5.0], "initial_generation", "1 entries for 2 nodes"),
+        ("initial_generation", [5.0, 30.0], "initial_generation",
+         "node 2 outside its generation bounds"),
+        ("demand", {"kind": "seeded"}, "demand", "not taken by without-coordination runs"),
+        ("desired", None, "desired", "required by without-coordination runs"),
+    ])
+    def test_scenario_config_errors_name_their_field(self, key, value, field, message):
+        # ScenarioConfig alone checks these; its errors reach the caller
+        # with the field set and named once
+        doc = good_doc()
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.field == field
+        assert str(info.value) == f"{field}: {message}"
+
+    def test_with_coordination_blames_the_wrong_source(self):
+        doc = good_doc()
+        doc["mode"] = "with"
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert (info.value.field, str(info.value)) == (
+            "demand", "demand: required by with-coordination runs")
+        doc["demand"] = {"kind": "seeded"}
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert (info.value.field, str(info.value)) == (
+            "desired", "desired: not taken by with-coordination runs")
+
+    @pytest.mark.parametrize(("path", "value", "expected"), [
+        (("nodes", 1, "id"), 2**63,
+         "nodes[1].id: node id 9223372036854775808 outside 1..2"),
+        (("edges", 0, 1), 2**63,
+         "edges: edge [1, 9223372036854775808]: endpoint 9223372036854775808 outside 1..2"),
+        (("nodes", 0, "gen", 1), 10**400,
+         f"nodes[0].gen: expected a finite number, got {10**400}"),
+        (("initial_generation", 1), -(10**400),
+         f"initial_generation[1]: expected a finite number, got {-(10**400)}"),
+    ], ids=["id", "endpoint", "gen", "initial_generation"])
+    def test_integers_past_the_array_types_are_worded_by_the_loop(self, path, value, expected):
+        # int64 and float64 cannot hold these, so the array checks refuse
+        # them and the loop words the error as for any other bad value
+        doc = good_doc()
+        doc["initial_generation"] = [5.0, 10.0]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("where", ["initial_generation", "demand", "desired"])
+    @pytest.mark.parametrize(("value", "problem"), [
+        (True, "a number"), ("5", "a number"), (None, "a number"),
+        (float("inf"), "a finite number"), (float("nan"), "a finite number"),
+    ])
+    def test_number_lists_name_the_first_bad_entry(self, where, value, problem):
+        doc = good_doc()
+        values = [5.0, 10.0, value, "later"]
+        if where == "initial_generation":
+            doc[where], path = values, "initial_generation[2]"
+        elif where == "demand":
+            doc["mode"] = "with"
+            del doc["desired"]
+            doc[where] = {"kind": "explicit", "values": values}
+            path = "demand.values[2]"
+        else:
+            doc[where] = {"kind": "explicit", "values": [[1.0, 2.0], values]}
+            path = "desired.values[1][2]"
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == f"{path}: expected {problem}, got {value!r}"
+
+
+def reference_node_bounds(nodes):
+    """The node list checked one node at a time, as ``parse_config`` did
+    before its checks ran on whole lists: [gen_lo, gen_hi, net_lo, net_hi]
+    per node id, or the ConfigError message of the first fault."""
+    n = len(nodes)
+    bounds = [[0.0] * n for _ in range(4)]
+    seen = set()
+
+    def number(value, field):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"expected a number, got {value!r}", field=field)
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"expected a finite number, got {value!r}", field=field)
+        return float(value)
+
+    try:
+        for idx, node in enumerate(nodes):
+            where = f"nodes[{idx}]"
+            if not isinstance(node, dict):
+                raise ConfigError(f"expected a node object, got {node!r}", field=where)
+            unknown = sorted(set(node) - {"id", "gen", "net"})
+            if unknown:
+                raise ConfigError(f"unknown field(s) {', '.join(repr(u) for u in unknown)}",
+                                  field=where)
+            for key in ("id", "gen", "net"):
+                if key not in node:
+                    raise ConfigError("required field is missing", field=key)
+                if key == "id":
+                    node_id = node["id"]
+                    if isinstance(node_id, bool) or not isinstance(node_id, int):
+                        raise ConfigError(f"expected an integer, got {node_id!r}",
+                                          field=f"{where}.id")
+                    if not 1 <= node_id <= n:
+                        raise ConfigError(f"node id {node_id} outside 1..{n}",
+                                          field=f"{where}.id")
+                    if node_id in seen:
+                        raise ConfigError(f"node id {node_id} repeated", field=f"{where}.id")
+                    seen.add(node_id)
+                    continue
+                pair = node[key]
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ConfigError(f"expected a [lo, hi] pair, got {pair!r}",
+                                      field=f"{where}.{key}")
+                row = 0 if key == "gen" else 2
+                for side in (0, 1):
+                    bounds[row + side][node_id - 1] = number(pair[side], f"{where}.{key}")
+    except ConfigError as exc:
+        return str(exc)
+    return bounds
+
+
+BAD_NUMBERS = (True, False, "7", None, [1.0], float("inf"), float("-inf"), float("nan"),
+               10**400, -(10**400), np.int64(1))
+BAD_IDS = (True, "1", None, 2.0, 2**63, -(2**63) - 1, -1, 0, np.int64(1))
+BAD_PAIRS = ([1.0], [1.0, 2.0, 3.0], [], (1.0, 2.0), {}, "12", None, 3)
+
+
+NODE_FAULTS = (None, "id", "number", "pair", "past-n", "repeat", "node", "missing", "extra")
+
+
+@st.composite
+def node_lists(draw, fault):
+    """A valid node list in shuffled id order, carrying the named fault
+    (None for none): a replaced id, bound or pair, an id past n or
+    repeated, a node that is no object, or a field missing or added."""
+    n = draw(st.integers(1, 6))
+    numbers = st.integers(-50, 50) | st.floats(-50, 50)
+    nodes = []
+    for node_id in draw(st.permutations(range(1, n + 1))):
+        net_lo, gen_lo, gen_hi, net_hi = sorted(draw(st.lists(numbers, min_size=4, max_size=4)))
+        nodes.append({"id": node_id, "gen": [gen_lo, gen_hi], "net": [net_lo, net_hi]})
+    node = draw(st.sampled_from(nodes))
+    key = draw(st.sampled_from(("gen", "net")))
+    if fault == "id":
+        node["id"] = draw(st.sampled_from(BAD_IDS))
+    elif fault == "number":
+        node[key][draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_NUMBERS))
+    elif fault == "pair":
+        node[key] = draw(st.sampled_from(BAD_PAIRS))
+    elif fault == "past-n":
+        node["id"] = n + 1
+    elif fault == "repeat":
+        node["id"] = draw(st.integers(1, n))
+    elif fault == "node":
+        nodes[nodes.index(node)] = draw(st.sampled_from(([], 3, None, "node")))
+    elif fault == "missing":
+        del node[draw(st.sampled_from(("id", "gen", "net")))]
+    elif fault == "extra":
+        node["bus"] = 1
+    return nodes
+
+
+@pytest.mark.parametrize("fault", NODE_FAULTS, ids=str)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_node_checks_match_the_reference_loop(fault, data):
+    # the array checks give the reference's capacities, or the message of
+    # the first fault it finds, node by node in list order
+    nodes = data.draw(node_lists(fault))
+    doc = good_doc()
+    doc["nodes"] = nodes
+    doc["edges"] = [[i, i + 1] for i in range(1, len(nodes))]
+    expected = reference_node_bounds(nodes)
+    try:
+        caps = parse_config(doc).capacities
+    except ConfigError as exc:
+        if isinstance(expected, str):
+            assert str(exc) == expected
+        else:  # the bounds may be fine one by one and not together
+            assert exc.field == "nodes" and isinstance(exc.__cause__, CapacityError)
+        return
+    assert [a.tolist() for a in (caps.gen_lo, caps.gen_hi, caps.net_lo, caps.net_hi)] == expected
 
 
 class TestRoundTrip:

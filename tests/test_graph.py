@@ -1,11 +1,12 @@
 """Topology validation and the two weight-matrix constructions.
 
 Covers: edge-list validation (range, loops, duplicates, connectivity),
-canonical edge ordering, exact weight values on small graphs,
-stochasticity/symmetry properties over random connected graphs, the
-compressed-row weights against dense loop-built references, their
-memory on a large ring, and the measured spectral interval and its
-widened fallback.
+the array checks against the edge-by-edge reference, the random graph
+generator against its scalar reference, canonical edge ordering, exact
+weight values on small graphs, stochasticity/symmetry properties over
+random connected graphs, the compressed-row weights against dense
+loop-built references, their memory on a large ring, and the measured
+spectral interval and its widened fallback.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from gridconsensus import (
     random_connected_topology,
 )
 from gridconsensus.consensus import _chebyshev_schedule
-from conftest import neighbor_lists, tree_topology
+from conftest import neighbor_lists, reference_topology, tree_topology
 
 def dense_degree_reference(topology):
     """Loop-built dense degree weights: column j holds 1/(1 + deg(j)) at j
@@ -132,14 +133,108 @@ def test_disconnected_rejected():
         build_topology(2, [])
 
 
+ENDPOINT_FAULTS = {
+    "bool": lambda v: v == 1,
+    "float": float,
+    "str": str,
+    "int64": np.int64,  # no fault: numpy integers are endpoints
+    "past-int64": lambda v: 2**63 + v,
+    "below-int64": lambda v: -(2**63) - v,
+    "zero": lambda v: 0,
+}
+
+
+EDGE_FAULTS = (None, *ENDPOINT_FAULTS, "beyond-n", "short", "long", "no-sequence",
+               "self-loop", "duplicate", "reversed-duplicate", "isolated-node",
+               "isolated-edge")
+
+
+@st.composite
+def edge_lists(draw, fault):
+    """A node count and a connected edge list, shuffled, each edge a list
+    or a tuple in either orientation, carrying the named fault (None for
+    none) at a random place."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    for i, j in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6)):
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    edges = [list(e) for e in draw(st.permutations(sorted(edges)))]
+    edges = [(e[::-1] if draw(st.booleans()) else e) for e in edges]
+    edges = [draw(st.sampled_from((list, tuple)))(e) for e in edges]
+    k = draw(st.integers(0, len(edges) - 1))
+    side = draw(st.integers(0, 1))
+    edge = list(edges[k])
+    if fault in ENDPOINT_FAULTS or fault == "beyond-n":
+        edge[side] = n + 1 if fault == "beyond-n" else ENDPOINT_FAULTS[fault](edge[side])
+        edges[k] = type(edges[k])(edge)
+    elif fault in ("short", "long"):
+        edges[k] = type(edges[k])(edge[:1] if fault == "short" else edge + [n])
+    elif fault == "no-sequence":
+        edges[k] = draw(st.sampled_from((7, None, "12")))
+    elif fault == "self-loop":
+        edges.insert(k, (edge[side], edge[side]))
+    elif fault in ("duplicate", "reversed-duplicate"):
+        edges.insert(draw(st.integers(0, len(edges))),
+                     edge[::-1] if fault == "reversed-duplicate" else edge)
+    elif fault == "isolated-node":
+        n += 1
+    elif fault == "isolated-edge":
+        edges.insert(k, [n + 1, n + 2])
+        n += 2
+    return n, edges
+
+
+def topology_or_error(build, n, edges):
+    try:
+        return build(n, edges)
+    except TopologyError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fault", EDGE_FAULTS, ids=str)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_build_topology_matches_the_reference_loop(fault, data):
+    # the array checks build the same topology, of plain ints, as the loop
+    # over edges, or raise the same class with the same message
+    n, edges = data.draw(edge_lists(fault))
+    built = topology_or_error(build_topology, n, edges)
+    assert built == topology_or_error(reference_topology, n, edges)
+    if isinstance(built, tuple):
+        return
+    assert {type(x) for edge in built.edges for x in edge} <= {int}
+    assert {type(d) for d in built.degrees} == {int}
+
+
+def test_pairs_of_other_sequences_are_edges():
+    # any item of length 2 is an edge, as in the checks one edge at a time
+    rows = np.array([[2, 1], [3, 2]])
+    assert build_topology(3, rows) == reference_topology(3, rows)
+    assert build_topology(3, iter([range(1, 3), {3: 0, 2: 0}])).edges == ((1, 2), (2, 3))
+    # an edge must have a length: two endpoints from an iterator are not one
+    pair = iter((1, 2))
+    with pytest.raises(TopologyError, match="is not a pair of endpoints") as info:
+        build_topology(2, [pair])
+    assert type(info.value) is TopologyError
+
+
+def compressed_rows(neighbors):
+    """Per-node neighbor lists as (indptr, indices)."""
+    indptr = [0]
+    for nbrs in neighbors:
+        indptr.append(indptr[-1] + len(nbrs))
+    return indptr, [v for nbrs in neighbors for v in nbrs]
+
+
 def test_bfs_depths_are_hop_distances_from_the_source():
     # the traversal behind the connectivity check: entry 0 unused, -1 for
     # a node the source cannot reach
-    star = build_topology(5, [(1, 2), (1, 3), (1, 4), (4, 5)])
-    assert graph_mod._bfs_depths(neighbor_lists(star), 1) == [-1, 0, 1, 1, 1, 2]
-    assert graph_mod._bfs_depths(neighbor_lists(star), 5) == [-1, 2, 3, 3, 1, 0]
-    split = ((2,), (1,), (4,), (3,))
-    assert graph_mod._bfs_depths(split, 3) == [-1, -1, -1, 0, 1]
+    star = compressed_rows(neighbor_lists(build_topology(5, [(1, 2), (1, 3), (1, 4), (4, 5)])))
+    assert graph_mod._bfs_depths(*star, 1) == [-1, 0, 1, 1, 1, 2]
+    assert graph_mod._bfs_depths(*star, 5) == [-1, 2, 3, 3, 1, 0]
+    split = compressed_rows(((2,), (1,), (4,), (3,)))
+    assert graph_mod._bfs_depths(*split, 3) == [-1, -1, -1, 0, 1]
 
 
 def test_bad_node_count():

@@ -7,16 +7,20 @@ here runs with the default ``ConvergenceCriteria`` and keeps the bounds
 the acceptance criteria use. Each topology is checked where it adds
 something: both engines on path-150, the longer path-300 on ratio
 rounds, the ring on flows (its flows are not subtree sums) and the
-1002-node feeder on flows alone, its cheaper engine call.
+1002-node feeder on flows alone, its cheaper engine call. Parsing is
+checked at the largest sizes: a 10 000-node mesh and a 2 000-node path.
 """
 
 from __future__ import annotations
+
+import json
+import random
 
 import numpy as np
 import pytest
 
 from conftest import path_topology as path
-from conftest import fixed_capacities, random_capacities
+from conftest import fixed_capacities, random_capacities, reference_topology
 from gridconsensus import (
     MODE_WITH,
     MODE_WITHOUT,
@@ -34,6 +38,7 @@ from gridconsensus import (
     flow_control,
     generation_closed_form,
     metropolis_weight_matrix,
+    parse_config,
     ratio_consensus,
     run,
 )
@@ -141,3 +146,39 @@ def test_lanczos_steps_stay_bounded_on_the_1002_node_feeder():
     topo = TOPOLOGIES["feeder-1002"]()
     for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
         assert _lanczos_interval(weights)[1] <= 700
+
+
+def stub_paired_mesh(n: int, mean_degree: int, rng: random.Random) -> list[list[int]]:
+    """A random Hamiltonian path plus chords from randomly paired degree
+    stubs, as the benchmark's mesh is built, listed in random order and
+    orientation."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    stubs = [v for v in range(1, n + 1) for _ in range(mean_degree - 2)]
+    rng.shuffle(stubs)
+    pairs |= {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+    edges = [[a, b] if rng.random() < 0.5 else [b, a] for a, b in pairs]
+    rng.shuffle(edges)
+    return edges
+
+
+@pytest.mark.parametrize(("n", "kind"), [(10_000, "mesh"), (2_000, "path")])
+def test_large_documents_parse_to_the_reference_topology(n, kind):
+    # the array checks at the sizes they were written for: every edge,
+    # every degree and every bound as the loops over items give them
+    rng = random.Random(f"{kind}/{n}")
+    edges = (stub_paired_mesh(n, 6, rng) if kind == "mesh"
+             else [[i + 1, i] for i in range(n - 1, 0, -1)])
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    nodes = [{"id": i, "gen": [i % 7, i % 7 + 10.5], "net": [-1, i % 7 + 20]} for i in ids]
+    doc = {"mode": "without", "horizon": 1, "nodes": nodes, "edges": edges,
+           "desired": {"kind": "seeded"}}
+    config = parse_config(json.loads(json.dumps(doc)))
+    assert config.topology == reference_topology(n, edges)
+    node = np.arange(1, n + 1)
+    assert config.capacities.gen_lo.tolist() == (node % 7).astype(float).tolist()
+    assert config.capacities.gen_hi.tolist() == (node % 7 + 10.5).tolist()
+    assert config.capacities.net_lo.tolist() == [-1.0] * n
+    assert config.capacities.net_hi.tolist() == (node % 7 + 20.0).tolist()

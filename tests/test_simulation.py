@@ -194,16 +194,18 @@ class TestScenarioConfig:
         # Values like these used to be accepted and fail inside run() with a
         # bare TypeError or IndexError, carrying no step or phase.
         settings = {"horizon": 1, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{name}: must be an integer") as info:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
                            demand=DemandSpec(), **settings)
+        assert info.value.field == name
 
     def test_seed_must_be_non_negative(self, ref_caps, ring_chord):
         # numpy's generator refuses negative seeds; refusing them here gives
         # a message that names the field instead of a bare error from run().
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="^seed: must be a non-negative integer") as info:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
                            horizon=1, demand=DemandSpec(), seed=-1)
+        assert info.value.field == "seed"
 
     def test_mode_and_source_must_agree(self, ref_caps, ring_chord):
         with pytest.raises(ValueError):
