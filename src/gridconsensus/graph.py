@@ -336,10 +336,10 @@ _RITZ_CHECK = 5
 _RESIDUAL_SHARE = 0.1
 _SETTLED_CHECKS = 3
 _START_SEED = 0
-_BLOCK_ROWS = 16
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-# A Lanczos vector shorter than this after reorthogonalisation is rounding
-# noise: the Krylov space is invariant, and its Ritz values are exact.
+# A Lanczos vector shorter than this after the recurrence and the deflation
+# is rounding noise: the Krylov space is invariant, and its Ritz values are
+# exact.
 _BREAKDOWN = math.sqrt(_UNIT_ROUNDOFF)
 # Half-widths below this are rounding noise around a one-point spectrum;
 # flooring them keeps mu finite.
@@ -364,53 +364,44 @@ def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]
 
     Lanczos runs on the symmetric S = diag(pi)^(-1/2) W diag(pi)^(1/2),
     pi = ``weights.stationary``, which has W's eigenvalues, with the
-    consensus eigenvector sqrt(pi) projected out. Each new vector is
-    orthogonalised twice against all earlier ones and sqrt(pi), so no
-    eigenvalue repeats and the basis stays orthonormal; the basis grows a
-    block of rows at a time as the steps need it. A Ritz value theta of
-    the tridiagonal T
-    with residual r has an eigenvalue of S within r, so the extreme Ritz
-    pairs give [max(theta_min - r_min, -1), theta_max + r]. Lanczos stops
-    once r is at most a tenth of 1 - theta_max, so theta_max + r stays
-    below 1; where it stops because the Krylov space is invariant, its
-    Ritz values are eigenvalues and r is rounding, held to the same tenth.
+    consensus eigenvector sqrt(pi) projected out. It keeps no basis, only
+    the three vectors of the recurrence w = S v - alpha v - beta v_prev,
+    with sqrt(pi) projected out of w twice a step, so a step costs a round
+    and O(n) work. The vectors lose orthogonality as Ritz values converge;
+    that only repeats eigenvalues already found (Paige, 1976; Cullum &
+    Willoughby, 1985), so the extreme ones come out the same, if some steps
+    later. A Ritz value theta of the tridiagonal T with residual r has an
+    eigenvalue of S within r, to rounding, orthogonal vectors or not
+    (Paige, 1976), so the extreme Ritz pairs give
+    [max(theta_min - r_min, -1), theta_max + r]. Lanczos stops once r is at
+    most a tenth of 1 - theta_max, so theta_max + r stays below 1; where it
+    stops because the Krylov space is invariant, its Ritz values are
+    eigenvalues and r is rounding, held to the same tenth.
     n = 1 leaves no eigenvalue to bracket, and the interval is the point 0.
     """
     n = weights.shape[0]
     pi = weights.stationary
     root = np.ones(n) if pi is None else np.sqrt(pi)
-    # the basis, sqrt(pi) first, row i in row i % _BLOCK_ROWS of block
-    # i // _BLOCK_ROWS: it grows a block at a time and is never copied
-    blocks, rows = [], 0
+    unit = root / math.sqrt(root @ root)
 
-    def append(v):
-        nonlocal rows
-        if rows == len(blocks) * _BLOCK_ROWS:
-            blocks.append(np.empty((_BLOCK_ROWS, n)))
-        blocks[-1][rows % _BLOCK_ROWS] = v
-        rows += 1
-
-    def orthogonalise(v):
-        # classical Gram-Schmidt twice: orthogonal to working accuracy
+    def deflate(v):
+        # projected twice: orthogonal to sqrt(pi) to working accuracy
         for _ in range(2):
-            for j, block in enumerate(blocks):
-                block = block[:rows - j * _BLOCK_ROWS]
-                v -= block.T @ (block @ v)
+            v -= (unit @ v) * unit
         return v
 
-    append(root / math.sqrt(root @ root))
-    w = orthogonalise(np.random.default_rng(_START_SEED).standard_normal(n))
+    w = deflate(np.random.default_rng(_START_SEED).standard_normal(n))
     b = math.sqrt(w @ w)
+    v = np.zeros(n)
     alpha, beta = [], []
     top, settled = None, 0
     while b > _BREAKDOWN:
         if alpha:
             beta.append(b)
-        v = w / b
-        append(v)
+        v_prev, v = v, w / b
         w = weights @ (root * v) / root
         alpha.append(float(v @ w))
-        w = orthogonalise(w)
+        w = deflate(w - alpha[-1] * v - b * v_prev)
         b = math.sqrt(w @ w)
         if len(alpha) % _RITZ_CHECK == 0 or b <= _BREAKDOWN:
             last, (top, r) = top, _ritz_pair(alpha, beta, b, 1.0)

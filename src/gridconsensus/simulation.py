@@ -53,7 +53,7 @@ class DemandSpec:
         if self.kind == "explicit":
             if not self.values:
                 raise ValueError("explicit demand needs a nonempty value list")
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            object.__setattr__(self, "values", tuple(map(float, self.values)))
         elif self.values is not None:
             raise ValueError("seeded demand takes no explicit values")
 
@@ -71,9 +71,7 @@ class DesiredSpec:
         if self.kind == "explicit":
             if not self.values:
                 raise ValueError("explicit desired profile needs nonempty rows")
-            object.__setattr__(
-                self, "values", tuple(tuple(float(v) for v in row) for row in self.values)
-            )
+            object.__setattr__(self, "values", tuple(tuple(map(float, row)) for row in self.values))
         elif self.values is not None:
             raise ValueError("seeded desired profile takes no explicit values")
 

@@ -109,6 +109,16 @@ def tree_topology(kind: str, n: int, rng: np.random.Generator):
     return random_connected_topology(n, rng, extra_edge_prob=0.0)
 
 
+def symmetrised_spectrum(weights) -> np.ndarray:
+    """Eigenvalues of diag(pi)^-1/2 W diag(pi)^1/2, ascending, from the
+    dense matrix (pi = ``weights.stationary``, ones when None)."""
+    n = weights.shape[0]
+    root = np.ones(n) if weights.stationary is None else np.sqrt(weights.stationary)
+    sym = weights.toarray() / root[:, None] * root[None, :]
+    assert np.max(np.abs(sym - sym.T)) <= 1e-15
+    return np.linalg.eigvalsh(sym)
+
+
 def random_generation_instance(
     rng: np.random.Generator, max_nodes: int = 12, kind: str | None = None
 ):

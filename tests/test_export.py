@@ -202,11 +202,11 @@ def _scenario(name: str):
 @pytest.mark.parametrize(
     ("name", "digest"),
     [
-        ("with", "6ffebcaec0e8f5fc"),
-        ("without", "f59db8b6e6ee64bb"),
-        ("feeder-without", "bc87ab17290dc8c9"),
-        ("mesh-without", "2cd26650b1dbeb5d"),
-        ("mesh-with", "f495f032145d6854"),
+        ("with", "ba75474177f9ac6d"),
+        ("without", "589553733700ad7f"),
+        ("feeder-without", "fb6673ed422dadc8"),
+        ("mesh-without", "b55bef8eaecc157c"),
+        ("mesh-with", "5c8e5c033c3435c2"),
     ],
     ids=["with", "without", "feeder-without", "mesh-without", "mesh-with"],
 )

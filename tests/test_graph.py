@@ -35,7 +35,7 @@ from gridconsensus import (
     random_connected_topology,
 )
 from gridconsensus.consensus import _chebyshev_schedule
-from conftest import neighbor_lists, reference_topology, tree_topology
+from conftest import neighbor_lists, reference_topology, symmetrised_spectrum, tree_topology
 
 def dense_degree_reference(topology):
     """Loop-built dense degree weights: column j holds 1/(1 + deg(j)) at j
@@ -279,16 +279,6 @@ def test_weights_are_built_once_and_read_only():
     # an equal topology built separately has its own instances
     assert degree_weight_matrix(build_topology(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) \
         is not degree_weight_matrix(topo)
-
-
-def symmetrised_spectrum(weights) -> np.ndarray:
-    """Eigenvalues of diag(pi)^-1/2 W diag(pi)^1/2, ascending, from the
-    dense matrix (pi = ``weights.stationary``, ones when None)."""
-    n = weights.shape[0]
-    root = np.ones(n) if weights.stationary is None else np.sqrt(weights.stationary)
-    sym = weights.toarray() / root[:, None] * root[None, :]
-    assert np.max(np.abs(sym - sym.T)) <= 1e-15
-    return np.linalg.eigvalsh(sym)
 
 
 def test_stationary_vector_is_kept_by_the_weights():
