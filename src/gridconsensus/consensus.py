@@ -37,29 +37,29 @@ comes at the first round t where
     spread_t * cosh((t - t0) acosh mu) > 2 spread_t0,
 
 t0 being the first round whose spread is defined (ratio rounds skip
-denominators below the floor), and at round K = ceil(ln(2/eps)/acosh(mu))
-at the latest, the number of Chebyshev rounds the bound predicts for
-``eps``. On the measured interval, which is nearly exact, plain rounds
-fall behind early (after about 5 rounds on the 2000-node benchmark mesh,
-80 to 115 on the 120-node feeder), and a call then takes about
-ln(spread/eps)/acosh(mu) more: O(n) rounds on a radial feeder, where
-plain rounds need O(n^2).
+denominators below the floor). Plain rounds that keep pace run alone to
+the stop or the round cap. On the measured interval, which is nearly
+exact, plain rounds fall behind early (after about 5 rounds on the
+2000-node benchmark mesh, 80 to 115 on the 120-node feeder), and a call
+then takes about ln(spread/eps)/acosh(mu) more: O(n) rounds on a radial
+feeder, where plain rounds need O(n^2).
 
 Lanczos can misjudge an interval, and so the Chebyshev rounds watch the
-same bound: they fall back at the first round t where
+same bound: they fall behind at the first round t where
 
     spread_t * cosh((t - t0) acosh mu) > 2 sqrt(n) spread_t0,
 
 t0 being the switch round. A correct interval keeps the flow rounds
 inside it (spread_t is at most twice the 2-norm of the error, which
 starts at most sqrt(n) spread_t0), and measured ratio rounds stay within
-twice the bound too. The call then starts over, from its current values,
-with plain rounds and then Chebyshev rounds on the wider interval
-[-1, 1 - (1 - hi)/4] (``SparseWeights.fallback``), and watches that one
-the same way, so an interval still too narrow widens again. Sums are
-preserved throughout, so a restart loses nothing, and a wrong interval
-costs rounds, never the result. Dense ``np.ndarray`` weights carry no
-interval and stay plain: they are the reference engine.
+twice the bound too. The Chebyshev rounds then go on, from the current
+values and spread, on the wider interval [-1, 1 - (1 - hi)/4]
+(``SparseWeights.fallback``), with the recurrence started afresh, and
+watch that one the same way, so an interval still too narrow widens
+again. Plain rounds run only before the switch. Sums are preserved
+throughout, so a widening loses nothing, and a wrong interval costs
+rounds, never the result. Dense ``np.ndarray`` weights carry no interval
+and stay plain: they are the reference engine.
 """
 
 from __future__ import annotations
@@ -126,17 +126,6 @@ class FlowAccumulator:
     iters: int
 
 
-def _chebyshev_schedule(
-    interval: tuple[float, float], criteria: ConvergenceCriteria
-) -> tuple[int, float]:
-    """The switch round K at the latest and mu, for weights whose
-    eigenvalues other than 1 lie in ``interval`` (see the module
-    docstring)."""
-    mu = _chebyshev_mu(interval)
-    # ln(2/eps) as a difference: 2/eps overflows for a subnormal eps
-    return math.ceil((math.log(2.0) - math.log(criteria.eps)) / math.acosh(mu)), mu
-
-
 def _recurrence_weights(mu: float) -> Iterator[float]:
     omega = 1.0
     yield omega
@@ -155,38 +144,35 @@ def _rounds(
     ``max_iters`` rounds. ``spread`` returns None where it is undefined.
 
     ``plain(a, b)`` applies one round of W and returns new arrays. Plain
-    rounds run while they keep pace with the Chebyshev bound of the
-    weights' interval, to round K at most; then ``chebyshev(weights)``,
-    called once, returns the same function for their P. The module
-    docstring gives both rules, and the fallback: Chebyshev rounds that
-    fall behind their interval's bound restart, from the current arrays,
-    on ``weights.fallback()``, as often as they fall behind. Dense weights
-    carry no interval and stay plain.
+    rounds come first, and only then: they run while they keep pace with
+    the Chebyshev bound of the weights' interval, and then
+    ``chebyshev(weights)`` returns the same function for their P. The module docstring gives both watches, and the
+    fallback: whenever Chebyshev rounds fall behind their interval's
+    bound, they go on, from the current arrays, on ``weights.fallback()``.
+    Dense weights carry no interval and stay plain.
     """
     eps, cap = criteria.eps, criteria.max_iters
     sparse = isinstance(weights, SparseWeights)
-    t = 0
-    while True:
-        switch, mu = _chebyshev_schedule(weights.interval, criteria) if sparse else (cap, 1.0)
-        rate = math.acosh(mu)
-        limit = None
-        for t in range(t + 1, min(t + switch, cap) + 1):
-            a, b = plain(a, b)
-            s = spread(a, b)
-            if s is None:
-                continue
-            if s <= eps:
-                return t, a, b
-            if limit is None:
-                t0, limit = t, 2.0 * s
-            # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
-            elif sparse and s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
-                break
-        if t == cap:
-            return None, a, b
-        step = chebyshev(weights)
-        slack = 2.0 * math.sqrt(a.size)
-        t0, limit = t, None if s is None else slack * s
+    rate = math.acosh(_chebyshev_mu(weights.interval)) if sparse else 0.0
+    limit = None
+    for t in range(1, cap + 1):
+        a, b = plain(a, b)
+        s = spread(a, b)
+        if s is None:
+            continue
+        if s <= eps:
+            return t, a, b
+        if limit is None:
+            t0, limit = t, 2.0 * s
+        # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
+        elif sparse and s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
+            break
+    slack = 2.0 * math.sqrt(a.size)
+    while t < cap:
+        # the switch, or a fallback, came at round t, where the spread s was defined
+        mu = _chebyshev_mu(weights.interval)
+        rate, step = math.acosh(mu), chebyshev(weights)
+        t0, limit = t, slack * s
         a_prev, b_prev = a, b
         for t, omega in zip(range(t + 1, cap + 1), _recurrence_weights(mu)):
             a_next, b_next = step(a, b)
@@ -200,13 +186,10 @@ def _rounds(
                 continue
             if s <= eps:
                 return t, a, b
-            if limit is None:
-                t0, limit = t, slack * s
-            elif s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
+            if s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
+                weights = weights.fallback()
                 break
-        else:
-            return None, a, b
-        weights = weights.fallback()
+    return None, a, b
 
 
 def ratio_consensus(

@@ -179,7 +179,7 @@ def _require_feasible(
     magnitude = float(np.sum(np.abs(state.p_G) + np.abs(db.lo) + np.abs(db.hi)))
     # width 0: no consensus result enters, so no eps does either
     tol = ConvergenceCriteria().tolerance(0.0, abs(p_D) + magnitude, state.n)
-    if needed < lo_sum - tol or needed > hi_sum + tol:
+    if not lo_sum - tol <= needed <= hi_sum + tol:  # so that a NaN fails it
         raise InfeasibleStepError(
             f"required generation change {needed} outside feasible "
             f"interval [{lo_sum}, {hi_sum}]"

@@ -68,7 +68,8 @@ class GridTopology:
     @cached_property
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         # Built once per topology and shared by every caller, so read-only.
-        arr = np.asarray(self.edges, dtype=int).reshape(-1, 2) - 1
+        arr = np.fromiter(chain.from_iterable(self.edges), int, 2 * len(self.edges))
+        arr = arr.reshape(-1, 2) - 1
         arr.flags.writeable = False
         return arr[:, 0], arr[:, 1]
 
@@ -237,6 +238,8 @@ class SparseWeights:
             raise ValueError("indptr, indices and data do not describe the same entries")
         if np.any(np.diff(indptr) < 1):
             raise ValueError("every row must store at least its diagonal entry")
+        # mu > 1 keeps acosh(mu), the rate of the rounds' watches, defined
+        # and positive: only then does the bound 1/cosh(k acosh mu) shrink
         if interval is not None and not (-1.0 <= interval[0] <= interval[1] < 1.0
                                          and _chebyshev_mu(interval) > 1.0):
             raise ValueError(f"interval must satisfy -1 <= lo <= hi < 1 and mu > 1, got {interval}")

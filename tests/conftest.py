@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -20,6 +21,7 @@ from gridconsensus import (
     compute_delta_bounds,
     random_connected_topology,
 )
+from gridconsensus.graph import _chebyshev_mu
 
 # Reference six-node system used throughout: generation and net-power
 # intervals per node, ring topology with one chord.
@@ -117,6 +119,15 @@ def symmetrised_spectrum(weights) -> np.ndarray:
     sym = weights.toarray() / root[:, None] * root[None, :]
     assert np.max(np.abs(sym - sym.T)) <= 1e-15
     return np.linalg.eigvalsh(sym)
+
+
+def predicted_rounds(interval, eps: float) -> int:
+    """ceil(ln(2/eps)/acosh(mu)), mu that of ``interval``: the Chebyshev
+    rounds in which the bound 1/cosh(k acosh mu) <= 2 exp(-k acosh mu)
+    takes a unit spread down to ``eps``. A yardstick for round counts; the
+    rounds themselves compute no such number."""
+    # ln(2/eps) as a difference: 2/eps overflows for a subnormal eps
+    return math.ceil((math.log(2.0) - math.log(eps)) / math.acosh(_chebyshev_mu(interval)))
 
 
 def random_generation_instance(

@@ -8,6 +8,8 @@ approach.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,17 +22,20 @@ from gridconsensus import (
     GridState,
     SparseWeights,
     build_topology,
+    default_config_path,
     degree_weight_matrix,
     flow_accumulate,
     flow_closed_form,
     flow_control,
+    load_config,
     metropolis_weight_matrix,
     random_connected_topology,
     ratio_consensus,
+    run,
 )
-from gridconsensus.consensus import _chebyshev_schedule
+from gridconsensus.graph import _chebyshev_mu
 from conftest import path_topology as path
-from conftest import fixed_capacities, tree_topology
+from conftest import fixed_capacities, predicted_rounds, tree_topology
 
 CRIT = ConvergenceCriteria()
 
@@ -200,19 +205,33 @@ class TestRatioConsensus:
 
 
 class TestChebyshevPhase:
-    """Rounds after the switch round K, where plain rounds end."""
+    """Rounds after the switch, where plain rounds end."""
 
     def test_switch_round_follows_the_bound(self):
-        # K = ceil(ln(2/eps) / acosh(mu)), mu = (1 - c) / ((hi - lo) / 2) and
-        # c = (lo + hi) / 2. Lanczos measures the exact spectrum of path-3,
-        # {1, 1/2, -1/6}: the eigenvectors (1, 0, -1) and (2, -3, 2) of
-        # S = D^-1/2 W D^1/2 give the two below 1. Then c = 1/6 and
-        # mu = (5/6) / (1/3) = 5/2.
+        # mu = (1 - c) / ((hi - lo) / 2) and c = (lo + hi) / 2. Lanczos
+        # measures the exact spectrum of path-3, {1, 1/2, -1/6}: the
+        # eigenvectors (1, 0, -1) and (2, -3, 2) of S = D^-1/2 W D^1/2 give
+        # the two below 1. Then c = 1/6 and mu = (5/6) / (1/3) = 5/2.
         q = degree_weight_matrix(path(3))
         assert q.interval == pytest.approx((-1.0 / 6.0, 0.5), abs=1e-12)
         assert q.shift == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert _chebyshev_schedule(q.interval, CRIT) == \
-            (int(np.ceil(np.log(2e10) / np.arccosh(2.5))), pytest.approx(2.5))
+        assert _chebyshev_mu(q.interval) == pytest.approx(2.5)
+        # The switch comes at the first round t where
+        # spread_t cosh((t - 1) acosh mu) > 2 spread_1, replayed here with
+        # the same rounds of W; no earlier round and no later one.
+        for topo in (path(3), path(40)):
+            w = degree_weight_matrix(topo)
+            q = RecordingWeights(w)
+            x, y = np.linspace(0.0, 1.0, topo.n), np.ones(topo.n)
+            res = ratio_consensus(q, x, y, CRIT)
+            rate = math.acosh(_chebyshev_mu(w.interval))
+            spreads = []
+            while not spreads or spreads[-1] * math.cosh((len(spreads) - 1) * rate) \
+                    <= 2.0 * spreads[0]:
+                x, y = w @ x, w @ y
+                spreads.append(np.ptp(x / y))
+                assert spreads[-1] > CRIT.eps
+            assert q.plain_rounds() == len(spreads) < res.iters
 
     def test_sums_preserved_and_ratios_certified(self):
         rng = np.random.default_rng(37)
@@ -237,26 +256,27 @@ class TestChebyshevPhase:
             assert np.max(np.abs(y_sums - y0.sum())) <= 1e-9 * y0.sum()
 
     def test_at_most_about_k_rounds_more_than_the_switch(self):
-        # K Chebyshev rounds shrink a unit spread to eps under the bound
+        # the bound's predicted rounds shrink a unit spread to eps
         q = RecordingWeights(degree_weight_matrix(path(40)))
         x0 = np.linspace(0.0, 1.0, 40)
         y0 = np.ones(40)
         fast = ratio_consensus(q, x0, y0, CRIT)
         plain = ratio_consensus(q.toarray(), x0, y0, CRIT)
         switch = q.plain_rounds()
-        assert switch < fast.iters <= switch + _chebyshev_schedule(q.interval, CRIT)[0] \
+        assert switch < fast.iters <= switch + predicted_rounds(q.interval, CRIT.eps) \
             < plain.iters
         assert np.max(np.abs(fast.values - plain.values)) <= 2 * CRIT.eps
 
     def test_path_switches_before_k_and_stops_sooner(self):
-        # On a path plain rounds fall behind the bound long before round K.
-        # Plain rounds up to K, then Chebyshev rounds, took 979 ratio and
-        # 1054 flow rounds on these inputs.
+        # On a path plain rounds fall behind the bound long before round
+        # K = ``predicted_rounds`` of the interval. Plain rounds up to K,
+        # then Chebyshev rounds, would take 979 ratio and 1054 flow rounds
+        # on these inputs.
         topo = path(40)
         q = RecordingWeights(degree_weight_matrix(topo))
-        switch = _chebyshev_schedule(q.interval, CRIT)[0]
+        k = predicted_rounds(q.interval, CRIT.eps)
         res = ratio_consensus(q, np.linspace(0.0, 1.0, 40), np.ones(40), CRIT)
-        assert q.plain_rounds() < switch
+        assert q.plain_rounds() < k
         assert res.iters < 979
 
         s = metropolis_weight_matrix(topo)
@@ -264,8 +284,8 @@ class TestChebyshevPhase:
         acc = flow_accumulate(topo, s, g0, CRIT)
         assert acc.iters < 1054
         # by round K the call has left the plain rounds of the reference
-        at_k = _flow_at_cap(topo, s, g0, switch)
-        assert np.max(np.abs(at_k - _flow_at_cap(topo, s.toarray(), g0, switch))) > 1e-6
+        at_k = _flow_at_cap(topo, s, g0, k)
+        assert np.max(np.abs(at_k - _flow_at_cap(topo, s.toarray(), g0, k))) > 1e-6
 
     def test_well_mixed_graph_never_switches(self):
         # plain rounds beat the bound of the wide interval [-1, 0.999] here,
@@ -301,8 +321,9 @@ class TestChebyshevPhase:
         assert np.max(np.abs(fast.h - acc.h)) <= 40 * CRIT.eps
 
     def test_tiny_eps_runs_to_the_cap(self):
-        # no spread gets down to these; the smallest positive float makes
-        # 2 / eps overflow, which K must not compute
+        # no spread gets down to these, and the smallest positive float is
+        # subnormal: the rounds run to the cap without an overflow, which
+        # would fail the suite as a warning
         topo = path(40)
         for eps in (1e-300, 5e-324):
             capped = ConvergenceCriteria(eps=eps, max_iters=3000)
@@ -329,7 +350,7 @@ class TestChebyshevPhase:
         loose = SparseWeights(s.indptr, s.indices, s.data, interval=(-1.0, 1.0 - gap))
         tiny = ConvergenceCriteria(eps=1e-320)
         acc = flow_accumulate(topo, loose, [1.0, 0.0, -1.0], tiny)
-        assert 1800 < acc.iters < _chebyshev_schedule(loose.interval, tiny)[0]
+        assert 1800 < acc.iters < predicted_rounds(loose.interval, tiny.eps)
         assert np.ptp(acc.g) <= tiny.eps
 
     def test_flow_sums_and_telescoping_hold(self):
@@ -339,7 +360,7 @@ class TestChebyshevPhase:
         g0 = rng.uniform(-8.0, 8.0, 50)
         g0 -= g0.mean()
         acc = flow_accumulate(topo, s, g0, CRIT)
-        assert acc.iters > _chebyshev_schedule(s.interval, CRIT)[0]
+        assert acc.iters > predicted_rounds(s.interval, CRIT.eps)
         heads, tails = topo.edge_index_arrays()
         inflow = np.bincount(np.concatenate((heads, tails)),
                              weights=np.concatenate((acc.h, -acc.h)), minlength=50)
@@ -357,12 +378,12 @@ class TestChebyshevPhase:
         g0 = np.linspace(-1.0, 1.0, 40)
         fast = flow_accumulate(topo, s, g0, CRIT)
         plain = flow_accumulate(topo, s.toarray(), g0, CRIT)
-        assert fast.iters <= 2 * _chebyshev_schedule(s.interval, CRIT)[0] < plain.iters
+        assert fast.iters <= 2 * predicted_rounds(s.interval, CRIT.eps) < plain.iters
         assert np.max(np.abs(fast.h - plain.h)) <= 40 * CRIT.eps
 
     def test_flows_stop_at_the_first_certified_round(self):
-        # The spread alone stops flow rounds, before K and after it: a
-        # Chebyshev round's change mixes in the round before it and
+        # The spread alone stops flow rounds, before the switch and after
+        # it: a Chebyshev round's change mixes in the round before it and
         # certifies nothing about h, and a plain round's change adds
         # nothing to what the spread certifies.
         rng = np.random.default_rng(43)
@@ -383,18 +404,20 @@ class TestChebyshevPhase:
                 assert np.ptp(info.value.values) > CRIT.eps
 
     def test_round_cap_raises_with_its_fields(self):
-        # an interval [-1, 0] claims far more than a 60-node path has; K is
-        # then 14, so a cap of 50 rounds falls past the plain rounds
+        # an interval [-1, 0] claims far more than a 60-node path has, so
+        # plain rounds fall behind its bound after two rounds, and a cap of
+        # 50 rounds falls past them
         q = degree_weight_matrix(path(60))
-        loose = SparseWeights(q.indptr, q.indices, q.data, q.stationary, (-1.0, 0.0))
-        assert _chebyshev_schedule(loose.interval, CRIT)[0] == 14
+        loose = RecordingWeights(
+            SparseWeights(q.indptr, q.indices, q.data, q.stationary, (-1.0, 0.0)))
         capped = ConvergenceCriteria(max_iters=50)
         with pytest.raises(ConvergenceError) as info:
             ratio_consensus(loose, np.arange(60.0), np.ones(60), capped)
-        assert info.value.iters == 50
+        assert info.value.iters == 50 and loose.plain_rounds() == 2
         assert info.value.values.shape == (60,)
-        # a Chebyshev round still reaches only neighbors: after 50 rounds
-        # no mass from node 1 has reached node 60, whose denominator is 0
+        # after 50 rounds no mass from node 1 has reached node 60, whose
+        # denominator is 0: the spread is never defined, the rounds stay
+        # plain, and the call raises at the cap
         y0 = np.zeros(60)
         y0[0] = 1.0
         with pytest.raises(DegenerateDenominatorError):
@@ -436,14 +459,14 @@ class TestMeasuredInterval:
         # The pinned interval claims four times the true gap 1 - lambda_2,
         # so the slowest mode lies outside it, where Chebyshev rounds do not
         # damp it. The spread falls behind the interval's bound, and the call
-        # restarts from its current values on [-1, 1 - (1 - hi)/4], whose
-        # top is the measured one again. It still meets the oracle, within
-        # the rounds of a call on that interval alone, plus 2K of the narrow
-        # interval (K plain rounds at most, and Chebyshev rounds until the
-        # spread falls behind), plus the rounds the wide interval's bound
-        # needs to take off the factor 2 sqrt(n) by which the spread may
-        # exceed its first value before the restart. Mohar's took 553 ratio
-        # and 563 flow rounds.
+        # goes on from its current values on [-1, 1 - (1 - hi)/4], whose top
+        # is the measured one again. It still meets the oracle, within the
+        # rounds of a call on that interval alone, plus twice the rounds
+        # ``predicted_rounds`` gives the narrow interval (for the plain
+        # rounds and the Chebyshev rounds before the spread falls behind),
+        # plus the rounds the wide interval's bound needs to take off the
+        # factor 2 sqrt(n) by which the spread may exceed its first value
+        # before the widening. Mohar's took 553 ratio and 563 flow rounds.
         rng = np.random.default_rng(83)
         topo = path(40)
         x0 = rng.uniform(-5.0, 5.0, 40)
@@ -465,13 +488,44 @@ class TestMeasuredInterval:
             assert fallbacks == [narrow] and check(res)
             wide = narrow.fallback()
             assert wide.interval == (-1.0, pytest.approx(hi, abs=1e-15))
-            wide_mu = _chebyshev_schedule(wide.interval, CRIT)[1]
-            bound = (call(wide).iters + 2 * _chebyshev_schedule(narrow.interval, CRIT)[0]
+            wide_mu = _chebyshev_mu(wide.interval)
+            bound = (call(wide).iters + 2 * predicted_rounds(narrow.interval, CRIT.eps)
                      + np.ceil(np.log(2.0 * np.sqrt(40)) / np.arccosh(wide_mu)))
             assert res.iters <= bound and res.iters < mohar
             # on the measured interval the fallback never fires
             fallbacks.clear()
             assert call(weights).iters < res.iters and fallbacks == []
+
+    def test_no_plain_round_follows_a_fallback(self, monkeypatch):
+        # On the too narrow interval above the Chebyshev rounds fall behind
+        # once and go on from the current arrays on the wider interval:
+        # every round after the fallback is a round of P. (Both engines run
+        # the same rounds; the ratio engine's are the ones RecordingWeights
+        # logs.)
+        rng = np.random.default_rng(83)
+        x0 = rng.uniform(-5.0, 5.0, 40)
+        y0 = rng.uniform(0.1, 4.0, 40)
+        weights = degree_weight_matrix(path(40))
+        lo, hi = weights.interval
+        q = RecordingWeights(SparseWeights(weights.indptr, weights.indices, weights.data,
+                                           weights.stationary, (lo, 1.0 - 4.0 * (1.0 - hi))))
+        marks = []
+        fallback = SparseWeights.fallback
+        monkeypatch.setattr(SparseWeights, "fallback", lambda self: marks.append(len(q.log))
+                            or RecordingWeights(fallback(self), q.log))
+        res = ratio_consensus(q, x0, y0, CRIT)
+        assert np.max(np.abs(res.values - x0.sum() / y0.sum())) <= CRIT.eps
+        assert len(marks) == 1 and len(q.log) == 2 * res.iters
+        after = [kind for kind, _ in q.log[marks[0]:]]
+        assert after and set(after) == {"P"}
+
+    def test_shipped_scenarios_never_fall_back(self, fallbacks):
+        # every call of both shipped 50-step scenarios keeps to the
+        # interval Lanczos measured
+        for mode in ("with", "without"):
+            record = run(load_config(default_config_path(mode)))
+            assert record.horizon == 50 and record.all_audits_passed
+        assert fallbacks == []
 
     def test_widening_from_a_point_ends_cleanly(self, fallbacks):
         # The point (0, 0) claims that every mode but the consensus one
@@ -536,8 +590,9 @@ class TestMeasuredInterval:
     def test_one_point_spectra_stay_finite(self, n):
         # A single node has no eigenvalue but 1, and its interval is the
         # point 0; two nodes and the complete graph K5 have one more, 0, in
-        # both weight matrices, so Lanczos measures that one-point interval. The floored half-width keeps mu and
-        # K finite there, and on an interval pinned to the point exactly.
+        # both weight matrices, so Lanczos measures that one-point interval.
+        # The floored half-width keeps mu finite there and on an interval
+        # pinned to the point exactly, so the bound predicts few rounds.
         topo = build_topology(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
         rng = np.random.default_rng(89 + n)
         x0 = rng.uniform(-5.0, 5.0, n)
@@ -549,8 +604,8 @@ class TestMeasuredInterval:
         point = [SparseWeights(w.indptr, w.indices, w.data, w.stationary, (0.0, 0.0))
                  for w in (q, s)]
         for w in (q, s, *point):
-            switch, mu = _chebyshev_schedule(w.interval, CRIT)
-            assert 1 <= switch < 100 and 1.0 < mu < np.inf
+            mu = _chebyshev_mu(w.interval)
+            assert 1 <= predicted_rounds(w.interval, CRIT.eps) < 100 and 1.0 < mu < np.inf
         truth = x0.sum() / y0.sum()
         oracle = flow_closed_form(g0 - g0.mean(), topo)
         # a tiny eps forces Chebyshev rounds after the first plain one, and

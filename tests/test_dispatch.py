@@ -146,6 +146,14 @@ class TestGenerationClosedForm:
         with pytest.raises(InfeasibleStepError):
             generation_closed_form(-1.0, state, db)
 
+    def test_nan_target_is_infeasible(self):
+        # a NaN fails every comparison, so it would pass a check for "below
+        # or above the interval" and spread NaN over every change
+        state = GridState.initial([0.0, 0.0])
+        db = compute_delta_bounds(state, two_node_caps())
+        with pytest.raises(InfeasibleStepError):
+            generation_closed_form(float("nan"), state, db)
+
     def test_zero_range_zero_change(self):
         state = GridState.initial([3.0, 4.0])
         db = DeltaBounds(lo=[1.0, -1.0], hi=[1.0, -1.0])
@@ -195,6 +203,15 @@ class TestGenerationDistributed:
         db = compute_delta_bounds(state, caps)
         with pytest.raises(InfeasibleStepError):
             generation_distributed(np.array([20.0, 20.0]), state, db, topo, CRIT)
+
+    def test_nan_target_is_infeasible(self):
+        # one NaN target makes the total NaN: rejected before ratio
+        # consensus, which would run it to the round cap
+        topo = build_topology(2, [(1, 2)])
+        state = GridState.initial([0.0, 0.0])
+        db = compute_delta_bounds(state, two_node_caps())
+        with pytest.raises(InfeasibleStepError):
+            generation_distributed(np.array([np.nan, 7.5]), state, db, topo, CRIT)
 
 
 class TestFlowControl:

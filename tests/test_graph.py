@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import gridconsensus.graph as graph_mod
 from gridconsensus import (
-    ConvergenceCriteria,
     DisconnectedGraphError,
     DuplicateEdgeError,
     EndpointOutOfRangeError,
@@ -34,7 +33,6 @@ from gridconsensus import (
     parse_config,
     random_connected_topology,
 )
-from gridconsensus.consensus import _chebyshev_schedule
 from conftest import neighbor_lists, reference_topology, symmetrised_spectrum, tree_topology
 
 def dense_degree_reference(topology):
@@ -357,7 +355,7 @@ def test_fallback_widens_the_interval_on_the_same_weights():
         assert wide.data is weights.data and wide.indices is weights.indices
         # widening again quarters the distance to 1 again, down to 4u and
         # no further: hi never reaches 1, which SparseWeights rejects, and mu
-        # and the switch round K stay finite
+        # stays above 1
         his = [hi]
         for _ in range(40):
             wide = wide.fallback()
@@ -365,9 +363,8 @@ def test_fallback_widens_the_interval_on_the_same_weights():
             his.append(wide.interval[1])
         assert his == sorted(his) and his[-1] == his[-2] < 1.0
         assert 1.0 - his[-1] >= 4.0 * graph_mod._UNIT_ROUNDOFF
-        switch, mu = _chebyshev_schedule(wide.interval, ConvergenceCriteria())
-        assert mu > 1.0 and switch < np.inf
-    # the constructor decides with the schedule's own mu, bit for bit: at the
+        assert graph_mod._chebyshev_mu(wide.interval) > 1.0
+    # the constructor decides with the rounds' own mu, bit for bit: at the
     # 4u cap mu is one step above 1, and only a pinned hi of nextafter(1, 0)
     # cannot widen
     capped = (-1.0, 1.0 - 4.0 * graph_mod._UNIT_ROUNDOFF)
@@ -436,9 +433,10 @@ def test_sparse_weights_reject_an_interval_outside_minus_1_1():
     for interval in ((-1.5, 0.0), (0.2, 0.1), (0.0, 1.0)):
         with pytest.raises(ValueError):
             SparseWeights(w.indptr, w.indices, w.data, interval=interval)
-    # these lie in [-1, 1), but the Chebyshev rounds need mu > 1: on the
-    # first mu rounds to 1, so acosh(mu) = 0 and the switch round divides by
-    # zero; on the one-point ones the half-width floor puts mu below 1
+    # these lie in [-1, 1), but the Chebyshev rounds need mu > 1, where
+    # their bound 1/cosh(k acosh mu) shrinks: on the first mu rounds to 1,
+    # and on the one-point ones the half-width floor puts it below 1, out
+    # of the domain of acosh
     path5 = build_topology(5, [(i, i + 1) for i in range(1, 5)])
     for w in (degree_weight_matrix(path5), metropolis_weight_matrix(path5)):
         for interval in ((-1.0, math.nextafter(1.0, 0.0)),

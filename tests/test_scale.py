@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from conftest import path_topology as path
-from conftest import fixed_capacities, random_capacities, reference_topology, symmetrised_spectrum
+from conftest import fixed_capacities, predicted_rounds, random_capacities
+from conftest import reference_topology, symmetrised_spectrum
 from gridconsensus import (
     MODE_WITH,
     MODE_WITHOUT,
@@ -43,7 +44,6 @@ from gridconsensus import (
     ratio_consensus,
     run,
 )
-from gridconsensus.consensus import _chebyshev_schedule
 from gridconsensus.graph import _lanczos_interval
 
 CRIT = ConvergenceCriteria()
@@ -114,12 +114,12 @@ def test_feeder_run_passes_every_audit_and_oracle(mode):
                             **source)
     record = run(config)
     assert record.all_audits_passed
-    # every call stops within twice the switch round K of its weights'
-    # measured interval (K = 671 for the degree weights, 821 for the
+    # every call stops within twice the rounds the bound predicts on its
+    # weights' measured interval (671 for the degree weights, 821 for the
     # Metropolis weights; calls took at most 795 and 1 017); plain rounds
     # took 43 000 to 86 000
-    ratio_k = _chebyshev_schedule(degree_weight_matrix(topo).interval, CRIT)[0]
-    flow_k = _chebyshev_schedule(metropolis_weight_matrix(topo).interval, CRIT)[0]
+    ratio_k = predicted_rounds(degree_weight_matrix(topo).interval, CRIT.eps)
+    flow_k = predicted_rounds(metropolis_weight_matrix(topo).interval, CRIT.eps)
     assert np.concatenate((record.coord_iters, record.gen_iters)).max() <= 2 * ratio_k
     assert record.flow_iters.max() <= 2 * flow_k
     p_G = caps.gen_lo
