@@ -225,11 +225,8 @@ def parse_config(doc) -> ScenarioConfig:
                               field="initial_generation")
         initial = tuple(_numbers(raw, "initial_generation").tolist())
 
-    try:
-        criteria = ConvergenceCriteria(**knobs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="eps/max_iters") from exc
-    # ScenarioConfig raises ConfigError naming the field it rejects
+    # ConvergenceCriteria and ScenarioConfig raise ConfigError naming the
+    # field they reject
     return ScenarioConfig(
         mode=mode,
         topology=topology,
@@ -237,7 +234,7 @@ def parse_config(doc) -> ScenarioConfig:
         horizon=horizon,
         demand=demand,
         desired=desired,
-        criteria=criteria,
+        criteria=ConvergenceCriteria(**knobs),
         initial_generation=initial,
         **options,
     )

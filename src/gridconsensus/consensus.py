@@ -71,7 +71,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDenominatorError
+from .errors import ConfigError, ConvergenceError, DegenerateDenominatorError
 from .graph import _UNIT_ROUNDOFF, GridTopology, SparseWeights, metropolis_edge_weights
 from .graph import _chebyshev_mu
 
@@ -90,10 +90,18 @@ class ConvergenceCriteria:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if not isinstance(self.eps, Real) or self.eps is True or not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be a positive finite number, got {self.eps!r}")
+        # ConfigError is a ValueError whose ``field`` names the bad field;
+        # eps is kept as the float the rounds compare against
+        try:
+            eps = float(self.eps) if isinstance(self.eps, Real) and self.eps is not True else 0.0
+        except OverflowError:  # an int or Fraction past the float range
+            eps = math.inf
+        if not 0 < eps < math.inf:
+            raise ConfigError(f"must be a positive finite number, got {self.eps!r}", field="eps")
+        object.__setattr__(self, "eps", eps)
         if type(self.max_iters) is not int or self.max_iters < 1:  # bool subclasses int
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+            raise ConfigError(f"must be an integer >= 1, got {self.max_iters!r}",
+                              field="max_iters")
 
     def tolerance(self, width, magnitude, terms: int):
         """The one error budget: how far a value computed from results this
@@ -146,10 +154,12 @@ def _rounds(
     ``plain(a, b)`` applies one round of W and returns new arrays. Plain
     rounds come first, and only then: they run while they keep pace with
     the Chebyshev bound of the weights' interval, and then
-    ``chebyshev(weights)`` returns the same function for their P. The module docstring gives both watches, and the
-    fallback: whenever Chebyshev rounds fall behind their interval's
-    bound, they go on, from the current arrays, on ``weights.fallback()``.
-    Dense weights carry no interval and stay plain.
+    ``chebyshev(weights)`` returns the same function for their P.
+
+    The module docstring gives both watches, and the fallback: whenever
+    Chebyshev rounds fall behind their interval's bound, they go on, from
+    the current arrays, on ``weights.fallback()``. Dense weights carry no
+    interval and stay plain.
     """
     eps, cap = criteria.eps, criteria.max_iters
     sparse = isinstance(weights, SparseWeights)

@@ -349,9 +349,6 @@ _BREAKDOWN = math.sqrt(_UNIT_ROUNDOFF)
 _HALF_WIDTH_FLOOR = math.sqrt(_UNIT_ROUNDOFF)
 # Laguerre's iteration converges cubically; this many steps is a backstop.
 _LAGUERRE_STEPS = 50
-# Inverse iteration shifts this far beyond the root: far above the root's
-# rounding error, far below the Ritz value gaps the interval resolves.
-_NUDGE = 1e-10
 
 
 def _chebyshev_mu(interval: tuple[float, float]) -> float:
@@ -373,9 +370,12 @@ def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]
     and O(n) work. The vectors lose orthogonality as Ritz values converge;
     that only repeats eigenvalues already found (Paige, 1976; Cullum &
     Willoughby, 1985), so the extreme ones come out the same, if some steps
-    later. A Ritz value theta of the tridiagonal T with residual r has an
-    eigenvalue of S within r, to rounding, orthogonal vectors or not
-    (Paige, 1976), so the extreme Ritz pairs give
+    later. A Ritz value theta of the k-step tridiagonal T has an
+    eigenvalue of S within r = b |y_k|, to rounding, orthogonal vectors or
+    not (Paige, 1976); b is the next off-diagonal and y_k the last
+    component of theta's unit eigenvector of T, which ``_ritz_pair`` reads
+    from the pivots of its Laguerre iteration, without forming the vector.
+    So the extreme Ritz values give
     [max(theta_min - r_min, -1), theta_max + r]. Lanczos stops once r is at
     most a tenth of 1 - theta_max, so theta_max + r stays below 1; where it
     stops because the Krylov space is invariant, its Ritz values are
@@ -420,19 +420,30 @@ def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]
 
 
 def _ritz_pair(alpha: list, beta: list, b: float, side: float) -> tuple[float, float]:
-    """The largest (``side`` 1) or smallest (``side`` -1) Ritz value of the
-    tridiagonal T with diagonal ``alpha`` and off-diagonal ``beta``, and
-    the residual norm of its Ritz vector given Lanczos's next off-diagonal
-    ``b``. Pure Python and numpy: no LAPACK on the run path.
+    """The largest (``side`` 1) or smallest (``side`` -1) Ritz value theta
+    of the k-by-k tridiagonal T with diagonal ``alpha`` and off-diagonal
+    ``beta``, and the residual norm r = b |y_k| of its unit Ritz vector y,
+    b being Lanczos's next off-diagonal ``b`` (Paige, 1976). Pure Python:
+    no LAPACK on the run path.
 
     From x = ``side``, beyond every Ritz value (they lie in [-1, 1]),
     Laguerre's iteration on det(T - xI) moves monotonically, and cubically
-    near the end, to the nearest root. It needs G = sum 1/(x - theta_i)
-    and H = sum 1/(x - theta_i)^2, which come from the pivots d_j of
-    T - xI = L D L^T and their first two derivatives in x. Two steps of
-    inverse iteration from just beyond the root, where T - xI is definite
-    and its factorisation stable, give the Ritz vector y; for its Rayleigh
-    quotient rho, ||S Q y - rho Q y||^2 = ||T y - rho y||^2 + b^2 y_k^2.
+    near the end, to the nearest root, never past it. It needs
+    G = sum 1/(x - theta_i) and H = sum 1/(x - theta_i)^2, which come from
+    the pivots d_j = alpha_j - x - q_j, q_j = beta_{j-1}^2/d_{j-1}, of
+    T - xI = L D L^T: G sums e_j = d_j'/d_j, their log-derivatives in x.
+    The last pass's pivots also give y_k (Parlett, 1980): det(T - xI) is
+    det(T_{k-1} - xI) d_k, so
+
+        y_k^2 = det(T_{k-1} - xI) / (d/dx) det(T - xI)
+              = 1 / |d_k' + d_k G_{k-1}|,    d_k' = q_k e_{k-1} - 1,
+
+    with G_{k-1} the sum over the first k - 1 pivots; unlike 1/|d_k G|, it
+    stays finite as d_k goes to 0 at the root. y_k^2 comes out to a few
+    rounding errors, so r is resolved to about b sqrt(u). Ritz values
+    closer than rounding act as a double root, which Laguerre approaches
+    only linearly; there ``_LAGUERRE_STEPS`` may stop x short of it, on
+    the outside.
     """
     k = len(alpha)
     x = side
@@ -444,6 +455,7 @@ def _ritz_pair(alpha: list, beta: list, b: float, side: float) -> tuple[float, f
             # a zero pivot means x is a root of a leading block; nudging it
             # costs a rounding error where dividing would cost the result
             d = alpha[j] - x - q or _UNIT_ROUNDOFF
+            last = 1.0 - q * e - d * g  # -(d_k' + d_k G_{k-1}) for j = k - 1
             e, f = (q * e - 1.0) / d, q * (f - 2.0 * e * e) / d
             g += e
             h += e * e - f
@@ -452,26 +464,7 @@ def _ritz_pair(alpha: list, beta: list, b: float, side: float) -> tuple[float, f
         if not abs(step) > _UNIT_ROUNDOFF:  # converged, or no finite step left
             break
         x -= step
-    x += side * _NUDGE
-    pivots, d = [], 1.0
-    for j in range(k):
-        d = alpha[j] - x - (beta[j - 1] ** 2 / d if j else 0.0) or _UNIT_ROUNDOFF
-        pivots.append(d)
-    y = [1.0] * k
-    for _ in range(2):  # y <- (L D L^T)^-1 y, L unit lower bidiagonal
-        for j in range(1, k):
-            y[j] -= beta[j - 1] / pivots[j - 1] * y[j - 1]
-        y[-1] /= pivots[-1]
-        for j in range(k - 2, -1, -1):
-            y[j] = (y[j] - beta[j] * y[j + 1]) / pivots[j]
-    y = np.array(y)
-    ty = np.array(alpha) * y
-    ty[:-1] += np.array(beta) * y[1:]
-    ty[1:] += np.array(beta) * y[:-1]
-    norm2 = y @ y
-    rho = (y @ ty) / norm2
-    res = ty - rho * y
-    return float(rho), math.sqrt((res @ res + (b * y[-1]) ** 2) / norm2)
+    return x, b / math.sqrt(abs(last))
 
 
 def _edge_weights(topology: GridTopology, upper, lower, diagonal,

@@ -111,6 +111,19 @@ def tree_topology(kind: str, n: int, rng: np.random.Generator):
     return random_connected_topology(n, rng, extra_edge_prob=0.0)
 
 
+def feeder(trunk: int, seed: int = 0):
+    """A trunk path 1..trunk where every trunk node carries two lateral
+    nodes, as one two-node lateral or as two one-node laterals."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, i + 1) for i in range(1, trunk)]
+    nxt = trunk + 1
+    for t in range(1, trunk + 1):
+        second = nxt if rng.random() < 0.5 else t
+        edges += [(t, nxt), (second, nxt + 1)]
+        nxt += 2
+    return build_topology(nxt - 1, edges)
+
+
 def symmetrised_spectrum(weights) -> np.ndarray:
     """Eigenvalues of diag(pi)^-1/2 W diag(pi)^1/2, ascending, from the
     dense matrix (pi = ``weights.stationary``, ones when None)."""

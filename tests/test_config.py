@@ -236,10 +236,15 @@ class TestParse:
          "node 2 outside its generation bounds"),
         ("demand", {"kind": "seeded"}, "demand", "not taken by without-coordination runs"),
         ("desired", None, "desired", "required by without-coordination runs"),
+        ("eps", 0, "eps", "must be a positive finite number, got 0.0"),
+        ("eps", -1e-9, "eps", "must be a positive finite number, got -1e-09"),
+        ("max_iters", 0, "max_iters", "must be an integer >= 1, got 0"),
+        ("max_iters", 2.5, "max_iters", "must be an integer >= 1, got 2.5"),
+        ("max_iters", True, "max_iters", "must be an integer >= 1, got True"),
     ])
     def test_scenario_config_errors_name_their_field(self, key, value, field, message):
-        # ScenarioConfig alone checks these; its errors reach the caller
-        # with the field set and named once
+        # ScenarioConfig or ConvergenceCriteria alone checks these; their
+        # errors reach the caller with the field set and named once
         doc = good_doc()
         if value is None:
             del doc[key]

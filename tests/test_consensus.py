@@ -9,6 +9,7 @@ approach.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridconsensus import (
+    ConfigError,
     ConvergenceCriteria,
     ConvergenceError,
     DegenerateDenominatorError,
@@ -88,17 +90,25 @@ def test_criteria_validation():
     with pytest.raises(ValueError):
         ConvergenceCriteria(eps=-1e-9)
     # a bool is no number, as it is no integer for max_iters; a string or
-    # None fails with a ValueError, not a TypeError from the range check
-    for bad in (float("inf"), float("nan"), True, "1e-10", None, 1e-10j):
-        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+    # None fails with a ValueError, not a TypeError from the range check;
+    # an integer past the float range fails here, not as an OverflowError
+    # in tolerance()
+    for bad in (float("inf"), float("nan"), True, "1e-10", None, 1e-10j, 10**400,
+                Fraction(10**400)):
+        with pytest.raises(ConfigError, match="^eps: must be a positive finite number") as info:
             ConvergenceCriteria(eps=bad)
-    assert ConvergenceCriteria(eps=np.float64(1e-9)).eps == 1e-9
+        assert info.value.field == "eps"
+    # eps is kept as a float, whatever real number it came as
+    for eps in (np.float64(1e-9), Fraction(1, 10**9)):
+        criteria = ConvergenceCriteria(eps=eps)
+        assert type(criteria.eps) is float and criteria.eps == 1e-9
     with pytest.raises(ValueError):
         ConvergenceCriteria(max_iters=0)
     # range() would reject these only at the first run, with a TypeError
     for bad in (2.5, True):
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ConfigError, match="^max_iters: must be an integer >= 1") as info:
             ConvergenceCriteria(max_iters=bad)
+        assert info.value.field == "max_iters"
 
 
 class TestIterateLinear:

@@ -33,7 +33,8 @@ from gridconsensus import (
     parse_config,
     random_connected_topology,
 )
-from conftest import neighbor_lists, reference_topology, symmetrised_spectrum, tree_topology
+from conftest import feeder, neighbor_lists, path_topology, reference_topology
+from conftest import symmetrised_spectrum, tree_topology
 
 def dense_degree_reference(topology):
     """Loop-built dense degree weights: column j holds 1/(1 + deg(j)) at j
@@ -392,6 +393,47 @@ def test_breakdown_measures_the_spectrum_edges_below_one():
                 assert hi == pytest.approx(eig[-2], abs=1e-12)
                 assert lo == pytest.approx(eig[0], abs=1e-12)
                 assert hi < 1.0
+
+
+def test_ritz_pair_matches_the_dense_eigendecomposition(monkeypatch):
+    # _ritz_pair against LAPACK's eigh of the tridiagonal T: random
+    # tridiagonals with |alpha| <= 1/2 and beta <= 1/4, whose spectra lie in
+    # [-1, 1] as it assumes, and the checks Lanczos makes on path-300 (every
+    # one) and on the 1002-node feeder (the last top check and the bottom),
+    # where lost orthogonality repeats Ritz values. Laguerre's iteration
+    # moves from outside towards the extreme root and never passes it, so
+    # theta never lies inside the spectrum. Where the extreme is a simple
+    # root it lands on it, and the residual matches b |y_k| of eigh's
+    # vector; the pivots give y_k^2, so the match is in squares, to 1e-12.
+    # Two Ritz values closer than that tolerance count as one double root,
+    # where Laguerre converges only linearly: the feeder's Metropolis
+    # bottom (gap 1.1e-15) runs its 50 steps and stops 2.6e-9 outside it.
+    # The other checks take at most 46 steps (12 on random tridiagonals).
+    calls = []
+    measure = graph_mod._ritz_pair
+    monkeypatch.setattr(graph_mod, "_ritz_pair", lambda alpha, beta, b, side: (
+        calls.append((list(alpha), list(beta), b, side)) or measure(alpha, beta, b, side)))
+    cases = []
+    for topo, last in ((path_topology(300), None), (feeder(334), 2)):
+        for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
+            calls.clear()
+            graph_mod._lanczos_interval(weights)
+            cases += calls[-last:] if last else calls
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        k = int(rng.integers(1, 61))
+        alpha, beta = rng.uniform(-0.5, 0.5, k), rng.uniform(0.0, 0.25, k - 1)
+        b = float(rng.uniform(0.0, 0.25))
+        cases += [(alpha.tolist(), beta.tolist(), b, side) for side in (1.0, -1.0)]
+    for alpha, beta, b, side in cases:
+        theta, r = measure(alpha, beta, b, side)
+        lam, vec = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        i = -1 if side > 0 else 0
+        gap = abs(lam[i] - lam[-2 if side > 0 else 1]) if len(alpha) > 1 else math.inf
+        assert side * (theta - lam[i]) >= -1e-12
+        if gap >= 1e-12:
+            assert abs(theta - lam[i]) <= 1e-12
+            assert abs(r * r - (b * vec[-1, i]) ** 2) <= 1e-12 * b * b
 
 
 def test_widening_measures_nothing_again(monkeypatch):

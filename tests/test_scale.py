@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import path_topology as path
-from conftest import fixed_capacities, predicted_rounds, random_capacities
+from conftest import feeder, fixed_capacities, predicted_rounds, random_capacities
 from conftest import reference_topology, symmetrised_spectrum
 from gridconsensus import (
     MODE_WITH,
@@ -51,19 +51,6 @@ CRIT = ConvergenceCriteria()
 
 def ring(n: int):
     return build_topology(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
-
-
-def feeder(trunk: int, seed: int = 0):
-    """A trunk path 1..trunk where every trunk node carries two lateral
-    nodes, as one two-node lateral or as two one-node laterals."""
-    rng = np.random.default_rng(seed)
-    edges = [(i, i + 1) for i in range(1, trunk)]
-    nxt = trunk + 1
-    for t in range(1, trunk + 1):
-        second = nxt if rng.random() < 0.5 else t
-        edges += [(t, nxt), (second, nxt + 1)]
-        nxt += 2
-    return build_topology(nxt - 1, edges)
 
 
 TOPOLOGIES = {
