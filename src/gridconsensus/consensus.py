@@ -4,9 +4,9 @@ Two engines, both operating on per-node value arrays:
 
 * ``ratio_consensus`` — two coupled sum-preserving iterations whose
   per-node ratio converges to sum(x0)/sum(y0).
-* ``flow_accumulate`` — Metropolis-weighted averaging that additionally
-  integrates the disagreement across each edge into a per-edge
-  accumulator; its steady state supplies the power flows.
+* ``flow_accumulate`` — Metropolis-weighted averaging carried on a
+  per-edge accumulator alone, whose flows' net inflow gives the node
+  values; its steady state supplies the power flows.
 
 All rounds are synchronous: every node updates from the previous round's
 values, plus, after the switch below, its own value one round earlier.
@@ -58,8 +58,10 @@ values and spread, on the wider interval [-1, 1 - (1 - hi)/4]
 watch that one the same way, so an interval still too narrow widens
 again. Plain rounds run only before the switch. Sums are preserved
 throughout, so a widening loses nothing, and a wrong interval costs
-rounds, never the result. Dense ``np.ndarray`` weights carry no interval
-and stay plain: they are the reference engine.
+rounds, never the result. A flow call whose spread is within eps of the
+rounding of its values, which no round removes, stops there instead.
+Dense ``np.ndarray`` weights carry no interval and stay plain: they are
+the reference engine.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Real
 
 import numpy as np
@@ -126,8 +129,8 @@ class ConsensusResult:
 
 @dataclass(frozen=True)
 class FlowAccumulator:
-    """Per-edge accumulator h, aligned with ``topology.edges``, and node
-    values g at termination of the flow iteration, plus rounds executed."""
+    """Per-edge accumulator h, aligned with ``topology.edges``, the node
+    values g its flows -h leave as ``apply_step`` books them, and rounds."""
 
     h: np.ndarray
     g: np.ndarray
@@ -144,62 +147,53 @@ def _recurrence_weights(mu: float) -> Iterator[float]:
 
 
 def _rounds(
-    plain: Callable, chebyshev: Callable, a: np.ndarray, b: np.ndarray, weights,
-    criteria: ConvergenceCriteria, spread: Callable,
-) -> tuple[int | None, np.ndarray, np.ndarray]:
-    """Run rounds t = 1, 2, ... on both arrays until ``spread(a, b)`` is at
-    most eps; return t and the arrays then, or None and the arrays after
-    ``max_iters`` rounds. ``spread`` returns None where it is undefined.
+    plain: Callable, chebyshev: Callable, state: tuple, weights,
+    criteria: ConvergenceCriteria, values: Callable, floor: Callable,
+) -> tuple[int | None, tuple, np.ndarray | None]:
+    """Run rounds t = 1, 2, ... on the arrays of ``state`` until the spread
+    max - min of their node values ``values(state)`` (None where undefined)
+    is at most eps; return t, the arrays and their values then, or None and
+    those after ``max_iters`` rounds.
 
-    ``plain(a, b)`` applies one round of W and returns new arrays. Plain
-    rounds come first, and only then: they run while they keep pace with
-    the Chebyshev bound of the weights' interval, and then
-    ``chebyshev(weights)`` returns the same function for their P.
-
-    The module docstring gives both watches, and the fallback: whenever
-    Chebyshev rounds fall behind their interval's bound, they go on, from
-    the current arrays, on ``weights.fallback()``. Dense weights carry no
-    interval and stay plain.
+    ``plain(state, v)``, v the node values of ``state``, applies one round
+    of W and returns new arrays; ``chebyshev(weights)`` returns the same
+    function for their P. Plain rounds run first, and only while they keep
+    pace with the Chebyshev bound of the weights' interval. The module
+    docstring gives both watches, and the fallback: whenever Chebyshev
+    rounds fall behind their interval's bound, they go on, from the current
+    arrays, on ``weights.fallback()``, unless the spread is within eps plus
+    ``floor(state)``, the rounding of the values. Dense weights stay plain.
     """
     eps, cap = criteria.eps, criteria.max_iters
     sparse = isinstance(weights, SparseWeights)
     rate = math.acosh(_chebyshev_mu(weights.interval)) if sparse else 0.0
-    limit = None
+    step, omegas, limit = plain, repeat(1.0), None
+    prev, v = state, values(state)
     for t in range(1, cap + 1):
-        a, b = plain(a, b)
-        s = spread(a, b)
-        if s is None:
+        new, omega = step(state, v), next(omegas)
+        if omega != 1.0:  # w = 1 in plain rounds and the first of a recurrence
+            for x, x_prev in zip(new, prev):
+                x *= omega
+                x -= (omega - 1.0) * x_prev
+        prev, state, v = state, new, values(new)
+        if v is None:
             continue
+        s = v.max() - v.min()
         if s <= eps:
-            return t, a, b
+            return t, state, v
         if limit is None:
             t0, limit = t, 2.0 * s
         # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
         elif sparse and s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
-            break
-    slack = 2.0 * math.sqrt(a.size)
-    while t < cap:
-        # the switch, or a fallback, came at round t, where the spread s was defined
-        mu = _chebyshev_mu(weights.interval)
-        rate, step = math.acosh(mu), chebyshev(weights)
-        t0, limit = t, slack * s
-        a_prev, b_prev = a, b
-        for t, omega in zip(range(t + 1, cap + 1), _recurrence_weights(mu)):
-            a_next, b_next = step(a, b)
-            a_next *= omega
-            a_next -= (omega - 1.0) * a_prev
-            b_next *= omega
-            b_next -= (omega - 1.0) * b_prev
-            a_prev, b_prev, a, b = a, b, a_next, b_next
-            s = spread(a, b)
-            if s is None:
-                continue
-            if s <= eps:
-                return t, a, b
-            if s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
+            if step is not plain:
+                if s <= eps + floor(state):
+                    return t, state, v
                 weights = weights.fallback()
-                break
-    return None, a, b
+            # the switch, or a fallback: the recurrence starts afresh from round t
+            mu = _chebyshev_mu(weights.interval)
+            rate, step, omegas = math.acosh(mu), chebyshev(weights), _recurrence_weights(mu)
+            t0, limit, prev = t, 2.0 * math.sqrt(v.size) * s, state
+    return None, state, v
 
 
 def ratio_consensus(
@@ -237,28 +231,25 @@ def ratio_consensus(
     if not np.any(y > 0):
         raise DegenerateDenominatorError("y0 has no positive entries")
 
-    def spread(x, y):
-        if y.min() <= DENOMINATOR_FLOOR:
-            return None
-        ratio = x / y
-        return ratio.max() - ratio.min()
+    def ratios(state):
+        x, y = state
+        return None if y.min() <= DENOMINATOR_FLOOR else x / y
 
-    def chebyshev(weights):
-        p = weights.shifted()
-        return lambda x, y: (p @ x, p @ y)
+    def rounds_of(w):
+        return lambda state, _: (w @ state[0], w @ state[1])
 
-    t, x, y = _rounds(lambda x, y: (weights @ x, weights @ y), chebyshev, x, y, weights,
-                      criteria, spread)
+    t, _, ratio = _rounds(rounds_of(weights), lambda w: rounds_of(w.shifted()), (x, y),
+                          weights, criteria, ratios, lambda state: 0.0)
     if t is not None:
-        return ConsensusResult(values=x / y, iters=t)
-    if y.min() <= DENOMINATOR_FLOOR:
+        return ConsensusResult(values=ratio, iters=t)
+    if ratio is None:
         raise DegenerateDenominatorError(
             f"denominator still below {DENOMINATOR_FLOOR:g} after "
             f"{criteria.max_iters} rounds"
         )
     raise ConvergenceError(
         f"ratio consensus did not converge within {criteria.max_iters} rounds",
-        values=x / y,
+        values=ratio,
         iters=criteria.max_iters,
     )
 
@@ -269,7 +260,7 @@ def flow_accumulate(
     g0,
     criteria: ConvergenceCriteria,
 ) -> FlowAccumulator:
-    """Average g across the graph while integrating per-edge disagreement.
+    """Average g across the graph, carrying only the per-edge accumulator.
 
     ``weights`` (the Metropolis weights of ``topology``, n x n) carries the
     interval that sets the switch; the rounds apply the same weights per edge,
@@ -277,42 +268,46 @@ def flow_accumulate(
     edge, and those of P as a_e/(1 - c), so the shifted matrix is never
     built.
 
-    Each round, every edge e = (i, j) with i < j carries an increment
-    a_e * (g_j - g_i); node values absorb their incident increments (one
-    Metropolis averaging round: i gains it, j loses it) and the
-    accumulator records it with h[e] += inc. By telescoping, at every
-    round g_i(t) = g_i(0) + sum of h[e](t) over edges e = (i, j) minus sum
-    of h[e](t) over edges e = (j, i). A round of P books
-    a_e/(1 - c) * (g_j - g_i) instead, and the Chebyshev combination of g
-    and h is linear, so the identity still holds.
+    The rounds carry h, one entry per edge of ``topology.edges``, alone.
+    Each reads the node values g = g0 + ``topology.incident_sums(-h, h)``,
+    the net inflow of the flows -h as ``dispatch.apply_step`` books it, and
+    adds a_e * (g_j - g_i) to h[e] for each edge e = (i, j), i < j: one
+    Metropolis averaging round of g. g is affine in h, so the Chebyshev
+    combination of h combines g alike.
 
     Stops once the node values agree to within ``eps``: their sum is
-    preserved, so they bracket their mean throughout and the spread
-    certifies that the flows -h leave every node within ``eps`` of it.
-    Raises ConvergenceError at the round cap.
+    preserved, so the spread certifies that the flows -h leave every node
+    within ``eps`` of their mean, in the sum the export books. Where the
+    Chebyshev watch trips, a spread within eps plus the rounding of that
+    sum, gamma_{d+1} * 2 max_i (|g0_i| + sum of |h_e| on i's edges), d the
+    largest degree, stops the call too. Raises ConvergenceError at the
+    round cap.
     """
     n = topology.n
     if weights.shape != (n, n):
         raise ValueError(f"weight shape {weights.shape} does not match {n} nodes")
-    g = np.asarray(g0, dtype=float)
-    if g.shape != (n,):
-        raise ValueError(f"g0 shape {g.shape} does not match {n} nodes")
+    g0 = np.asarray(g0, dtype=float)
+    if g0.shape != (n,):
+        raise ValueError(f"g0 shape {g0.shape} does not match {n} nodes")
 
     heads, tails = topology.edge_index_arrays()
+    terms = max(topology.degrees) + 1
+
+    def node_values(state):
+        h, = state
+        return g0 + topology.incident_sums(-h, h)
+
+    def rounding(state):
+        h = np.abs(state[0])
+        magnitude = 2.0 * float(np.max(np.abs(g0) + topology.incident_sums(h, h)))
+        return criteria.tolerance(0.0, magnitude, terms)
 
     def rounds_of(a):
-        def step(g, h):
-            inc = a * (g[tails] - g[heads])
-            g_next = g.copy()
-            np.add.at(g_next, heads, inc)
-            np.subtract.at(g_next, tails, inc)
-            return g_next, h + inc
-        return step
+        return lambda state, g: (state[0] + a * (g[tails] - g[heads]),)
 
     a = metropolis_edge_weights(topology)
-    t, g, h = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
-                      g, np.zeros(heads.shape[0]), weights, criteria,
-                      lambda g, h: g.max() - g.min())
+    t, (h,), g = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
+                         (np.zeros(heads.shape[0]),), weights, criteria, node_values, rounding)
     if t is not None:
         return FlowAccumulator(h=h, g=g, iters=t)
     raise ConvergenceError(

@@ -45,9 +45,10 @@ class DeltaBounds:
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("delta bounds must be 1-D arrays of equal length")
-        if np.any(self.lo > self.hi):
-            bad = int(np.argmax(self.lo > self.hi)) + 1
-            raise ValueError(f"delta bounds inverted at node {bad}")
+        inverted = ~(self.lo <= self.hi)  # so that a NaN bound fails it
+        if inverted.any():
+            bad = int(np.argmax(inverted)) + 1
+            raise ValueError(f"delta bounds inverted or NaN at node {bad}")
 
     @property
     def range(self) -> np.ndarray:
@@ -240,9 +241,11 @@ def flow_control(
 
     The mismatch vector (generation minus target) averages to zero when
     generation control balanced the totals, so diffusing it to agreement
-    drives every entry to zero; the edge accumulator integrated along the
-    way, negated, is exactly the flow needed. Entry e of the result, for
-    edge (i, j) = ``topology.edges[e]``, is the power i sends to j.
+    drives every entry to zero; the flow rounds carry the edge accumulator,
+    whose negation is the flow, and read the mismatch through the net
+    inflow ``apply_step`` books, so the certified mismatch is the one the
+    flows leave. Entry e of the result, for edge (i, j) =
+    ``topology.edges[e]``, is the power i sends to j.
 
     Raises BalanceError when the mismatch total exceeds what generation
     control certified to eps can leave over ``caps``: flows only move power
@@ -287,23 +290,17 @@ def apply_step(state: GridState, delta, flows, topology: GridTopology) -> GridSt
     """Advance one physical step: shift generation, book the flows.
 
     ``flows`` holds one value per edge of ``topology.edges``; a positive
-    value on edge (i, j) moves power from i to j. A node's net inflow adds
-    the flows on its edges to lower-numbered neighbors, then subtracts
-    those on its edges to higher-numbered ones, each group in increasing
-    neighbor order.
+    value on edge (i, j) moves power from i to j. A node's net inflow,
+    ``topology.incident_sums(flows, -flows)``, adds the flows on its edges
+    to lower-numbered neighbors, then subtracts those on its edges to
+    higher-numbered ones, each group in increasing neighbor order: the
+    same sum, in the same order, from which flow control read the node
+    values it certified.
     """
-    n = state.n
-    delta = _as_vector(delta, n, "delta")
-    heads, tails = topology.edge_index_arrays()
-    flows = _as_vector(flows, heads.shape[0], "flows")
-
-    p_G = state.p_G + delta
-    p_F_net = np.bincount(
-        np.concatenate((tails, heads)),
-        weights=np.concatenate((flows, -flows)),
-        minlength=n,
-    )
-    return GridState(p_G=p_G, p_d=state.p_d.copy(), p_F_net=p_F_net, k=state.k + 1)
+    delta = _as_vector(delta, state.n, "delta")
+    flows = _as_vector(flows, len(topology.edges), "flows")
+    return GridState(p_G=state.p_G + delta, p_d=state.p_d.copy(),
+                     p_F_net=topology.incident_sums(flows, -flows), k=state.k + 1)
 
 
 @dataclass(frozen=True)

@@ -63,15 +63,23 @@ class GridTopology:
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays (heads, tails), one entry per edge."""
-        return self._edge_arrays
+        return self._edge_arrays[:2]
+
+    def incident_sums(self, at_tails: np.ndarray, at_heads: np.ndarray) -> np.ndarray:
+        """Per node, the sum of ``at_tails[e]`` over the edges e it ends
+        (as ``tails[e]``), then of ``at_heads[e]`` over those it starts, each
+        group in edge order. ``incident_sums(flows, -flows)`` is the net
+        inflow that ``dispatch.apply_step`` books and flow rounds read."""
+        return np.bincount(self._edge_arrays[2], np.concatenate((at_tails, at_heads)), self.n)
 
     @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # Built once per topology and shared by every caller, so read-only.
-        arr = np.fromiter(chain.from_iterable(self.edges), int, 2 * len(self.edges))
-        arr = arr.reshape(-1, 2) - 1
-        arr.flags.writeable = False
-        return arr[:, 0], arr[:, 1]
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # heads, tails and both (tails first) in one array, built once per
+        # topology and shared by every caller, so read-only
+        ends = np.fromiter(chain.from_iterable(self.edges), int, 2 * len(self.edges)) - 1
+        ends = np.concatenate((ends[1::2], ends[0::2]))
+        ends.flags.writeable = False
+        return ends[len(self.edges):], ends[:len(self.edges)], ends
 
     @cached_property
     def _degree_weights(self) -> SparseWeights:
@@ -84,12 +92,8 @@ class GridTopology:
     @cached_property
     def _metropolis_weights(self) -> SparseWeights:
         a = metropolis_edge_weights(self)
-        heads, tails = self.edge_index_arrays()
         # each row's off-diagonal sum, added in increasing column order
-        off = np.bincount(
-            np.concatenate((tails, heads)), weights=np.concatenate((a, a)), minlength=self.n
-        )
-        return _edge_weights(self, a, a, 1.0 - off)
+        return _edge_weights(self, a, a, 1.0 - self.incident_sums(a, a))
 
 
 def _bfs_depths(indptr, indices, source: int) -> list[int]:

@@ -128,8 +128,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{len(p_G0)} entries for {self.topology.n} nodes",
                                   field="initial_generation")
             arr = np.asarray(p_G0)
-            if np.any(arr < caps.gen_lo) or np.any(arr > caps.gen_hi):
-                bad = int(np.argmax((arr < caps.gen_lo) | (arr > caps.gen_hi))) + 1
+            outside = ~((caps.gen_lo <= arr) & (arr <= caps.gen_hi))  # NaN is outside too
+            if outside.any():
+                bad = int(np.argmax(outside)) + 1
                 raise ConfigError(f"node {bad} outside its generation bounds",
                                   field="initial_generation")
 

@@ -94,6 +94,11 @@ class TestDeltaBounds:
         with pytest.raises(ValueError):
             DeltaBounds(lo=[1.0], hi=[0.0])
 
+    @pytest.mark.parametrize(("lo", "hi"), [([np.nan], [0.0]), ([0.0, 0.0], [1.0, np.nan])])
+    def test_nan_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match=f"at node {len(lo)}$"):
+            DeltaBounds(lo=lo, hi=hi)
+
 
 class TestGenerationWithCoordination:
     def test_already_on_target(self, ref_caps):

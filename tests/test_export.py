@@ -240,9 +240,9 @@ _ROUNDS = {
     ("name", "digest", "rounds"),
     [
         ("with", "5ed89526cac1d9bc", _ROUNDS["with"]),
-        ("without", "f7b3f6a899eca55f", _ROUNDS["without"]),
-        ("feeder-without", "622cc4c6d7300754", _ROUNDS["feeder-without"]),
-        ("mesh-without", "f511b62368d6fee1", _ROUNDS["mesh-without"]),
+        ("without", "a948bca0ea182877", _ROUNDS["without"]),
+        ("feeder-without", "cadef6f6355b4fb7", _ROUNDS["feeder-without"]),
+        ("mesh-without", "dec3f3fc3aa2902a", _ROUNDS["mesh-without"]),
         ("mesh-with", "2e161c7cfda3c1e8", _ROUNDS["mesh-with"]),
     ],
     ids=["with", "without", "feeder-without", "mesh-without", "mesh-with"],

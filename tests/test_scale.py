@@ -7,8 +7,10 @@ here runs with the default ``ConvergenceCriteria`` and keeps the bounds
 the acceptance criteria use. Each topology is checked where it adds
 something: both engines on path-150, the longer path-300 on ratio
 rounds, the ring on flows (its flows are not subtree sums) and the
-1002-node feeder on flows alone, its cheaper engine call. Parsing is
-checked at the largest sizes: a 10 000-node mesh and a 2 000-node path.
+1002-node feeder on flows alone, its cheaper engine call. Path-1500
+checks that flow control certifies the flows it exports: a run without
+coordination passes every audit there. Parsing is checked at the largest
+sizes: a 10 000-node mesh and a 2 000-node path.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ from gridconsensus import (
     DemandSpec,
     DesiredSpec,
     GridState,
+    NodeCapacities,
     ScenarioConfig,
     apply_step,
     build_topology,
     compute_delta_bounds,
     coordinate_closed_form,
     degree_weight_matrix,
+    flow_accumulate,
     flow_closed_form,
     flow_control,
     generation_closed_form,
@@ -121,6 +125,45 @@ def test_feeder_run_passes_every_audit_and_oracle(mode):
             assert np.max(np.abs(record.delta[k] - oracle) / np.maximum(np.abs(oracle), 1.0)) \
                 <= 1e-8
         p_G = record.p_G[k]
+
+
+@pytest.fixture(scope="module")
+def path1500():
+    # one topology for both checks, so its weights measure their interval once
+    return path(1500)
+
+
+def test_path_1500_run_without_coordination_passes_every_audit(path1500):
+    # Capacity ranges as the benchmark draws them. Error annihilation is
+    # checked on the net inflow apply_step books, which is the sum flow
+    # rounds read their node values from, so the certified spread carries
+    # over to the audit at any length. Node values carried apart from the
+    # flows drifted from them instead: max |error| 1.1e-8 here, against a
+    # budget of ~3.6e-9.
+    n = path1500.n
+    rng = np.random.default_rng(1)
+    gen_lo = rng.uniform(10.0, 40.0, n)
+    gen_hi = gen_lo + rng.uniform(10.0, 60.0, n)
+    caps = NodeCapacities(gen_lo=gen_lo, gen_hi=gen_hi,
+                          net_lo=gen_lo - rng.uniform(0.0, 10.0, n),
+                          net_hi=gen_hi + rng.uniform(10.0, 60.0, n))
+    record = run(ScenarioConfig(mode=MODE_WITHOUT, topology=path1500, capacities=caps,
+                                horizon=1, desired=DesiredSpec(), seed=1))
+    assert record.all_audits_passed
+
+
+def test_path_1500_flows_cancel_the_mismatch_to_eps(path1500):
+    # The node values flow rounds certify are the values apply_step
+    # produces from their flows, bit for bit: with targets at zero, p_e is
+    # those values, so every node ends within eps of zero (8.8e-9 when the
+    # rounds carried the node values apart from the flows).
+    g0 = np.random.default_rng(67).uniform(-30.0, 30.0, path1500.n)
+    g0 -= g0.mean()
+    acc = flow_accumulate(path1500, metropolis_weight_matrix(path1500), g0, CRIT)
+    state = GridState(p_G=g0, p_d=np.zeros(path1500.n), p_F_net=np.zeros(path1500.n), k=0)
+    after = apply_step(state, np.zeros(path1500.n), -acc.h, path1500)
+    assert np.max(np.abs(after.p_e)) <= CRIT.eps
+    assert np.array_equal(after.p_e, acc.g)
 
 
 def test_lanczos_steps_stay_bounded_on_the_1002_node_feeder():

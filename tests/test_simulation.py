@@ -19,6 +19,7 @@ import gridconsensus.simulation as sim
 from gridconsensus import (
     AuditError,
     BoundViolationError,
+    ConfigError,
     ConvergenceCriteria,
     ConvergenceError,
     DemandSpec,
@@ -206,6 +207,16 @@ class TestScenarioConfig:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
                            horizon=1, demand=DemandSpec(), seed=-1)
         assert info.value.field == "seed"
+
+    def test_nan_initial_generation_rejected(self, ref_caps, ring_chord):
+        # NaN fails every comparison, so a bounds test written as "below lo
+        # or above hi" let it through, and the run failed at step 1 with a
+        # required generation change of nan
+        p_G0 = (np.nan,) + tuple(ref_caps.gen_lo[1:])
+        with pytest.raises(ConfigError, match="node 1 outside its generation bounds") as info:
+            ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
+                           horizon=1, demand=DemandSpec(), initial_generation=p_G0)
+        assert info.value.field == "initial_generation"
 
     def test_mode_and_source_must_agree(self, ref_caps, ring_chord):
         with pytest.raises(ValueError):
