@@ -58,8 +58,8 @@ values and spread, on the wider interval [-1, 1 - (1 - hi)/4]
 watch that one the same way, so an interval still too narrow widens
 again. Plain rounds run only before the switch. Sums are preserved
 throughout, so a widening loses nothing, and a wrong interval costs
-rounds, never the result. A flow call whose spread is within eps of the
-rounding of its values, which no round removes, stops there instead.
+rounds, never the result. A flow call whose spread is within eps of its
+floor, which no round removes, stops there instead.
 Dense ``np.ndarray`` weights carry no interval and stay plain: they are
 the reference engine.
 """
@@ -162,7 +162,7 @@ def _rounds(
     docstring gives both watches, and the fallback: whenever Chebyshev
     rounds fall behind their interval's bound, they go on, from the current
     arrays, on ``weights.fallback()``, unless the spread is within eps plus
-    ``floor(state)``, the rounding of the values. Dense weights stay plain.
+    ``floor(state)``, what no round removes. Dense weights stay plain.
     """
     eps, cap = criteria.eps, criteria.max_iters
     sparse = isinstance(weights, SparseWeights)
@@ -203,10 +203,10 @@ def ratio_consensus(
     per-node ratios x_i/y_i, which all converge to sum(x0)/sum(y0).
 
     One round is ``weights @ x`` and ``weights @ y``: on ``SparseWeights``
-    each node reads only its neighbors, O(n + m) per round; a dense n x n
-    array gives the plain dense iteration, which tests keep as the
-    reference. The two add each row in a different order, so their values
-    differ by float dust. ``weights`` must be n x n for n-entry x0 and y0.
+    one ``np.bincount`` over the edges' entries, O(n + m) per round; a
+    dense n x n array gives the plain dense iteration, which tests keep as
+    the reference. The two add each row in a different order, so their
+    values differ by float dust. ``weights`` must be n x n for n-entry x0 and y0.
 
     Convergence is judged on the ratio vector, not on x and y separately:
     every round preserves sum(x) and sum(y), so once every denominator
@@ -278,10 +278,16 @@ def flow_accumulate(
     Stops once the node values agree to within ``eps``: their sum is
     preserved, so the spread certifies that the flows -h leave every node
     within ``eps`` of their mean, in the sum the export books. Where the
-    Chebyshev watch trips, a spread within eps plus the rounding of that
-    sum, gamma_{d+1} * 2 max_i (|g0_i| + sum of |h_e| on i's edges), d the
-    largest degree, stops the call too. Raises ConvergenceError at the
-    round cap.
+    Chebyshev watch trips, a spread within eps plus the floor no round
+    removes stops the call too; d is the largest degree, u the unit
+    roundoff. The floor is the rounding of that sum, gamma_{d+1} * 2 max_i
+    (|g0_i| + sum of |h_e| on i's edges), plus the stall of h. A Chebyshev
+    round sets h_e to omega (h_e + a_e (g_j - g_i)/(1 - c)) - (omega - 1)
+    h_e' in roundings worth at most 3 omega u |h_e| (omega - 1 is exact).
+    Where h no longer moves, the increment is within them, so
+    |g_j - g_i| <= 3 (1 - c) u |h_e| / a_e < 6 u |h_e| / a_e, as c > -1;
+    summed along a path, the spread is at most 6 u sum_e |h_e| / a_e
+    <= 6 u (d + 1) sum_e |h_e|. Raises ConvergenceError at the round cap.
     """
     n = topology.n
     if weights.shape != (n, n):
@@ -297,17 +303,19 @@ def flow_accumulate(
         h, = state
         return g0 + topology.incident_sums(-h, h)
 
-    def rounding(state):
+    a = metropolis_edge_weights(topology)
+
+    def floor(state):
         h = np.abs(state[0])
         magnitude = 2.0 * float(np.max(np.abs(g0) + topology.incident_sums(h, h)))
-        return criteria.tolerance(0.0, magnitude, terms)
+        stall = 6.0 * _UNIT_ROUNDOFF * float(np.sum(h / a))
+        return criteria.tolerance(0.0, magnitude, terms) + stall
 
     def rounds_of(a):
         return lambda state, g: (state[0] + a * (g[tails] - g[heads]),)
 
-    a = metropolis_edge_weights(topology)
     t, (h,), g = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
-                         (np.zeros(heads.shape[0]),), weights, criteria, node_values, rounding)
+                         (np.zeros(heads.shape[0]),), weights, criteria, node_values, floor)
     if t is not None:
         return FlowAccumulator(h=h, g=g, iters=t)
     raise ConvergenceError(

@@ -13,13 +13,13 @@ Two weight matrices drive every iteration in this package:
 * ``metropolis_weight_matrix`` — symmetric Metropolis-Hastings weights,
   doubly stochastic, whose iteration converges to the entrywise average.
 
-Both are stored as ``SparseWeights``: compressed rows holding only the
-diagonal and one entry per neighbor, so a round reads each node's
-neighbors and costs O(n + m) time and memory, never O(n^2). ``W @ x`` runs
-one round as a gather, a multiply and ``np.add.reduceat`` over the row
-starts; ``toarray()`` gives the dense view. Every row stores its diagonal
-because ``reduceat`` cannot express an empty row: for an empty segment it
-returns the next row's first product instead of zero.
+Both are stored as ``SparseWeights`` on the graph's edges, in the incidence
+form W = I - B diag(a) B^T of Xiao & Boyd (2004), an edge's two entries
+allowed to differ: each edge keeps its two off-diagonal entries and each
+node its diagonal, so a round costs O(n + m) time and memory, never
+O(n^2). ``W @ x`` runs one round as a gather, a multiply and one
+``np.bincount``, the kernel of ``GridTopology.incident_sums``;
+``toarray()`` gives the dense view.
 
 Each topology builds each matrix once and hands the same read-only
 instance to every caller. What the accelerated rounds in ``consensus``
@@ -73,41 +73,47 @@ class GridTopology:
         return np.bincount(self._edge_arrays[2], np.concatenate((at_tails, at_heads)), self.n)
 
     @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # heads, tails and both (tails first) in one array, built once per
-        # topology and shared by every caller, so read-only
-        ends = np.fromiter(chain.from_iterable(self.edges), int, 2 * len(self.edges)) - 1
-        ends = np.concatenate((ends[1::2], ends[0::2]))
-        ends.flags.writeable = False
-        return ends[len(self.edges):], ends[:len(self.edges)], ends
+    def _edge_arrays(self) -> tuple[np.ndarray, ...]:
+        # heads, tails, both (tails first), and the weights' rows (tails,
+        # heads, every node) and columns (heads, tails, every node); built
+        # once per topology and shared by every caller, so read-only
+        m = len(self.edges)
+        ends = np.fromiter(chain.from_iterable(self.edges), int, 2 * m) - 1
+        nodes = np.arange(self.n)
+        rows = np.concatenate((ends[1::2], ends[0::2], nodes))
+        cols = np.concatenate((ends[0::2], ends[1::2], nodes))
+        rows.flags.writeable = cols.flags.writeable = False
+        return cols[:m], rows[:m], rows[:2 * m], rows, cols
 
     @cached_property
     def _degree_weights(self) -> SparseWeights:
         stationary = 1.0 + np.asarray(self.degrees, dtype=float)
         stationary.flags.writeable = False
-        share = 1.0 / stationary
-        heads, tails = self.edge_index_arrays()
-        return _edge_weights(self, share[tails], share[heads], share, stationary)
+        # entry (i, j) is 1/(1 + deg(j)), j the entry's column
+        data = (1.0 / stationary)[self._edge_arrays[4]]
+        data.flags.writeable = False
+        return SparseWeights(*self._edge_arrays[3:], data, stationary)
 
     @cached_property
     def _metropolis_weights(self) -> SparseWeights:
         a = metropolis_edge_weights(self)
         # each row's off-diagonal sum, added in increasing column order
-        return _edge_weights(self, a, a, 1.0 - self.incident_sums(a, a))
+        data = np.concatenate((a, a, 1.0 - self.incident_sums(a, a)))
+        data.flags.writeable = False
+        return SparseWeights(*self._edge_arrays[3:], data)
 
 
-def _bfs_depths(indptr, indices, source: int) -> list[int]:
+def _bfs_depths(bounds, neighbors, source: int) -> list[int]:
     """Hop distance from node ``source`` to each node, indexed by node
-    number (entry 0 unused), -1 where unreachable. The graph is in
-    compressed rows: node u's 1-based neighbors are
-    ``indices[indptr[u - 1]:indptr[u]]``."""
-    depth = [-1] * len(indptr)
+    number (entry 0 unused), -1 where unreachable. Node u's 1-based
+    neighbors are ``neighbors[bounds[u - 1]:bounds[u]]``."""
+    depth = [-1] * len(bounds)
     depth[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         d = depth[u] + 1
-        for v in indices[indptr[u - 1]:indptr[u]]:
+        for v in neighbors[bounds[u - 1]:bounds[u]]:
             if depth[v] < 0:
                 depth[v] = d
                 queue.append(v)
@@ -197,13 +203,13 @@ def build_topology(n: int, edges) -> GridTopology:
     hi = keys - lo * (n + 1)
     degrees = np.bincount(np.concatenate((lo, hi)), minlength=n + 1)[1:]
 
-    # The neighbors in compressed rows: each edge keyed from both ends,
-    # then sorted (np.argsort would fault in more of numpy's sort code).
-    # Memoryviews hand the traversal one int at a time, where tolist()
-    # would hold an object per entry; both show in peak memory.
-    indices = memoryview(np.sort(np.concatenate((keys, hi * (n + 1) + lo))) % (n + 1))
-    indptr = memoryview(np.concatenate(([0], np.cumsum(degrees))))
-    depth = _bfs_depths(indptr, indices, 1)
+    # Each node's neighbors in one list: each edge keyed from both ends,
+    # then the keys sorted (an index sort would fault in more of numpy's
+    # sort code). Memoryviews hand the traversal one int at a time, where
+    # tolist() would hold an object per entry; both show in peak memory.
+    neighbors = memoryview(np.sort(np.concatenate((keys, hi * (n + 1) + lo))) % (n + 1))
+    bounds = memoryview(np.concatenate(([0], np.cumsum(degrees))))
+    depth = _bfs_depths(bounds, neighbors, 1)
     if depth.count(-1) > 1:
         missing = [v for v in range(1, n + 1) if depth[v] < 0]
         raise DisconnectedGraphError(
@@ -214,13 +220,14 @@ def build_topology(n: int, edges) -> GridTopology:
 
 
 class SparseWeights:
-    """Square consensus weights in compressed-row (CSR) storage.
+    """Square consensus weights stored per edge: entry k of ``data`` is the
+    weight at row ``rows[k]`` and column ``cols[k]``.
 
-    Row ``i`` keeps its nonzero entries ``data[indptr[i]:indptr[i + 1]]`` at
-    columns ``indices[indptr[i]:indptr[i + 1]]``, in increasing column
-    order. Every row stores its diagonal entry, so no row is empty, which
-    the round in ``__matmul__`` relies on; the constructor rejects empty
-    rows.
+    A topology's weights hold its edges' entries first, in edge order, each
+    edge (i, j), i < j, giving entry (j, i) among the first m and (i, j)
+    among the next m, and the diagonal last, node by node. ``W @ x`` and
+    ``shifted()`` rely on that last part: the final n entries are the
+    diagonal, so n is ``rows[-1] + 1`` and every row has an entry.
 
     The weights are reversible: W pi = pi for the positive vector
     ``stationary`` (None for symmetric weights, where pi is all ones), and
@@ -233,26 +240,23 @@ class SparseWeights:
     instances, because they set the rounds of every later caller.
     """
 
-    __slots__ = ("indptr", "indices", "data", "_stationary", "_interval", "_starts", "_shifted")
+    __slots__ = ("rows", "cols", "data", "_stationary", "_interval", "_shifted")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
                  stationary: np.ndarray | None = None,
                  interval: tuple[float, float] | None = None):
-        if indices.shape != data.shape or indptr[-1] != data.shape[0]:
-            raise ValueError("indptr, indices and data do not describe the same entries")
-        if np.any(np.diff(indptr) < 1):
-            raise ValueError("every row must store at least its diagonal entry")
+        if not rows.shape == cols.shape == data.shape:
+            raise ValueError("rows, cols and data do not describe the same entries")
         # mu > 1 keeps acosh(mu), the rate of the rounds' watches, defined
         # and positive: only then does the bound 1/cosh(k acosh mu) shrink
         if interval is not None and not (-1.0 <= interval[0] <= interval[1] < 1.0
                                          and _chebyshev_mu(interval) > 1.0):
             raise ValueError(f"interval must satisfy -1 <= lo <= hi < 1 and mu > 1, got {interval}")
-        self.indptr = indptr
-        self.indices = indices
+        self.rows = rows
+        self.cols = cols
         self.data = data
         self._stationary = stationary
         self._interval = interval
-        self._starts = indptr[:-1]
         self._shifted = None
 
     @property
@@ -287,7 +291,7 @@ class SparseWeights:
         gap = (1.0 - hi) / 4.0
         if gap >= 4.0 * _UNIT_ROUNDOFF:
             hi = 1.0 - gap
-        return SparseWeights(self.indptr, self.indices, self.data, self._stationary, (-1.0, hi))
+        return SparseWeights(self.rows, self.cols, self.data, self._stationary, (-1.0, hi))
 
     def shifted(self) -> SparseWeights:
         """P = (W - cI)/(1 - c) with c = ``shift``, in the same storage.
@@ -301,36 +305,33 @@ class SparseWeights:
             lo, hi = self.interval
             c = self.shift
             n = self.shape[0]
-            diagonal = self.indices == np.repeat(np.arange(n), np.diff(self.indptr))
-            data = np.where(diagonal, self.data - c, self.data) / (1.0 - c)
+            data = np.concatenate((self.data[:-n], self.data[-n:] - c)) / (1.0 - c)
             data.flags.writeable = False
-            self._shifted = SparseWeights(self.indptr, self.indices, data, self._stationary,
+            self._shifted = SparseWeights(self.rows, self.cols, data, self._stationary,
                                           ((lo - c) / (1.0 - c), (hi - c) / (1.0 - c)))
         return self._shifted
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = self.indptr.shape[0] - 1
+        n = int(self.rows[-1]) + 1
         return (n, n)
 
     @property
     def nbytes(self) -> int:
-        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+        return self.rows.nbytes + self.cols.nbytes + self.data.nbytes
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """One synchronous round: entry i is the sum over row i's stored
-        columns j of w_ij * x_j, added in column order. ``x`` must be a
-        float array of length n; callers check that once, not per round."""
-        products = x[self.indices]
+        """One synchronous round: entry i is the sum of w_ij * x_j over row
+        i's entries, added in storage order. ``x`` must be a float array of
+        length n; callers check that once, not per round."""
+        products = x[self.cols]
         products *= self.data
-        return np.add.reduceat(products, self._starts)
+        return np.bincount(self.rows, products)
 
     def toarray(self) -> np.ndarray:
         """The dense n x n matrix these weights store."""
-        n = self.shape[0]
-        dense = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.cols] = self.data
         return dense
 
 
@@ -471,31 +472,6 @@ def _ritz_pair(alpha: list, beta: list, b: float, side: float) -> tuple[float, f
     return x, b / math.sqrt(abs(last))
 
 
-def _edge_weights(topology: GridTopology, upper, lower, diagonal,
-                  stationary=None) -> SparseWeights:
-    """CSR weights of ``topology`` from per-edge values: for edge e with
-    0-based endpoints heads[e] < tails[e] (``edge_index_arrays``), entry
-    (heads[e], tails[e]) is ``upper[e]`` and entry (tails[e], heads[e]) is
-    ``lower[e]``; entry (i, i) is ``diagonal[i]``; ``stationary`` is as in
-    ``SparseWeights``. The arrays are read-only because the topology shares
-    them with every caller."""
-    n = topology.n
-    heads, tails = topology.edge_index_arrays()
-    nodes = np.arange(n)
-    # A stable sort on the row keeps each row's lower neighbors, then its
-    # diagonal, then its higher neighbors, each group in increasing column
-    # order, because the edges are sorted.
-    rows = np.concatenate((tails, nodes, heads))
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = np.concatenate((heads, nodes, tails))[order]
-    data = np.concatenate((lower, diagonal, upper))[order]
-    for arr in (indptr, indices, data):
-        arr.flags.writeable = False
-    return SparseWeights(indptr, indices, data, stationary)
-
-
 def degree_weight_matrix(topology: GridTopology) -> SparseWeights:
     """Column-stochastic consensus weights from neighbor degrees.
 
@@ -524,41 +500,3 @@ def metropolis_edge_weights(topology: GridTopology) -> np.ndarray:
     deg = np.asarray(topology.degrees)
     heads, tails = topology.edge_index_arrays()
     return 1.0 / (1.0 + np.maximum(deg[heads], deg[tails]))
-
-
-def random_connected_topology(
-    n: int, rng: np.random.Generator, extra_edge_prob: float = 0.3
-) -> GridTopology:
-    """Random connected graph: a uniform spanning tree plus extra edges.
-
-    The tree comes from a random Pruefer sequence (uniform over labeled
-    trees); every remaining pair is then added independently with
-    probability ``extra_edge_prob``. Useful for randomized testing and
-    seed sweeps.
-    """
-    if n < 1:
-        raise TopologyError(f"node count must be >= 1, got {n}")
-    edges: set[tuple[int, int]] = set()
-    if n == 2:
-        edges.add((1, 2))
-    elif n > 2:
-        prufer = rng.integers(1, n + 1, size=n - 2)
-        degree = np.ones(n + 1, dtype=int)
-        for v in prufer:
-            degree[v] += 1
-        leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
-        for v in prufer:
-            leaf = leaves.pop(0)
-            edges.add((min(leaf, v), max(leaf, v)))
-            degree[v] -= 1
-            if degree[v] == 1:
-                # v becomes a leaf; keep the pool sorted for determinism
-                leaves.append(v)
-                leaves.sort()
-        u, v = leaves
-        edges.add((min(u, v), max(u, v)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) not in edges and rng.random() < extra_edge_prob:
-                edges.add((i, j))
-    return build_topology(n, sorted(edges))

@@ -19,7 +19,6 @@ from gridconsensus import (
     TopologyError,
     build_topology,
     compute_delta_bounds,
-    random_connected_topology,
 )
 from gridconsensus.graph import _chebyshev_mu
 
@@ -78,6 +77,44 @@ def neighbor_lists(topology):
         lists[i - 1].append(j)
         lists[j - 1].append(i)
     return lists
+
+
+def random_connected_topology(
+    n: int, rng: np.random.Generator, extra_edge_prob: float = 0.3
+) -> GridTopology:
+    """Random connected graph: a uniform spanning tree plus extra edges.
+
+    The tree comes from a random Pruefer sequence (uniform over labeled
+    trees); every remaining pair is then added independently with
+    probability ``extra_edge_prob``. Useful for randomized testing and
+    seed sweeps.
+    """
+    if n < 1:
+        raise TopologyError(f"node count must be >= 1, got {n}")
+    edges: set[tuple[int, int]] = set()
+    if n == 2:
+        edges.add((1, 2))
+    elif n > 2:
+        prufer = rng.integers(1, n + 1, size=n - 2)
+        degree = np.ones(n + 1, dtype=int)
+        for v in prufer:
+            degree[v] += 1
+        leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
+        for v in prufer:
+            leaf = leaves.pop(0)
+            edges.add((min(leaf, v), max(leaf, v)))
+            degree[v] -= 1
+            if degree[v] == 1:
+                # v becomes a leaf; keep the pool sorted for determinism
+                leaves.append(v)
+                leaves.sort()
+        u, v = leaves
+        edges.add((min(u, v), max(u, v)))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (i, j) not in edges and rng.random() < extra_edge_prob:
+                edges.add((i, j))
+    return build_topology(n, sorted(edges))
 
 
 def random_capacities(rng: np.random.Generator, n: int) -> NodeCapacities:

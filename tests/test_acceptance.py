@@ -48,13 +48,13 @@ from gridconsensus import (
     generation_distributed,
     load_config,
     metropolis_weight_matrix,
-    random_connected_topology,
     run,
 )
 from conftest import (
     RING_CHORD_EDGES,
     fixed_capacities,
     make_reference_caps,
+    random_connected_topology,
     random_generation_instance,
 )
 

@@ -26,9 +26,9 @@ from gridconsensus import (
     dump_config,
     load_config,
     parse_config,
-    random_connected_topology,
 )
 from conftest import DESIRED_AT_150, random_capacities
+from conftest import random_connected_topology
 
 
 def good_doc():

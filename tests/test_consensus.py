@@ -30,14 +30,15 @@ from gridconsensus import (
     flow_closed_form,
     flow_control,
     load_config,
+    metropolis_edge_weights,
     metropolis_weight_matrix,
-    random_connected_topology,
     ratio_consensus,
     run,
 )
 from gridconsensus.graph import _chebyshev_mu
 from conftest import path_topology as path
 from conftest import fixed_capacities, predicted_rounds, tree_topology
+from conftest import random_connected_topology
 
 CRIT = ConvergenceCriteria()
 
@@ -65,7 +66,7 @@ class RecordingWeights(SparseWeights):
     __slots__ = ("log", "kind", "shifts")
 
     def __init__(self, weights: SparseWeights, log=None, kind="W"):
-        super().__init__(weights.indptr, weights.indices, weights.data, weights.stationary,
+        super().__init__(weights.rows, weights.cols, weights.data, weights.stationary,
                          weights.interval)
         self.log = [] if log is None else log
         self.kind = kind
@@ -303,7 +304,7 @@ class TestChebyshevPhase:
         # rounds, and P is never built
         rng = np.random.default_rng(71)
         topo = random_connected_topology(40, rng, 0.3)
-        wide = [SparseWeights(w.indptr, w.indices, w.data, w.stationary, (-1.0, 0.999))
+        wide = [SparseWeights(w.rows, w.cols, w.data, w.stationary, (-1.0, 0.999))
                 for w in (degree_weight_matrix(topo), metropolis_weight_matrix(topo))]
         q = RecordingWeights(wide[0])
         x0 = rng.uniform(-5.0, 5.0, 40)
@@ -354,6 +355,32 @@ class TestChebyshevPhase:
             assert fallbacks == [] and acc.iters < 3000
             assert 0.0 < np.ptp(acc.g) <= eps + floor
 
+    @pytest.mark.parametrize("n", [40, 60, 200, 400])
+    def test_flow_stall_stops_within_the_floor(self, fallbacks, n):
+        # Where h stalls, an increment a_e (g_j - g_i) rounds away in h_e,
+        # so the spread stays above the rounding of the sum g reads. The
+        # floor counts that stall too, 6u sum_e |h_e|/a_e (flow_accumulate),
+        # and the call stops at the watch's first trip. A hi pinned a few
+        # ulps either side of the measured one moves where the rounds
+        # stall. With a floor of the read alone, some call widened on each
+        # path here, and path-400 on its own interval widened four times and
+        # ran to the cap.
+        topo = path(n)
+        w = metropolis_weight_matrix(topo)
+        a = metropolis_edge_weights(topo)
+        lo, hi = w.interval
+        capped = ConvergenceCriteria(eps=1e-300, max_iters=20_000)
+        g0 = np.linspace(-1.0, 1.0, n)
+        for ulps in range(-4, 5) if n < 400 else (0,):
+            pinned = SparseWeights(w.rows, w.cols, w.data, interval=(lo, hi + ulps * math.ulp(hi)))
+            acc = flow_accumulate(topo, pinned, g0, capped)
+            h = np.abs(acc.h)
+            floor = capped.tolerance(
+                0.0, 2.0 * np.max(np.abs(g0) + topo.incident_sums(h, h)), max(topo.degrees) + 1)
+            floor += 6.0 * (np.finfo(float).eps / 2.0) * np.sum(h / a)
+            assert fallbacks == [], (n, ulps)
+            assert 0.0 < np.ptp(acc.g) <= capped.eps + floor
+
     def test_plain_rounds_keep_pace_past_the_range_of_cosh(self):
         # On path-3, x0 = (1, 0, -1) sums to zero and is an eigenvector of
         # the Metropolis weights (eigenvalue 2/3), whose stationary vector
@@ -366,7 +393,7 @@ class TestChebyshevPhase:
         s = metropolis_weight_matrix(topo)
         mu = np.cosh(0.395)
         gap = 2.0 * (mu - 1.0) / (mu + 1.0)
-        loose = SparseWeights(s.indptr, s.indices, s.data, interval=(-1.0, 1.0 - gap))
+        loose = SparseWeights(s.rows, s.cols, s.data, interval=(-1.0, 1.0 - gap))
         tiny = ConvergenceCriteria(eps=1e-320)
         res = ratio_consensus(loose, [1.0, 0.0, -1.0], np.ones(3), tiny)
         assert 1800 < res.iters < predicted_rounds(loose.interval, tiny.eps)
@@ -428,7 +455,7 @@ class TestChebyshevPhase:
         # 50 rounds falls past them
         q = degree_weight_matrix(path(60))
         loose = RecordingWeights(
-            SparseWeights(q.indptr, q.indices, q.data, q.stationary, (-1.0, 0.0)))
+            SparseWeights(q.rows, q.cols, q.data, q.stationary, (-1.0, 0.0)))
         capped = ConvergenceCriteria(max_iters=50)
         with pytest.raises(ConvergenceError) as info:
             ratio_consensus(loose, np.arange(60.0), np.ones(60), capped)
@@ -500,7 +527,7 @@ class TestMeasuredInterval:
         ):
             weights = build(topo)
             lo, hi = weights.interval
-            narrow = SparseWeights(weights.indptr, weights.indices, weights.data,
+            narrow = SparseWeights(weights.rows, weights.cols, weights.data,
                                    weights.stationary, (lo, 1.0 - 4.0 * (1.0 - hi)))
             fallbacks.clear()
             res = call(narrow)
@@ -526,7 +553,7 @@ class TestMeasuredInterval:
         y0 = rng.uniform(0.1, 4.0, 40)
         weights = degree_weight_matrix(path(40))
         lo, hi = weights.interval
-        q = RecordingWeights(SparseWeights(weights.indptr, weights.indices, weights.data,
+        q = RecordingWeights(SparseWeights(weights.rows, weights.cols, weights.data,
                                            weights.stationary, (lo, 1.0 - 4.0 * (1.0 - hi))))
         marks = []
         fallback = SparseWeights.fallback
@@ -561,7 +588,7 @@ class TestMeasuredInterval:
         y0 = rng.uniform(0.1, 4.0, 300)
         g0 = rng.uniform(-8.0, 8.0, 300)
         oracle = flow_closed_form(g0 - g0.mean(), topo)
-        q, s = (SparseWeights(w.indptr, w.indices, w.data, w.stationary, (0.0, 0.0))
+        q, s = (SparseWeights(w.rows, w.cols, w.data, w.stationary, (0.0, 0.0))
                 for w in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)))
         res = ratio_consensus(q, x0, y0, CRIT)
         assert len(fallbacks) > 2 and res.iters < 4674
@@ -620,7 +647,7 @@ class TestMeasuredInterval:
         q, s = degree_weight_matrix(topo), metropolis_weight_matrix(topo)
         assert q.interval == pytest.approx((0.0, 0.0), abs=1e-12)
         assert s.interval == pytest.approx((0.0, 0.0), abs=1e-12)
-        point = [SparseWeights(w.indptr, w.indices, w.data, w.stationary, (0.0, 0.0))
+        point = [SparseWeights(w.rows, w.cols, w.data, w.stationary, (0.0, 0.0))
                  for w in (q, s)]
         for w in (q, s, *point):
             mu = _chebyshev_mu(w.interval)

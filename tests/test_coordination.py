@@ -16,9 +16,9 @@ from gridconsensus import (
     check_realizability,
     coordinate_closed_form,
     coordinate_distributed,
-    random_connected_topology,
 )
 from conftest import DESIRED_AT_150, random_capacities, tree_topology
+from conftest import random_connected_topology
 
 
 class TestNodeCapacities:

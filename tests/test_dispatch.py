@@ -30,12 +30,12 @@ from gridconsensus import (
     generation_distributed,
     generation_with_coordination,
     metropolis_weight_matrix,
-    random_connected_topology,
 )
 from conftest import (
     DESIRED_AT_150,
     fixed_capacities,
     neighbor_lists,
+    random_connected_topology,
     random_generation_instance,
 )
 

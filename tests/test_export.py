@@ -239,11 +239,11 @@ _ROUNDS = {
 @pytest.mark.parametrize(
     ("name", "digest", "rounds"),
     [
-        ("with", "5ed89526cac1d9bc", _ROUNDS["with"]),
-        ("without", "a948bca0ea182877", _ROUNDS["without"]),
-        ("feeder-without", "cadef6f6355b4fb7", _ROUNDS["feeder-without"]),
-        ("mesh-without", "dec3f3fc3aa2902a", _ROUNDS["mesh-without"]),
-        ("mesh-with", "2e161c7cfda3c1e8", _ROUNDS["mesh-with"]),
+        ("with", "e55dce51b114038a", _ROUNDS["with"]),
+        ("without", "09d0b24337e3ccc9", _ROUNDS["without"]),
+        ("feeder-without", "1746d63d191bebd2", _ROUNDS["feeder-without"]),
+        ("mesh-without", "f2c83ed0b98914b1", _ROUNDS["mesh-without"]),
+        ("mesh-with", "e7deb7565accf4a2", _ROUNDS["mesh-with"]),
     ],
     ids=["with", "without", "feeder-without", "mesh-without", "mesh-with"],
 )

@@ -31,10 +31,10 @@ from gridconsensus import (
     metropolis_edge_weights,
     metropolis_weight_matrix,
     parse_config,
-    random_connected_topology,
 )
 from conftest import feeder, neighbor_lists, path_topology, reference_topology
 from conftest import symmetrised_spectrum, tree_topology
+from conftest import random_connected_topology
 
 def dense_degree_reference(topology):
     """Loop-built dense degree weights: column j holds 1/(1 + deg(j)) at j
@@ -267,7 +267,7 @@ def test_weights_are_built_once_and_read_only():
     for build in (degree_weight_matrix, metropolis_weight_matrix):
         w = build(topo)
         assert build(topo) is w
-        for arr in (w.indptr, w.indices, w.data):
+        for arr in (w.rows, w.cols, w.data):
             with pytest.raises(ValueError):
                 arr[0] = 7
         # the interval sets every later caller's rounds, so it is fixed too
@@ -275,6 +275,14 @@ def test_weights_are_built_once_and_read_only():
         with pytest.raises(AttributeError):
             w.interval = (-1.0, 0.0)
         assert w.interval is interval
+    # both matrices store their entries in the topology's edge order, so
+    # they share its index arrays: each edge from its tail, then from its
+    # head, then the diagonal
+    q, s = degree_weight_matrix(topo), metropolis_weight_matrix(topo)
+    assert q.rows is s.rows and q.cols is s.cols
+    heads, tails = topo.edge_index_arrays()
+    assert q.rows.tolist() == tails.tolist() + heads.tolist() + [0, 1, 2, 3]
+    assert q.cols.tolist() == heads.tolist() + tails.tolist() + [0, 1, 2, 3]
     # an equal topology built separately has its own instances
     assert degree_weight_matrix(build_topology(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) \
         is not degree_weight_matrix(topo)
@@ -353,7 +361,8 @@ def test_fallback_widens_the_interval_on_the_same_weights():
         wide = weights.fallback()
         assert wide.interval == (-1.0, 1.0 - (1.0 - hi) / 4.0)
         assert wide.stationary is weights.stationary
-        assert wide.data is weights.data and wide.indices is weights.indices
+        assert wide.data is weights.data
+        assert wide.rows is weights.rows and wide.cols is weights.cols
         # widening again quarters the distance to 1 again, down to 4u and
         # no further: hi never reaches 1, which SparseWeights rejects, and mu
         # stays above 1
@@ -370,8 +379,8 @@ def test_fallback_widens_the_interval_on_the_same_weights():
     # cannot widen
     capped = (-1.0, 1.0 - 4.0 * graph_mod._UNIT_ROUNDOFF)
     assert graph_mod._chebyshev_mu(capped) == 1.0000000000000004
-    SparseWeights(weights.indptr, weights.indices, weights.data, interval=capped).shifted()
-    top = SparseWeights(weights.indptr, weights.indices, weights.data,
+    SparseWeights(weights.rows, weights.cols, weights.data, interval=capped).shifted()
+    top = SparseWeights(weights.rows, weights.cols, weights.data,
                         interval=(0.0, math.nextafter(1.0, 0.0)))
     with pytest.raises(ValueError, match="mu > 1"):
         top.fallback()
@@ -474,7 +483,7 @@ def test_sparse_weights_reject_an_interval_outside_minus_1_1():
     w = degree_weight_matrix(build_topology(2, [(1, 2)]))
     for interval in ((-1.5, 0.0), (0.2, 0.1), (0.0, 1.0)):
         with pytest.raises(ValueError):
-            SparseWeights(w.indptr, w.indices, w.data, interval=interval)
+            SparseWeights(w.rows, w.cols, w.data, interval=interval)
     # these lie in [-1, 1), but the Chebyshev rounds need mu > 1, where
     # their bound 1/cosh(k acosh mu) shrinks: on the first mu rounds to 1,
     # and on the one-point ones the half-width floor puts it below 1, out
@@ -485,7 +494,7 @@ def test_sparse_weights_reject_an_interval_outside_minus_1_1():
                          (1.0 - 1e-16, 1.0 - 1e-16), (1.0 - 1e-10, 1.0 - 1e-10)):
             assert graph_mod._chebyshev_mu(interval) <= 1.0
             with pytest.raises(ValueError, match="mu > 1"):
-                SparseWeights(w.indptr, w.indices, w.data, w.stationary, interval)
+                SparseWeights(w.rows, w.cols, w.data, w.stationary, interval)
 
 
 def test_degree_weights_path3_exact(path3):
@@ -561,8 +570,9 @@ def test_sparse_weights_match_loop_references():
 
 
 def test_sparse_round_matches_dense_product():
-    # reduceat adds each row in column order, a dense product in BLAS
-    # order; either stays within a small multiple of eps of the exact sum,
+    # bincount adds each row in storage order (lower neighbors, higher
+    # neighbors, then the diagonal), a dense product in BLAS order; either
+    # stays within a small multiple of eps of the exact sum,
     # relative to sum_j |w_ij x_j|
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -575,16 +585,15 @@ def test_sparse_round_matches_dense_product():
             assert np.all(np.abs(w @ x - dense @ x) <= 1e-13 * scale)
 
 
-def test_sparse_weights_reject_empty_rows():
-    # an empty row would make reduceat return the next row's first product
-    with pytest.raises(ValueError):
-        SparseWeights(np.array([0, 1, 1]), np.array([0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        SparseWeights(np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0]))
+def test_sparse_weights_reject_mismatched_entries():
+    with pytest.raises(ValueError, match="same entries"):
+        SparseWeights(np.array([0, 1]), np.array([0, 1]), np.array([1.0]))
+    with pytest.raises(ValueError, match="same entries"):
+        SparseWeights(np.array([0, 1]), np.array([0]), np.array([1.0, 1.0]))
 
 
 def test_weights_memory_is_linear_on_large_ring():
-    # a dense 10 000-node matrix would take 800 MB; compressed rows take
+    # a dense 10 000-node matrix would take 800 MB; per-edge storage takes
     # a few bytes per node and edge
     n = 10_000
     ring = build_topology(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])

@@ -39,10 +39,10 @@ from gridconsensus import (
     generate_desired_profile,
     generation_closed_form,
     load_config,
-    random_connected_topology,
     run,
 )
 from conftest import make_reference_caps, path_topology, random_capacities
+from conftest import random_connected_topology
 
 
 @pytest.fixture
