@@ -5,23 +5,40 @@ field printed as ``'%.17g' % value``: enough digits to survive a parse
 round trip unchanged. Identical runs therefore export byte-identical files.
 
 The per-node values are rendered as arrays rather than one Python call per
-value, with the exact bytes ``'%.17g'`` gives. For finite values with
-1e-4 <= |v| < 1e16, ``%g`` uses fixed notation, and the 17 significant
-digits are the integer nearest to |v| * 10**(16 - E), E the decimal
-exponent of |v|. That product is formed without error as hi + lo
-(Dekker's two-product, Numer. Math. 18, 1971): 10**s is an exact double for
-s <= 22, and a, hi and lo stay far from overflow and underflow. E starts
-from floor(log10|v|) and is corrected by comparing hi + lo exactly with
-1e16 and 1e17 (both exact doubles), on ``lo`` where ``hi`` ties. Then
-hi >= 1e16 > 2**53 is an even integer and |lo| <= ulp(hi) / 2, so
-hi + rint(lo) is the nearest integer, with exact ties going to the even
-one as ``rint`` does, and as CPython's correctly rounded ``%.17g`` does.
-Zeros print as ``0``/``-0``; every other value (subnormals, tiny and huge
-magnitudes, nan, inf) goes through ``'%.17g'`` itself.
+value, with the exact bytes ``'%.17g'`` gives. A finite nonzero value prints
+as 17 significant digits D, 10**16 <= D < 10**17, and a decimal exponent E:
+D is the integer nearest to |v| * 10**s, s = 16 - E, exact ties going to
+the even one, as CPython's correctly rounded ``%.17g`` does. ``%g`` writes
+fixed notation for -4 <= E <= 16 and ``d.ddde-XX`` below. E is read from a
+table of the least double ``%.17g`` prints at each exponent, so it is exact
+and D needs no second pass. Two array paths form D:
+
+- 1e-4 <= |v| < 1e16, where 10**s (s <= 20) is an exact double: the
+  product is hi + lo without error (Dekker's two-product, Numer. Math. 18,
+  1971; a, hi and lo stay far from overflow and underflow). As
+  hi + lo >= 10**16 - 1/2, hi >= 10**16 > 2**53 is an even integer and
+  |lo| <= ulp(hi) / 2, so hi + rint(lo) is D, ``rint`` rounding ties to
+  even.
+- E = -24 .. -5, where s runs to 40, past the exact doubles 10**22: the
+  integer route of Ryu (Adams, PLDI 2018). |v| = m * 2**q with m < 2**53
+  read from the bits, so |v| * 10**s = m * 5**s * 2**(q + s). 5**s < 2**93
+  is tabled shifted to T in [2**92, 2**93), three 31-bit limbs;
+  m * 2**6 < 2**59 is two. Each partial product and column sum stays below
+  2**63 in uint64, so carrying the columns gives exactly the low 31 bits
+  of each and c = floor(P / 2**93) of P = m * 2**6 * T. The exponent table
+  puts |v| * 10**s = P / 2**(94 + j) with 0 <= j <= 4, so g = c >> j is
+  floor(2 * |v| * 10**s): D and a guard bit. D rounds up when the guard
+  bit is set and so is D's last bit or a sticky bit: one of c's low j
+  bits or of the low 93 bits of P.
+
+Zeros print as ``0``/``-0``; every other value (subnormals, |v| below the
+first double printed at e-24, |v| >= 1e16, nan, inf) goes through
+``'%.17g'`` itself.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +63,50 @@ _CHUNK_ROWS = 512
 # Longest '%.17g' text: "-2.2250738585072014e-308".
 _WIDTH = 24
 _DIGITS = 17
-_E_LO, _E_HI = -4, 16  # decimal exponents of the fast path, after any carry
-_ZERO_ROW = _E_HI - _E_LO + 1  # the layout's exponent slot for +-0
+_E_LO, _E_HI = -24, 15  # decimal exponents of the array paths
+
+
+def _decade(e: int) -> float:
+    """The least double that ``'%.17g'`` prints at decimal exponent e or above."""
+    x = float(f"99999999999999999.5e{e - 17}")  # 10**e less half a 17th digit
+    return x if ("%.16e" % x).endswith(f"e{e:+03d}") else math.nextafter(x, math.inf)
+
+
+# A value's slot: 0 below the first decade, 1 + E - _E_LO for E = _E_LO ..
+# _E_HI, then one for 1e16 and up, inf and nan.
+_DECADES = np.array([_decade(e) for e in range(_E_LO, _E_HI + 2)])
+_EXPONENTS = range(_E_LO - 1, _E_HI + 2)  # E by slot
+_SLOTS = len(_EXPONENTS)
+_FIXED = _EXPONENTS.index(-4)  # the first fixed-notation slot
 
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for 53-bit significands
-_POW10 = np.array([float(10**s) for s in range(23)])  # exact doubles
+# 10**(16 - E) by fixed-notation slot, an exact double; 1 in the others.
+_POW10 = np.array([float(10 ** (16 - e)) if e >= -4 else 1.0 for e in _EXPONENTS])
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 
-# A value's source row: its 17 digit characters, then these four bytes.
-_FILL = np.frombuffer(b"-0.\0", dtype=np.uint8)
-_MINUS, _ZERO, _POINT, _PAD = range(_DIGITS, _DIGITS + 4)
+_M31 = 2**31 - 1
+
+
+def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
+    """By exponent-form slot, with s = 16 - E: the three 31-bit limbs of
+    T = 5**s << t in [2**92, 2**93), and 1075 + 6 + t - s - 94, which less
+    the biased binary exponent of |v| is j (module docstring)."""
+    limbs = np.zeros((3, _FIXED), dtype=np.uint64)
+    shift = np.zeros(_FIXED, dtype=np.uint64)
+    for slot in range(1, _FIXED):
+        s = 16 - _EXPONENTS[slot]
+        t = 93 - (5**s).bit_length()
+        limbs[:, slot] = [(5**s << t) >> 31 * k & _M31 for k in range(3)]
+        shift[slot] = 1075 + 6 + t - s - 94
+    return limbs, shift
+
+
+_POW5, _SHIFT = _pow5_tables()
+
+# A value's source row: its 17 digit characters, then these bytes.
+_FILL = np.frombuffer(b"-.e\x000123456789", dtype=np.uint8)
+_MINUS, _POINT, _EXP, _PAD, _ZERO = range(_DIGITS, _DIGITS + 5)  # digit d: _ZERO + d
 _SOURCE = _DIGITS + len(_FILL)
 # Digit places, 1-based, of the high 8 and the low 9 digits.
 _PLACE_TOP = np.arange(1, 9, dtype=np.uint8)[:, None]
@@ -64,13 +114,13 @@ _PLACE_LOW = np.arange(9, _DIGITS + 1, dtype=np.uint8)[:, None]
 
 
 def _layout() -> np.ndarray:
-    """Source column of every output byte, transposed: one column per
-    (sign, decimal exponent or zero, significant digits once trailing zeros
-    are stripped)."""
-    table = np.full((2, _ZERO_ROW + 1, _DIGITS + 1, _WIDTH), _PAD, dtype=np.uint8)
+    """Source column of every output byte: one row per (sign, slot,
+    significant digits once trailing zeros are stripped)."""
+    table = np.full((2, _SLOTS, _DIGITS + 1, _WIDTH), _PAD, dtype=np.uint8)
     for sign in (0, 1):
-        table[sign, _ZERO_ROW, :, :sign + 1] = [_MINUS] * sign + [_ZERO]
-        for e in range(_E_LO, _E_HI + 1):
+        table[sign, 0, :, :sign + 1] = [_MINUS] * sign + [_ZERO]  # +-0
+        for slot in range(1, _SLOTS - 1):
+            e = _EXPONENTS[slot]
             for m in range(1, _DIGITS + 1):
                 cols = [_MINUS] * sign
                 if e >= 0:
@@ -78,24 +128,44 @@ def _layout() -> np.ndarray:
                     cols += range(e + 1)
                     if kept > e + 1:
                         cols += [_POINT, *range(e + 1, kept)]
-                else:
+                elif e >= -4:
                     cols += [_ZERO, _POINT, *[_ZERO] * (-e - 1), *range(m)]
-                table[sign, e - _E_LO, m, :len(cols)] = cols
-    return np.ascontiguousarray(table.reshape(-1, _WIDTH).T)
+                else:
+                    cols += [0, *[_POINT] * (m > 1), *range(1, m)]
+                    cols += [_EXP, _MINUS, _ZERO + -e // 10, _ZERO + -e % 10]
+                table[sign, slot, m, :len(cols)] = cols
+    return table.reshape(-1, _WIDTH)
 
 
 _LAYOUT = _layout()
 
 
-def _two_product(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi, lo with hi + lo == a * 10**s exactly (Dekker)."""
-    hi = a * _POW10[s]
+def _two_product(a: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo == a * _POW10[slot] exactly (Dekker)."""
+    hi = a * _POW10[slot]
     c = _SPLIT * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+    p_hi, p_lo = _POW10_HI[slot], _POW10_LO[slot]
     lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     return hi, lo
+
+
+def _pow5_digits(a: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """D of each a in an exponent-form slot, from 31-bit limbs (module docstring)."""
+    bits = a.view(np.uint64)
+    m = ((bits & 2**52 - 1) | 2**52) << 6
+    t = _POW5.take(slot, axis=1)
+    lo = (m & _M31) * t
+    hi = (m >> 31) * t
+    lo[1:] += hi[:2]  # the columns at 2**31 and 2**62
+    c1 = lo[1] + (lo[0] >> 31)
+    c2 = lo[2] + (c1 >> 31)
+    c = hi[2] + (c2 >> 31)
+    j = _SHIFT.take(slot) - (bits >> 52)
+    g = c >> j
+    sticky = ((c - (g << j)) | ((lo[0] | c1 | c2) << 33)) != 0
+    return (g + (((g >> 1) & 1) | sticky)) >> 1
 
 
 def _g17(values: np.ndarray) -> np.ndarray:
@@ -103,21 +173,15 @@ def _g17(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64).ravel()
     n = v.size
     a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e16)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _two_product(a, 16 - e)
-    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
-    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    moved = np.flatnonzero(shift)
-    if moved.size:
-        e[moved] += shift[moved]
-        hi[moved], lo[moved] = _two_product(a[moved], 16 - e[moved])
+    slot = np.searchsorted(_DECADES, a, side="right")
+    fixed = (slot >= _FIXED) & (slot < _SLOTS - 1)
+    hi, lo = _two_product(np.where(fixed, a, 1.0), slot)
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = np.flatnonzero(digits == 10**17)  # 999...9.5 and up; a guard
-    if carry.size:
-        digits[carry] = 10**16
-        e[carry] += 1
+    off = np.flatnonzero(~fixed & (v != 0))
+    small = (slot[off] > 0) & (slot[off] < _FIXED)
+    if small.any():
+        rows = off[small]
+        digits[rows] = _pow5_digits(a[rows], slot[rows])
 
     # Digits of the high 8 and the low 9 side by side, 9 places each
     # (the high half's first is 0): contiguous uint32 math by scalars.
@@ -139,17 +203,16 @@ def _g17(values: np.ndarray) -> np.ndarray:
     source[:, 8:_DIGITS] = place[:, n:].T
     source[:, _DIGITS:] = _FILL
 
-    exponent = np.where(v == 0, _ZERO_ROW, e - _E_LO)
-    key = (np.signbit(v) * (_ZERO_ROW + 1) + exponent) * (_DIGITS + 1) + kept
-    # One flat take, in three bands of output bytes to bound the index.
-    starts = np.arange(0, n * _SOURCE, _SOURCE)
-    out = np.empty((_WIDTH, n), dtype=np.uint8)
-    for band in range(0, _WIDTH, 8):
-        index = _LAYOUT[band:band + 8].take(key, axis=1) + starts
-        out[band:band + 8] = source.ravel().take(index)
-    out = out.T
+    key = (np.signbit(v) * _SLOTS + slot) * (_DIGITS + 1) + kept
+    # Flat takes of each output byte's source column plus its row's start,
+    # 1024 values at a time to bound the index.
+    starts = np.arange(0, n * _SOURCE, _SOURCE)[:, None]
+    out = np.empty((n, _WIDTH), dtype=np.uint8)
+    for first in range(0, n, 1024):
+        band = slice(first, first + 1024)
+        out[band] = source.ravel().take(_LAYOUT.take(key[band], axis=0) + starts[band])
 
-    other = np.flatnonzero(~fast & (v != 0))
+    other = off[~small]
     if other.size:
         text = ["%.17g" % x for x in v[other].tolist()]
         out[other] = np.array(text, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)

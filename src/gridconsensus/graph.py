@@ -318,7 +318,10 @@ class SparseWeights:
 
     @property
     def nbytes(self) -> int:
-        return self.rows.nbytes + self.cols.nbytes + self.data.nbytes
+        """The bytes this matrix adds: ``data``, 8 (2m + n). ``rows`` and
+        ``cols`` are the topology's, shared by both weight matrices, their
+        shifted and fallback forms and ``incident_sums``."""
+        return self.data.nbytes
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """One synchronous round: entry i is the sum of w_ij * x_j over row

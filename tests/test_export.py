@@ -109,13 +109,14 @@ def _assert_g17(values) -> None:
 
 
 def test_g17_on_decimal_edges():
-    powers = [10.0**p for p in range(-5, 18)]
+    powers = [x for p in range(-25, 18) for x in (10.0**p, float(f"1e{p}"))]
     edges = [
         *powers,
         *(math.nextafter(x, 0.0) for x in powers),
         *(math.nextafter(x, math.inf) for x in powers),
         1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e16, 0.0), 1e16,
         123456789012345.625, 0.5, 2.5, 0.1, 1.0 / 3.0, 2.0**53, 2.0**53 + 2.0,
+        1.5e-12, 2.5e-20, 9.5e-7, 2.0**-20, 2.0**-25, 3.5527136788005009e-15,
         0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
     ]
     _assert_g17(edges + [-x for x in edges])
@@ -140,17 +141,43 @@ def test_g17_matches_percent_format_on_the_fixed_notation_range(values):
     _assert_g17(values)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(
+    st.floats(1e-24, 1e-4, exclude_max=True).flatmap(lambda x: st.sampled_from((x, -x))),
+    min_size=1, max_size=64,
+))
+def test_g17_matches_percent_format_on_the_exponent_form_range(values):
+    _assert_g17(values)
+
+
+def test_g17_matches_percent_format_on_a_sweep_of_the_exponent_form_range():
+    # 200 000 raw bit patterns spread over +-[1e-24, 1e-4)
+    rng = np.random.default_rng(22)
+    lo, hi = np.array([1e-24, 1e-4]).view(np.uint64)
+    bits = rng.integers(lo, hi, 200_000, dtype=np.uint64)
+    bits |= rng.integers(0, 2, bits.size, dtype=np.uint64) << 63
+    # and each odd k < 2**10 over 2**e: with so few significant bits the
+    # rounding's sticky bits can all lie above the low 93 of the product
+    short = np.ldexp(np.arange(1, 2**10, 2.0), -np.arange(14, 100)[:, None]).ravel()
+    values = np.concatenate([bits.view(np.float64), short[(short >= 1e-24) & (short < 1e-4)]])
+    want = np.array(["%.17g" % x for x in values.tolist()], dtype="S24")
+    got = np.ascontiguousarray(_g17(values)).view("S24").ravel()
+    wrong = np.flatnonzero(got != want)
+    assert wrong.size == 0, values[wrong[:5]].tolist()
+
+
 @st.composite
 def _exact_ties(draw) -> float:
-    """A double between 1e-4 and 2**51 whose exact decimal expansion has 18
-    significant digits, the last a 5: a tie for 17-digit rounding. With
+    """A double between 2**-25 and 2**51 whose exact decimal expansion has
+    18 significant digits, the last a 5: a tie for 17-digit rounding. With
     ``digits`` integer digits (leading zeros after the point when <= 0) it
-    is an odd integer over 2**(18 - digits)."""
-    digits = draw(st.integers(-3, 16))
+    is an odd integer over 2**(18 - digits). Below 2**-25 no double has so
+    few: an odd integer over 2**j has j decimals."""
+    digits = draw(st.integers(-7, 16))
     j = 18 - digits
     low = math.ceil(Fraction(10) ** (digits - 1) * 2**j)
     high = min(math.floor(Fraction(10) ** digits * 2**j), 2**53)
-    return (2 * draw(st.integers(low // 2, (high - 2) // 2)) + 1) / 2**j
+    return (2 * draw(st.integers(low // 2, (high - 1) // 2)) + 1) / 2**j
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -169,7 +196,7 @@ def test_csv_temporaries_stay_bounded_by_the_chunk(tmp_path):
     rng = np.random.default_rng(0)
     n = 100_000
     series = rng.uniform(-60.0, 60.0, (6, 1, n))
-    series[5] *= 1e-9  # residuals: the exponent form, through Python
+    series[5] *= 1e-9  # residuals: the exponent form, through the limb path
     record = SimulationRecord(
         mode="without-coordination",
         p_D=np.array([150.0]),

@@ -603,6 +603,9 @@ def test_weights_memory_is_linear_on_large_ring():
         assert isinstance(w, SparseWeights)
         assert w.shape == (n, n)
         assert w.nbytes <= 64 * (n + len(ring.edges))
+        # the index arrays are the topology's; a matrix adds only its data
+        assert w.nbytes == 8 * (2 * len(ring.edges) + n)
+        assert w.rows is q.rows and w.cols is q.cols
     e1 = np.zeros(n)
     e1[0] = 1.0
     out = q @ e1
