@@ -20,8 +20,6 @@ from .export import export_record, summarize, write_table_csv
 from .simulation import (
     MODE_WITH,
     MODE_WITHOUT,
-    DemandSpec,
-    DesiredSpec,
     ScenarioConfig,
     generate_demand_profile,
     generate_desired_profile,
@@ -64,33 +62,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile_report(config: ScenarioConfig) -> list[str]:
-    """Realizability lines for whichever profile source the config uses."""
+def _profile_report(config: ScenarioConfig) -> str:
+    """The realizability line for the config's profile."""
     lower, upper = config.capacities.total_gen_lo, config.capacities.total_gen_hi
-    lines = []
-    if config.demand is not None:
-        profile = generate_demand_profile(
-            config.demand, config.capacities, config.horizon, config.seed
-        )
-        if config.demand.kind == "explicit":
-            lines.append(
-                f"demand:     explicit, {len(profile)} steps, "
-                f"worst margins: {profile.min() - lower:g} above the floor, "
-                f"{upper - profile.max():g} below the ceiling"
-            )
-        else:
-            lines.append(f"demand:     seeded, uniform over [{lower:g}, {upper:g}]")
-    if config.desired is not None:
-        rows = generate_desired_profile(
-            config.desired, config.capacities, config.horizon, config.seed
-        )
+    if config.mode == MODE_WITHOUT:
+        rows = generate_desired_profile(config)
         sums = rows.sum(axis=1)
-        lines.append(
-            f"desired:    {config.desired.kind}, {rows.shape[0]} steps x "
+        kind = "seeded" if config.profile is None else "explicit"
+        return (
+            f"desired:    {kind}, {rows.shape[0]} steps x "
             f"{rows.shape[1]} nodes, sums within [{sums.min():g}, {sums.max():g}] "
             f"of realizable [{lower:g}, {upper:g}]"
         )
-    return lines
+    if config.profile is None:
+        return f"demand:     seeded, uniform over [{lower:g}, {upper:g}]"
+    profile = generate_demand_profile(config)
+    return (
+        f"demand:     explicit, {len(profile)} steps, "
+        f"worst margins: {profile.min() - lower:g} above the floor, "
+        f"{upper - profile.max():g} below the ceiling"
+    )
 
 
 def cmd_validate(args) -> int:
@@ -109,8 +100,7 @@ def cmd_validate(args) -> int:
         f"capacities: consistent; aggregate generation interval "
         f"[{caps.total_gen_lo:g}, {caps.total_gen_hi:g}]"
     )
-    for line in _profile_report(config):
-        print(line)
+    print(_profile_report(config))
     print("all checks passed")
     return 0
 
@@ -148,16 +138,7 @@ def cmd_run(args) -> int:
     if args.mode is not None:
         target = MODE_WITH if args.mode == "with" else MODE_WITHOUT
         if target != config.mode:
-            if target == MODE_WITH:
-                config = replace(
-                    config, mode=target, desired=None,
-                    demand=DemandSpec(),
-                )
-            else:
-                config = replace(
-                    config, mode=target, demand=None,
-                    desired=DesiredSpec(),
-                )
+            config = replace(config, mode=target, profile=None)
     if args.continue_on_audit_failure:
         config = replace(config, fail_fast=False)
 

@@ -6,9 +6,10 @@ fields are rejected and every failure names the offending field path — and
 checks each value's type and range, the graph and the capacities, each in
 one place. The node list and every list of numbers are checked whole, by
 type passes and array comparisons; only a list found faulty is walked item
-by item, so that the error names the first bad field. ``gridconsensus
-validate`` also checks explicit profiles against horizon and capacities;
-loading does not, so such a file can load and fail.
+by item, so that the error names the first bad field. The mode's source
+(``demand`` or ``desired``) becomes ``ScenarioConfig.profile``, which
+checks explicit values against the horizon and the capacities, so a file
+that loads can run.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from .consensus import ConvergenceCriteria
 from .coordination import NodeCapacities
 from .errors import CapacityError, ConfigError, TopologyError
 from .graph import build_topology
-from .simulation import (
-    MODE_WITH,
-    MODE_WITHOUT,
-    DemandSpec,
-    DesiredSpec,
-    ScenarioConfig,
-)
+from .simulation import MODE_WITH, MODE_WITHOUT, SOURCES, ScenarioConfig
 
 _MODE_ALIASES = {
     "with": MODE_WITH,
@@ -210,12 +205,13 @@ def parse_config(doc) -> ScenarioConfig:
     except TopologyError as exc:
         raise ConfigError(str(exc), field="edges") from exc
 
-    demand = None
-    if "demand" in doc:
-        demand = _parse_source(doc["demand"], "demand", row_values=False)
-    desired = None
-    if "desired" in doc:
-        desired = _parse_source(doc["desired"], "desired", row_values=True)
+    source = SOURCES[mode]
+    if source not in doc:
+        raise ConfigError(f"required by {mode} runs", field=source)
+    for unused in SOURCES.values():
+        if unused != source and unused in doc:
+            raise ConfigError(f"not taken by {mode} runs", field=unused)
+    profile = _parse_source(doc[source], source, row_values=mode == MODE_WITHOUT)
 
     initial = None
     if "initial_generation" in doc:
@@ -232,8 +228,7 @@ def parse_config(doc) -> ScenarioConfig:
         topology=topology,
         capacities=caps,
         horizon=horizon,
-        demand=demand,
-        desired=desired,
+        profile=profile,
         criteria=ConvergenceCriteria(**knobs),
         initial_generation=initial,
         **options,
@@ -241,6 +236,7 @@ def parse_config(doc) -> ScenarioConfig:
 
 
 def _parse_source(raw, where: str, row_values: bool):
+    """The explicit values of a source, or None for a seeded one."""
     if not isinstance(raw, dict):
         raise ConfigError(f"expected an object, got {raw!r}", field=where)
     _check_unknown(raw, _SPEC_FIELDS, where)
@@ -251,12 +247,11 @@ def _parse_source(raw, where: str, row_values: bool):
     if kind == "seeded":
         if values is not None:
             raise ConfigError("seeded sources take no values", field=f"{where}.values")
-        return DesiredSpec(kind="seeded") if row_values else DemandSpec(kind="seeded")
+        return None
     if not isinstance(values, list) or not values:
         raise ConfigError("explicit sources need a nonempty values list", field=f"{where}.values")
     if not row_values:
-        return DemandSpec(kind="explicit",
-                          values=tuple(_numbers(values, f"{where}.values").tolist()))
+        return _numbers(values, f"{where}.values")
     if not _all_of(values, list) or _finite_array(list(chain.from_iterable(values))) is None:
         for i, row in enumerate(values):  # words the first fault
             if not isinstance(row, list):
@@ -264,7 +259,7 @@ def _parse_source(raw, where: str, row_values: bool):
                     f"expected a per-node list, got {row!r}", field=f"{where}.values[{i}]"
                 )
             _numbers(row, f"{where}.values[{i}]")
-    return DesiredSpec(kind="explicit", values=tuple(map(tuple, values)))
+    return values
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
@@ -287,21 +282,15 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         ],
         "edges": [[i, j] for i, j in config.topology.edges],
     }
-    if config.demand is not None:
-        doc["demand"] = _source_to_dict(config.demand)
-    if config.desired is not None:
-        doc["desired"] = _source_to_dict(config.desired)
+    source = {"kind": "seeded"}
+    if config.profile is not None:
+        rows = config.mode == MODE_WITHOUT
+        source = {"kind": "explicit",
+                  "values": [list(v) if rows else v for v in config.profile]}
+    doc[SOURCES[config.mode]] = source
     if config.initial_generation is not None:
         doc["initial_generation"] = list(config.initial_generation)
     return doc
-
-
-def _source_to_dict(spec) -> dict:
-    if spec.kind == "seeded":
-        return {"kind": "seeded"}
-    if isinstance(spec, DesiredSpec):
-        return {"kind": "explicit", "values": [list(row) for row in spec.values]}
-    return {"kind": "explicit", "values": list(spec.values)}
 
 
 def load_config(path) -> ScenarioConfig:

@@ -102,10 +102,9 @@ class RealizabilityReport:
 
 @dataclass(frozen=True)
 class CoordinationResult:
-    """Per-node desired net power plus how it was computed."""
+    """Per-node desired net power, and the consensus rounds it took."""
 
     desired: np.ndarray
-    method: str  # "closed-form" | "distributed"
     iters: int = 0
 
 
@@ -160,7 +159,7 @@ def coordinate_closed_form(p_demand: float, caps: NodeCapacities) -> Coordinatio
     if desired is None:
         surplus = p_demand - caps.total_gen_lo
         desired = caps.gen_lo + caps.gen_range * (surplus / float(np.sum(caps.gen_range)))
-    return CoordinationResult(desired=desired, method="closed-form")
+    return CoordinationResult(desired=desired)
 
 
 def coordinate_distributed(
@@ -189,7 +188,7 @@ def coordinate_distributed(
     # run on a zero denominator, but the all-floors profile still answers.
     floors = _all_fixed_floors(caps)
     if floors is not None:
-        return CoordinationResult(desired=floors, method="distributed")
+        return CoordinationResult(desired=floors)
 
     x0 = -caps.gen_lo.copy()
     x0[leader - 1] += p_demand
@@ -209,8 +208,4 @@ def coordinate_distributed(
             values=desired,
             iters=result.iters,
         )
-    return CoordinationResult(
-        desired=desired,
-        method="distributed",
-        iters=result.iters,
-    )
+    return CoordinationResult(desired=desired, iters=result.iters)

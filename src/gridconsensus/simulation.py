@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus import ConvergenceCriteria
-from .coordination import NodeCapacities, check_realizability, coordinate_distributed
+from .coordination import NodeCapacities, coordinate_distributed
 from .dispatch import (
     GridState,
     StepAudit,
@@ -25,67 +25,33 @@ from .dispatch import (
     generation_distributed,
     generation_with_coordination,
 )
-from .errors import (
-    AuditError,
-    BoundViolationError,
-    ConfigError,
-    GridConsensusError,
-    NotRealizableError,
-)
+from .errors import AuditError, ConfigError, GridConsensusError
 from .graph import GridTopology, metropolis_weight_matrix
 
 MODE_WITH = "with-coordination"
 MODE_WITHOUT = "without-coordination"
 
+# The name of each mode's profile: one total per step with coordination,
+# one row of per-node desired net power per step without.
+SOURCES = {MODE_WITH: "demand", MODE_WITHOUT: "desired"}
+
 _HALVING_CAP = 80
 
 
 @dataclass(frozen=True)
-class DemandSpec:
-    """Where per-step total demand comes from: a sampler or a fixed list."""
-
-    kind: str = "seeded"  # "seeded" | "explicit"
-    values: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("seeded", "explicit"):
-            raise ValueError(f"unknown demand kind {self.kind!r}")
-        if self.kind == "explicit":
-            if not self.values:
-                raise ValueError("explicit demand needs a nonempty value list")
-            object.__setattr__(self, "values", tuple(map(float, self.values)))
-        elif self.values is not None:
-            raise ValueError("seeded demand takes no explicit values")
-
-
-@dataclass(frozen=True)
-class DesiredSpec:
-    """Per-node desired net power source: sampler or explicit per-step rows."""
-
-    kind: str = "seeded"
-    values: tuple[tuple[float, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("seeded", "explicit"):
-            raise ValueError(f"unknown desired kind {self.kind!r}")
-        if self.kind == "explicit":
-            if not self.values:
-                raise ValueError("explicit desired profile needs nonempty rows")
-            object.__setattr__(self, "values", tuple(tuple(map(float, row)) for row in self.values))
-        elif self.values is not None:
-            raise ValueError("seeded desired profile takes no explicit values")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a run needs; immutable so runs can be repeated exactly."""
+    """Everything a run needs; immutable so runs can be repeated exactly.
+
+    ``profile`` is None for a profile drawn from ``seed``; otherwise it
+    holds the explicit values, one entry per step: a total demand with
+    coordination, a row of n desired net powers without.
+    """
 
     mode: str
     topology: GridTopology
     capacities: NodeCapacities
     horizon: int
-    demand: DemandSpec | None = None
-    desired: DesiredSpec | None = None
+    profile: tuple[float, ...] | tuple[tuple[float, ...], ...] | None = None
     seed: int = 0
     leader: int = 1
     criteria: ConvergenceCriteria = field(default_factory=ConvergenceCriteria)
@@ -115,11 +81,8 @@ class ScenarioConfig:
             )
         if not 1 <= self.leader <= self.topology.n:
             raise ConfigError(f"{self.leader} outside 1..{self.topology.n}", field="leader")
-        needed, unused = ("demand", "desired") if self.mode == MODE_WITH else ("desired", "demand")
-        if getattr(self, needed) is None:
-            raise ConfigError(f"required by {self.mode} runs", field=needed)
-        if getattr(self, unused) is not None:
-            raise ConfigError(f"not taken by {self.mode} runs", field=unused)
+        if self.profile is not None:
+            object.__setattr__(self, "profile", _checked_profile(self))
         if self.initial_generation is not None:
             p_G0 = tuple(float(v) for v in self.initial_generation)
             object.__setattr__(self, "initial_generation", p_G0)
@@ -137,6 +100,58 @@ class ScenarioConfig:
     def capacities_at(self, k: int) -> NodeCapacities:
         """The run's capacities, the same at every step index k."""
         return self.capacities
+
+
+def _checked_profile(config: ScenarioConfig) -> tuple:
+    """The explicit profile as tuples of floats, checked against the horizon
+    and the capacities. The first fault, step by step, raises ConfigError
+    whose field names the entry as a config file holds it."""
+    where = f"{SOURCES[config.mode]}.values"
+    caps = config.capacities
+    lower, upper = caps.total_gen_lo, caps.total_gen_hi
+    if len(config.profile) != config.horizon:
+        raise ConfigError(f"{len(config.profile)} entries for horizon {config.horizon}",
+                          field=where)
+    # each bound test reads "not inside", so NaN fails it
+    if config.mode == MODE_WITH:
+        totals = tuple(map(float, config.profile))
+        values = np.array(totals)
+        outside = ~((lower <= values) & (values <= upper))
+        if outside.any():
+            k = int(outside.argmax())
+            raise ConfigError(f"step {k + 1}: demand {totals[k]} outside [{lower}, {upper}]",
+                              field=f"{where}[{k}]")
+        return totals
+
+    n = caps.n
+    rows = tuple(tuple(map(float, row)) for row in config.profile)
+    # rows before the first of the wrong width are checked as one array
+    width_k = next((k for k, row in enumerate(rows) if len(row) != n), len(rows))
+    values = np.array(rows[:width_k]).reshape(width_k, n)
+    off_bounds = ~((caps.net_lo <= values) & (values <= caps.net_hi))
+    with np.errstate(over="ignore"):  # a sum past float range is inf, so outside
+        sums = values.sum(axis=1)
+    bad = off_bounds.any(axis=1) | ~((lower <= sums) & (sums <= upper))
+    if bad.any():
+        k = int(bad.argmax())
+        if off_bounds[k].any():
+            i = int(off_bounds[k].argmax())
+            raise ConfigError(
+                f"step {k + 1}, node {i + 1}: desired net power {rows[k][i]} outside "
+                f"net-power bounds [{caps.net_lo[i]}, {caps.net_hi[i]}]",
+                field=f"{where}[{k}][{i}]",
+            )
+        raise ConfigError(
+            f"step {k + 1}: desired profile sums to {float(sums[k])}, outside "
+            f"[{lower}, {upper}]",
+            field=f"{where}[{k}]",
+        )
+    if width_k < len(rows):
+        raise ConfigError(
+            f"step {width_k + 1}: desired row has {len(rows[width_k])} values for {n} nodes",
+            field=f"{where}[{width_k}]",
+        )
+    return rows
 
 
 @dataclass(frozen=True)
@@ -188,28 +203,15 @@ class SimulationRecord:
                        self.flow_iters.max(initial=0)))
 
 
-def generate_demand_profile(
-    spec: DemandSpec, caps: NodeCapacities, horizon: int, seed: int
-) -> np.ndarray:
-    """Per-step total demand, uniform over the realizable interval when seeded.
-
-    Explicit lists are length-checked and each value realizability-checked.
-    """
-    if spec.kind == "explicit":
-        if len(spec.values) != horizon:
-            raise ValueError(
-                f"explicit demand has {len(spec.values)} entries for horizon {horizon}"
-            )
-        out = np.asarray(spec.values, dtype=float)
-        for k, p_D in enumerate(out):
-            report = check_realizability(float(p_D), caps)
-            if not report:
-                raise NotRealizableError(
-                    f"step {k + 1}: demand {p_D} outside [{report.lower}, {report.upper}]",
-                    report=report,
-                )
-        return out
-    return np.random.default_rng(seed).uniform(caps.total_gen_lo, caps.total_gen_hi, size=horizon)
+def generate_demand_profile(config: ScenarioConfig) -> np.ndarray:
+    """Per-step total demand: the explicit profile, or uniform over the
+    realizable interval when seeded."""
+    if config.profile is not None:
+        return np.array(config.profile)
+    caps = config.capacities
+    return np.random.default_rng(config.seed).uniform(
+        caps.total_gen_lo, caps.total_gen_hi, size=config.horizon
+    )
 
 
 def _interior_profile(caps: NodeCapacities, target_sum: float) -> np.ndarray:
@@ -222,10 +224,8 @@ def _interior_profile(caps: NodeCapacities, target_sum: float) -> np.ndarray:
     return caps.net_lo + net_range * frac
 
 
-def generate_desired_profile(
-    spec: DesiredSpec, caps: NodeCapacities, horizon: int, seed: int
-) -> np.ndarray:
-    """Per-step, per-node desired net power.
+def generate_desired_profile(config: ScenarioConfig) -> np.ndarray:
+    """Per-step, per-node desired net power: the explicit rows, or drawn.
 
     Sampled rows are uniform in each node's net-power box, then pulled
     toward a box-interior center by successive halving until the row sum
@@ -233,39 +233,14 @@ def generate_desired_profile(
     Generation bounds are deliberately not enforced per node; targets a
     generator cannot meet alone are the point of the flow-control regime.
     """
-    n = caps.n
-    if spec.kind == "explicit":
-        if len(spec.values) != horizon:
-            raise ValueError(
-                f"explicit desired profile has {len(spec.values)} rows for horizon {horizon}"
-            )
-        out = np.empty((horizon, n))
-        for k, row in enumerate(spec.values):
-            if len(row) != n:
-                raise ValueError(f"step {k + 1}: desired row has {len(row)} values for {n} nodes")
-            arr = np.asarray(row, dtype=float)
-            low = arr < caps.net_lo
-            high = arr > caps.net_hi
-            if np.any(low | high):
-                i = int(np.nonzero(low | high)[0][0])
-                raise BoundViolationError(
-                    f"step {k + 1}, node {i + 1}: desired net power {arr[i]} outside "
-                    f"net-power bounds [{caps.net_lo[i]}, {caps.net_hi[i]}]"
-                )
-            total = float(np.sum(arr))
-            report = check_realizability(total, caps)
-            if not report:
-                raise NotRealizableError(
-                    f"step {k + 1}: desired profile sums to {total}, outside "
-                    f"[{report.lower}, {report.upper}]",
-                    report=report,
-                )
-            out[k] = arr
-        return out
-
+    if config.profile is not None:
+        return np.array(config.profile)
+    caps = config.capacities
     lower, upper = caps.total_gen_lo, caps.total_gen_hi
     center = _interior_profile(caps, 0.5 * (lower + upper))
-    out = np.random.default_rng(seed).uniform(caps.net_lo, caps.net_hi, size=(horizon, n))
+    out = np.random.default_rng(config.seed).uniform(
+        caps.net_lo, caps.net_hi, size=(config.horizon, caps.n)
+    )
     for k, row in enumerate(out):
         for _ in range(_HALVING_CAP):
             if lower <= float(np.sum(row)) <= upper:
@@ -297,10 +272,10 @@ def run(config: ScenarioConfig) -> SimulationRecord:
     state = GridState.initial(p_G0)
 
     if config.mode == MODE_WITH:
-        demand = generate_demand_profile(config.demand, caps, K, config.seed)
+        demand = generate_demand_profile(config)
         desired_rows = None
     else:
-        desired_rows = generate_desired_profile(config.desired, caps, K, config.seed)
+        desired_rows = generate_desired_profile(config)
         demand = desired_rows.sum(axis=1)
 
     p_d = np.empty((K, n))

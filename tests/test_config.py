@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from gridconsensus import (
     CapacityError,
     ConfigError,
-    DemandSpec,
-    DesiredSpec,
     MODE_WITH,
     MODE_WITHOUT,
     ScenarioConfig,
@@ -27,7 +25,7 @@ from gridconsensus import (
     load_config,
     parse_config,
 )
-from conftest import DESIRED_AT_150, random_capacities
+from conftest import DESIRED_AT_150, RING_CHORD_EDGES, make_reference_caps, random_capacities
 from conftest import random_connected_topology
 
 
@@ -171,14 +169,14 @@ class TestParse:
         del doc["desired"]
         doc["demand"] = {"kind": "explicit", "values": [10.0, 20.0, 30.0]}
         config = parse_config(doc)
-        assert config.demand.values == (10.0, 20.0, 30.0)
+        assert config.profile == (10.0, 20.0, 30.0)
 
     def test_explicit_desired_rows(self):
         doc = good_doc()
         doc["horizon"] = 1
         doc["desired"] = {"kind": "explicit", "values": [[5.0, 10.0]]}
         config = parse_config(doc)
-        assert config.desired.values == ((5.0, 10.0),)
+        assert config.profile == ((5.0, 10.0),)
 
     def test_desired_rows_must_be_lists(self):
         doc = good_doc()
@@ -243,8 +241,9 @@ class TestParse:
         ("max_iters", True, "max_iters", "must be an integer >= 1, got True"),
     ])
     def test_scenario_config_errors_name_their_field(self, key, value, field, message):
-        # ScenarioConfig or ConvergenceCriteria alone checks these; their
-        # errors reach the caller with the field set and named once
+        # ScenarioConfig or ConvergenceCriteria alone checks these, and
+        # parse_config alone which source the mode takes; their errors
+        # reach the caller with the field set and named once
         doc = good_doc()
         if value is None:
             del doc[key]
@@ -267,6 +266,33 @@ class TestParse:
             parse_config(doc)
         assert (info.value.field, str(info.value)) == (
             "desired", "desired: not taken by with-coordination runs")
+
+    @pytest.mark.parametrize(("source", "values", "expected"), [
+        ("demand", [], "demand.values: explicit sources need a nonempty values list"),
+        ("demand", [10, 20], "demand.values: 2 entries for horizon 3"),
+        ("demand", [10, 36, 40], "demand.values[1]: step 2: demand 36.0 outside [5.0, 35.0]"),
+        ("desired", [[5, 10], [5, 10]], "desired.values: 2 entries for horizon 3"),
+        ("desired", [[5, 10], [5, 10, 1], [5, 10]],
+         "desired.values[1]: step 2: desired row has 3 values for 2 nodes"),
+        ("desired", [[5, 10], [5, 10], [5, 31]], "desired.values[2][1]: step 3, node 2: "
+         "desired net power 31.0 outside net-power bounds [0.0, 30.0]"),
+        ("desired", [[5, 10], [15, 25], [5, 10]],
+         "desired.values[1]: step 2: desired profile sums to 40.0, outside [5.0, 35.0]"),
+    ], ids=["demand-empty", "demand-length", "demand-unrealizable", "desired-length",
+            "desired-width", "desired-net-bound", "desired-unrealizable"])
+    def test_explicit_profile_faults_name_their_entry(self, tmp_path, source, values,
+                                                      expected):
+        # the file loads only if the profile fits the horizon and capacities
+        doc = good_doc()
+        del doc["desired"]
+        doc["mode"] = "with" if source == "demand" else "without"
+        doc[source] = {"kind": "explicit", "values": values}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == expected
+        assert info.value.field == expected.split(":")[0]
 
     @pytest.mark.parametrize(("path", "value", "expected"), [
         (("nodes", 1, "id"), 2**63,
@@ -432,6 +458,95 @@ def test_node_checks_match_the_reference_loop(fault, data):
     assert [a.tolist() for a in (caps.gen_lo, caps.gen_hi, caps.net_lo, caps.net_hi)] == expected
 
 
+REF_CAPS = make_reference_caps()
+REF_TOPOLOGY = build_topology(6, RING_CHORD_EDGES)
+
+
+def reference_profile_fault(mode, profile, caps, horizon):
+    """The explicit profile checked one step at a time, as
+    ``generate_demand_profile`` and ``generate_desired_profile`` did before
+    ``ScenarioConfig`` checked it whole: the ``field: message`` of the first
+    fault, or None. Each bound test reads "not inside", so NaN fails the
+    net bounds; the loops let it pass them and fail the sum."""
+    lower, upper = caps.total_gen_lo, caps.total_gen_hi
+    where = "demand.values" if mode == MODE_WITH else "desired.values"
+    if len(profile) != horizon:
+        return f"{where}: {len(profile)} entries for horizon {horizon}"
+    for k, entry in enumerate(profile):
+        if mode == MODE_WITH:
+            if not lower <= entry <= upper:
+                return f"{where}[{k}]: step {k + 1}: demand {entry} outside [{lower}, {upper}]"
+            continue
+        if len(entry) != caps.n:
+            return (f"{where}[{k}]: step {k + 1}: desired row has {len(entry)} values "
+                    f"for {caps.n} nodes")
+        for i, value in enumerate(entry):
+            if not caps.net_lo[i] <= value <= caps.net_hi[i]:
+                return (f"{where}[{k}][{i}]: step {k + 1}, node {i + 1}: desired net power "
+                        f"{value} outside net-power bounds [{caps.net_lo[i]}, {caps.net_hi[i]}]")
+        total = float(np.sum(entry))
+        if not lower <= total <= upper:
+            return (f"{where}[{k}]: step {k + 1}: desired profile sums to {total}, "
+                    f"outside [{lower}, {upper}]")
+    return None
+
+
+def near(*ends):
+    """Each end, the floats either side of it, and NaN."""
+    return st.sampled_from([x for end in map(float, ends)
+                            for x in (end, math.nextafter(end, -math.inf),
+                                      math.nextafter(end, math.inf))] + [math.nan])
+
+
+@st.composite
+def explicit_profiles(draw, mode):
+    """A horizon and a profile for the reference system, mostly of the
+    horizon's length and with rows n wide. Entries lie on, just inside or
+    just outside each bound, or are NaN: totals against the realizable
+    interval, per-node values against the net and generation bounds (a row
+    of generation bounds sums to an end of the realizable interval). Some
+    rows draw every value from the net box, so their sums fall on both
+    sides of the realizable interval."""
+    caps, n = REF_CAPS, REF_CAPS.n
+    horizon = draw(st.integers(1, 3))
+    length = draw(st.sampled_from((horizon,) * 6 + (horizon - 1, horizon + 1)))
+    if mode == MODE_WITH:
+        lower, upper = caps.total_gen_lo, caps.total_gen_hi
+        total = st.floats(lower, upper) | near(lower, upper) | st.floats(lower - 10, upper + 10)
+        return horizon, tuple(draw(total) for _ in range(length))
+    inside = [st.floats(caps.net_lo[i], caps.net_hi[i]) for i in range(n)]
+    at_gen = [near(caps.gen_lo[i], caps.gen_hi[i]) for i in range(n)]
+    anywhere = [inside[i] | near(caps.net_lo[i], caps.net_hi[i]) | at_gen[i] for i in range(n)]
+    rows = []
+    for _ in range(length):
+        width = draw(st.sampled_from((n,) * 6 + (n - 1, n + 1)))
+        values = draw(st.sampled_from((inside, at_gen, anywhere)))
+        rows.append(tuple(draw(values[i % n]) for i in range(width)))
+    return horizon, tuple(rows)
+
+
+@pytest.mark.parametrize("mode", [MODE_WITH, MODE_WITHOUT])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_explicit_profiles_match_the_reference_loop(mode, data, tmp_path_factory):
+    # ScenarioConfig accepts exactly the profiles the step-by-step loop
+    # accepts, and names the same first fault; an accepted profile comes
+    # back equal through a config file
+    horizon, profile = data.draw(explicit_profiles(mode))
+    expected = reference_profile_fault(mode, profile, REF_CAPS, horizon)
+    try:
+        config = ScenarioConfig(mode=mode, topology=REF_TOPOLOGY, capacities=REF_CAPS,
+                                horizon=horizon, profile=profile)
+    except ConfigError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert config.profile == profile
+    path = tmp_path_factory.getbasetemp() / "profile.json"
+    dump_config(config, path)
+    assert load_config(path).profile == config.profile
+
+
 class TestRoundTrip:
     def test_doc_round_trip(self):
         doc = good_doc()
@@ -466,7 +581,7 @@ class TestRoundTrip:
         topology = random_connected_topology(8, rng)
         config = ScenarioConfig(
             mode=MODE_WITHOUT, topology=topology, capacities=random_capacities(rng, 8),
-            horizon=2, desired=DesiredSpec(),
+            horizon=2,
         )
         out = tmp_path / "scenario.json"
         dump_config(config, out)
@@ -478,16 +593,15 @@ class TestRoundTrip:
     def test_explicit_sources_dump_load_round_trip(self, tmp_path, ref_caps, ring_chord,
                                                    mode):
         if mode == MODE_WITH:
-            sources = {"demand": DemandSpec(kind="explicit", values=(100.0, 150.25))}
+            profile = (100.0, 150.25)
         else:
-            rows = ((20.0, 40.5, 25.0, 15.0, 30.0, 19.5), tuple(DESIRED_AT_150))
-            sources = {"desired": DesiredSpec(kind="explicit", values=rows)}
+            profile = ((20.0, 40.5, 25.0, 15.0, 30.0, 19.5), tuple(DESIRED_AT_150))
         config = ScenarioConfig(mode=mode, topology=ring_chord, capacities=ref_caps,
-                                horizon=2, **sources)
+                                horizon=2, profile=profile)
         out = tmp_path / "scenario.json"
         dump_config(config, out)
         again = load_config(out)
-        assert again.demand == config.demand and again.desired == config.desired
+        assert again.profile == config.profile
         assert config_to_dict(again) == config_to_dict(config)
 
 

@@ -105,7 +105,6 @@ class TestRealizability:
 class TestClosedForm:
     def test_reference_anchor_at_150(self, ref_caps):
         result = coordinate_closed_form(150.0, ref_caps)
-        assert result.method == "closed-form"
         assert np.max(np.abs(result.desired - np.array(DESIRED_AT_150))) <= 1e-12
         assert result.desired.sum() == pytest.approx(150.0, abs=1e-12)
 
@@ -158,7 +157,6 @@ class TestDistributed:
     def test_matches_closed_form_on_reference(self, ref_caps, ring_chord):
         closed = coordinate_closed_form(150.0, ref_caps).desired
         dist = coordinate_distributed(150.0, ref_caps, ring_chord, leader=1)
-        assert dist.method == "distributed"
         assert dist.iters > 0
         assert np.max(np.abs(dist.desired - closed)) <= 1e-8
 

@@ -29,8 +29,6 @@ from gridconsensus import (
     MODE_WITH,
     MODE_WITHOUT,
     ConvergenceCriteria,
-    DemandSpec,
-    DesiredSpec,
     GridState,
     NodeCapacities,
     ScenarioConfig,
@@ -100,9 +98,7 @@ def test_feeder_run_passes_every_audit_and_oracle(mode):
     topo = feeder(50, seed=1)
     assert topo.n == 150
     caps = random_capacities(np.random.default_rng(61), topo.n)
-    source = {"demand": DemandSpec()} if mode == MODE_WITH else {"desired": DesiredSpec()}
-    config = ScenarioConfig(mode=mode, topology=topo, capacities=caps, horizon=2, seed=3,
-                            **source)
+    config = ScenarioConfig(mode=mode, topology=topo, capacities=caps, horizon=2, seed=3)
     record = run(config)
     assert record.all_audits_passed
     # every call stops within twice the rounds the bound predicts on its
@@ -148,7 +144,7 @@ def test_path_1500_run_without_coordination_passes_every_audit(path1500):
                           net_lo=gen_lo - rng.uniform(0.0, 10.0, n),
                           net_hi=gen_hi + rng.uniform(10.0, 60.0, n))
     record = run(ScenarioConfig(mode=MODE_WITHOUT, topology=path1500, capacities=caps,
-                                horizon=1, desired=DesiredSpec(), seed=1))
+                                horizon=1, seed=1))
     assert record.all_audits_passed
 
 

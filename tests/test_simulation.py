@@ -18,18 +18,14 @@ from hypothesis import strategies as st
 import gridconsensus.simulation as sim
 from gridconsensus import (
     AuditError,
-    BoundViolationError,
     ConfigError,
     ConvergenceCriteria,
     ConvergenceError,
-    DemandSpec,
-    DesiredSpec,
     FlowControlResult,
     GridState,
     MODE_WITH,
     MODE_WITHOUT,
     NodeCapacities,
-    NotRealizableError,
     ScenarioConfig,
     SimulationRecord,
     compute_delta_bounds,
@@ -52,7 +48,6 @@ def with_config(ref_caps, ring_chord):
         topology=ring_chord,
         capacities=ref_caps,
         horizon=5,
-        demand=DemandSpec(),
         seed=7,
     )
 
@@ -64,95 +59,44 @@ def without_config(ref_caps, ring_chord):
         topology=ring_chord,
         capacities=ref_caps,
         horizon=5,
-        desired=DesiredSpec(),
         seed=7,
     )
 
 
-class TestSpecs:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            DemandSpec(kind="random")
-        with pytest.raises(ValueError):
-            DesiredSpec(kind="fixed")
-
-    def test_explicit_needs_values(self):
-        with pytest.raises(ValueError):
-            DemandSpec(kind="explicit")
-        with pytest.raises(ValueError):
-            DesiredSpec(kind="explicit", values=())
-
-    def test_seeded_takes_no_values(self):
-        with pytest.raises(ValueError):
-            DemandSpec(kind="seeded", values=(100.0,))
-
-
 class TestDemandProfile:
-    def test_explicit_passthrough(self, ref_caps):
-        spec = DemandSpec(kind="explicit", values=(100.0, 200.0))
-        out = generate_demand_profile(spec, ref_caps, 2, seed=0)
-        assert np.array_equal(out, [100.0, 200.0])
+    def test_explicit_passthrough(self, with_config):
+        config = replace(with_config, horizon=2, profile=(100.0, 200.0))
+        assert np.array_equal(generate_demand_profile(config), [100.0, 200.0])
 
-    def test_explicit_length_mismatch(self, ref_caps):
-        spec = DemandSpec(kind="explicit", values=(100.0,))
-        with pytest.raises(ValueError, match="horizon 3"):
-            generate_demand_profile(spec, ref_caps, 3, seed=0)
-
-    def test_explicit_unrealizable_names_step(self, ref_caps):
-        spec = DemandSpec(kind="explicit", values=(100.0, 400.0))
-        with pytest.raises(NotRealizableError, match="step 2"):
-            generate_demand_profile(spec, ref_caps, 2, seed=0)
-
-    def test_seeded_stays_realizable(self, ref_caps):
-        out = generate_demand_profile(DemandSpec(), ref_caps, 200, seed=3)
+    def test_seeded_stays_realizable(self, with_config, ref_caps):
+        out = generate_demand_profile(replace(with_config, horizon=200, seed=3))
         assert np.all(out >= ref_caps.total_gen_lo)
         assert np.all(out <= ref_caps.total_gen_hi)
 
-    def test_seeded_deterministic(self, ref_caps):
-        a = generate_demand_profile(DemandSpec(), ref_caps, 10, seed=5)
-        b = generate_demand_profile(DemandSpec(), ref_caps, 10, seed=5)
-        c = generate_demand_profile(DemandSpec(), ref_caps, 10, seed=6)
+    def test_seeded_deterministic(self, with_config):
+        a, b, c = (generate_demand_profile(replace(with_config, horizon=10, seed=seed))
+                   for seed in (5, 5, 6))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
 
 class TestDesiredProfile:
-    def test_explicit_passthrough(self, ref_caps):
+    def test_explicit_passthrough(self, without_config):
         row = tuple(float(v) for v in make_reference_caps().gen_hi)
-        spec = DesiredSpec(kind="explicit", values=(row,))
-        out = generate_desired_profile(spec, ref_caps, 1, seed=0)
+        out = generate_desired_profile(replace(without_config, horizon=1, profile=(row,)))
         assert np.array_equal(out[0], row)
 
-    def test_explicit_row_width_checked(self, ref_caps):
-        spec = DesiredSpec(kind="explicit", values=((1.0, 2.0),))
-        with pytest.raises(ValueError, match="6 nodes"):
-            generate_desired_profile(spec, ref_caps, 1, seed=0)
-
-    def test_explicit_net_bounds_name_step_and_node(self, ref_caps):
-        row = list(ref_caps.net_lo)
-        row[1] = ref_caps.net_lo[1] - 5.0
-        spec = DesiredSpec(kind="explicit", values=(tuple(ref_caps.net_lo), tuple(row)))
-        with pytest.raises(BoundViolationError, match="step 2, node 2"):
-            generate_desired_profile(spec, ref_caps, 2, seed=0)
-
-    def test_explicit_unrealizable_sum(self, ref_caps):
-        # each entry honours its net box but the total exceeds what
-        # the generators can produce together (sum of net_hi > sum of gen_hi)
-        spec = DesiredSpec(kind="explicit", values=(tuple(ref_caps.net_hi),))
-        with pytest.raises(NotRealizableError, match="step 1"):
-            generate_desired_profile(spec, ref_caps, 1, seed=0)
-
-    def test_seeded_rows_are_valid(self, ref_caps):
-        out = generate_desired_profile(DesiredSpec(), ref_caps, 300, seed=11)
+    def test_seeded_rows_are_valid(self, without_config, ref_caps):
+        out = generate_desired_profile(replace(without_config, horizon=300, seed=11))
         assert np.all(out >= ref_caps.net_lo - 1e-12)
         assert np.all(out <= ref_caps.net_hi + 1e-12)
         sums = out.sum(axis=1)
         assert np.all(sums >= ref_caps.total_gen_lo - 1e-9)
         assert np.all(sums <= ref_caps.total_gen_hi + 1e-9)
 
-    def test_seeded_deterministic(self, ref_caps):
-        a = generate_desired_profile(DesiredSpec(), ref_caps, 10, seed=5)
-        b = generate_desired_profile(DesiredSpec(), ref_caps, 10, seed=5)
+    def test_seeded_deterministic(self, without_config):
+        a, b = (generate_desired_profile(replace(without_config, horizon=10, seed=5))
+                for _ in range(2))
         assert np.array_equal(a, b)
 
 
@@ -160,31 +104,30 @@ class TestScenarioConfig:
     def test_mode_vocabulary(self, ref_caps, ring_chord):
         with pytest.raises(ValueError, match="mode"):
             ScenarioConfig(mode="hybrid", topology=ring_chord, capacities=ref_caps,
-                           horizon=1, demand=DemandSpec())
+                           horizon=1)
 
     def test_horizon_positive(self, ref_caps, ring_chord):
         with pytest.raises(ValueError, match="horizon"):
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           horizon=0, demand=DemandSpec())
+                           horizon=0)
 
     def test_capacities_must_be_one_set(self, ref_caps, ring_chord):
         # A run has one capacity set; a per-step tuple is refused up front
         # rather than failing later on a missing attribute.
         with pytest.raises(ValueError, match="one NodeCapacities, got tuple"):
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord,
-                           capacities=(ref_caps, ref_caps), horizon=2,
-                           demand=DemandSpec())
+                           capacities=(ref_caps, ref_caps), horizon=2)
 
     def test_capacity_size_must_match_topology(self, ring_chord):
         small = NodeCapacities(gen_lo=[0], gen_hi=[1], net_lo=[0], net_hi=[1])
         with pytest.raises(ValueError, match="nodes"):
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=small,
-                           horizon=1, demand=DemandSpec())
+                           horizon=1)
 
     def test_leader_in_range(self, ref_caps, ring_chord):
         with pytest.raises(ValueError, match="leader"):
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           horizon=1, demand=DemandSpec(), leader=7)
+                           horizon=1, leader=7)
 
     @pytest.mark.parametrize(("name", "value"), [
         ("horizon", 2.5), ("horizon", True),
@@ -197,7 +140,7 @@ class TestScenarioConfig:
         settings = {"horizon": 1, name: value}
         with pytest.raises(ValueError, match=f"^{name}: must be an integer") as info:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           demand=DemandSpec(), **settings)
+                           **settings)
         assert info.value.field == name
 
     def test_seed_must_be_non_negative(self, ref_caps, ring_chord):
@@ -205,7 +148,7 @@ class TestScenarioConfig:
         # a message that names the field instead of a bare error from run().
         with pytest.raises(ValueError, match="^seed: must be a non-negative integer") as info:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           horizon=1, demand=DemandSpec(), seed=-1)
+                           horizon=1, seed=-1)
         assert info.value.field == "seed"
 
     def test_nan_initial_generation_rejected(self, ref_caps, ring_chord):
@@ -215,36 +158,25 @@ class TestScenarioConfig:
         p_G0 = (np.nan,) + tuple(ref_caps.gen_lo[1:])
         with pytest.raises(ConfigError, match="node 1 outside its generation bounds") as info:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           horizon=1, demand=DemandSpec(), initial_generation=p_G0)
+                           horizon=1, initial_generation=p_G0)
         assert info.value.field == "initial_generation"
-
-    def test_mode_and_source_must_agree(self, ref_caps, ring_chord):
-        with pytest.raises(ValueError):
-            ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           horizon=1, desired=DesiredSpec())
-        with pytest.raises(ValueError):
-            ScenarioConfig(mode=MODE_WITHOUT, topology=ring_chord, capacities=ref_caps,
-                           horizon=1, demand=DemandSpec())
-        with pytest.raises(ValueError):
-            ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           horizon=1, demand=DemandSpec(), desired=DesiredSpec())
 
     def test_initial_generation_checked(self, ref_caps, ring_chord):
         with pytest.raises(ValueError, match="entries"):
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           horizon=1, demand=DemandSpec(), initial_generation=(10.0,))
+                           horizon=1, initial_generation=(10.0,))
         bad = list(ref_caps.gen_lo)
         bad[3] -= 1.0
         with pytest.raises(ValueError, match="node 4"):
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
-                           horizon=1, demand=DemandSpec(), initial_generation=tuple(bad))
+                           horizon=1, initial_generation=tuple(bad))
 
 
 class TestRunWithCoordination:
     def test_floor_demand_is_a_fixed_point(self, ref_caps, ring_chord):
         config = ScenarioConfig(
             mode=MODE_WITH, topology=ring_chord, capacities=ref_caps, horizon=1,
-            demand=DemandSpec(kind="explicit", values=(float(ref_caps.total_gen_lo),)),
+            profile=(float(ref_caps.total_gen_lo),),
         )
         record = run(config)
         assert np.allclose(record.delta[0], 0.0, atol=1e-7)
@@ -320,7 +252,7 @@ class TestRunWithoutCoordination:
                               net_lo=gen - (i + 1), net_hi=gen + 7 * (i + 2))
         record = run(ScenarioConfig(mode=MODE_WITHOUT, topology=ring_chord,
                                     capacities=caps, horizon=20,
-                                    desired=DesiredSpec(), seed=3))
+                                    seed=3))
         assert record.all_audits_passed
         assert np.all(record.gen_iters == 0)
         assert np.all(record.p_G == gen)
@@ -336,7 +268,7 @@ class TestFailureHandling:
     def test_convergence_failure_names_step_and_phase(self, ref_caps, ring_chord):
         config = ScenarioConfig(
             mode=MODE_WITH, topology=ring_chord, capacities=ref_caps, horizon=1,
-            demand=DemandSpec(kind="explicit", values=(150.0,)),
+            profile=(150.0,),
             criteria=ConvergenceCriteria(eps=1e-10, max_iters=4),
         )
         with pytest.raises(ConvergenceError, match=r"step 1 \(coordination\)"):
@@ -433,7 +365,7 @@ class TestErrorBudget:
         caps = _scaled(config.capacities, scale)
         _assert_within_budget(replace(
             config, capacities=caps, horizon=1,
-            demand=DemandSpec(kind="explicit", values=(getattr(caps, end),)),
+            profile=(getattr(caps, end),),
             criteria=ConvergenceCriteria(eps=eps),
         ))
 
@@ -457,8 +389,7 @@ def test_every_audit_and_oracle_holds_at_any_eps_and_scale(
     else:
         topo = path_topology(n) if kind == "path" else random_connected_topology(n, rng, 0.3)
         caps = random_capacities(rng, n)
-    source = {"demand": DemandSpec()} if mode == MODE_WITH else {"desired": DesiredSpec()}
     _assert_within_budget(ScenarioConfig(
         mode=mode, topology=topo, capacities=_scaled(caps, 10.0**log_scale), horizon=3,
-        criteria=ConvergenceCriteria(eps=10.0**log_eps), seed=seed % 1000, **source,
+        criteria=ConvergenceCriteria(eps=10.0**log_eps), seed=seed % 1000,
     ))
