@@ -1,21 +1,21 @@
 """JSON scenario documents.
 
 A config file mirrors ScenarioConfig: node capacities, edge list, mode,
-horizon, one profile source, and solver knobs. Parsing is strict — unknown
-fields are rejected and every failure names the offending field path — and
-checks each value's type and range, the graph and the capacities, each in
-one place. The node list and every list of numbers are checked whole, by
-type passes and array comparisons; only a list found faulty is walked item
-by item, so that the error names the first bad field. The mode's source
-(``demand`` or ``desired``) becomes ``ScenarioConfig.profile``, which
-checks explicit values against the horizon and the capacities, so a file
-that loads can run.
+horizon, one profile source (``demand`` or ``desired``, which becomes
+``ScenarioConfig.profile``), and solver knobs. Parsing is strict: unknown
+fields are rejected and every failure names the offending field path. Each
+value is checked in one place: ``parse_config`` the document's shape and
+the node objects, ``build_topology`` the edges, ``NodeCapacities`` the
+bounds together, ``ConvergenceCriteria`` ``eps`` and ``max_iters``, and
+``ScenarioConfig`` the run settings, the profile and ``initial_generation``,
+so a config built in Python raises the same ConfigError as its file, and a
+file that loads can run. Lists are checked whole, by type passes and array
+comparisons; only a faulty list is walked, to name its first bad entry.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from importlib import resources
 from itertools import chain
 from operator import itemgetter
@@ -68,13 +68,9 @@ def _as_int(value, field: str) -> int:
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", field=field)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer past float range
-        number = math.inf
-    if not math.isfinite(number):  # json also reads Infinity, NaN and 1e999
+    if _finite_array([value]) is None:  # json reads Infinity, NaN, 1e999 and 10**400
         raise ConfigError(f"expected a finite number, got {value!r}", field=field)
-    return number
+    return float(value)
 
 
 def _as_pair(value, field: str) -> tuple[float, float]:
@@ -100,16 +96,6 @@ def _finite_array(values: list) -> np.ndarray | None:
     except OverflowError:  # an integer past float range
         return None
     return array if np.isfinite(array).all() else None
-
-
-def _numbers(values: list, where: str) -> np.ndarray:
-    """``values`` as a float array; the first that is not a finite number
-    raises ConfigError naming ``where[index]``."""
-    array = _finite_array(values)
-    if array is None:
-        for i, value in enumerate(values):
-            _as_number(value, f"{where}[{i}]")
-    return array
 
 
 def _node_bounds(nodes: list) -> np.ndarray | None:
@@ -178,12 +164,10 @@ def parse_config(doc) -> ScenarioConfig:
         )
     mode = _MODE_ALIASES[mode_raw]
     horizon = _get(doc, "horizon")
-    # Optional fields are passed only when present, so their defaults and
-    # integer checks live in ScenarioConfig and ConvergenceCriteria alone.
-    options = {key: doc[key] for key in ("seed", "leader") if key in doc}
-    knobs = {"max_iters": doc["max_iters"]} if "max_iters" in doc else {}
-    if "eps" in doc:
-        knobs["eps"] = _as_number(doc["eps"], "eps")
+    # Optional fields are passed as given, and only when present: their
+    # defaults and checks live in ScenarioConfig and ConvergenceCriteria.
+    options = {key: doc[key] for key in ("seed", "leader", "initial_generation") if key in doc}
+    knobs = {key: doc[key] for key in ("eps", "max_iters") if key in doc}
 
     nodes = _get(doc, "nodes")
     if not isinstance(nodes, list) or not nodes:
@@ -211,15 +195,10 @@ def parse_config(doc) -> ScenarioConfig:
     for unused in SOURCES.values():
         if unused != source and unused in doc:
             raise ConfigError(f"not taken by {mode} runs", field=unused)
-    profile = _parse_source(doc[source], source, row_values=mode == MODE_WITHOUT)
-
-    initial = None
-    if "initial_generation" in doc:
-        raw = doc["initial_generation"]
-        if not isinstance(raw, list):
-            raise ConfigError(f"expected a list of numbers, got {raw!r}",
-                              field="initial_generation")
-        initial = tuple(_numbers(raw, "initial_generation").tolist())
+    profile = _parse_source(doc[source], source)
+    if not isinstance(doc.get("initial_generation", []), list):
+        raise ConfigError(f"expected a list of numbers, got {doc['initial_generation']!r}",
+                          field="initial_generation")
 
     # ConvergenceCriteria and ScenarioConfig raise ConfigError naming the
     # field they reject
@@ -230,13 +209,13 @@ def parse_config(doc) -> ScenarioConfig:
         horizon=horizon,
         profile=profile,
         criteria=ConvergenceCriteria(**knobs),
-        initial_generation=initial,
         **options,
     )
 
 
-def _parse_source(raw, where: str, row_values: bool):
-    """The explicit values of a source, or None for a seeded one."""
+def _parse_source(raw, where: str):
+    """The explicit values of a source as given, or None for a seeded one;
+    ScenarioConfig checks them."""
     if not isinstance(raw, dict):
         raise ConfigError(f"expected an object, got {raw!r}", field=where)
     _check_unknown(raw, _SPEC_FIELDS, where)
@@ -244,21 +223,10 @@ def _parse_source(raw, where: str, row_values: bool):
     if kind not in ("seeded", "explicit"):
         raise ConfigError(f"expected 'seeded' or 'explicit', got {kind!r}", field=f"{where}.kind")
     values = raw.get("values")
-    if kind == "seeded":
-        if values is not None:
-            raise ConfigError("seeded sources take no values", field=f"{where}.values")
-        return None
-    if not isinstance(values, list) or not values:
+    if kind == "seeded" and values is not None:
+        raise ConfigError("seeded sources take no values", field=f"{where}.values")
+    if kind == "explicit" and (not isinstance(values, list) or not values):
         raise ConfigError("explicit sources need a nonempty values list", field=f"{where}.values")
-    if not row_values:
-        return _numbers(values, f"{where}.values")
-    if not _all_of(values, list) or _finite_array(list(chain.from_iterable(values))) is None:
-        for i, row in enumerate(values):  # words the first fault
-            if not isinstance(row, list):
-                raise ConfigError(
-                    f"expected a per-node list, got {row!r}", field=f"{where}.values[{i}]"
-                )
-            _numbers(row, f"{where}.values[{i}]")
     return values
 
 

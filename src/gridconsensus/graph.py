@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -184,18 +185,20 @@ def _raise_edge_fault(n: int, edges) -> None:
 def build_topology(n: int, edges) -> GridTopology:
     """Validate a node count and edge list into a GridTopology.
 
-    Raises TopologyError for a node count or an edge that is not one, and
-    a distinct subclass for each other failure mode: endpoints not integers
-    or outside 1..n (a bool is no integer here), self-loops, duplicate
-    edges, and disconnectedness (checked by breadth-first traversal from
-    node 1). An edge is any item of length 2, such as a list, a tuple or a
-    numpy row. The edges are checked as arrays; only a faulty list is
-    walked edge by edge, so that each message quotes the first bad edge as
-    given.
+    Raises TopologyError for a node count, an edge iterable or an edge that
+    is not one, and a distinct subclass for each other failure mode:
+    endpoints not integers or outside 1..n (a bool is no integer here),
+    self-loops, duplicate edges, and disconnectedness (checked by
+    breadth-first traversal from node 1). An edge is any item of length 2,
+    such as a list, a tuple or a numpy row. The edges are checked as
+    arrays; only a faulty list is walked edge by edge, so that each message
+    quotes the first bad edge as given.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_integer_type(type(n)) or n < 1:
         raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
-    edges = list(edges)
+    if not isinstance(edges, Iterable):
+        raise TopologyError(f"edges must be an iterable of pairs, got {edges!r}")
+    n, edges = int(n), list(edges)
     keys = _edge_keys(n, edges)
     if keys is None:
         _raise_edge_fault(n, edges)

@@ -9,7 +9,9 @@ is reproducible end to end from its config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -84,17 +86,14 @@ class ScenarioConfig:
         if self.profile is not None:
             object.__setattr__(self, "profile", _checked_profile(self))
         if self.initial_generation is not None:
-            p_G0 = tuple(float(v) for v in self.initial_generation)
+            p_G0 = _finite_floats(self.initial_generation, "initial_generation")
             object.__setattr__(self, "initial_generation", p_G0)
-            caps = self.capacities
             if len(p_G0) != self.topology.n:
                 raise ConfigError(f"{len(p_G0)} entries for {self.topology.n} nodes",
                                   field="initial_generation")
-            arr = np.asarray(p_G0)
-            outside = ~((caps.gen_lo <= arr) & (arr <= caps.gen_hi))  # NaN is outside too
+            outside = (p_G0 < self.capacities.gen_lo) | (p_G0 > self.capacities.gen_hi)
             if outside.any():
-                bad = int(np.argmax(outside)) + 1
-                raise ConfigError(f"node {bad} outside its generation bounds",
+                raise ConfigError(f"node {outside.argmax() + 1} outside its generation bounds",
                                   field="initial_generation")
 
     def capacities_at(self, k: int) -> NodeCapacities:
@@ -102,29 +101,58 @@ class ScenarioConfig:
         return self.capacities
 
 
+def _finite_floats(values, where: str) -> tuple[float, ...]:
+    """``values`` as floats if each is a finite real number (a bool is none),
+    checked as one array; else ConfigError for the first that is not."""
+    kinds = set(map(type, values))
+    if bool not in kinds and all(issubclass(t, Real) for t in kinds):
+        try:
+            array = np.array(values, dtype=float)
+        except OverflowError:  # an integer past the float range
+            array = np.array(np.inf)
+        if np.isfinite(array).all():
+            return tuple(array.tolist())
+    for i, value in enumerate(values):  # words the first fault
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ConfigError(f"expected a number, got {value!r}", field=f"{where}[{i}]")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"expected a finite number, got {value!r}", field=f"{where}[{i}]")
+
+
 def _checked_profile(config: ScenarioConfig) -> tuple:
-    """The explicit profile as tuples of floats, checked against the horizon
-    and the capacities. The first fault, step by step, raises ConfigError
-    whose field names the entry as a config file holds it."""
+    """The explicit profile as tuples of floats. Its entries are checked
+    first, in document order (each row a list, tuple or 1-D array), then
+    the step count, the row widths and the bounds. The first fault raises
+    ConfigError whose field names the entry as a config file holds it."""
     where = f"{SOURCES[config.mode]}.values"
+    if config.mode == MODE_WITH:
+        profile = _finite_floats(config.profile, where)
+    else:
+        rows = []
+        for k, row in enumerate(config.profile):
+            if not isinstance(row, (list, tuple)) and getattr(row, "ndim", 0) != 1:
+                raise ConfigError(f"expected a per-node list, got {row!r}",
+                                  field=f"{where}[{k}]")
+            rows.append(_finite_floats(row, f"{where}[{k}]"))
+        profile = tuple(rows)
     caps = config.capacities
     lower, upper = caps.total_gen_lo, caps.total_gen_hi
-    if len(config.profile) != config.horizon:
-        raise ConfigError(f"{len(config.profile)} entries for horizon {config.horizon}",
-                          field=where)
-    # each bound test reads "not inside", so NaN fails it
+    if len(profile) != config.horizon:
+        raise ConfigError(f"{len(profile)} entries for horizon {config.horizon}", field=where)
     if config.mode == MODE_WITH:
-        totals = tuple(map(float, config.profile))
-        values = np.array(totals)
-        outside = ~((lower <= values) & (values <= upper))
+        totals = np.array(profile)
+        outside = ~((lower <= totals) & (totals <= upper))
         if outside.any():
             k = int(outside.argmax())
-            raise ConfigError(f"step {k + 1}: demand {totals[k]} outside [{lower}, {upper}]",
+            raise ConfigError(f"step {k + 1}: demand {profile[k]} outside [{lower}, {upper}]",
                               field=f"{where}[{k}]")
-        return totals
+        return profile
 
     n = caps.n
-    rows = tuple(tuple(map(float, row)) for row in config.profile)
     # rows before the first of the wrong width are checked as one array
     width_k = next((k for k, row in enumerate(rows) if len(row) != n), len(rows))
     values = np.array(rows[:width_k]).reshape(width_k, n)
@@ -151,7 +179,7 @@ def _checked_profile(config: ScenarioConfig) -> tuple:
             f"step {width_k + 1}: desired row has {len(rows[width_k])} values for {n} nodes",
             field=f"{where}[{width_k}]",
         )
-    return rows
+    return profile
 
 
 @dataclass(frozen=True)

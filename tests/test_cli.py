@@ -61,7 +61,7 @@ class TestValidate:
         path = write_config(tmp_path, eps=float("inf"))
         code = main(["validate", "--config", str(path)])
         assert code == 1
-        assert "eps: expected a finite number" in capsys.readouterr().err
+        assert "eps: must be a positive finite number, got inf" in capsys.readouterr().err
 
     def test_non_integer_endpoint_is_exit_1(self, tmp_path, capsys):
         path = write_config(tmp_path, edges=[[1, 1.5]])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,18 +197,19 @@ class TestParse:
         with pytest.raises(ConfigError, match="eps"):
             parse_config(doc)
 
-    @pytest.mark.parametrize(("key", "value", "field"), [
-        ("eps", float("inf"), "eps"),
-        ("net", [10, float("inf")], r"nodes\[0\]\.net"),
-        ("gen", [float("nan"), 50], r"nodes\[0\]\.gen"),
+    @pytest.mark.parametrize(("key", "value", "expected"), [
+        ("eps", float("inf"), "eps: must be a positive finite number, got inf"),
+        ("net", [10, float("inf")], r"nodes\[0\]\.net: expected a finite number"),
+        ("gen", [float("nan"), 50], r"nodes\[0\]\.gen: expected a finite number"),
     ], ids=["eps-infinity", "net-infinity", "gen-nan"])
-    def test_non_finite_numbers_name_their_field(self, key, value, field):
-        # json writes and reads these as Infinity and NaN
+    def test_non_finite_numbers_name_their_field(self, key, value, expected):
+        # json writes and reads these as Infinity and NaN; ConvergenceCriteria
+        # alone checks eps
         doc = good_doc()
         (doc if key == "eps" else doc["nodes"][0])[key] = value
         text = json.dumps(doc)
         assert "Infinity" in text or "NaN" in text
-        with pytest.raises(ConfigError, match=rf"^{field}: expected a finite number"):
+        with pytest.raises(ConfigError, match=rf"^{expected}"):
             parse_config(json.loads(text))
 
     def test_initial_generation_parsed_and_checked(self):
@@ -234,7 +236,7 @@ class TestParse:
          "node 2 outside its generation bounds"),
         ("demand", {"kind": "seeded"}, "demand", "not taken by without-coordination runs"),
         ("desired", None, "desired", "required by without-coordination runs"),
-        ("eps", 0, "eps", "must be a positive finite number, got 0.0"),
+        ("eps", 0, "eps", "must be a positive finite number, got 0"),
         ("eps", -1e-9, "eps", "must be a positive finite number, got -1e-09"),
         ("max_iters", 0, "max_iters", "must be an integer >= 1, got 0"),
         ("max_iters", 2.5, "max_iters", "must be an integer >= 1, got 2.5"),
@@ -280,17 +282,23 @@ class TestParse:
          "desired.values[1]: step 2: desired profile sums to 40.0, outside [5.0, 35.0]"),
     ], ids=["demand-empty", "demand-length", "demand-unrealizable", "desired-length",
             "desired-width", "desired-net-bound", "desired-unrealizable"])
+    @pytest.mark.parametrize("route", ["file", "python"])
     def test_explicit_profile_faults_name_their_entry(self, tmp_path, source, values,
-                                                      expected):
-        # the file loads only if the profile fits the horizon and capacities
+                                                      expected, route):
+        # the file loads only if the profile fits the horizon and capacities,
+        # and a config built in Python from the same values raises the same
+        # error; an empty list is a fault of the document's shape, which
+        # parse_config alone checks, and built in Python it is a count
         doc = good_doc()
         del doc["desired"]
         doc["mode"] = "with" if source == "demand" else "without"
         doc[source] = {"kind": "explicit", "values": values}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        if route == "python" and not values:
+            expected = f"{source}.values: 0 entries for horizon 3"
         with pytest.raises(ConfigError) as info:
-            load_config(path)
+            load_config(path) if route == "file" else build_in_python(doc)
         assert str(info.value) == expected
         assert info.value.field == expected.split(":")[0]
 
@@ -322,7 +330,8 @@ class TestParse:
         (True, "a number"), ("5", "a number"), (None, "a number"),
         (float("inf"), "a finite number"), (float("nan"), "a finite number"),
     ])
-    def test_number_lists_name_the_first_bad_entry(self, where, value, problem):
+    @pytest.mark.parametrize("route", ["file", "python"])
+    def test_number_lists_name_the_first_bad_entry(self, where, value, problem, route):
         doc = good_doc()
         values = [5.0, 10.0, value, "later"]
         if where == "initial_generation":
@@ -336,8 +345,53 @@ class TestParse:
             doc[where] = {"kind": "explicit", "values": [[1.0, 2.0], values]}
             path = "desired.values[1][2]"
         with pytest.raises(ConfigError) as info:
-            parse_config(doc)
+            parse_config(doc) if route == "file" else build_in_python(doc)
         assert str(info.value) == f"{path}: expected {problem}, got {value!r}"
+        assert info.value.field == path
+
+
+def build_in_python(doc):
+    """``doc`` as a ScenarioConfig built in Python: the document is parsed
+    with a seeded source and no initial generation, and ``replace`` puts
+    its explicit values back, as given."""
+    source = "demand" if "demand" in doc else "desired"
+    base = {**doc, source: {"kind": "seeded"}}
+    base.pop("initial_generation", None)
+    return replace(parse_config(base), profile=doc[source].get("values"),
+                   initial_generation=doc.get("initial_generation"))
+
+
+class TestBuiltInPython:
+    """Values a config file cannot hold, given to ScenarioConfig directly,
+    raise ConfigError as loading does."""
+
+    @pytest.fixture
+    def explicit_with_config(self):
+        return replace(load_config(default_config_path("with")), horizon=2,
+                       profile=(150.0, 160.0))
+
+    @pytest.mark.parametrize("profile", [("150", "160"), ("abc", 160), (None, 160)])
+    def test_profile_entries_must_be_numbers(self, explicit_with_config, profile):
+        with pytest.raises(ConfigError) as info:
+            replace(explicit_with_config, profile=profile)
+        assert str(info.value) == f"demand.values[0]: expected a number, got {profile[0]!r}"
+        assert info.value.field == "demand.values[0]"
+
+    def test_desired_rows_must_be_lists(self, explicit_with_config):
+        with pytest.raises(ConfigError) as info:
+            replace(explicit_with_config, mode=MODE_WITHOUT)
+        assert str(info.value) == "desired.values[0]: expected a per-node list, got 150.0"
+        assert info.value.field == "desired.values[0]"
+
+    def test_numpy_values_are_numbers(self, explicit_with_config):
+        # numpy numbers and 1-D arrays pass, as Python floats
+        config = replace(explicit_with_config, profile=np.array([150, 160]),
+                         initial_generation=explicit_with_config.capacities.gen_lo)
+        assert config.profile == (150.0, 160.0)
+        assert all(type(v) is float for v in config.profile + config.initial_generation)
+        rows = np.tile(config.capacities.gen_lo, (2, 1))
+        config = replace(config, mode=MODE_WITHOUT, profile=[rows[0], tuple(rows[1])])
+        assert config.profile == (tuple(rows[0].tolist()),) * 2
 
 
 def reference_node_bounds(nodes):
@@ -466,10 +520,15 @@ def reference_profile_fault(mode, profile, caps, horizon):
     """The explicit profile checked one step at a time, as
     ``generate_demand_profile`` and ``generate_desired_profile`` did before
     ``ScenarioConfig`` checked it whole: the ``field: message`` of the first
-    fault, or None. Each bound test reads "not inside", so NaN fails the
-    net bounds; the loops let it pass them and fail the sum."""
+    fault, or None. A value that is not finite fails first, in document
+    order, before the count, as loading checks each entry before the rest."""
     lower, upper = caps.total_gen_lo, caps.total_gen_hi
     where = "demand.values" if mode == MODE_WITH else "desired.values"
+    for k, entry in enumerate(profile):
+        for i, value in enumerate((entry,) if mode == MODE_WITH else entry):
+            if not math.isfinite(value):
+                field = f"{where}[{k}]" if mode == MODE_WITH else f"{where}[{k}][{i}]"
+                return f"{field}: expected a finite number, got {value!r}"
     if len(profile) != horizon:
         return f"{where}: {len(profile)} entries for horizon {horizon}"
     for k, entry in enumerate(profile):

@@ -242,6 +242,19 @@ def test_bad_node_count():
             build_topology(n, [])
 
 
+def test_numpy_node_count_is_an_integer():
+    # numpy integers are endpoints, so they are node counts too, kept as int
+    topology = build_topology(np.int64(3), [(1, 2), (2, 3)])
+    assert topology == build_topology(3, [(1, 2), (2, 3)])
+    assert type(topology.n) is int
+
+
+@pytest.mark.parametrize("edges", [5, None])
+def test_edges_that_are_not_iterable_are_a_topology_error(edges):
+    with pytest.raises(TopologyError, match=rf"^edges must be an iterable of pairs, got {edges}$"):
+        build_topology(3, edges)
+
+
 def test_edge_index_arrays():
     topo = build_topology(3, [(1, 2), (2, 3)])
     heads, tails = topo.edge_index_arrays()

@@ -154,12 +154,14 @@ class TestScenarioConfig:
     def test_nan_initial_generation_rejected(self, ref_caps, ring_chord):
         # NaN fails every comparison, so a bounds test written as "below lo
         # or above hi" let it through, and the run failed at step 1 with a
-        # required generation change of nan
+        # required generation change of nan; it is refused as loading
+        # refuses it, before the bounds
         p_G0 = (np.nan,) + tuple(ref_caps.gen_lo[1:])
-        with pytest.raises(ConfigError, match="node 1 outside its generation bounds") as info:
+        with pytest.raises(ConfigError) as info:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
                            horizon=1, initial_generation=p_G0)
-        assert info.value.field == "initial_generation"
+        assert str(info.value) == "initial_generation[0]: expected a finite number, got nan"
+        assert info.value.field == "initial_generation[0]"
 
     def test_initial_generation_checked(self, ref_caps, ring_chord):
         with pytest.raises(ValueError, match="entries"):
