@@ -27,8 +27,8 @@ with w_1 = 1, w_2 = 2mu^2/(2mu^2 - 1) and w_{t+1} = 1/(1 - w_t/(4mu^2)),
 where mu = (1 - c)/((hi - lo)/2); a one-point interval has its half-width
 floored, so mu stays finite. P keeps every column sum of W, and the
 weights w and 1 - w add to one, so sums stay preserved; a round still
-costs one neighbor exchange, and one product per vector as a plain round
-does.
+costs one neighbor exchange, and one product of the (n, 2) array that
+carries x and y as a plain round does.
 
 k Chebyshev rounds shrink the error by 1/cosh(k acosh mu) under the
 interval. Plain rounds go on while they keep pace with that: the switch
@@ -147,21 +147,21 @@ def _recurrence_weights(mu: float) -> Iterator[float]:
 
 
 def _rounds(
-    plain: Callable, chebyshev: Callable, state: tuple, weights,
+    plain: Callable, chebyshev: Callable, state: np.ndarray, weights,
     criteria: ConvergenceCriteria, values: Callable, floor: Callable,
-) -> tuple[int | None, tuple, np.ndarray | None]:
-    """Run rounds t = 1, 2, ... on the arrays of ``state`` until the spread
-    max - min of their node values ``values(state)`` (None where undefined)
-    is at most eps; return t, the arrays and their values then, or None and
+) -> tuple[int | None, np.ndarray, np.ndarray | None]:
+    """Run rounds t = 1, 2, ... on the array ``state`` until the spread
+    max - min of its node values ``values(state)`` (None where undefined)
+    is at most eps; return t, the array and its values then, or None and
     those after ``max_iters`` rounds.
 
     ``plain(state, v)``, v the node values of ``state``, applies one round
-    of W and returns new arrays; ``chebyshev(weights)`` returns the same
+    of W and returns a new array; ``chebyshev(weights)`` returns the same
     function for their P. Plain rounds run first, and only while they keep
     pace with the Chebyshev bound of the weights' interval. The module
     docstring gives both watches, and the fallback: whenever Chebyshev
     rounds fall behind their interval's bound, they go on, from the current
-    arrays, on ``weights.fallback()``, unless the spread is within eps plus
+    array, on ``weights.fallback()``, unless the spread is within eps plus
     ``floor(state)``, what no round removes. Dense weights stay plain.
     """
     eps, cap = criteria.eps, criteria.max_iters
@@ -172,9 +172,8 @@ def _rounds(
     for t in range(1, cap + 1):
         new, omega = step(state, v), next(omegas)
         if omega != 1.0:  # w = 1 in plain rounds and the first of a recurrence
-            for x, x_prev in zip(new, prev):
-                x *= omega
-                x -= (omega - 1.0) * x_prev
+            new *= omega
+            new -= (omega - 1.0) * prev
         prev, state, v = state, new, values(new)
         if v is None:
             continue
@@ -202,11 +201,13 @@ def ratio_consensus(
     """Run x and y through the same sum-preserving iteration and return the
     per-node ratios x_i/y_i, which all converge to sum(x0)/sum(y0).
 
-    One round is ``weights @ x`` and ``weights @ y``: on ``SparseWeights``
-    one ``np.bincount`` over the edges' entries, O(n + m) per round; a
-    dense n x n array gives the plain dense iteration, which tests keep as
-    the reference. The two add each row in a different order, so their
-    values differ by float dust. ``weights`` must be n x n for n-entry x0 and y0.
+    x and y are the two columns of one (n, 2) array z, and one round is
+    ``weights @ z``: on ``SparseWeights`` one slot-major product over the
+    edges' entries, O(n + m) per round, each column bit for bit a product
+    of its own; a dense n x n array gives the plain dense iteration, which
+    tests keep as the reference. The two add each row in a different order,
+    so their values differ by float dust. ``weights`` must be n x n for
+    n-entry x0 and y0.
 
     Convergence is judged on the ratio vector, not on x and y separately:
     every round preserves sum(x) and sum(y), so once every denominator
@@ -231,15 +232,14 @@ def ratio_consensus(
     if not np.any(y > 0):
         raise DegenerateDenominatorError("y0 has no positive entries")
 
-    def ratios(state):
-        x, y = state
-        return None if y.min() <= DENOMINATOR_FLOOR else x / y
+    def ratios(z):
+        return None if z[:, 1].min() <= DENOMINATOR_FLOOR else z[:, 0] / z[:, 1]
 
     def rounds_of(w):
-        return lambda state, _: (w @ state[0], w @ state[1])
+        return lambda z, _: w @ z
 
-    t, _, ratio = _rounds(rounds_of(weights), lambda w: rounds_of(w.shifted()), (x, y),
-                          weights, criteria, ratios, lambda state: 0.0)
+    t, _, ratio = _rounds(rounds_of(weights), lambda w: rounds_of(w.shifted()),
+                          np.stack((x, y), axis=1), weights, criteria, ratios, lambda z: 0.0)
     if t is not None:
         return ConsensusResult(values=ratio, iters=t)
     if ratio is None:
@@ -299,23 +299,22 @@ def flow_accumulate(
     heads, tails = topology.edge_index_arrays()
     terms = max(topology.degrees) + 1
 
-    def node_values(state):
-        h, = state
+    def node_values(h):
         return g0 + topology.incident_sums(-h, h)
 
     a = metropolis_edge_weights(topology)
 
-    def floor(state):
-        h = np.abs(state[0])
+    def floor(h):
+        h = np.abs(h)
         magnitude = 2.0 * float(np.max(np.abs(g0) + topology.incident_sums(h, h)))
         stall = 6.0 * _UNIT_ROUNDOFF * float(np.sum(h / a))
         return criteria.tolerance(0.0, magnitude, terms) + stall
 
     def rounds_of(a):
-        return lambda state, g: (state[0] + a * (g[tails] - g[heads]),)
+        return lambda h, g: h + a * (g[tails] - g[heads])
 
-    t, (h,), g = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
-                         (np.zeros(heads.shape[0]),), weights, criteria, node_values, floor)
+    t, h, g = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
+                      np.zeros(heads.shape[0]), weights, criteria, node_values, floor)
     if t is not None:
         return FlowAccumulator(h=h, g=g, iters=t)
     raise ConvergenceError(

@@ -17,9 +17,13 @@ Both are stored as ``SparseWeights`` on the graph's edges, in the incidence
 form W = I - B diag(a) B^T of Xiao & Boyd (2004), an edge's two entries
 allowed to differ: each edge keeps its two off-diagonal entries and each
 node its diagonal, so a round costs O(n + m) time and memory, never
-O(n^2). ``W @ x`` runs one round as a gather, a multiply and one
-``np.bincount``, the kernel of ``GridTopology.incident_sums``;
-``toarray()`` gives the dense view.
+O(n^2). ``W @ x`` runs one round slot-major, in the ELL layout of Bell &
+Garland (2009): slot j of row r holds row r's j-th entry in storage order,
+so a round is a gather, a multiply and one vectorised sum over the slots,
+each row's products added in storage order from +0.0, as ``np.bincount``
+adds them. The few entries of rows longer than the slot width spill to
+an ``np.add.at`` in the same order, so a round is bit-identical to a
+``bincount`` over the entries. ``toarray()`` gives the dense view.
 
 Each topology builds each matrix once and hands the same read-only
 instance to every caller. What the accelerated rounds in ``consensus``
@@ -87,13 +91,18 @@ class GridTopology:
         return cols[:m], rows[:m], rows[:2 * m], rows, cols
 
     @cached_property
+    def _slot_index(self) -> _SlotIndex:
+        # both weight matrices store their entries alike, so they share it
+        return _SlotIndex(*self._edge_arrays[3:])
+
+    @cached_property
     def _degree_weights(self) -> SparseWeights:
         stationary = 1.0 + np.asarray(self.degrees, dtype=float)
         stationary.flags.writeable = False
         # entry (i, j) is 1/(1 + deg(j)), j the entry's column
         data = (1.0 / stationary)[self._edge_arrays[4]]
         data.flags.writeable = False
-        return SparseWeights(*self._edge_arrays[3:], data, stationary)
+        return SparseWeights(*self._edge_arrays[3:], data, stationary)._on(self._slot_index)
 
     @cached_property
     def _metropolis_weights(self) -> SparseWeights:
@@ -101,7 +110,7 @@ class GridTopology:
         # each row's off-diagonal sum, added in increasing column order
         data = np.concatenate((a, a, 1.0 - self.incident_sums(a, a)))
         data.flags.writeable = False
-        return SparseWeights(*self._edge_arrays[3:], data)
+        return SparseWeights(*self._edge_arrays[3:], data)._on(self._slot_index)
 
 
 def _bfs_depths(bounds, neighbors, source: int) -> list[int]:
@@ -222,6 +231,49 @@ def build_topology(n: int, edges) -> GridTopology:
                         degrees=tuple(degrees.tolist()))
 
 
+class _SlotIndex:
+    """The slot-major layout of one storage (``rows``, ``cols``), built on
+    the first product and shared by every matrix stored alike.
+
+    ``arrays()`` gives (index, where, spill). Column r of the (D, n) arrays
+    ``index`` and ``where`` lists row r's entries in storage order: slot j
+    holds the column and the storage position of its j-th entry. Slots past
+    the end of a row hold column r and position nnz, where a matrix's slot
+    data reads +0.0. The width is D = min(longest row, ceil(2 nnz / n)), so
+    the pad cells never exceed 2 nnz; the entries past slot D (hub rows
+    only) form ``spill``, their storage positions in storage order.
+    """
+
+    __slots__ = ("_rows", "_cols", "_arrays")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray):
+        self._rows, self._cols, self._arrays = rows, cols, None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            rows, cols = self._rows, self._cols
+            nnz = rows.size
+            n = int(rows[-1]) + 1
+            lengths = np.bincount(rows, minlength=n)
+            width = min(int(lengths.max()), -(-2 * nnz // n))
+            # each entry's rank in its row: its place in a stable sort by row
+            # less the place of the row's first entry
+            starts = np.cumsum(lengths) - lengths
+            rank = np.empty(nnz, np.intp)
+            rank[np.argsort(rows, kind="stable")] = np.arange(nnz) - np.repeat(starts, lengths)
+            slotted = rank < width
+            slots = rank[slotted], rows[slotted]
+            index = np.tile(np.arange(n), (width, 1))
+            index[slots] = cols[slotted]
+            where = np.full((width, n), nnz)
+            where[slots] = np.flatnonzero(slotted)
+            spill = np.flatnonzero(~slotted)
+            for array in (index, where, spill):
+                array.flags.writeable = False
+            self._arrays = index, where, spill
+        return self._arrays
+
+
 class SparseWeights:
     """Square consensus weights stored per edge: entry k of ``data`` is the
     weight at row ``rows[k]`` and column ``cols[k]``.
@@ -241,9 +293,15 @@ class SparseWeights:
     its Chebyshev rounds on it, and on ``fallback()``, a wider one, if it
     proves wrong. Both are read-only, like the arrays of the shared
     instances, because they set the rounds of every later caller.
+
+    Rounds run slot-major (``_SlotIndex``): the index is built on the first
+    product and shared by every matrix on the same storage, the topology's
+    two and their shifted and fallback forms; each matrix keeps its own
+    slot data, per operand shape, in the index's layout.
     """
 
-    __slots__ = ("rows", "cols", "data", "_stationary", "_interval", "_shifted")
+    __slots__ = ("rows", "cols", "data", "_stationary", "_interval", "_shifted",
+                 "_index", "_slot_data")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
                  stationary: np.ndarray | None = None,
@@ -261,6 +319,13 @@ class SparseWeights:
         self._stationary = stationary
         self._interval = interval
         self._shifted = None
+        self._index = _SlotIndex(rows, cols)
+        self._slot_data = {}
+
+    def _on(self, index: _SlotIndex) -> SparseWeights:
+        """These weights, sharing ``index``, the slot index of their storage."""
+        self._index = index
+        return self
 
     @property
     def stationary(self) -> np.ndarray | None:
@@ -294,7 +359,8 @@ class SparseWeights:
         gap = (1.0 - hi) / 4.0
         if gap >= 4.0 * _UNIT_ROUNDOFF:
             hi = 1.0 - gap
-        return SparseWeights(self.rows, self.cols, self.data, self._stationary, (-1.0, hi))
+        return SparseWeights(self.rows, self.cols, self.data, self._stationary,
+                             (-1.0, hi))._on(self._index)
 
     def shifted(self) -> SparseWeights:
         """P = (W - cI)/(1 - c) with c = ``shift``, in the same storage.
@@ -312,6 +378,7 @@ class SparseWeights:
             data.flags.writeable = False
             self._shifted = SparseWeights(self.rows, self.cols, data, self._stationary,
                                           ((lo - c) / (1.0 - c), (hi - c) / (1.0 - c)))
+            self._shifted._on(self._index)
         return self._shifted
 
     @property
@@ -321,18 +388,45 @@ class SparseWeights:
 
     @property
     def nbytes(self) -> int:
-        """The bytes this matrix adds: ``data``, 8 (2m + n). ``rows`` and
-        ``cols`` are the topology's, shared by both weight matrices, their
-        shifted and fallback forms and ``incident_sums``."""
-        return self.data.nbytes
+        """The bytes this matrix adds: ``data``, 8 (2m + n), and the slot
+        data its products have built, 8 D n per operand column. ``rows``,
+        ``cols`` and the slot index are the topology's, shared by both
+        weight matrices, their shifted and fallback forms (``rows`` and
+        ``cols`` also by ``incident_sums``)."""
+        return self.data.nbytes + sum(a.nbytes for a in self._slot_data.values())
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """One synchronous round: entry i is the sum of w_ij * x_j over row
-        i's entries, added in storage order. ``x`` must be a float array of
-        length n; callers check that once, not per round."""
-        products = x[self.cols]
-        products *= self.data
-        return np.bincount(self.rows, products)
+        """One synchronous round: row i of the result is the sum of
+        w_ij * x_j over row i's entries, added in storage order from +0.0,
+        bit for bit what ``np.bincount`` gives. ``x`` must be a float array
+        of shape (n,) or (n, k), a round of each column; callers check that
+        once, not per round.
+
+        The slots past the end of a row add x_i * +0.0. A partial sum that
+        starts from +0.0 is never -0.0, so that pad leaves it unchanged.
+        ``initial=0.0`` starts every row at +0.0, as ``bincount`` does,
+        whatever start a numpy version picks for a row of -0.0 products.
+        Only a padded row whose own x_i is infinite differs: x_i * 0.0 is
+        nan, so the row sums to nan where ``bincount`` gives inf."""
+        index, where, spill = self._index.arrays()
+        slot_data = self._slot_data.get(x.shape[1:])
+        if slot_data is None:
+            padded = np.append(self.data, 0.0)[where]
+            slot_data = np.broadcast_to(padded.reshape(where.shape + (1,) * (x.ndim - 1)),
+                                        where.shape + x.shape[1:]).copy()
+            slot_data.flags.writeable = False
+            self._slot_data[x.shape[1:]] = slot_data
+        products = x.take(index, axis=0)
+        products *= slot_data
+        out = np.add.reduce(products, axis=0, initial=0.0)
+        if spill.size:
+            # after the slots, in storage order, as bincount adds them; one
+            # column at a time, which np.add.at runs twice as fast
+            products = x[self.cols[spill]].reshape(spill.size, -1) * self.data[spill, None]
+            columns = out.reshape(out.shape[0], -1)
+            for j in range(columns.shape[1]):
+                np.add.at(columns[:, j], self.rows[spill], products[:, j])
+        return out
 
     def toarray(self) -> np.ndarray:
         """The dense n x n matrix these weights store."""

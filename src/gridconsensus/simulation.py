@@ -101,10 +101,19 @@ class ScenarioConfig:
         return self.capacities
 
 
+def _iterable(values, where: str, what: str):
+    """``values``, if it can be iterated; else ConfigError naming ``where``."""
+    try:
+        iter(values)
+    except TypeError:
+        raise ConfigError(f"expected a list of {what}, got {values!r}", field=where) from None
+    return values
+
+
 def _finite_floats(values, where: str) -> tuple[float, ...]:
     """``values`` as floats if each is a finite real number (a bool is none),
     checked as one array; else ConfigError for the first that is not."""
-    kinds = set(map(type, values))
+    kinds = set(map(type, _iterable(values, where, "numbers")))
     if bool not in kinds and all(issubclass(t, Real) for t in kinds):
         try:
             array = np.array(values, dtype=float)
@@ -133,7 +142,7 @@ def _checked_profile(config: ScenarioConfig) -> tuple:
         profile = _finite_floats(config.profile, where)
     else:
         rows = []
-        for k, row in enumerate(config.profile):
+        for k, row in enumerate(_iterable(config.profile, where, "per-node lists")):
             if not isinstance(row, (list, tuple)) and getattr(row, "ndim", 0) != 1:
                 raise ConfigError(f"expected a per-node list, got {row!r}",
                                   field=f"{where}[{k}]")

@@ -383,6 +383,25 @@ class TestBuiltInPython:
         assert str(info.value) == "desired.values[0]: expected a per-node list, got 150.0"
         assert info.value.field == "desired.values[0]"
 
+    @pytest.mark.parametrize("mode, field, what", [
+        (MODE_WITH, "demand.values", "numbers"),
+        (MODE_WITHOUT, "desired.values", "per-node lists"),
+    ])
+    def test_profile_must_be_a_list(self, explicit_with_config, mode, field, what):
+        # a bare number is no profile: ConfigError, not a TypeError from iterating it
+        for bad in (150, np.float64(150.0)):
+            with pytest.raises(ConfigError) as info:
+                replace(explicit_with_config, mode=mode, profile=bad)
+            assert str(info.value) == f"{field}: expected a list of {what}, got {bad!r}"
+            assert info.value.field == field
+
+    def test_initial_generation_must_be_a_list(self, explicit_with_config):
+        for bad in (10, np.float64(10.0)):
+            with pytest.raises(ConfigError) as info:
+                replace(explicit_with_config, initial_generation=bad)
+            assert str(info.value) == f"initial_generation: expected a list of numbers, got {bad!r}"
+            assert info.value.field == "initial_generation"
+
     def test_numpy_values_are_numbers(self, explicit_with_config):
         # numpy numbers and 1-D arrays pass, as Python floats
         config = replace(explicit_with_config, profile=np.array([150, 160]),

@@ -60,8 +60,10 @@ def _flow_at_cap(topology, weights, g0, cap):
 class RecordingWeights(SparseWeights):
     """The same weights and interval, logging each operand's sum and
     the matrix it went through: "W" in a plain round, "P" in a Chebyshev
-    round, which applies ``shifted()``. Every operand is a current iterate
-    of the engine; ``shifts`` counts the calls that built or fetched P."""
+    round, which applies ``shifted()``. Each column of a stacked operand
+    is logged as an operand of its own, so the ratio engine's (n, 2) array
+    logs x, then y. Every operand is a current iterate of the engine;
+    ``shifts`` counts the calls that built or fetched P."""
 
     __slots__ = ("log", "kind", "shifts")
 
@@ -73,7 +75,8 @@ class RecordingWeights(SparseWeights):
         self.shifts = 0
 
     def __matmul__(self, v):
-        self.log.append((self.kind, float(v.sum())))
+        for column in (v.T if v.ndim == 2 else (v,)):
+            self.log.append((self.kind, float(column.sum())))
         return super().__matmul__(v)
 
     def shifted(self):
@@ -81,7 +84,8 @@ class RecordingWeights(SparseWeights):
         return RecordingWeights(super().shifted(), self.log, "P")
 
     def plain_rounds(self) -> int:
-        """Rounds of W the ratio engine ran: two operands each."""
+        """Rounds of W the ratio engine ran: two operands each, the
+        columns x and y of its stacked product."""
         return sum(kind == "W" for kind, _ in self.log) // 2
 
 

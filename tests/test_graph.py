@@ -5,13 +5,15 @@ the array checks against the edge-by-edge reference, the random graph
 generator against its scalar reference, canonical edge ordering, exact
 weight values on small graphs, stochasticity/symmetry properties over
 random connected graphs, the compressed-row weights against dense
-loop-built references, their memory on a large ring, and the measured
+loop-built references, the slot-major product against sequential per-row
+sums, bit for bit, their memory on a large ring, and the measured
 spectral interval and its widened fallback.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from gridconsensus import (
 from conftest import feeder, neighbor_lists, path_topology, reference_topology
 from conftest import symmetrised_spectrum, tree_topology
 from conftest import random_connected_topology
+from test_scale import stub_paired_mesh
 
 def dense_degree_reference(topology):
     """Loop-built dense degree weights: column j holds 1/(1 + deg(j)) at j
@@ -603,6 +606,63 @@ def test_sparse_weights_reject_mismatched_entries():
         SparseWeights(np.array([0, 1]), np.array([0, 1]), np.array([1.0]))
     with pytest.raises(ValueError, match="same entries"):
         SparseWeights(np.array([0, 1]), np.array([0]), np.array([1.0, 1.0]))
+
+
+def sequential_product(weights, x):
+    """W @ x the way ``np.bincount`` adds it: per row, data[k] * x[cols[k]]
+    over the row's entries k in storage order, added one by one from 0.0
+    in Python floats."""
+    entries = [[] for _ in range(weights.shape[0])]
+    for k, (r, c, w) in enumerate(zip(weights.rows.tolist(), weights.cols.tolist(),
+                                       weights.data.tolist())):
+        entries[r].append((w, c))
+    out = np.empty(x.shape)
+    for r, row in enumerate(entries):
+        for j in np.ndindex(x.shape[1:]):
+            total = 0.0
+            for w, c in row:
+                total += w * float(x[(c,) + j])
+            out[(r,) + j] = total
+    return out
+
+
+def random_recursive_tree(n: int, rng: np.random.Generator):
+    """Node k + 1 joins a uniformly chosen earlier node."""
+    return build_topology(n, [(int(rng.integers(1, k + 1)), k + 1) for k in range(1, n)])
+
+
+def test_slot_product_is_bit_identical_to_sequential_row_sums():
+    # the slot-major product adds each row's products in storage order from
+    # +0.0, padded slots and the hub rows' spill included, so it matches the
+    # sequential sum bit for bit, -0.0 entries and all-(-0.0) rows too
+    rng = np.random.default_rng(5)
+    star = build_topology(60, [(1, k) for k in range(2, 61)])
+    graphs = [feeder(40), build_topology(300, stub_paired_mesh(300, 6, random.Random(3))),
+              path_topology(50), random_recursive_tree(80, rng), star]
+    for topo in graphs:
+        n = topo.n
+        for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
+            # W first: its interval, which the other forms read, needs its product
+            for form in (weights, "shifted", "fallback"):
+                form = getattr(weights, form)() if isinstance(form, str) else form
+                for shape in ((n,), (n, 2)):
+                    for _ in range(2):
+                        x = rng.standard_normal(shape)
+                        x[rng.random(shape) < 0.2] = -0.0
+                        if len(shape) == 2:
+                            x[:, 1] = -0.0
+                        got = form @ x
+                        assert got.shape == shape
+                        assert np.array_equal(got.view(np.int64),
+                                              sequential_product(form, x).view(np.int64))
+        index, where, spill = weights._index.arrays()
+        nnz = weights.data.size
+        assert np.count_nonzero(where == nnz) <= 2 * nnz
+    # the star's hub row runs past the slot width, and spills
+    assert spill.size == 60 - index.shape[0] > 0
+    # every matrix on a topology shares its one slot index
+    q, s = degree_weight_matrix(star), metropolis_weight_matrix(star)
+    assert q._index is s._index is q.shifted()._index is s.fallback()._index
 
 
 def test_weights_memory_is_linear_on_large_ring():
