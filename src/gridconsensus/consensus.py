@@ -217,9 +217,11 @@ def ratio_consensus(
     ``eps`` of the limit. (Plain rounds also shrink the spread
     monotonically; Chebyshev rounds need not.)
 
-    Raises DegenerateDenominatorError if y0 carries no positive mass or a
-    denominator is still below the floor at the round cap, and
-    ConvergenceError if the spread is still above ``eps`` there.
+    Raises ValueError, before any round, if x0 or y0 holds a nan or an
+    infinity, which no round removes; DegenerateDenominatorError if y0
+    carries no positive mass or a denominator is still below the floor at
+    the round cap, and ConvergenceError if the spread is still above
+    ``eps`` there.
     """
     x = np.asarray(x0, dtype=float)
     y = np.asarray(y0, dtype=float)
@@ -227,6 +229,9 @@ def ratio_consensus(
         raise ValueError(f"x0 shape {x.shape} != y0 shape {y.shape}")
     if x.ndim != 1 or weights.shape != (x.size, x.size):
         raise ValueError(f"weight shape {weights.shape} does not match x0 shape {x.shape}")
+    for name, values in (("x0", x), ("y0", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} entries must be finite")
     if np.any(y < 0):
         raise ValueError("y0 entries must be nonnegative")
     if not np.any(y > 0):
@@ -287,7 +292,8 @@ def flow_accumulate(
     Where h no longer moves, the increment is within them, so
     |g_j - g_i| <= 3 (1 - c) u |h_e| / a_e < 6 u |h_e| / a_e, as c > -1;
     summed along a path, the spread is at most 6 u sum_e |h_e| / a_e
-    <= 6 u (d + 1) sum_e |h_e|. Raises ConvergenceError at the round cap.
+    <= 6 u (d + 1) sum_e |h_e|. Raises ValueError, before any round, if
+    g0 holds a nan or an infinity, and ConvergenceError at the round cap.
     """
     n = topology.n
     if weights.shape != (n, n):
@@ -295,6 +301,8 @@ def flow_accumulate(
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (n,):
         raise ValueError(f"g0 shape {g0.shape} does not match {n} nodes")
+    if not np.isfinite(g0).all():
+        raise ValueError("g0 entries must be finite")
 
     heads, tails = topology.edge_index_arrays()
     terms = max(topology.degrees) + 1

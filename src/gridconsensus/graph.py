@@ -17,20 +17,23 @@ Both are stored as ``SparseWeights`` on the graph's edges, in the incidence
 form W = I - B diag(a) B^T of Xiao & Boyd (2004), an edge's two entries
 allowed to differ: each edge keeps its two off-diagonal entries and each
 node its diagonal, so a round costs O(n + m) time and memory, never
-O(n^2). ``W @ x`` runs one round slot-major, in the ELL layout of Bell &
-Garland (2009): slot j of row r holds row r's j-th entry in storage order,
-so a round is a gather, a multiply and one vectorised sum over the slots,
-each row's products added in storage order from +0.0, as ``np.bincount``
-adds them. The few entries of rows longer than the slot width spill to
-an ``np.add.at`` in the same order, so a round is bit-identical to a
-``bincount`` over the entries. ``toarray()`` gives the dense view.
+O(n^2). Weights are built only on their topology's one storage
+(``_Storage``) of these entries, so they all share it. ``W @ x`` runs one
+round slot-major, in the ELL layout of Bell & Garland (2009): slot j of
+row r holds row r's j-th entry in storage order, so a round is a gather,
+a multiply and one vectorised sum over the slots, each row's products
+added in storage order from +0.0, as ``np.bincount`` adds them. The few
+entries of rows longer than the slot width spill to an ``np.add.at`` in
+the same order, so a round is bit-identical to a ``bincount`` over the
+entries. ``toarray()`` gives the dense view.
 
 Each topology builds each matrix once and hands the same read-only
 instance to every caller. What the accelerated rounds in ``consensus``
 need to know about the graph is an interval holding every eigenvalue
 other than the consensus eigenvalue 1. Each matrix measures its own,
 ``interval``, by Lanczos on the first read, and keeps it. Lanczos can
-misjudge it, so ``fallback()`` gives the same weights on a wider one.
+misjudge it, so ``fallback()`` gives the same weights on a wider one;
+``with_interval()`` pins any other.
 """
 
 from __future__ import annotations
@@ -68,41 +71,27 @@ class GridTopology:
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays (heads, tails), one entry per edge."""
-        return self._edge_arrays[:2]
+        return self._storage.heads, self._storage.tails
 
     def incident_sums(self, at_tails: np.ndarray, at_heads: np.ndarray) -> np.ndarray:
         """Per node, the sum of ``at_tails[e]`` over the edges e it ends
         (as ``tails[e]``), then of ``at_heads[e]`` over those it starts, each
         group in edge order. ``incident_sums(flows, -flows)`` is the net
         inflow that ``dispatch.apply_step`` books and flow rounds read."""
-        return np.bincount(self._edge_arrays[2], np.concatenate((at_tails, at_heads)), self.n)
+        return np.bincount(self._storage.ends, np.concatenate((at_tails, at_heads)), self.n)
 
     @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, ...]:
-        # heads, tails, both (tails first), and the weights' rows (tails,
-        # heads, every node) and columns (heads, tails, every node); built
-        # once per topology and shared by every caller, so read-only
-        m = len(self.edges)
-        ends = np.fromiter(chain.from_iterable(self.edges), int, 2 * m) - 1
-        nodes = np.arange(self.n)
-        rows = np.concatenate((ends[1::2], ends[0::2], nodes))
-        cols = np.concatenate((ends[0::2], ends[1::2], nodes))
-        rows.flags.writeable = cols.flags.writeable = False
-        return cols[:m], rows[:m], rows[:2 * m], rows, cols
-
-    @cached_property
-    def _slot_index(self) -> _SlotIndex:
-        # both weight matrices store their entries alike, so they share it
-        return _SlotIndex(*self._edge_arrays[3:])
+    def _storage(self) -> _Storage:
+        return _Storage(self.n, self.edges)
 
     @cached_property
     def _degree_weights(self) -> SparseWeights:
         stationary = 1.0 + np.asarray(self.degrees, dtype=float)
         stationary.flags.writeable = False
         # entry (i, j) is 1/(1 + deg(j)), j the entry's column
-        data = (1.0 / stationary)[self._edge_arrays[4]]
+        data = (1.0 / stationary)[self._storage.cols]
         data.flags.writeable = False
-        return SparseWeights(*self._edge_arrays[3:], data, stationary)._on(self._slot_index)
+        return SparseWeights(self._storage, data, stationary)
 
     @cached_property
     def _metropolis_weights(self) -> SparseWeights:
@@ -110,7 +99,7 @@ class GridTopology:
         # each row's off-diagonal sum, added in increasing column order
         data = np.concatenate((a, a, 1.0 - self.incident_sums(a, a)))
         data.flags.writeable = False
-        return SparseWeights(*self._edge_arrays[3:], data)._on(self._slot_index)
+        return SparseWeights(self._storage, data)
 
 
 def _bfs_depths(bounds, neighbors, source: int) -> list[int]:
@@ -231,101 +220,99 @@ def build_topology(n: int, edges) -> GridTopology:
                         degrees=tuple(degrees.tolist()))
 
 
-class _SlotIndex:
-    """The slot-major layout of one storage (``rows``, ``cols``), built on
-    the first product and shared by every matrix stored alike.
+class _Storage:
+    """Where a topology's weights keep their entries, and the slot layout
+    their products run on; one per topology, shared by both matrices and
+    every form of them, and read-only.
 
-    ``arrays()`` gives (index, where, spill). Column r of the (D, n) arrays
-    ``index`` and ``where`` lists row r's entries in storage order: slot j
-    holds the column and the storage position of its j-th entry. Slots past
-    the end of a row hold column r and position nnz, where a matrix's slot
-    data reads +0.0. The width is D = min(longest row, ceil(2 nnz / n)), so
-    the pad cells never exceed 2 nnz; the entries past slot D (hub rows
-    only) form ``spill``, their storage positions in storage order.
+    Entry k sits at row ``rows[k]`` and column ``cols[k]`` of an n x n
+    matrix. The edges' entries come first, in edge order: each edge (i, j),
+    i < j, gives entry (j, i) among the first m and (i, j) among the next
+    m. The diagonal comes last, node by node, so the final n entries are
+    the diagonal and every row has an entry. ``heads`` and ``tails`` are
+    the edges' 0-based endpoints, i - 1 and j - 1, and ``ends`` is tails
+    then heads, each a view of the entries' own arrays.
+
+    Column r of the (D, n) arrays ``index`` and ``where`` lists row r's
+    entries in storage order: slot j holds the column and the storage
+    position of its j-th entry. Slots past the end of a row hold column r
+    and position nnz, where a matrix's slot data reads +0.0. The width is
+    D = min(longest row, ceil(2 nnz / n)), so the pad cells never exceed
+    2 nnz; the entries past slot D (hub rows only) form ``spill``, their
+    storage positions in storage order.
     """
 
-    __slots__ = ("_rows", "_cols", "_arrays")
+    __slots__ = ("n", "rows", "cols", "heads", "tails", "ends", "index", "where", "spill")
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray):
-        self._rows, self._cols, self._arrays = rows, cols, None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            rows, cols = self._rows, self._cols
-            nnz = rows.size
-            n = int(rows[-1]) + 1
-            lengths = np.bincount(rows, minlength=n)
-            width = min(int(lengths.max()), -(-2 * nnz // n))
-            # each entry's rank in its row: its place in a stable sort by row
-            # less the place of the row's first entry
-            starts = np.cumsum(lengths) - lengths
-            rank = np.empty(nnz, np.intp)
-            rank[np.argsort(rows, kind="stable")] = np.arange(nnz) - np.repeat(starts, lengths)
-            slotted = rank < width
-            slots = rank[slotted], rows[slotted]
-            index = np.tile(np.arange(n), (width, 1))
-            index[slots] = cols[slotted]
-            where = np.full((width, n), nnz)
-            where[slots] = np.flatnonzero(slotted)
-            spill = np.flatnonzero(~slotted)
-            for array in (index, where, spill):
-                array.flags.writeable = False
-            self._arrays = index, where, spill
-        return self._arrays
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        m = len(edges)
+        ends = np.fromiter(chain.from_iterable(edges), int, 2 * m) - 1
+        nodes = np.arange(n)
+        rows = np.concatenate((ends[1::2], ends[0::2], nodes))
+        cols = np.concatenate((ends[0::2], ends[1::2], nodes))
+        nnz = rows.size
+        lengths = np.bincount(rows, minlength=n)
+        width = min(int(lengths.max()), -(-2 * nnz // n))
+        # each entry's rank in its row: its place in a stable sort by row
+        # less the place of the row's first entry
+        starts = np.cumsum(lengths) - lengths
+        rank = np.empty(nnz, np.intp)
+        rank[np.argsort(rows, kind="stable")] = np.arange(nnz) - np.repeat(starts, lengths)
+        slotted = rank < width
+        slots = rank[slotted], rows[slotted]
+        index = np.tile(np.arange(n), (width, 1))
+        index[slots] = cols[slotted]
+        where = np.full((width, n), nnz)
+        where[slots] = np.flatnonzero(slotted)
+        spill = np.flatnonzero(~slotted)
+        for array in (rows, cols, index, where, spill):
+            array.flags.writeable = False
+        self.n, self.rows, self.cols = n, rows, cols
+        self.heads, self.tails, self.ends = cols[:m], rows[:m], rows[:2 * m]
+        self.index, self.where, self.spill = index, where, spill
 
 
 class SparseWeights:
-    """Square consensus weights stored per edge: entry k of ``data`` is the
-    weight at row ``rows[k]`` and column ``cols[k]``.
-
-    A topology's weights hold its edges' entries first, in edge order, each
-    edge (i, j), i < j, giving entry (j, i) among the first m and (i, j)
-    among the next m, and the diagonal last, node by node. ``W @ x`` and
-    ``shifted()`` rely on that last part: the final n entries are the
-    diagonal, so n is ``rows[-1] + 1`` and every row has an entry.
+    """Square consensus weights stored per edge, on a topology's ``storage``:
+    entry k of ``data`` is the weight at row ``storage.rows[k]`` and column
+    ``storage.cols[k]``, so the diagonal is the final n entries, as
+    ``shifted()`` needs, by construction.
 
     The weights are reversible: W pi = pi for the positive vector
     ``stationary`` (None for symmetric weights, where pi is all ones), and
     diag(pi)^(-1/2) W diag(pi)^(1/2) is symmetric, so the spectrum is real.
     ``interval`` is an interval [lo, hi] holding every eigenvalue other
     than the consensus eigenvalue 1, measured from the weights by Lanczos
-    on the first read unless pinned at construction; ``consensus`` runs
-    its Chebyshev rounds on it, and on ``fallback()``, a wider one, if it
-    proves wrong. Both are read-only, like the arrays of the shared
-    instances, because they set the rounds of every later caller.
+    on the first read unless pinned at construction or by
+    ``with_interval()``; ``consensus`` runs its Chebyshev rounds on it, and
+    on ``fallback()``, a wider one, if it proves wrong. Both are read-only,
+    like the arrays of the shared instances, because they set the rounds
+    of every later caller.
 
-    Rounds run slot-major (``_SlotIndex``): the index is built on the first
-    product and shared by every matrix on the same storage, the topology's
-    two and their shifted and fallback forms; each matrix keeps its own
-    slot data, per operand shape, in the index's layout.
+    Rounds run slot-major on the storage's slot layout, shared by every
+    matrix on it, the topology's two and their shifted and fallback forms;
+    each matrix keeps its own slot data, per operand shape, in that layout.
     """
 
-    __slots__ = ("rows", "cols", "data", "_stationary", "_interval", "_shifted",
-                 "_index", "_slot_data")
+    __slots__ = ("storage", "data", "_stationary", "_interval", "_shifted", "_slot_data")
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+    def __init__(self, storage: _Storage, data: np.ndarray,
                  stationary: np.ndarray | None = None,
                  interval: tuple[float, float] | None = None):
-        if not rows.shape == cols.shape == data.shape:
-            raise ValueError("rows, cols and data do not describe the same entries")
+        if data.shape != storage.rows.shape:
+            raise ValueError(f"data must hold one entry per stored entry "
+                             f"({storage.rows.size}), got shape {data.shape}")
         # mu > 1 keeps acosh(mu), the rate of the rounds' watches, defined
         # and positive: only then does the bound 1/cosh(k acosh mu) shrink
         if interval is not None and not (-1.0 <= interval[0] <= interval[1] < 1.0
                                          and _chebyshev_mu(interval) > 1.0):
             raise ValueError(f"interval must satisfy -1 <= lo <= hi < 1 and mu > 1, got {interval}")
-        self.rows = rows
-        self.cols = cols
+        self.storage = storage
         self.data = data
         self._stationary = stationary
         self._interval = interval
         self._shifted = None
-        self._index = _SlotIndex(rows, cols)
         self._slot_data = {}
-
-    def _on(self, index: _SlotIndex) -> SparseWeights:
-        """These weights, sharing ``index``, the slot index of their storage."""
-        self._index = index
-        return self
 
     @property
     def stationary(self) -> np.ndarray | None:
@@ -359,8 +346,12 @@ class SparseWeights:
         gap = (1.0 - hi) / 4.0
         if gap >= 4.0 * _UNIT_ROUNDOFF:
             hi = 1.0 - gap
-        return SparseWeights(self.rows, self.cols, self.data, self._stationary,
-                             (-1.0, hi))._on(self._index)
+        return self.with_interval((-1.0, hi))
+
+    def with_interval(self, interval: tuple[float, float]) -> SparseWeights:
+        """The same weights, on the same storage, pinned to ``interval``,
+        which must pass the constructor's check."""
+        return SparseWeights(self.storage, self.data, self._stationary, interval)
 
     def shifted(self) -> SparseWeights:
         """P = (W - cI)/(1 - c) with c = ``shift``, in the same storage.
@@ -373,26 +364,23 @@ class SparseWeights:
         if self._shifted is None:
             lo, hi = self.interval
             c = self.shift
-            n = self.shape[0]
+            n = self.storage.n
             data = np.concatenate((self.data[:-n], self.data[-n:] - c)) / (1.0 - c)
             data.flags.writeable = False
-            self._shifted = SparseWeights(self.rows, self.cols, data, self._stationary,
+            self._shifted = SparseWeights(self.storage, data, self._stationary,
                                           ((lo - c) / (1.0 - c), (hi - c) / (1.0 - c)))
-            self._shifted._on(self._index)
         return self._shifted
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = int(self.rows[-1]) + 1
-        return (n, n)
+        return (self.storage.n, self.storage.n)
 
     @property
     def nbytes(self) -> int:
         """The bytes this matrix adds: ``data``, 8 (2m + n), and the slot
-        data its products have built, 8 D n per operand column. ``rows``,
-        ``cols`` and the slot index are the topology's, shared by both
-        weight matrices, their shifted and fallback forms (``rows`` and
-        ``cols`` also by ``incident_sums``)."""
+        data its products have built, 8 D n per operand column. The
+        storage is the topology's, shared by both weight matrices, their
+        shifted and fallback forms, and ``incident_sums``."""
         return self.data.nbytes + sum(a.nbytes for a in self._slot_data.values())
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -408,7 +396,8 @@ class SparseWeights:
         whatever start a numpy version picks for a row of -0.0 products.
         Only a padded row whose own x_i is infinite differs: x_i * 0.0 is
         nan, so the row sums to nan where ``bincount`` gives inf."""
-        index, where, spill = self._index.arrays()
+        storage = self.storage
+        index, where, spill = storage.index, storage.where, storage.spill
         slot_data = self._slot_data.get(x.shape[1:])
         if slot_data is None:
             padded = np.append(self.data, 0.0)[where]
@@ -422,16 +411,16 @@ class SparseWeights:
         if spill.size:
             # after the slots, in storage order, as bincount adds them; one
             # column at a time, which np.add.at runs twice as fast
-            products = x[self.cols[spill]].reshape(spill.size, -1) * self.data[spill, None]
+            products = x[storage.cols[spill]].reshape(spill.size, -1) * self.data[spill, None]
             columns = out.reshape(out.shape[0], -1)
             for j in range(columns.shape[1]):
-                np.add.at(columns[:, j], self.rows[spill], products[:, j])
+                np.add.at(columns[:, j], storage.rows[spill], products[:, j])
         return out
 
     def toarray(self) -> np.ndarray:
         """The dense n x n matrix these weights store."""
         dense = np.zeros(self.shape)
-        dense[self.rows, self.cols] = self.data
+        dense[self.storage.rows, self.storage.cols] = self.data
         return dense
 
 
@@ -486,6 +475,9 @@ def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]
     stops because the Krylov space is invariant, its Ritz values are
     eigenvalues and r is rounding, held to the same tenth.
     n = 1 leaves no eigenvalue to bracket, and the interval is the point 0.
+    Weights that are not reversible may never settle, so Lanczos raises
+    ValueError at 2n + 15 steps: paths of up to 4 000 nodes settle within
+    half of that, and small random graphs within two thirds.
     """
     n = weights.shape[0]
     pi = weights.stationary
@@ -503,7 +495,11 @@ def _lanczos_interval(weights: SparseWeights) -> tuple[tuple[float, float], int]
     v = np.zeros(n)
     alpha, beta = [], []
     top, settled = None, 0
+    cap = 2 * n + _RITZ_CHECK * _SETTLED_CHECKS
     while b > _BREAKDOWN:
+        if len(alpha) == cap:
+            raise ValueError(f"Lanczos did not settle within {cap} steps; "
+                             "the weights may not be reversible")
         if alpha:
             beta.append(b)
         v_prev, v = v, w / b

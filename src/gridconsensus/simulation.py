@@ -135,8 +135,9 @@ def _finite_floats(values, where: str) -> tuple[float, ...]:
 def _checked_profile(config: ScenarioConfig) -> tuple:
     """The explicit profile as tuples of floats. Its entries are checked
     first, in document order (each row a list, tuple or 1-D array), then
-    the step count, the row widths and the bounds. The first fault raises
-    ConfigError whose field names the entry as a config file holds it."""
+    the step count, then each step in turn: its row width, its node bounds
+    and its total. The first fault raises ConfigError whose field names
+    the entry as a config file holds it."""
     where = f"{SOURCES[config.mode]}.values"
     if config.mode == MODE_WITH:
         profile = _finite_floats(config.profile, where)
@@ -152,42 +153,28 @@ def _checked_profile(config: ScenarioConfig) -> tuple:
     lower, upper = caps.total_gen_lo, caps.total_gen_hi
     if len(profile) != config.horizon:
         raise ConfigError(f"{len(profile)} entries for horizon {config.horizon}", field=where)
-    if config.mode == MODE_WITH:
-        totals = np.array(profile)
-        outside = ~((lower <= totals) & (totals <= upper))
-        if outside.any():
-            k = int(outside.argmax())
-            raise ConfigError(f"step {k + 1}: demand {profile[k]} outside [{lower}, {upper}]",
+    for k, step in enumerate(profile):
+        if config.mode == MODE_WITH:
+            total, what = step, f"demand {step}"
+        else:
+            if len(step) != caps.n:
+                raise ConfigError(f"step {k + 1}: desired row has {len(step)} values for "
+                                  f"{caps.n} nodes", field=f"{where}[{k}]")
+            values = np.array(step)
+            off_bounds = ~((caps.net_lo <= values) & (values <= caps.net_hi))
+            if off_bounds.any():
+                i = int(off_bounds.argmax())
+                raise ConfigError(
+                    f"step {k + 1}, node {i + 1}: desired net power {step[i]} outside "
+                    f"net-power bounds [{caps.net_lo[i]}, {caps.net_hi[i]}]",
+                    field=f"{where}[{k}][{i}]",
+                )
+            with np.errstate(over="ignore"):  # a sum past float range is inf, so outside
+                total = float(values.sum())
+            what = f"desired profile sums to {total},"
+        if not lower <= total <= upper:
+            raise ConfigError(f"step {k + 1}: {what} outside [{lower}, {upper}]",
                               field=f"{where}[{k}]")
-        return profile
-
-    n = caps.n
-    # rows before the first of the wrong width are checked as one array
-    width_k = next((k for k, row in enumerate(rows) if len(row) != n), len(rows))
-    values = np.array(rows[:width_k]).reshape(width_k, n)
-    off_bounds = ~((caps.net_lo <= values) & (values <= caps.net_hi))
-    with np.errstate(over="ignore"):  # a sum past float range is inf, so outside
-        sums = values.sum(axis=1)
-    bad = off_bounds.any(axis=1) | ~((lower <= sums) & (sums <= upper))
-    if bad.any():
-        k = int(bad.argmax())
-        if off_bounds[k].any():
-            i = int(off_bounds[k].argmax())
-            raise ConfigError(
-                f"step {k + 1}, node {i + 1}: desired net power {rows[k][i]} outside "
-                f"net-power bounds [{caps.net_lo[i]}, {caps.net_hi[i]}]",
-                field=f"{where}[{k}][{i}]",
-            )
-        raise ConfigError(
-            f"step {k + 1}: desired profile sums to {float(sums[k])}, outside "
-            f"[{lower}, {upper}]",
-            field=f"{where}[{k}]",
-        )
-    if width_k < len(rows):
-        raise ConfigError(
-            f"step {width_k + 1}: desired row has {len(rows[width_k])} values for {n} nodes",
-            field=f"{where}[{width_k}]",
-        )
     return profile
 
 

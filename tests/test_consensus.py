@@ -35,6 +35,7 @@ from gridconsensus import (
     ratio_consensus,
     run,
 )
+import gridconsensus.consensus as consensus_mod
 from gridconsensus.graph import _chebyshev_mu
 from conftest import path_topology as path
 from conftest import fixed_capacities, predicted_rounds, tree_topology
@@ -68,8 +69,7 @@ class RecordingWeights(SparseWeights):
     __slots__ = ("log", "kind", "shifts")
 
     def __init__(self, weights: SparseWeights, log=None, kind="W"):
-        super().__init__(weights.rows, weights.cols, weights.data, weights.stationary,
-                         weights.interval)
+        super().__init__(weights.storage, weights.data, weights.stationary, weights.interval)
         self.log = [] if log is None else log
         self.kind = kind
         self.shifts = 0
@@ -308,7 +308,7 @@ class TestChebyshevPhase:
         # rounds, and P is never built
         rng = np.random.default_rng(71)
         topo = random_connected_topology(40, rng, 0.3)
-        wide = [SparseWeights(w.rows, w.cols, w.data, w.stationary, (-1.0, 0.999))
+        wide = [w.with_interval((-1.0, 0.999))
                 for w in (degree_weight_matrix(topo), metropolis_weight_matrix(topo))]
         q = RecordingWeights(wide[0])
         x0 = rng.uniform(-5.0, 5.0, 40)
@@ -376,7 +376,7 @@ class TestChebyshevPhase:
         capped = ConvergenceCriteria(eps=1e-300, max_iters=20_000)
         g0 = np.linspace(-1.0, 1.0, n)
         for ulps in range(-4, 5) if n < 400 else (0,):
-            pinned = SparseWeights(w.rows, w.cols, w.data, interval=(lo, hi + ulps * math.ulp(hi)))
+            pinned = w.with_interval((lo, hi + ulps * math.ulp(hi)))
             acc = flow_accumulate(topo, pinned, g0, capped)
             h = np.abs(acc.h)
             floor = capped.tolerance(
@@ -397,7 +397,7 @@ class TestChebyshevPhase:
         s = metropolis_weight_matrix(topo)
         mu = np.cosh(0.395)
         gap = 2.0 * (mu - 1.0) / (mu + 1.0)
-        loose = SparseWeights(s.rows, s.cols, s.data, interval=(-1.0, 1.0 - gap))
+        loose = s.with_interval((-1.0, 1.0 - gap))
         tiny = ConvergenceCriteria(eps=1e-320)
         res = ratio_consensus(loose, [1.0, 0.0, -1.0], np.ones(3), tiny)
         assert 1800 < res.iters < predicted_rounds(loose.interval, tiny.eps)
@@ -458,8 +458,7 @@ class TestChebyshevPhase:
         # plain rounds fall behind its bound after two rounds, and a cap of
         # 50 rounds falls past them
         q = degree_weight_matrix(path(60))
-        loose = RecordingWeights(
-            SparseWeights(q.rows, q.cols, q.data, q.stationary, (-1.0, 0.0)))
+        loose = RecordingWeights(q.with_interval((-1.0, 0.0)))
         capped = ConvergenceCriteria(max_iters=50)
         with pytest.raises(ConvergenceError) as info:
             ratio_consensus(loose, np.arange(60.0), np.ones(60), capped)
@@ -531,8 +530,7 @@ class TestMeasuredInterval:
         ):
             weights = build(topo)
             lo, hi = weights.interval
-            narrow = SparseWeights(weights.rows, weights.cols, weights.data,
-                                   weights.stationary, (lo, 1.0 - 4.0 * (1.0 - hi)))
+            narrow = weights.with_interval((lo, 1.0 - 4.0 * (1.0 - hi)))
             fallbacks.clear()
             res = call(narrow)
             assert fallbacks == [narrow] and check(res)
@@ -557,8 +555,7 @@ class TestMeasuredInterval:
         y0 = rng.uniform(0.1, 4.0, 40)
         weights = degree_weight_matrix(path(40))
         lo, hi = weights.interval
-        q = RecordingWeights(SparseWeights(weights.rows, weights.cols, weights.data,
-                                           weights.stationary, (lo, 1.0 - 4.0 * (1.0 - hi))))
+        q = RecordingWeights(weights.with_interval((lo, 1.0 - 4.0 * (1.0 - hi))))
         marks = []
         fallback = SparseWeights.fallback
         monkeypatch.setattr(SparseWeights, "fallback", lambda self: marks.append(len(q.log))
@@ -592,7 +589,7 @@ class TestMeasuredInterval:
         y0 = rng.uniform(0.1, 4.0, 300)
         g0 = rng.uniform(-8.0, 8.0, 300)
         oracle = flow_closed_form(g0 - g0.mean(), topo)
-        q, s = (SparseWeights(w.rows, w.cols, w.data, w.stationary, (0.0, 0.0))
+        q, s = (w.with_interval((0.0, 0.0))
                 for w in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)))
         res = ratio_consensus(q, x0, y0, CRIT)
         assert len(fallbacks) > 2 and res.iters < 4674
@@ -651,8 +648,7 @@ class TestMeasuredInterval:
         q, s = degree_weight_matrix(topo), metropolis_weight_matrix(topo)
         assert q.interval == pytest.approx((0.0, 0.0), abs=1e-12)
         assert s.interval == pytest.approx((0.0, 0.0), abs=1e-12)
-        point = [SparseWeights(w.rows, w.cols, w.data, w.stationary, (0.0, 0.0))
-                 for w in (q, s)]
+        point = [w.with_interval((0.0, 0.0)) for w in (q, s)]
         for w in (q, s, *point):
             mu = _chebyshev_mu(w.interval)
             assert 1 <= predicted_rounds(w.interval, CRIT.eps) < 100 and 1.0 < mu < np.inf
@@ -739,6 +735,23 @@ class TestFlowAccumulate:
         with pytest.raises(ConvergenceError):
             flow_accumulate(path3, s, [3.0, 0.0, -3.0],
                             ConvergenceCriteria(eps=1e-14, max_iters=2))
+
+
+@pytest.mark.parametrize("argument", ["x0", "y0", "g0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_engines_refuse_non_finite_inputs(monkeypatch, argument, bad):
+    # no round removes a nan or an infinity, so each engine refuses one
+    # before its first round, naming the argument, where it once ran to the
+    # round cap
+    monkeypatch.setattr(consensus_mod, "_rounds", lambda *args: pytest.fail("a round ran"))
+    topo = path(4)
+    inputs = {"x0": [1.0, 2.0, 3.0, 4.0], "y0": [1.0, 1.0, 2.0, 1.0], "g0": [3.0, 0.0, -1.0, -2.0]}
+    inputs[argument][2] = bad
+    with pytest.raises(ValueError, match=f"^{argument} entries must be finite$"):
+        if argument == "g0":
+            flow_accumulate(topo, metropolis_weight_matrix(topo), inputs["g0"], CRIT)
+        else:
+            ratio_consensus(degree_weight_matrix(topo), inputs["x0"], inputs["y0"], CRIT)
 
 
 def _topology(kind: str, n: int, rng: np.random.Generator):

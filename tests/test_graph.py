@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_weights_are_built_once_and_read_only():
     for build in (degree_weight_matrix, metropolis_weight_matrix):
         w = build(topo)
         assert build(topo) is w
-        for arr in (w.rows, w.cols, w.data):
+        for arr in (w.storage.rows, w.storage.cols, w.data):
             with pytest.raises(ValueError):
                 arr[0] = 7
         # the interval sets every later caller's rounds, so it is fixed too
@@ -291,14 +292,14 @@ def test_weights_are_built_once_and_read_only():
         with pytest.raises(AttributeError):
             w.interval = (-1.0, 0.0)
         assert w.interval is interval
-    # both matrices store their entries in the topology's edge order, so
-    # they share its index arrays: each edge from its tail, then from its
-    # head, then the diagonal
+    # both matrices store their entries on the topology's one storage: each
+    # edge from its tail, then from its head, then the diagonal
     q, s = degree_weight_matrix(topo), metropolis_weight_matrix(topo)
-    assert q.rows is s.rows and q.cols is s.cols
+    storage = q.storage
+    assert s.storage is storage
     heads, tails = topo.edge_index_arrays()
-    assert q.rows.tolist() == tails.tolist() + heads.tolist() + [0, 1, 2, 3]
-    assert q.cols.tolist() == heads.tolist() + tails.tolist() + [0, 1, 2, 3]
+    assert storage.rows.tolist() == tails.tolist() + heads.tolist() + [0, 1, 2, 3]
+    assert storage.cols.tolist() == heads.tolist() + tails.tolist() + [0, 1, 2, 3]
     # an equal topology built separately has its own instances
     assert degree_weight_matrix(build_topology(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) \
         is not degree_weight_matrix(topo)
@@ -378,7 +379,7 @@ def test_fallback_widens_the_interval_on_the_same_weights():
         assert wide.interval == (-1.0, 1.0 - (1.0 - hi) / 4.0)
         assert wide.stationary is weights.stationary
         assert wide.data is weights.data
-        assert wide.rows is weights.rows and wide.cols is weights.cols
+        assert wide.storage is weights.storage
         # widening again quarters the distance to 1 again, down to 4u and
         # no further: hi never reaches 1, which SparseWeights rejects, and mu
         # stays above 1
@@ -395,9 +396,8 @@ def test_fallback_widens_the_interval_on_the_same_weights():
     # cannot widen
     capped = (-1.0, 1.0 - 4.0 * graph_mod._UNIT_ROUNDOFF)
     assert graph_mod._chebyshev_mu(capped) == 1.0000000000000004
-    SparseWeights(weights.rows, weights.cols, weights.data, interval=capped).shifted()
-    top = SparseWeights(weights.rows, weights.cols, weights.data,
-                        interval=(0.0, math.nextafter(1.0, 0.0)))
+    weights.with_interval(capped).shifted()
+    top = weights.with_interval((0.0, math.nextafter(1.0, 0.0)))
     with pytest.raises(ValueError, match="mu > 1"):
         top.fallback()
 
@@ -499,7 +499,7 @@ def test_sparse_weights_reject_an_interval_outside_minus_1_1():
     w = degree_weight_matrix(build_topology(2, [(1, 2)]))
     for interval in ((-1.5, 0.0), (0.2, 0.1), (0.0, 1.0)):
         with pytest.raises(ValueError):
-            SparseWeights(w.rows, w.cols, w.data, interval=interval)
+            w.with_interval(interval)
     # these lie in [-1, 1), but the Chebyshev rounds need mu > 1, where
     # their bound 1/cosh(k acosh mu) shrinks: on the first mu rounds to 1,
     # and on the one-point ones the half-width floor puts it below 1, out
@@ -510,7 +510,7 @@ def test_sparse_weights_reject_an_interval_outside_minus_1_1():
                          (1.0 - 1e-16, 1.0 - 1e-16), (1.0 - 1e-10, 1.0 - 1e-10)):
             assert graph_mod._chebyshev_mu(interval) <= 1.0
             with pytest.raises(ValueError, match="mu > 1"):
-                SparseWeights(w.rows, w.cols, w.data, w.stationary, interval)
+                w.with_interval(interval)
 
 
 def test_degree_weights_path3_exact(path3):
@@ -601,11 +601,32 @@ def test_sparse_round_matches_dense_product():
             assert np.all(np.abs(w @ x - dense @ x) <= 1e-13 * scale)
 
 
-def test_sparse_weights_reject_mismatched_entries():
-    with pytest.raises(ValueError, match="same entries"):
-        SparseWeights(np.array([0, 1]), np.array([0, 1]), np.array([1.0]))
-    with pytest.raises(ValueError, match="same entries"):
-        SparseWeights(np.array([0, 1]), np.array([0]), np.array([1.0, 1.0]))
+def test_sparse_weights_reject_data_of_the_wrong_length():
+    # path-3 stores 2 entries per edge and 3 on the diagonal
+    storage = degree_weight_matrix(path_topology(3)).storage
+    SparseWeights(storage, np.ones(7))
+    for shape in (0, 6, 8, (7, 1)):
+        with pytest.raises(ValueError, match=r"one entry per stored entry \(7\), got shape"):
+            SparseWeights(storage, np.ones(shape))
+
+
+def test_shifted_weights_move_the_diagonal_whatever_the_data():
+    # the storage keeps the diagonal last, so shifted() subtracts c there
+    storage = degree_weight_matrix(path_topology(2)).storage
+    w = SparseWeights(storage, np.array([0.4, 0.4, 0.6, 0.6]), interval=(-0.5, 0.1))
+    assert np.allclose(w.shifted().toarray(), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-15)
+
+
+def test_lanczos_stops_at_its_step_cap():
+    # random positive data on a path's storage is not reversible: Lanczos
+    # on it never settled, and now stops after 2n + 15 steps
+    storage = degree_weight_matrix(path_topology(120)).storage
+    data = np.random.default_rng(31).uniform(0.1, 1.0, storage.rows.size)
+    weights = SparseWeights(storage, data)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="did not settle within 255 steps"):
+        weights.interval
+    assert time.perf_counter() - start < 1.0
 
 
 def sequential_product(weights, x):
@@ -613,8 +634,9 @@ def sequential_product(weights, x):
     over the row's entries k in storage order, added one by one from 0.0
     in Python floats."""
     entries = [[] for _ in range(weights.shape[0])]
-    for k, (r, c, w) in enumerate(zip(weights.rows.tolist(), weights.cols.tolist(),
-                                       weights.data.tolist())):
+    for k, (r, c, w) in enumerate(zip(weights.storage.rows.tolist(),
+                                      weights.storage.cols.tolist(),
+                                      weights.data.tolist())):
         entries[r].append((w, c))
     out = np.empty(x.shape)
     for r, row in enumerate(entries):
@@ -643,8 +665,10 @@ def test_slot_product_is_bit_identical_to_sequential_row_sums():
         n = topo.n
         for weights in (degree_weight_matrix(topo), metropolis_weight_matrix(topo)):
             # W first: its interval, which the other forms read, needs its product
-            for form in (weights, "shifted", "fallback"):
-                form = getattr(weights, form)() if isinstance(form, str) else form
+            for form in (lambda: weights, weights.shifted, weights.fallback,
+                         lambda: weights.with_interval((-0.5, 0.5))):
+                form = form()
+                assert form.storage is weights.storage
                 for shape in ((n,), (n, 2)):
                     for _ in range(2):
                         x = rng.standard_normal(shape)
@@ -655,14 +679,14 @@ def test_slot_product_is_bit_identical_to_sequential_row_sums():
                         assert got.shape == shape
                         assert np.array_equal(got.view(np.int64),
                                               sequential_product(form, x).view(np.int64))
-        index, where, spill = weights._index.arrays()
+        index, where, spill = weights.storage.index, weights.storage.where, weights.storage.spill
         nnz = weights.data.size
         assert np.count_nonzero(where == nnz) <= 2 * nnz
     # the star's hub row runs past the slot width, and spills
     assert spill.size == 60 - index.shape[0] > 0
-    # every matrix on a topology shares its one slot index
+    # every matrix on a topology shares its one storage, and its slot layout
     q, s = degree_weight_matrix(star), metropolis_weight_matrix(star)
-    assert q._index is s._index is q.shifted()._index is s.fallback()._index
+    assert q.storage is s.storage is q.shifted().storage is s.fallback().storage
 
 
 def test_weights_memory_is_linear_on_large_ring():
@@ -678,7 +702,7 @@ def test_weights_memory_is_linear_on_large_ring():
         assert w.nbytes <= 64 * (n + len(ring.edges))
         # the index arrays are the topology's; a matrix adds only its data
         assert w.nbytes == 8 * (2 * len(ring.edges) + n)
-        assert w.rows is q.rows and w.cols is q.cols
+        assert w.storage is q.storage
     e1 = np.zeros(n)
     e1[0] = 1.0
     out = q @ e1
