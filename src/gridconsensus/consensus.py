@@ -62,6 +62,21 @@ rounds, never the result. A flow call whose spread is within eps of its
 floor, which no round removes, stops there instead.
 Dense ``np.ndarray`` weights carry no interval and stay plain: they are
 the reference engine.
+
+``_rounds`` checks its rounds in blocks. It runs a block's rounds one
+after another, keeping each round's arrays, and then one pass computes
+every round's spread at once (the ratios only in rows whose denominators
+clear the floor) and takes the decisions above in round order: the stop,
+the switch, the watch and its fallback, and the flow floor. The call goes
+on from the first round that decides, so it may compute a few rounds past
+its stop, or past a switch, and discard them; its rounds, values and
+errors are those of a check after every round. Blocks run 1, 2, 4, ...
+rounds before the switch, never past the first round at which the watch
+could trip (plain rounds do not widen the spread), and restart at 1 after
+the switch and every fallback; later blocks run the rounds the
+interval's rate predicts from the last spread, floor(ln(spread/eps)/acosh
+mu). A block holds at most _BLOCK rounds, and at most _BLOCK_BYTES of
+their arrays.
 """
 
 from __future__ import annotations
@@ -81,6 +96,13 @@ from .graph import _chebyshev_mu
 # Denominators below this are treated as collapsed rather than divided by.
 # It guards a division, not a result, so no tolerance derives from it.
 DENOMINATOR_FLOOR = 1e-12
+
+# ``_rounds`` checks rounds in blocks of at most _BLOCK rounds, fewer where
+# their arrays would pass _BLOCK_BYTES: a block's arrays stay in cache, and
+# per-round overhead, not arithmetic, is what blocks save, on small graphs
+# (CHANGES.md has the measurements behind both).
+_BLOCK = 32
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -146,53 +168,96 @@ def _recurrence_weights(mu: float) -> Iterator[float]:
         omega = 1.0 / (1.0 - omega / (4.0 * mu * mu))
 
 
+def _block_after(spread: float | None, eps: float, rate: float, longest: int) -> int:
+    """The Chebyshev rounds that take ``spread`` to ``eps`` at ``rate``,
+    floor(ln(spread/eps)/rate), within 1..``longest``; 1 if the spread is
+    not a number above eps."""
+    if spread is None or not spread > eps:
+        return 1
+    return int(min(longest, max(1.0, (math.log(spread) - math.log(eps)) / rate)))
+
+
 def _rounds(
     plain: Callable, chebyshev: Callable, state: np.ndarray, weights,
-    criteria: ConvergenceCriteria, values: Callable, floor: Callable,
+    criteria: ConvergenceCriteria, values: Callable, spreads: Callable, floor: Callable,
 ) -> tuple[int | None, np.ndarray, np.ndarray | None]:
     """Run rounds t = 1, 2, ... on the array ``state`` until the spread
-    max - min of its node values ``values(state)`` (None where undefined)
-    is at most eps; return t, the array and its values then, or None and
-    those after ``max_iters`` rounds.
+    max - min of its node values is at most eps; return t, the array and
+    its node values then, or None and those (None where undefined) after
+    ``max_iters`` rounds.
 
-    ``plain(state, v)``, v the node values of ``state``, applies one round
-    of W and returns a new array; ``chebyshev(weights)`` returns the same
-    function for their P. Plain rounds run first, and only while they keep
-    pace with the Chebyshev bound of the weights' interval. The module
-    docstring gives both watches, and the fallback: whenever Chebyshev
-    rounds fall behind their interval's bound, they go on, from the current
-    array, on ``weights.fallback()``, unless the spread is within eps plus
-    ``floor(state)``, what no round removes. Dense weights stay plain.
+    ``plain(state, v)``, v = ``values(state)``, what the next round reads
+    besides the array, applies one round of W and returns a new array;
+    ``chebyshev(weights)`` returns the same function for their P.
+    ``spreads(rounds)`` takes a block's rounds, (array, v) pairs, and
+    returns their spreads, None where undefined, and their node values,
+    one row per round.
+
+    Rounds run in blocks, and a pass over each block's spreads makes every
+    decision the module docstring gives: the stop, the switch from plain
+    rounds while they keep pace with the Chebyshev bound of the weights'
+    interval, and, whenever Chebyshev rounds fall behind their interval's
+    bound, the fallback to ``weights.fallback()``, unless the spread is
+    within eps plus ``floor(array)``, what no round removes. The call goes
+    on from the first round that decides, and the block's later rounds are
+    discarded, so it runs the rounds a check after every round would.
+    Blocks run 1, 2, 4, ... rounds before the switch, never past the first
+    round whose watch could trip, as plain rounds do not widen the spread,
+    and restart at 1 after the switch and after every fallback; later ones
+    run the rounds the interval's rate predicts from the last spread
+    (``_block_after``). A block holds at most _BLOCK rounds, and at most
+    _BLOCK_BYTES of their arrays. Dense weights stay plain.
     """
     eps, cap = criteria.eps, criteria.max_iters
     sparse = isinstance(weights, SparseWeights)
     rate = math.acosh(_chebyshev_mu(weights.interval)) if sparse else 0.0
     step, omegas, limit = plain, repeat(1.0), None
     prev, v = state, values(state)
-    for t in range(1, cap + 1):
-        new, omega = step(state, v), next(omegas)
-        if omega != 1.0:  # w = 1 in plain rounds and the first of a recurrence
-            new *= omega
-            new -= (omega - 1.0) * prev
-        prev, state, v = state, new, values(new)
-        if v is None:
-            continue
-        s = v.max() - v.min()
-        if s <= eps:
-            return t, state, v
-        if limit is None:
-            t0, limit = t, 2.0 * s
-        # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
-        elif sparse and s * math.cosh(min((t - t0) * rate, 700.0)) > limit:
+    size = state.nbytes + (0 if v is None else v.nbytes)
+    t, block, longest = 0, 1, max(1, min(_BLOCK, _BLOCK_BYTES // size))
+    while t < cap:
+        rounds = []
+        for _ in range(min(block, cap - t)):
+            new, omega = step(state, v), next(omegas)
+            if omega != 1.0:  # w = 1 in plain rounds and the first of a recurrence
+                new *= omega
+                new -= (omega - 1.0) * prev
+            prev, state, v = state, new, values(new)
+            rounds.append((state, v))
+        found, rows = spreads(rounds)
+        for i, s in enumerate(found):
+            if s is None:
+                continue
+            u = t + 1 + i
+            if s <= eps:
+                return u, rounds[i][0], rows[i]
+            if limit is None:
+                t0, limit = u, 2.0 * s
+            # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
+            elif sparse and s * math.cosh(min((u - t0) * rate, 700.0)) > limit:
+                if step is not plain:
+                    if s <= eps + floor(rounds[i][0]):
+                        return u, rounds[i][0], rows[i]
+                    weights = weights.fallback()
+                # the switch, or a fallback: the recurrence starts afresh from
+                # round u, and the block's later rounds are discarded
+                mu = _chebyshev_mu(weights.interval)
+                rate, step, omegas = math.acosh(mu), chebyshev(weights), _recurrence_weights(mu)
+                t, block, (state, v) = u, 1, rounds[i]
+                t0, limit, prev = u, 2.0 * math.sqrt(rows.shape[1]) * s, state
+                break
+        else:
+            t += len(rounds)
             if step is not plain:
-                if s <= eps + floor(state):
-                    return t, state, v
-                weights = weights.fallback()
-            # the switch, or a fallback: the recurrence starts afresh from round t
-            mu = _chebyshev_mu(weights.interval)
-            rate, step, omegas = math.acosh(mu), chebyshev(weights), _recurrence_weights(mu)
-            t0, limit, prev = t, 2.0 * math.sqrt(v.size) * s, state
-    return None, state, v
+                block = _block_after(s, eps, rate, longest)
+            else:
+                block = min(2 * block, longest)
+                if sparse and limit is not None and s is not None:
+                    # spreads of plain rounds do not grow past s, so no round
+                    # trips the watch before cosh((u - t0) rate) > limit / s
+                    reach = math.acosh(max(1.0, limit / s)) / rate
+                    block = max(1, int(min(block, reach + 1 - (t - t0))))
+    return None, state, None if s is None else rows[-1]
 
 
 def ratio_consensus(
@@ -237,16 +302,25 @@ def ratio_consensus(
     if not np.any(y > 0):
         raise DegenerateDenominatorError("y0 has no positive entries")
 
-    def ratios(z):
-        return None if z[:, 1].min() <= DENOMINATOR_FLOOR else z[:, 0] / z[:, 1]
-
     def rounds_of(w):
         return lambda z, _: w @ z
 
+    def spreads(rounds):
+        z = np.array([z for z, _ in rounds])
+        x, y = z[:, :, 0], z[:, :, 1]
+        low = y.min(axis=1) <= DENOMINATOR_FLOOR
+        if low.any():  # rows without a ratio stay 0, and their spreads are dropped
+            ratios = np.divide(x, y, out=np.zeros(x.shape), where=~low[:, None])
+        else:
+            ratios = x / y
+        spread = (ratios.max(axis=1) - ratios.min(axis=1)).tolist()
+        return [None if u else s for u, s in zip(low.tolist(), spread)], ratios
+
     t, _, ratio = _rounds(rounds_of(weights), lambda w: rounds_of(w.shifted()),
-                          np.stack((x, y), axis=1), weights, criteria, ratios, lambda z: 0.0)
+                          np.stack((x, y), axis=1), weights, criteria, lambda z: None,
+                          spreads, lambda z: 0.0)
     if t is not None:
-        return ConsensusResult(values=ratio, iters=t)
+        return ConsensusResult(values=ratio.copy(), iters=t)
     if ratio is None:
         raise DegenerateDenominatorError(
             f"denominator still below {DENOMINATOR_FLOOR:g} after "
@@ -254,7 +328,7 @@ def ratio_consensus(
         )
     raise ConvergenceError(
         f"ratio consensus did not converge within {criteria.max_iters} rounds",
-        values=ratio,
+        values=ratio.copy(),
         iters=criteria.max_iters,
     )
 
@@ -321,12 +395,16 @@ def flow_accumulate(
     def rounds_of(a):
         return lambda h, g: h + a * (g[tails] - g[heads])
 
+    def spreads(rounds):
+        g = np.array([g for _, g in rounds])
+        return (g.max(axis=1) - g.min(axis=1)).tolist(), g
+
     t, h, g = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
-                      np.zeros(heads.shape[0]), weights, criteria, node_values, floor)
+                      np.zeros(heads.shape[0]), weights, criteria, node_values, spreads, floor)
     if t is not None:
-        return FlowAccumulator(h=h, g=g, iters=t)
+        return FlowAccumulator(h=h, g=g.copy(), iters=t)
     raise ConvergenceError(
         f"flow iteration did not settle within {criteria.max_iters} rounds",
-        values=g,
+        values=g.copy(),
         iters=criteria.max_iters,
     )

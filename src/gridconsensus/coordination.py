@@ -9,6 +9,7 @@ ratio consensus, where only the leading node knows the total demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -17,13 +18,29 @@ from .errors import CapacityError, ConvergenceError, NotRealizableError
 from .graph import GridTopology, degree_weight_matrix
 
 
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array if every entry is a real number, a
+    numpy one included; else CapacityError for the first that is not. A
+    bool or a string is no number here, as in a config file, where
+    float() would read True as 1.0 and '10' as 10.0."""
+    items = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if items.dtype.kind == "O":
+        bad = [isinstance(v, bool) or not isinstance(v, Real) for v in items.flat]
+    else:  # numbers alike, or bools, strings or complex numbers alike
+        bad = [items.dtype.kind not in "iuf"] * min(items.size, 1)
+    if any(bad):
+        i = bad.index(True)
+        raise CapacityError(f"node {i + 1}: {name} {items.flat[i]!r} is not a number")
+    return np.asarray(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class NodeCapacities:
     """Per-node generation bounds and net-power bounds.
 
-    Validates that every bound is finite, gen_lo <= gen_hi, net_lo <= net_hi,
-    and that each node's generation interval sits inside its net-power
-    interval.
+    Validates that every bound is a finite real number (a bool or a string
+    is none), gen_lo <= gen_hi, net_lo <= net_hi, and that each node's
+    generation interval sits inside its net-power interval.
     """
 
     gen_lo: np.ndarray
@@ -34,7 +51,7 @@ class NodeCapacities:
     def __post_init__(self):
         names = ("gen_lo", "gen_hi", "net_lo", "net_hi")
         for name in names:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _real_array(name, getattr(self, name)))
         shapes = {getattr(self, f).shape for f in names}
         if len(shapes) != 1 or self.gen_lo.ndim != 1:
             raise CapacityError(f"capacity arrays must share one 1-D shape, got {shapes}")

@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridconsensus import (
+    DENOMINATOR_FLOOR,
     ConfigError,
     ConvergenceCriteria,
     ConvergenceError,
     DegenerateDenominatorError,
+    FlowAccumulator,
     GridState,
     SparseWeights,
     build_topology,
@@ -56,6 +58,14 @@ def _flow_at_cap(topology, weights, g0, cap):
         return flow_accumulate(topology, weights, g0, ConvergenceCriteria(max_iters=cap)).g
     except ConvergenceError as exc:
         return exc.values
+
+
+@pytest.fixture
+def one_round_blocks(monkeypatch):
+    """Blocks of one round, so that every product ``RecordingWeights`` logs
+    is a round the call kept: in longer blocks the rounds after the one
+    that decides are computed and discarded. It is the same code path."""
+    monkeypatch.setattr(consensus_mod, "_BLOCK", 1)
 
 
 class RecordingWeights(SparseWeights):
@@ -177,6 +187,7 @@ class TestRatioConsensus:
         with pytest.raises(ValueError):
             ratio_consensus(q, [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0], CRIT)
 
+    @pytest.mark.usefixtures("one_round_blocks")
     def test_sparse_rounds_match_dense_reference(self):
         # The dense matrix is the reference engine, and it always runs plain
         # rounds. Until its switch the sparse engine runs the same plain
@@ -222,6 +233,7 @@ class TestRatioConsensus:
 class TestChebyshevPhase:
     """Rounds after the switch, where plain rounds end."""
 
+    @pytest.mark.usefixtures("one_round_blocks")
     def test_switch_round_follows_the_bound(self):
         # mu = (1 - c) / ((hi - lo) / 2) and c = (lo + hi) / 2. Lanczos
         # measures the exact spectrum of path-3, {1, 1/2, -1/6}: the
@@ -248,6 +260,7 @@ class TestChebyshevPhase:
                 assert spreads[-1] > CRIT.eps
             assert q.plain_rounds() == len(spreads) < res.iters
 
+    @pytest.mark.usefixtures("one_round_blocks")
     def test_sums_preserved_and_ratios_certified(self):
         rng = np.random.default_rng(37)
         ring12 = build_topology(12, [(i, i % 12 + 1) for i in range(1, 13)])
@@ -270,6 +283,7 @@ class TestChebyshevPhase:
             assert np.max(np.abs(x_sums - x0.sum())) <= 1e-9 * (1.0 + abs(x0.sum()))
             assert np.max(np.abs(y_sums - y0.sum())) <= 1e-9 * y0.sum()
 
+    @pytest.mark.usefixtures("one_round_blocks")
     def test_at_most_about_k_rounds_more_than_the_switch(self):
         # the bound's predicted rounds shrink a unit spread to eps
         q = RecordingWeights(degree_weight_matrix(path(40)))
@@ -282,6 +296,7 @@ class TestChebyshevPhase:
             < plain.iters
         assert np.max(np.abs(fast.values - plain.values)) <= 2 * CRIT.eps
 
+    @pytest.mark.usefixtures("one_round_blocks")
     def test_path_switches_before_k_and_stops_sooner(self):
         # On a path plain rounds fall behind the bound long before round
         # K = ``predicted_rounds`` of the interval. Plain rounds up to K,
@@ -302,6 +317,7 @@ class TestChebyshevPhase:
         at_k = _flow_at_cap(topo, s, g0, k)
         assert np.max(np.abs(at_k - _flow_at_cap(topo, s.toarray(), g0, k))) > 1e-6
 
+    @pytest.mark.usefixtures("one_round_blocks")
     def test_well_mixed_graph_never_switches(self):
         # plain rounds beat the bound of the wide interval [-1, 0.999] here,
         # so a call on that interval runs them alone: the reference engine's
@@ -453,6 +469,7 @@ class TestChebyshevPhase:
                     flow_accumulate(topo, s, g0, ConvergenceCriteria(max_iters=cap))
                 assert np.ptp(info.value.values) > CRIT.eps
 
+    @pytest.mark.usefixtures("one_round_blocks")
     def test_round_cap_raises_with_its_fields(self):
         # an interval [-1, 0] claims far more than a 60-node path has, so
         # plain rounds fall behind its bound after two rounds, and a cap of
@@ -544,6 +561,7 @@ class TestMeasuredInterval:
             fallbacks.clear()
             assert call(weights).iters < res.iters and fallbacks == []
 
+    @pytest.mark.usefixtures("one_round_blocks")
     def test_no_plain_round_follows_a_fallback(self, monkeypatch):
         # On the too narrow interval above the Chebyshev rounds fall behind
         # once and go on from the current arrays on the wider interval:
@@ -785,3 +803,64 @@ def test_both_engines_meet_their_oracles(kind, n, seed):
     ).flows
     oracle = flow_closed_form(state.p_G - state.p_d, topo)
     assert np.max(np.abs(flows - oracle), initial=0.0) <= n * CRIT.eps
+
+
+def _outcome(call):
+    """What a call gave: its rounds and the bytes of its values, or the
+    type of what it raised, with the rounds and values the error carries."""
+    try:
+        res = call()
+    except (ConvergenceError, DegenerateDenominatorError) as exc:
+        values = getattr(exc, "values", None)
+        return type(exc), str(exc), getattr(exc, "iters", None), \
+            None if values is None else values.tobytes()
+    if isinstance(res, FlowAccumulator):
+        return res.iters, res.h.tobytes(), res.g.tobytes()
+    return res.iters, res.values.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("random", "path", "tree")),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from((1e-6, 1e-10, 1e-14, 1e-300)) | st.floats(1e-300, 1e-3),
+    pin=st.sampled_from(("measured", "narrow", "point")),
+    cap=st.integers(1, 400),
+    low=st.lists(st.sampled_from((0.0, 0.5 * DENOMINATOR_FLOOR, DENOMINATOR_FLOOR)),
+                 max_size=3),
+    leader=st.booleans(),
+)
+def test_blocks_of_one_round_change_nothing(kind, n, seed, eps, pin, cap, low, leader):
+    # Rounds run in blocks, checked after each, and the rounds past the one
+    # that decides are discarded: every call returns the rounds, values and
+    # errors it does with blocks of one round. Intervals pinned too narrow
+    # make the watch fall behind and widen, a cap anywhere cuts a block
+    # short, a tiny eps runs to the flows' floor, and denominators at or
+    # below the floor leave ratios undefined for the first rounds; with
+    # one node's y0 positive alone, as in coordination, until y reaches
+    # every node.
+    rng = np.random.default_rng(seed)
+    topo = _topology(kind, n, rng)
+    x0 = rng.uniform(-5.0, 5.0, n)
+    y0 = rng.uniform(0.1, 4.0, n)
+    if leader:
+        y0[1:] = 0.0
+    y0[rng.permutation(n)[:min(len(low), n - 1)]] = low[:n - 1]
+    if not y0.any():
+        y0[0] = 1.0
+    g0 = rng.uniform(-8.0, 8.0, n)
+    q, s = degree_weight_matrix(topo), metropolis_weight_matrix(topo)
+    if pin != "measured":
+        def pinned(w):
+            lo, hi = w.interval
+            return w.with_interval((0.0, 0.0) if pin == "point"
+                                   else (lo, max(lo, 1.0 - 4.0 * (1.0 - hi))))
+        q, s = pinned(q), pinned(s)
+    criteria = ConvergenceCriteria(eps=eps, max_iters=cap)
+    calls = (lambda: ratio_consensus(q, x0, y0, criteria),
+             lambda: flow_accumulate(topo, s, g0, criteria))
+    blocked = [_outcome(call) for call in calls]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus_mod, "_BLOCK", 1)
+        assert [_outcome(call) for call in calls] == blocked

@@ -78,6 +78,26 @@ class TestNodeCapacities:
         with pytest.raises(CapacityError, match="node 2: net_hi .* not finite"):
             NodeCapacities(gen_lo=[0, 0], gen_hi=[1, 1], net_lo=[0, 0], net_hi=[1, bad])
 
+    @pytest.mark.parametrize(("bad", "shown"), [
+        ("10", "'10'"), (True, "True"), (np.True_, "np.True_"), (None, "None"), (1 + 0j, "(1+0j)"),
+    ])
+    def test_bounds_must_be_numbers(self, bad, shown):
+        # a config file's bounds raise ConfigError for these; built in Python
+        # they once passed as floats, '10' as 10.0 and True as 1.0
+        with pytest.raises(CapacityError) as info:
+            NodeCapacities(gen_lo=[0, 0], gen_hi=[30, 40], net_lo=[0, bad], net_hi=[50, 50])
+        assert str(info.value) == f"node 2: net_lo {shown} is not a number"
+        with pytest.raises(CapacityError, match="^node 1: gen_hi np.True_ is not a number$"):
+            NodeCapacities(gen_lo=[0, 0], gen_hi=np.array([True, True]),
+                           net_lo=[0, 0], net_hi=[50, 50])
+
+    def test_numbers_of_any_real_type_are_accepted(self):
+        caps = NodeCapacities(gen_lo=[10, np.int64(20)], gen_hi=np.array([30.0, 40.0], np.float32),
+                              net_lo=np.array([0, 0]), net_hi=[50.0, np.float64(50)])
+        for bounds, expected in ((caps.gen_lo, [10, 20]), (caps.gen_hi, [30, 40]),
+                                 (caps.net_lo, [0, 0]), (caps.net_hi, [50, 50])):
+            assert bounds.dtype == float and bounds.tolist() == expected
+
     def test_shape_mismatch(self):
         with pytest.raises(CapacityError):
             NodeCapacities(gen_lo=[0, 0], gen_hi=[1], net_lo=[0, 0], net_hi=[1, 1])
