@@ -65,8 +65,8 @@ the reference engine.
 
 ``_rounds`` checks its rounds in blocks. It runs a block's rounds one
 after another, keeping each round's arrays, and then one pass computes
-every round's spread at once (the ratios only in rows whose denominators
-clear the floor) and takes the decisions above in round order: the stop,
+every round's spread at once (a row with a denominator at or below the
+floor has none) and takes the decisions above in round order: the stop,
 the switch, the watch and its fallback, and the flow floor. The call goes
 on from the first round that decides, so it may compute a few rounds past
 its stop, or past a switch, and discard them; its rounds, values and
@@ -89,7 +89,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DegenerateDenominatorError
+from .errors import ConfigError, ConvergenceError
 from .graph import _UNIT_ROUNDOFF, GridTopology, SparseWeights, metropolis_edge_weights
 from .graph import _chebyshev_mu
 
@@ -180,18 +180,18 @@ def _block_after(spread: float | None, eps: float, rate: float, longest: int) ->
 def _rounds(
     plain: Callable, chebyshev: Callable, state: np.ndarray, weights,
     criteria: ConvergenceCriteria, values: Callable, spreads: Callable, floor: Callable,
-) -> tuple[int | None, np.ndarray, np.ndarray | None]:
+) -> tuple[int, np.ndarray, np.ndarray]:
     """Run rounds t = 1, 2, ... on the array ``state`` until the spread
-    max - min of its node values is at most eps; return t, the array and
-    its node values then, or None and those (None where undefined) after
-    ``max_iters`` rounds.
+    max - min of its node values is at most eps, and return t, the array
+    and its node values then; raise ConvergenceError with ``max_iters`` and
+    the node values of that round if it comes first.
 
     ``plain(state, v)``, v = ``values(state)``, what the next round reads
     besides the array, applies one round of W and returns a new array;
     ``chebyshev(weights)`` returns the same function for their P.
     ``spreads(rounds)`` takes a block's rounds, (array, v) pairs, and
     returns their spreads, None where undefined, and their node values,
-    one row per round.
+    one row per round, nan where undefined.
 
     Rounds run in blocks, and a pass over each block's spreads makes every
     decision the module docstring gives: the stop, the switch from plain
@@ -257,7 +257,12 @@ def _rounds(
                     # trips the watch before cosh((u - t0) rate) > limit / s
                     reach = math.acosh(max(1.0, limit / s)) / rate
                     block = max(1, int(min(block, reach + 1 - (t - t0))))
-    return None, state, None if s is None else rows[-1]
+    values = rows[-1].copy()
+    message = f"consensus did not converge within {cap} rounds"
+    if np.isnan(values).any():
+        nodes = np.array2string(np.flatnonzero(np.isnan(values)) + 1, separator=", ", threshold=10)
+        message += f"; undefined (nan) at nodes {nodes}"
+    raise ConvergenceError(message, values=values, iters=cap)
 
 
 def ratio_consensus(
@@ -283,10 +288,10 @@ def ratio_consensus(
     monotonically; Chebyshev rounds need not.)
 
     Raises ValueError, before any round, if x0 or y0 holds a nan or an
-    infinity, which no round removes; DegenerateDenominatorError if y0
-    carries no positive mass or a denominator is still below the floor at
-    the round cap, and ConvergenceError if the spread is still above
-    ``eps`` there.
+    infinity, which no round removes, or if y0 holds a negative entry or
+    no positive one; ConvergenceError at the round cap, whose ``values``
+    are that round's ratios, nan where a denominator is at or below the
+    floor.
     """
     x = np.asarray(x0, dtype=float)
     y = np.asarray(y0, dtype=float)
@@ -297,10 +302,8 @@ def ratio_consensus(
     for name, values in (("x0", x), ("y0", y)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} entries must be finite")
-    if np.any(y < 0):
-        raise ValueError("y0 entries must be nonnegative")
-    if not np.any(y > 0):
-        raise DegenerateDenominatorError("y0 has no positive entries")
+    if np.any(y < 0) or not np.any(y > 0):
+        raise ValueError("y0 entries must be nonnegative, and one positive")
 
     def rounds_of(w):
         return lambda z, _: w @ z
@@ -309,8 +312,8 @@ def ratio_consensus(
         z = np.array([z for z, _ in rounds])
         x, y = z[:, :, 0], z[:, :, 1]
         low = y.min(axis=1) <= DENOMINATOR_FLOOR
-        if low.any():  # rows without a ratio stay 0, and their spreads are dropped
-            ratios = np.divide(x, y, out=np.zeros(x.shape), where=~low[:, None])
+        if low.any():  # collapsed denominators give nan, and their rows' spreads are dropped
+            ratios = np.divide(x, y, out=np.full(x.shape, np.nan), where=y > DENOMINATOR_FLOOR)
         else:
             ratios = x / y
         spread = (ratios.max(axis=1) - ratios.min(axis=1)).tolist()
@@ -319,18 +322,7 @@ def ratio_consensus(
     t, _, ratio = _rounds(rounds_of(weights), lambda w: rounds_of(w.shifted()),
                           np.stack((x, y), axis=1), weights, criteria, lambda z: None,
                           spreads, lambda z: 0.0)
-    if t is not None:
-        return ConsensusResult(values=ratio.copy(), iters=t)
-    if ratio is None:
-        raise DegenerateDenominatorError(
-            f"denominator still below {DENOMINATOR_FLOOR:g} after "
-            f"{criteria.max_iters} rounds"
-        )
-    raise ConvergenceError(
-        f"ratio consensus did not converge within {criteria.max_iters} rounds",
-        values=ratio.copy(),
-        iters=criteria.max_iters,
-    )
+    return ConsensusResult(values=ratio.copy(), iters=t)
 
 
 def flow_accumulate(
@@ -401,10 +393,4 @@ def flow_accumulate(
 
     t, h, g = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
                       np.zeros(heads.shape[0]), weights, criteria, node_values, spreads, floor)
-    if t is not None:
-        return FlowAccumulator(h=h, g=g.copy(), iters=t)
-    raise ConvergenceError(
-        f"flow iteration did not settle within {criteria.max_iters} rounds",
-        values=g.copy(),
-        iters=criteria.max_iters,
-    )
+    return FlowAccumulator(h=h, g=g.copy(), iters=t)

@@ -70,7 +70,7 @@ class GridState:
     k: int
 
     def __post_init__(self):
-        n = np.asarray(self.p_G, dtype=float).shape[0]
+        n = len(np.atleast_1d(self.p_G))  # a 0-d p_G fails the shape check
         for name in ("p_G", "p_d", "p_F_net"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
         if self.k < 0:

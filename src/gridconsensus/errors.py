@@ -45,16 +45,14 @@ class CapacityError(GridConsensusError):
 
 
 class ConvergenceError(GridConsensusError):
-    """An iteration hit its round cap before meeting its tolerance."""
+    """An iteration hit its round cap before meeting its tolerance;
+    ``iters`` is the cap and ``values`` the node values of that round, nan
+    where undefined."""
 
     def __init__(self, message, values=None, iters=None):
         super().__init__(message)
         self.values = values
         self.iters = iters
-
-
-class DegenerateDenominatorError(GridConsensusError):
-    """A ratio iteration's denominator collapsed below the safe floor."""
 
 
 class NotRealizableError(GridConsensusError):

@@ -21,7 +21,6 @@ from gridconsensus import (
     ConfigError,
     ConvergenceCriteria,
     ConvergenceError,
-    DegenerateDenominatorError,
     FlowAccumulator,
     GridState,
     SparseWeights,
@@ -174,7 +173,7 @@ class TestRatioConsensus:
 
     def test_zero_denominator_mass_rejected(self, path3):
         q = degree_weight_matrix(path3)
-        with pytest.raises(DegenerateDenominatorError):
+        with pytest.raises(ValueError, match="one positive"):
             ratio_consensus(q, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], CRIT)
 
     def test_negative_denominator_rejected(self, path3):
@@ -401,6 +400,22 @@ class TestChebyshevPhase:
             assert fallbacks == [], (n, ulps)
             assert 0.0 < np.ptp(acc.g) <= capped.eps + floor
 
+    def test_flow_floor_reads_the_round_it_stops_at(self, monkeypatch):
+        # A block's rounds run past the one that decides: the floor a stop
+        # is judged by must be that round's, not the block's last.
+        read = []
+        rounds = consensus_mod._rounds
+
+        def spied(*args):
+            *head, floor = args
+            return rounds(*head, lambda h: read.append(h) or floor(h))
+
+        monkeypatch.setattr(consensus_mod, "_rounds", spied)
+        topo = path(40)
+        acc = flow_accumulate(topo, metropolis_weight_matrix(topo), np.cos(np.arange(40.0)),
+                              ConvergenceCriteria(eps=1e-300, max_iters=5000))
+        assert read and read[-1] is acc.h
+
     def test_plain_rounds_keep_pace_past_the_range_of_cosh(self):
         # On path-3, x0 = (1, 0, -1) sums to zero and is an eigenvector of
         # the Metropolis weights (eigenvalue 2/3), whose stationary vector
@@ -483,11 +498,18 @@ class TestChebyshevPhase:
         assert info.value.values.shape == (60,)
         # after 50 rounds no mass from node 1 has reached node 60, whose
         # denominator is 0: the spread is never defined, the rounds stay
-        # plain, and the call raises at the cap
+        # plain, and the call raises at the cap with the ratios of its last
+        # round, nan exactly where the dense reference's denominators are
+        # at or below the floor
         y0 = np.zeros(60)
         y0[0] = 1.0
-        with pytest.raises(DegenerateDenominatorError):
+        with pytest.raises(ConvergenceError) as info:
             ratio_consensus(loose, np.ones(60), y0, capped)
+        y = np.linalg.matrix_power(q.toarray(), 50) @ y0
+        collapsed = y <= DENOMINATOR_FLOOR
+        assert info.value.iters == 50 and collapsed[-1] and not collapsed[0]
+        assert np.array_equal(np.isnan(info.value.values), collapsed)
+        assert str(info.value).endswith("59, 60]")
 
         # ten rounds short of the stop a flow call on path-60 has left the
         # plain rounds of the reference: the cap falls in the Chebyshev phase
@@ -807,13 +829,11 @@ def test_both_engines_meet_their_oracles(kind, n, seed):
 
 def _outcome(call):
     """What a call gave: its rounds and the bytes of its values, or the
-    type of what it raised, with the rounds and values the error carries."""
+    message of the ConvergenceError it raised, with its rounds and values."""
     try:
         res = call()
-    except (ConvergenceError, DegenerateDenominatorError) as exc:
-        values = getattr(exc, "values", None)
-        return type(exc), str(exc), getattr(exc, "iters", None), \
-            None if values is None else values.tobytes()
+    except ConvergenceError as exc:
+        return str(exc), exc.iters, exc.values.tobytes()
     if isinstance(res, FlowAccumulator):
         return res.iters, res.h.tobytes(), res.g.tobytes()
     return res.iters, res.values.tobytes()

@@ -72,6 +72,12 @@ class TestGridState:
         with pytest.raises(ValueError):
             GridState(p_G=[1.0], p_d=[1.0], p_F_net=[0.0], k=-1)
 
+    @pytest.mark.parametrize("p_G", [5.0, [[1.0, 2.0]]])
+    def test_generation_must_be_one_dimensional(self, p_G):
+        # a scalar raised a bare IndexError before any check
+        with pytest.raises(ValueError, match="p_G must have shape"):
+            GridState.initial(p_G)
+
 
 class TestDeltaBounds:
     def test_from_reference_node1(self, ref_caps):

@@ -288,6 +288,53 @@ class TestFailureHandling:
         assert info.value.step == 1
         assert info.value.phase == phase
 
+    @pytest.mark.parametrize("name, mode, phase", [
+        ("coordinate_distributed", MODE_WITH, "coordination"),
+        ("generation_with_coordination", MODE_WITH, "generation"),
+        ("apply_step", MODE_WITH, "commit"),
+        ("compute_delta_bounds", MODE_WITHOUT, "generation"),
+        ("generation_distributed", MODE_WITHOUT, "generation"),
+        ("flow_control", MODE_WITHOUT, "flow control"),
+        ("apply_step", MODE_WITHOUT, "commit"),
+    ])
+    def test_every_phase_locates_its_failure(self, ref_caps, ring_chord, monkeypatch,
+                                             name, mode, phase):
+        # each phase callable run() looks up fails at its second call: the
+        # error comes out of run() itself, located, with its own fields
+        injected = ConvergenceError("injected", values=np.arange(3.0), iters=7)
+        calls = []
+        real = getattr(sim, name)
+
+        def failing(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == 2:
+                raise injected
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, name, failing)
+        config = ScenarioConfig(mode=mode, topology=ring_chord, capacities=ref_caps,
+                                horizon=3, seed=7)
+        with pytest.raises(ConvergenceError) as info:
+            run(config)
+        assert info.value is injected
+        assert (info.value.step, info.value.phase) == (2, phase)
+        assert str(info.value) == f"step 2 ({phase}): injected"
+        assert info.value.iters == 7 and np.array_equal(info.value.values, np.arange(3.0))
+
+    def test_collapsed_denominator_at_the_cap_keeps_its_state(self):
+        # Node 1's generator is fixed, so its denominator starts at zero and
+        # one round brings it no mass: the cap raises ConvergenceError with
+        # that round's ratios, nan at node 1 alone.
+        caps = NodeCapacities(gen_lo=[5.0, 5.0, 0.0], gen_hi=[5.0, 5.0, 10.0],
+                              net_lo=[-100.0] * 3, net_hi=[100.0] * 3)
+        config = ScenarioConfig(mode=MODE_WITH, topology=path_topology(3), capacities=caps,
+                                horizon=1, profile=(15.0,),
+                                criteria=ConvergenceCriteria(max_iters=1))
+        with pytest.raises(ConvergenceError, match=r"nan\) at nodes \[1\]") as info:
+            run(config)
+        assert (info.value.step, info.value.phase, info.value.iters) == (1, "coordination", 1)
+        assert np.array_equal(np.isnan(info.value.values), [True, False, False])
+
     def test_audit_failure_raises_by_default(self, without_config, monkeypatch):
         # sabotage flow control so per-node mismatches are left standing
         def no_flows(state, topology, weights, caps, criteria):
