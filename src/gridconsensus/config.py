@@ -5,8 +5,10 @@ horizon, one profile source (``demand`` or ``desired``, which becomes
 ``ScenarioConfig.profile``), and solver knobs. Parsing is strict: unknown
 fields are rejected and every failure names the offending field path. Each
 value is checked in one place: ``parse_config`` the document's shape and
-the node objects, ``build_topology`` the edges, ``NodeCapacities`` the
-bounds together, ``ConvergenceCriteria`` ``eps`` and ``max_iters``, and
+the node objects, their ids and pairs, ``build_topology`` the edges,
+``NodeCapacities`` the bounds (a file's bad bound raises ConfigError for
+``nodes`` quoting its CapacityError, e.g. ``nodes: node 2: gen_hi '10' is
+not a number``), ``ConvergenceCriteria`` ``eps`` and ``max_iters``, and
 ``ScenarioConfig`` the run settings, the profile and ``initial_generation``,
 so a config built in Python raises the same ConfigError as its file, and a
 file that loads can run. Lists are checked whole, by type passes and array
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -65,18 +66,9 @@ def _as_int(value, field: str) -> int:
     return value
 
 
-def _as_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", field=field)
-    if _finite_array([value]) is None:  # json reads Infinity, NaN, 1e999 and 10**400
-        raise ConfigError(f"expected a finite number, got {value!r}", field=field)
-    return float(value)
-
-
-def _as_pair(value, field: str) -> tuple[float, float]:
+def _check_pair(value, field: str) -> None:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"expected a [lo, hi] pair, got {value!r}", field=field)
-    return _as_number(value[0], field), _as_number(value[1], field)
 
 
 def _all_of(values, kind) -> bool:
@@ -86,23 +78,11 @@ def _all_of(values, kind) -> bool:
     return bool not in kinds and all(issubclass(t, kind) for t in kinds)
 
 
-def _finite_array(values: list) -> np.ndarray | None:
-    """``values`` as a float array if every one is a finite number, else
-    None."""
-    if not _all_of(values, (int, float)):
-        return None
-    try:
-        array = np.array(values, dtype=float)
-    except OverflowError:  # an integer past float range
-        return None
-    return array if np.isfinite(array).all() else None
-
-
-def _node_bounds(nodes: list) -> np.ndarray | None:
-    """Rows gen_lo, gen_hi, net_lo and net_hi of a (4, n) array, column i
-    for node i + 1, when every node is an object holding exactly an id,
-    a gen pair and a net pair, the ids are 1..n in some order and every
-    bound is a finite number; None otherwise."""
+def _node_bounds(nodes: list) -> tuple | None:
+    """The bounds gen_lo, gen_hi, net_lo and net_hi as given, each a list
+    whose entry i is node i + 1's, when every node is an object holding
+    exactly an id, a gen pair and a net pair, and the ids are 1..n in some
+    order; None otherwise. NodeCapacities checks the bounds themselves."""
     n = len(nodes)
     if not _all_of(nodes, dict) or set(map(len, nodes)) != {3}:
         return None
@@ -121,13 +101,11 @@ def _node_bounds(nodes: list) -> np.ndarray | None:
     pairs = gens + nets
     if not _all_of(pairs, list) or set(map(len, pairs)) != {2}:
         return None
-    values = _finite_array(list(chain.from_iterable(pairs)))
-    if values is None:
-        return None
-    bounds = np.empty((4, n))
-    # values runs gen pairs, then net pairs, each in list order
-    bounds[:, ids - 1] = values.reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n)
-    return bounds
+    if (np.diff(ids) < 0).any():  # listed out of id order
+        order = np.argsort(ids).tolist()
+        gens, nets = list(map(gens.__getitem__, order)), list(map(nets.__getitem__, order))
+    # not zip(*gens): its one iterator per node would trigger garbage collections
+    return [g[0] for g in gens], [g[1] for g in gens], [p[0] for p in nets], [p[1] for p in nets]
 
 
 def _raise_node_fault(nodes: list) -> None:
@@ -146,8 +124,8 @@ def _raise_node_fault(nodes: list) -> None:
         if node_id in seen_ids:
             raise ConfigError(f"node id {node_id} repeated", field=f"{where}.id")
         seen_ids.add(node_id)
-        _as_pair(_get(node, "gen"), f"{where}.gen")
-        _as_pair(_get(node, "net"), f"{where}.net")
+        _check_pair(_get(node, "gen"), f"{where}.gen")
+        _check_pair(_get(node, "net"), f"{where}.net")
 
 
 def parse_config(doc) -> ScenarioConfig:

@@ -105,6 +105,31 @@ _BLOCK = 32
 _BLOCK_BYTES = 1 << 18
 
 
+def _finite_reals(values, fault: Callable) -> np.ndarray:
+    """``values`` as a float array if each is a finite real number, a numpy
+    one included (a bool, a string, None or a complex number is none),
+    checked by one pass over their types and one array; else
+    ``fault(i, value, what)``, which raises, for the first entry that is
+    not, ``what`` being "a number" or "a finite number"."""
+    kinds = set(map(type, values))
+    if bool not in kinds and all(issubclass(t, Real) for t in kinds):
+        try:
+            array = np.asarray(values, dtype=float)
+        except OverflowError:  # an integer past the float range
+            array = np.array(np.inf)
+        if np.isfinite(array).all():
+            return array
+    for i, value in enumerate(values):  # words the first fault
+        if isinstance(value, bool) or not isinstance(value, Real):
+            fault(i, value, "a number")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            fault(i, value, "a finite number")
+
+
 @dataclass(frozen=True)
 class ConvergenceCriteria:
     """Stopping rule: stop once every node's value is certified within
@@ -117,12 +142,12 @@ class ConvergenceCriteria:
     def __post_init__(self):
         # ConfigError is a ValueError whose ``field`` names the bad field;
         # eps is kept as the float the rounds compare against
-        try:
-            eps = float(self.eps) if isinstance(self.eps, Real) and self.eps is not True else 0.0
-        except OverflowError:  # an int or Fraction past the float range
-            eps = math.inf
-        if not 0 < eps < math.inf:
+        def bad_eps(*_):
             raise ConfigError(f"must be a positive finite number, got {self.eps!r}", field="eps")
+
+        (eps,) = _finite_reals([self.eps], bad_eps).tolist()
+        if eps <= 0:
+            bad_eps()
         object.__setattr__(self, "eps", eps)
         if type(self.max_iters) is not int or self.max_iters < 1:  # bool subclasses int
             raise ConfigError(f"must be an integer >= 1, got {self.max_iters!r}",

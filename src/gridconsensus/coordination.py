@@ -9,29 +9,17 @@ ratio consensus, where only the leading node knows the total demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
+from functools import partial
 
 import numpy as np
 
-from .consensus import ConvergenceCriteria, ratio_consensus
+from .consensus import ConvergenceCriteria, _finite_reals, ratio_consensus
 from .errors import CapacityError, ConvergenceError, NotRealizableError
 from .graph import GridTopology, degree_weight_matrix
 
 
-def _real_array(name: str, values) -> np.ndarray:
-    """``values`` as a float array if every entry is a real number, a
-    numpy one included; else CapacityError for the first that is not. A
-    bool or a string is no number here, as in a config file, where
-    float() would read True as 1.0 and '10' as 10.0."""
-    items = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if items.dtype.kind == "O":
-        bad = [isinstance(v, bool) or not isinstance(v, Real) for v in items.flat]
-    else:  # numbers alike, or bools, strings or complex numbers alike
-        bad = [items.dtype.kind not in "iuf"] * min(items.size, 1)
-    if any(bad):
-        i = bad.index(True)
-        raise CapacityError(f"node {i + 1}: {name} {items.flat[i]!r} is not a number")
-    return np.asarray(values, dtype=float)
+def _not_a_bound(name: str, i: int, value, what: str):
+    raise CapacityError(f"node {i + 1}: {name} {value!r} is not {what}")
 
 
 @dataclass(frozen=True)
@@ -51,15 +39,15 @@ class NodeCapacities:
     def __post_init__(self):
         names = ("gen_lo", "gen_hi", "net_lo", "net_hi")
         for name in names:
-            object.__setattr__(self, name, _real_array(name, getattr(self, name)))
-        shapes = {getattr(self, f).shape for f in names}
-        if len(shapes) != 1 or self.gen_lo.ndim != 1:
+            value = getattr(self, name)
+            try:
+                bounds = _finite_reals(value, partial(_not_a_bound, name))
+            except TypeError:  # a bare number, or no sequence to read twice
+                raise CapacityError(f"{name} must be a 1-D array, got {value!r}") from None
+            object.__setattr__(self, name, bounds)
+        shapes = {getattr(self, f).shape for f in names}  # 1-D, as each entry is a number
+        if len(shapes) != 1:
             raise CapacityError(f"capacity arrays must share one 1-D shape, got {shapes}")
-        finite = np.isfinite([getattr(self, f) for f in names])
-        if not finite.all():
-            f, i = np.argwhere(~finite)[0]
-            value = getattr(self, names[f])[i]
-            raise CapacityError(f"node {i + 1}: {names[f]} {value} is not finite")
         gen_inverted = self.gen_lo > self.gen_hi
         net_inverted = self.net_lo > self.net_hi
         uncontained = (self.gen_lo < self.net_lo) | (self.gen_hi > self.net_hi)

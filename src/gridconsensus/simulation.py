@@ -9,13 +9,11 @@ is reproducible end to end from its config.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .consensus import ConvergenceCriteria
+from .consensus import ConvergenceCriteria, _finite_reals
 from .coordination import NodeCapacities, coordinate_distributed
 from .dispatch import (
     GridState,
@@ -73,9 +71,13 @@ class ScenarioConfig:
             raise ConfigError(f"must be >= 1, got {self.horizon}", field="horizon")
         if self.seed < 0:
             raise ConfigError(f"must be a non-negative integer, got {self.seed}", field="seed")
-        if not isinstance(self.capacities, NodeCapacities):
-            raise ConfigError(f"must be one NodeCapacities, got {type(self.capacities).__name__}",
-                              field="capacities")
+        for name, kind in (("topology", GridTopology), ("capacities", NodeCapacities),
+                           ("criteria", ConvergenceCriteria)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"must be one {kind.__name__}, "
+                                  f"got {type(getattr(self, name)).__name__}", field=name)
+        if type(self.fail_fast) is not bool:
+            raise ConfigError(f"must be a bool, got {self.fail_fast!r}", field="fail_fast")
         if self.capacities.n != self.topology.n:
             raise ConfigError(
                 f"cover {self.capacities.n} nodes, topology has {self.topology.n}",
@@ -111,25 +113,12 @@ def _iterable(values, where: str, what: str):
 
 
 def _finite_floats(values, where: str) -> tuple[float, ...]:
-    """``values`` as floats if each is a finite real number (a bool is none),
-    checked as one array; else ConfigError for the first that is not."""
-    kinds = set(map(type, _iterable(values, where, "numbers")))
-    if bool not in kinds and all(issubclass(t, Real) for t in kinds):
-        try:
-            array = np.array(values, dtype=float)
-        except OverflowError:  # an integer past the float range
-            array = np.array(np.inf)
-        if np.isfinite(array).all():
-            return tuple(array.tolist())
-    for i, value in enumerate(values):  # words the first fault
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ConfigError(f"expected a number, got {value!r}", field=f"{where}[{i}]")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer past the float range
-            finite = False
-        if not finite:
-            raise ConfigError(f"expected a finite number, got {value!r}", field=f"{where}[{i}]")
+    """``values`` as floats if each is a finite real number; else
+    ConfigError naming the first entry that is not."""
+    def fault(i, value, what):
+        raise ConfigError(f"expected {what}, got {value!r}", field=f"{where}[{i}]")
+
+    return tuple(_finite_reals(_iterable(values, where, "numbers"), fault).tolist())
 
 
 def _checked_profile(config: ScenarioConfig) -> tuple:

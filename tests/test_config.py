@@ -17,6 +17,7 @@ from gridconsensus import (
     ConfigError,
     MODE_WITH,
     MODE_WITHOUT,
+    NodeCapacities,
     ScenarioConfig,
     TopologyError,
     build_topology,
@@ -199,18 +200,46 @@ class TestParse:
 
     @pytest.mark.parametrize(("key", "value", "expected"), [
         ("eps", float("inf"), "eps: must be a positive finite number, got inf"),
-        ("net", [10, float("inf")], r"nodes\[0\]\.net: expected a finite number"),
-        ("gen", [float("nan"), 50], r"nodes\[0\]\.gen: expected a finite number"),
+        ("net", [10, float("inf")], "nodes: node 1: net_hi inf is not a finite number"),
+        ("gen", [float("nan"), 50], "nodes: node 1: gen_lo nan is not a finite number"),
     ], ids=["eps-infinity", "net-infinity", "gen-nan"])
     def test_non_finite_numbers_name_their_field(self, key, value, expected):
         # json writes and reads these as Infinity and NaN; ConvergenceCriteria
-        # alone checks eps
+        # alone checks eps, and NodeCapacities the bounds
         doc = good_doc()
         (doc if key == "eps" else doc["nodes"][0])[key] = value
         text = json.dumps(doc)
         assert "Infinity" in text or "NaN" in text
         with pytest.raises(ConfigError, match=rf"^{expected}"):
             parse_config(json.loads(text))
+
+    @pytest.mark.parametrize("bad", ["10", True, None, float("inf"), float("nan"), 10**400],
+                             ids=["string", "bool", "null", "infinity", "nan", "past-float"])
+    def test_bad_bounds_raise_the_capacity_error_of_python(self, tmp_path, bad):
+        # parse_config checks the node objects and NodeCapacities their
+        # bounds: a file raises the CapacityError of the same capacities
+        # built in Python, under field nodes; node 2 is listed first
+        doc = good_doc()
+        doc["nodes"].reverse()
+        doc["nodes"][0]["net"][0] = bad
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CapacityError) as expected:
+            NodeCapacities(gen_lo=[0, 5], gen_hi=[10, 25], net_lo=[-5, bad], net_hi=[15, 30])
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == "nodes: " + str(expected.value)
+        assert info.value.field == "nodes"
+        assert type(info.value.__cause__) is CapacityError
+        assert str(info.value.__cause__) == str(expected.value)
+
+    def test_numpy_bounds_in_a_document_are_numbers(self):
+        # a document built in Python may hold numpy numbers, as
+        # NodeCapacities built directly may
+        doc = good_doc()
+        doc["nodes"][0]["gen"] = [np.int64(0), np.float32(10)]
+        caps = parse_config(doc).capacities
+        assert caps.gen_lo.tolist() == [0.0, 5.0] and caps.gen_hi.tolist() == [10.0, 25.0]
 
     def test_initial_generation_parsed_and_checked(self):
         doc = good_doc()
@@ -308,7 +337,7 @@ class TestParse:
         (("edges", 0, 1), 2**63,
          "edges: edge [1, 9223372036854775808]: endpoint 9223372036854775808 outside 1..2"),
         (("nodes", 0, "gen", 1), 10**400,
-         f"nodes[0].gen: expected a finite number, got {10**400}"),
+         f"nodes: node 1: gen_hi {10**400} is not a finite number"),
         (("initial_generation", 1), -(10**400),
          f"initial_generation[1]: expected a finite number, got {-(10**400)}"),
     ], ids=["id", "endpoint", "gen", "initial_generation"])
@@ -402,6 +431,21 @@ class TestBuiltInPython:
             assert str(info.value) == f"initial_generation: expected a list of numbers, got {bad!r}"
             assert info.value.field == "initial_generation"
 
+    @pytest.mark.parametrize(("name", "bad", "message"), [
+        ("topology", "x", "must be one GridTopology, got str"),
+        ("capacities", None, "must be one NodeCapacities, got NoneType"),
+        ("criteria", "x", "must be one ConvergenceCriteria, got str"),
+        ("fail_fast", "no", "must be a bool, got 'no'"),
+        ("fail_fast", 1, "must be a bool, got 1"),
+    ], ids=["topology", "capacities", "criteria", "fail_fast-str", "fail_fast-int"])
+    def test_run_objects_must_have_their_types(self, explicit_with_config, name, bad, message):
+        # refused when the config is built, not with a bare AttributeError
+        # or, for criteria, inside run() with no step and no phase
+        with pytest.raises(ConfigError) as info:
+            replace(explicit_with_config, **{name: bad})
+        assert str(info.value) == f"{name}: {message}"
+        assert info.value.field == name
+
     def test_numpy_values_are_numbers(self, explicit_with_config):
         # numpy numbers and 1-D arrays pass, as Python floats
         config = replace(explicit_with_config, profile=np.array([150, 160]),
@@ -416,21 +460,11 @@ class TestBuiltInPython:
 def reference_node_bounds(nodes):
     """The node list checked one node at a time, as ``parse_config`` did
     before its checks ran on whole lists: [gen_lo, gen_hi, net_lo, net_hi]
-    per node id, or the ConfigError message of the first fault."""
+    per node id, as given, or the ConfigError message of the first fault.
+    The bound values are not checked here: NodeCapacities checks them."""
     n = len(nodes)
     bounds = [[0.0] * n for _ in range(4)]
     seen = set()
-
-    def number(value, field):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"expected a number, got {value!r}", field=field)
-        try:
-            finite = math.isfinite(float(value))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError(f"expected a finite number, got {value!r}", field=field)
-        return float(value)
 
     try:
         for idx, node in enumerate(nodes):
@@ -462,14 +496,14 @@ def reference_node_bounds(nodes):
                                       field=f"{where}.{key}")
                 row = 0 if key == "gen" else 2
                 for side in (0, 1):
-                    bounds[row + side][node_id - 1] = number(pair[side], f"{where}.{key}")
+                    bounds[row + side][node_id - 1] = pair[side]
     except ConfigError as exc:
         return str(exc)
     return bounds
 
 
 BAD_NUMBERS = (True, False, "7", None, [1.0], float("inf"), float("-inf"), float("nan"),
-               10**400, -(10**400), np.int64(1))
+               10**400, -(10**400))
 BAD_IDS = (True, "1", None, 2.0, 2**63, -(2**63) - 1, -1, 0, np.int64(1))
 BAD_PAIRS = ([1.0], [1.0, 2.0, 3.0], [], (1.0, 2.0), {}, "12", None, 3)
 
@@ -514,7 +548,8 @@ def node_lists(draw, fault):
 @given(data=st.data())
 def test_node_checks_match_the_reference_loop(fault, data):
     # the array checks give the reference's capacities, or the message of
-    # the first fault it finds, node by node in list order
+    # the first fault it finds, node by node in list order; a list whose
+    # nodes are well formed raises what NodeCapacities raises for its bounds
     nodes = data.draw(node_lists(fault))
     doc = good_doc()
     doc["nodes"] = nodes
@@ -525,7 +560,10 @@ def test_node_checks_match_the_reference_loop(fault, data):
     except ConfigError as exc:
         if isinstance(expected, str):
             assert str(exc) == expected
-        else:  # the bounds may be fine one by one and not together
+        else:
+            with pytest.raises(CapacityError) as info:
+                NodeCapacities(*expected)
+            assert str(exc) == f"nodes: {info.value}"
             assert exc.field == "nodes" and isinstance(exc.__cause__, CapacityError)
         return
     assert [a.tolist() for a in (caps.gen_lo, caps.gen_hi, caps.net_lo, caps.net_hi)] == expected

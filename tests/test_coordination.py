@@ -73,10 +73,14 @@ class TestNodeCapacities:
         assert str(info.value) == ("node 2: generation interval [0.0, 3.0] not contained "
                                    "in net-power interval [1.0, 3.0]")
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "past-float"])
     def test_non_finite_bounds(self, bad):
-        with pytest.raises(CapacityError, match="node 2: net_hi .* not finite"):
+        # an integer float() cannot hold is no finite number either, and
+        # raises CapacityError, not OverflowError
+        with pytest.raises(CapacityError) as info:
             NodeCapacities(gen_lo=[0, 0], gen_hi=[1, 1], net_lo=[0, 0], net_hi=[1, bad])
+        assert str(info.value) == f"node 2: net_hi {bad!r} is not a finite number"
 
     @pytest.mark.parametrize(("bad", "shown"), [
         ("10", "'10'"), (True, "True"), (np.True_, "np.True_"), (None, "None"), (1 + 0j, "(1+0j)"),
@@ -101,6 +105,9 @@ class TestNodeCapacities:
     def test_shape_mismatch(self):
         with pytest.raises(CapacityError):
             NodeCapacities(gen_lo=[0, 0], gen_hi=[1], net_lo=[0, 0], net_hi=[1, 1])
+        for bare in (5.0, np.array(5.0), iter([5.0])):
+            with pytest.raises(CapacityError, match="^gen_lo must be a 1-D array, got "):
+                NodeCapacities(gen_lo=bare, gen_hi=[5], net_lo=[0], net_hi=[9])
 
 
 class TestRealizability:
