@@ -11,8 +11,10 @@ the node objects, their ids and pairs, ``build_topology`` the edges,
 not a number``), ``ConvergenceCriteria`` ``eps`` and ``max_iters``, and
 ``ScenarioConfig`` the run settings, the profile and ``initial_generation``,
 so a config built in Python raises the same ConfigError as its file, and a
-file that loads can run. Lists are checked whole, by type passes and array
-comparisons; only a faulty list is walked, to name its first bad entry.
+file that loads can run. An integer is an int or a numpy integer, no bool,
+kept as an int; a list of numbers is a list, a tuple or an array, read once
+into floats. Lists are checked whole, by type passes and array comparisons;
+only a faulty list is walked, to name its first bad entry.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .consensus import ConvergenceCriteria
 from .coordination import NodeCapacities
 from .errors import CapacityError, ConfigError, TopologyError
-from .graph import build_topology
+from .graph import _INTEGERS, _all_of, _is_integer, build_topology
 from .simulation import MODE_WITH, MODE_WITHOUT, SOURCES, ScenarioConfig
 
 _MODE_ALIASES = {
@@ -60,22 +62,9 @@ def _check_unknown(doc: dict, allowed: set, where: str) -> None:
         )
 
 
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", field=field)
-    return value
-
-
 def _check_pair(value, field: str) -> None:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"expected a [lo, hi] pair, got {value!r}", field=field)
-
-
-def _all_of(values, kind) -> bool:
-    """Whether every item of ``values`` is an instance of ``kind`` and none
-    is a bool (a bool is no number here): one pass over their types."""
-    kinds = set(map(type, values))
-    return bool not in kinds and all(issubclass(t, kind) for t in kinds)
 
 
 def _node_bounds(nodes: list) -> tuple | None:
@@ -90,7 +79,7 @@ def _node_bounds(nodes: list) -> tuple | None:
         ids, gens, nets = (list(map(itemgetter(key), nodes)) for key in ("id", "gen", "net"))
     except KeyError:
         return None
-    if not _all_of(ids, int):
+    if not _all_of(ids, _INTEGERS):
         return None
     try:
         ids = np.array(ids, dtype=np.int64)
@@ -118,7 +107,9 @@ def _raise_node_fault(nodes: list) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"expected a node object, got {node!r}", field=where)
         _check_unknown(node, _NODE_FIELDS, where)
-        node_id = _as_int(_get(node, "id"), f"{where}.id")
+        node_id = _get(node, "id")
+        if not _is_integer(node_id):
+            raise ConfigError(f"expected an integer, got {node_id!r}", field=f"{where}.id")
         if not 1 <= node_id <= n:
             raise ConfigError(f"node id {node_id} outside 1..{n}", field=f"{where}.id")
         if node_id in seen_ids:

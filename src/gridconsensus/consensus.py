@@ -91,7 +91,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .graph import _UNIT_ROUNDOFF, GridTopology, SparseWeights, metropolis_edge_weights
-from .graph import _chebyshev_mu
+from .graph import _all_of, _chebyshev_mu, _is_integer
 
 # Denominators below this are treated as collapsed rather than divided by.
 # It guards a division, not a result, so no tolerance derives from it.
@@ -105,16 +105,22 @@ _BLOCK = 32
 _BLOCK_BYTES = 1 << 18
 
 
+def _is_list(values) -> bool:
+    """Whether ``values`` is a list, a tuple or an array of one or more dimensions."""
+    return isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim > 0
+
+
 def _finite_reals(values, fault: Callable) -> np.ndarray:
-    """``values`` as a float array if each is a finite real number, a numpy
-    one included (a bool, a string, None or a complex number is none),
-    checked by one pass over their types and one array; else
-    ``fault(i, value, what)``, which raises, for the first entry that is
-    not, ``what`` being "a number" or "a finite number"."""
-    kinds = set(map(type, values))
-    if bool not in kinds and all(issubclass(t, Real) for t in kinds):
+    """``values`` read once into a float array of its own, if it is a list
+    (``_is_list``; else TypeError) of finite real numbers, numpy ones
+    included (a bool, a string, None, a complex number or a row is none),
+    by one type pass and one array; else ``fault(i, value, what)`` raises
+    for the first bad entry, ``what`` being "a number" or "a finite number"."""
+    if not _is_list(values):
+        raise TypeError(f"not a list of numbers: {values!r}")
+    if _all_of(values, Real):
         try:
-            array = np.asarray(values, dtype=float)
+            array = np.array(values, dtype=float)
         except OverflowError:  # an integer past the float range
             array = np.array(np.inf)
         if np.isfinite(array).all():
@@ -141,7 +147,7 @@ class ConvergenceCriteria:
 
     def __post_init__(self):
         # ConfigError is a ValueError whose ``field`` names the bad field;
-        # eps is kept as the float the rounds compare against
+        # eps and max_iters are kept as the float and int they were checked as
         def bad_eps(*_):
             raise ConfigError(f"must be a positive finite number, got {self.eps!r}", field="eps")
 
@@ -149,9 +155,10 @@ class ConvergenceCriteria:
         if eps <= 0:
             bad_eps()
         object.__setattr__(self, "eps", eps)
-        if type(self.max_iters) is not int or self.max_iters < 1:  # bool subclasses int
+        if not _is_integer(self.max_iters) or self.max_iters < 1:
             raise ConfigError(f"must be an integer >= 1, got {self.max_iters!r}",
                               field="max_iters")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
 
     def tolerance(self, width, magnitude, terms: int):
         """The one error budget: how far a value computed from results this

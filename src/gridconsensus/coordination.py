@@ -15,7 +15,7 @@ import numpy as np
 
 from .consensus import ConvergenceCriteria, _finite_reals, ratio_consensus
 from .errors import CapacityError, ConvergenceError, NotRealizableError
-from .graph import GridTopology, degree_weight_matrix
+from .graph import GridTopology, _is_integer, degree_weight_matrix
 
 
 def _not_a_bound(name: str, i: int, value, what: str):
@@ -26,9 +26,9 @@ def _not_a_bound(name: str, i: int, value, what: str):
 class NodeCapacities:
     """Per-node generation bounds and net-power bounds.
 
-    Validates that every bound is a finite real number (a bool or a string
-    is none), gen_lo <= gen_hi, net_lo <= net_hi, and that each node's
-    generation interval sits inside its net-power interval.
+    Validates that every bound is a finite real number (no bool or string),
+    gen_lo <= gen_hi, net_lo <= net_hi, and that each node's generation
+    interval sits inside its net-power interval; keeps read-only copies.
     """
 
     gen_lo: np.ndarray
@@ -42,8 +42,9 @@ class NodeCapacities:
             value = getattr(self, name)
             try:
                 bounds = _finite_reals(value, partial(_not_a_bound, name))
-            except TypeError:  # a bare number, or no sequence to read twice
+            except TypeError:  # no list of numbers
                 raise CapacityError(f"{name} must be a 1-D array, got {value!r}") from None
+            bounds.setflags(write=False)
             object.__setattr__(self, name, bounds)
         shapes = {getattr(self, f).shape for f in names}  # 1-D, as each entry is a number
         if len(shapes) != 1:
@@ -186,7 +187,7 @@ def coordinate_distributed(
     """
     if caps.n != topology.n:
         raise CapacityError(f"capacities for {caps.n} nodes, topology has {topology.n}")
-    if type(leader) is not int or not 1 <= leader <= topology.n:  # bool subclasses int
+    if not _is_integer(leader) or not 1 <= leader <= topology.n:
         raise ValueError(f"leader must be an integer in 1..{topology.n}, got {leader!r}")
     _require_realizable(p_demand, caps)
     # Nothing to negotiate when every generator is fixed: consensus cannot
@@ -195,7 +196,7 @@ def coordinate_distributed(
     if floors is not None:
         return CoordinationResult(desired=floors)
 
-    x0 = -caps.gen_lo.copy()
+    x0 = -caps.gen_lo
     x0[leader - 1] += p_demand
     y0 = caps.gen_range
     weights = degree_weight_matrix(topology)

@@ -119,9 +119,19 @@ def _bfs_depths(bounds, neighbors, source: int) -> list[int]:
     return depth
 
 
-def _is_integer_type(kind: type) -> bool:
-    # True == 1 would pass the range check, and False == 0 fails it
-    return kind is not bool and issubclass(kind, (int, np.integer))
+_INTEGERS = (int, np.integer)  # and no bool: True == 1 would pass range checks
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, _INTEGERS) and not isinstance(value, bool)
+
+
+def _all_of(values, kind) -> bool:
+    """Whether every item is a ``kind`` and none a bool: one pass over their types."""
+    for t in set(map(type, values)):  # a loop: all() over a generator costs more per call
+        if t is bool or not issubclass(t, kind):
+            return False
+    return True
 
 
 def _edge_keys(n: int, edges: list) -> np.ndarray | None:
@@ -138,8 +148,7 @@ def _edge_keys(n: int, edges: list) -> np.ndarray | None:
         lengths = set(map(len, edges))
     except TypeError:  # an edge with no length
         return None
-    if m and not (lengths == {2}
-                  and all(map(_is_integer_type, set(map(type, chain.from_iterable(edges)))))):
+    if m and not (lengths == {2} and _all_of(chain.from_iterable(edges), _INTEGERS)):
         return None
     try:
         ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m)
@@ -168,7 +177,7 @@ def _raise_edge_fault(n: int, edges) -> None:
             raise TopologyError(f"edge {edge!r} is not a pair of endpoints")
         i, j = edge
         for endpoint in (i, j):
-            integer = _is_integer_type(type(endpoint))
+            integer = _is_integer(endpoint)
             if not integer or not 1 <= endpoint <= n:
                 problem = f"outside 1..{n}" if integer else "is not an integer"
                 raise EndpointOutOfRangeError(f"edge {edge!r}: endpoint {endpoint!r} {problem}")
@@ -192,7 +201,7 @@ def build_topology(n: int, edges) -> GridTopology:
     arrays; only a faulty list is walked edge by edge, so that each message
     quotes the first bad edge as given.
     """
-    if not _is_integer_type(type(n)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
     if not isinstance(edges, Iterable):
         raise TopologyError(f"edges must be an iterable of pairs, got {edges!r}")

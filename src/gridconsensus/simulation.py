@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ConvergenceCriteria, _finite_reals
+from .consensus import ConvergenceCriteria, _finite_reals, _is_list
 from .coordination import NodeCapacities, coordinate_distributed
 from .dispatch import (
     GridState,
@@ -26,7 +26,7 @@ from .dispatch import (
     generation_with_coordination,
 )
 from .errors import AuditError, ConfigError, GridConsensusError
-from .graph import GridTopology, metropolis_weight_matrix
+from .graph import GridTopology, _is_integer, metropolis_weight_matrix
 
 MODE_WITH = "with-coordination"
 MODE_WITHOUT = "without-coordination"
@@ -64,9 +64,10 @@ class ScenarioConfig:
             raise ConfigError(f"must be {MODE_WITH!r} or {MODE_WITHOUT!r}, got {self.mode!r}",
                               field="mode")
         for name in ("horizon", "seed", "leader"):
-            if type(getattr(self, name)) is not int:  # bool subclasses int
-                raise ConfigError(f"must be an integer, got {getattr(self, name)!r}",
-                                  field=name)
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"must be an integer, got {value!r}", field=name)
+            object.__setattr__(self, name, int(value))
         if self.horizon < 1:
             raise ConfigError(f"must be >= 1, got {self.horizon}", field="horizon")
         if self.seed < 0:
@@ -103,41 +104,33 @@ class ScenarioConfig:
         return self.capacities
 
 
-def _iterable(values, where: str, what: str):
-    """``values``, if it can be iterated; else ConfigError naming ``where``."""
-    try:
-        iter(values)
-    except TypeError:
-        raise ConfigError(f"expected a list of {what}, got {values!r}", field=where) from None
-    return values
-
-
-def _finite_floats(values, where: str) -> tuple[float, ...]:
-    """``values`` as floats if each is a finite real number; else
-    ConfigError naming the first entry that is not."""
+def _finite_floats(values, where: str, expected: str = "a list of numbers") -> tuple[float, ...]:
+    """``values`` as floats if each is a finite real number; else ConfigError
+    naming ``where`` (no list: ``expected`` says what was) or its first bad entry."""
     def fault(i, value, what):
         raise ConfigError(f"expected {what}, got {value!r}", field=f"{where}[{i}]")
 
-    return tuple(_finite_reals(_iterable(values, where, "numbers"), fault).tolist())
+    try:
+        return tuple(_finite_reals(values, fault).tolist())
+    except TypeError:
+        raise ConfigError(f"expected {expected}, got {values!r}", field=where) from None
 
 
 def _checked_profile(config: ScenarioConfig) -> tuple:
     """The explicit profile as tuples of floats. Its entries are checked
-    first, in document order (each row a list, tuple or 1-D array), then
-    the step count, then each step in turn: its row width, its node bounds
-    and its total. The first fault raises ConfigError whose field names
-    the entry as a config file holds it."""
+    first, in document order (the profile and each row a list, a tuple or
+    an array), then the step count, then each step in turn: its row width,
+    its node bounds and its total. The first fault raises ConfigError whose
+    field names the entry as a config file holds it."""
     where = f"{SOURCES[config.mode]}.values"
     if config.mode == MODE_WITH:
         profile = _finite_floats(config.profile, where)
+    elif _is_list(config.profile):
+        profile = tuple(_finite_floats(row, f"{where}[{k}]", "a per-node list")
+                        for k, row in enumerate(config.profile))
     else:
-        rows = []
-        for k, row in enumerate(_iterable(config.profile, where, "per-node lists")):
-            if not isinstance(row, (list, tuple)) and getattr(row, "ndim", 0) != 1:
-                raise ConfigError(f"expected a per-node list, got {row!r}",
-                                  field=f"{where}[{k}]")
-            rows.append(_finite_floats(row, f"{where}[{k}]"))
-        profile = tuple(rows)
+        raise ConfigError(f"expected a list of per-node lists, got {config.profile!r}",
+                          field=where)
     caps = config.capacities
     lower, upper = caps.total_gen_lo, caps.total_gen_hi
     if len(profile) != config.horizon:
@@ -278,10 +271,7 @@ def run(config: ScenarioConfig) -> SimulationRecord:
     caps = config.capacities
     s_weights = metropolis_weight_matrix(config.topology)
 
-    if config.initial_generation is not None:
-        p_G0 = np.asarray(config.initial_generation, dtype=float)
-    else:
-        p_G0 = caps.gen_lo.copy()
+    p_G0 = caps.gen_lo if config.initial_generation is None else config.initial_generation
     state = GridState.initial(p_G0)
 
     if config.mode == MODE_WITH:

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from gridconsensus import (
     CapacityError,
     ConfigError,
+    ConvergenceCriteria,
+    GridConsensusError,
     MODE_WITH,
     MODE_WITHOUT,
     NodeCapacities,
@@ -22,6 +24,7 @@ from gridconsensus import (
     TopologyError,
     build_topology,
     config_to_dict,
+    coordinate_distributed,
     default_config_path,
     dump_config,
     load_config,
@@ -457,6 +460,93 @@ class TestBuiltInPython:
         assert config.profile == (tuple(rows[0].tolist()),) * 2
 
 
+NOT_NUMBER_LISTS = {
+    "generator": lambda good: (v for v in good),
+    "set": lambda good: set(good),
+    "dict": lambda good: dict.fromkeys(good),
+    "empty-string": lambda good: "",
+    "number": lambda good: 150.0,
+    "0-d": lambda good: np.array(150.0),
+    "2-D": lambda good: np.atleast_2d(good),
+}
+
+
+@pytest.mark.parametrize("name", NOT_NUMBER_LISTS)
+def test_every_list_site_takes_the_same_lists(name):
+    # A list of numbers is a list, a tuple or an array of one or more
+    # dimensions; anything else is refused with the error of its site,
+    # never a bare TypeError or ValueError. A 2-D array's entries are its
+    # rows, so it is a list of rows and no list of numbers.
+    kind = NOT_NUMBER_LISTS[name]
+    base = replace(load_config(default_config_path("with")), horizon=2, profile=(150.0, 160.0))
+    caps = base.capacities
+    row = tuple(caps.gen_lo.tolist())
+    without = replace(base, mode=MODE_WITHOUT, profile=(row, row))
+    sites = {
+        "gen_lo": lambda: NodeCapacities(gen_lo=kind(caps.gen_lo.tolist()), gen_hi=caps.gen_hi,
+                                         net_lo=caps.net_lo, net_hi=caps.net_hi),
+        "demand.values": lambda: replace(base, profile=kind(base.profile)),
+        "desired.values": lambda: replace(without, profile=kind(without.profile)),
+        "desired.values[0]": lambda: replace(without, profile=(kind(row), row)),
+        "initial_generation": lambda: replace(base, initial_generation=kind(row)),
+    }
+    built = set()
+    for where, build in sites.items():
+        try:
+            config = build()
+        except CapacityError as exc:
+            assert str(exc).startswith(("gen_lo must be a 1-D array", "node 1: gen_lo"))
+        except ConfigError as exc:
+            assert exc.field.startswith(where)
+        else:
+            built.add(where)
+            assert config.profile == without.profile
+    assert built == ({"desired.values"} if name == "2-D" else set())
+
+
+INTEGER_KINDS = {"int": int, "int8": np.int8, "int64": np.int64, "uint16": np.uint16,
+                 "bool": bool, "bool_": np.bool_, "float": float, "str": str}
+
+
+@pytest.mark.parametrize("kind", INTEGER_KINDS.values(), ids=INTEGER_KINDS)
+def test_every_integer_site_takes_the_same_integers(kind):
+    # an int or a numpy integer, and no bool, is an integer everywhere,
+    # and is stored as an int
+    value = kind(1)
+    base = load_config(default_config_path("with"))
+    doc = config_to_dict(base)
+    doc["nodes"][0]["id"] = value
+
+    def coordinate():  # keeps no leader, so nothing is stored
+        coordinate_distributed(150.0, base.capacities, base.topology, leader=value)
+
+    sites = {
+        "n": lambda: build_topology(value, []).n,
+        "endpoint": lambda: build_topology(2, [(value, 2)]).edges[0][0],
+        "node id": lambda: parse_config(doc),
+        "horizon": lambda: replace(base, horizon=value),
+        "seed": lambda: replace(base, seed=value),
+        "leader": lambda: replace(base, leader=value),
+        "max_iters": lambda: replace(base, criteria=ConvergenceCriteria(max_iters=value)),
+        "coordinate_distributed": coordinate,
+    }
+    accepted = {}
+    for where, build in sites.items():
+        try:
+            accepted[where] = build()
+        except (GridConsensusError, ValueError):
+            pass
+    assert sorted(accepted) == (sorted(sites) if kind in (int, np.int8, np.int64, np.uint16)
+                                else [])
+    for got in accepted.values():
+        if isinstance(got, ScenarioConfig):
+            settings = (got.horizon, got.seed, got.leader, got.criteria.max_iters)
+            assert all(type(v) is int for v in settings)
+            json.dumps(config_to_dict(got))
+        elif got is not None:
+            assert type(got) is int
+
+
 def reference_node_bounds(nodes):
     """The node list checked one node at a time, as ``parse_config`` did
     before its checks ran on whole lists: [gen_lo, gen_hi, net_lo, net_hi]
@@ -480,7 +570,7 @@ def reference_node_bounds(nodes):
                     raise ConfigError("required field is missing", field=key)
                 if key == "id":
                     node_id = node["id"]
-                    if isinstance(node_id, bool) or not isinstance(node_id, int):
+                    if isinstance(node_id, bool) or not isinstance(node_id, (int, np.integer)):
                         raise ConfigError(f"expected an integer, got {node_id!r}",
                                           field=f"{where}.id")
                     if not 1 <= node_id <= n:
@@ -504,7 +594,7 @@ def reference_node_bounds(nodes):
 
 BAD_NUMBERS = (True, False, "7", None, [1.0], float("inf"), float("-inf"), float("nan"),
                10**400, -(10**400))
-BAD_IDS = (True, "1", None, 2.0, 2**63, -(2**63) - 1, -1, 0, np.int64(1))
+BAD_IDS = (True, np.True_, "1", None, 2.0, 2**63, -(2**63) - 1, -1, 0, np.uint64(2**64 - 1))
 BAD_PAIRS = ([1.0], [1.0, 2.0, 3.0], [], (1.0, 2.0), {}, "12", None, 3)
 
 

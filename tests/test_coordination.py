@@ -102,6 +102,16 @@ class TestNodeCapacities:
                                  (caps.net_lo, [0, 0]), (caps.net_hi, [50, 50])):
             assert bounds.dtype == float and bounds.tolist() == expected
 
+    def test_bounds_are_read_only_copies(self):
+        # the caller's arrays stay the caller's: a later write into them
+        # cannot invert a bound that was checked
+        lo, hi = np.array([0.0, 5.0]), np.array([10.0, 10.0])
+        caps = NodeCapacities(gen_lo=lo, gen_hi=hi, net_lo=lo, net_hi=hi)
+        hi[0] = -5
+        assert caps.gen_hi.tolist() == caps.net_hi.tolist() == [10.0, 10.0]
+        for bounds in (caps.gen_lo, caps.gen_hi, caps.net_lo, caps.net_hi):
+            assert not bounds.flags.writeable
+
     def test_shape_mismatch(self):
         with pytest.raises(CapacityError):
             NodeCapacities(gen_lo=[0, 0], gen_hi=[1], net_lo=[0, 0], net_hi=[1, 1])

@@ -131,7 +131,6 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize(("name", "value"), [
         ("horizon", 2.5), ("horizon", True),
-        pytest.param("horizon", np.int64(2), id="horizon-int64"),
         ("leader", 1.5), ("leader", True), ("seed", 1.5), ("seed", False),
     ])
     def test_run_settings_must_be_integers(self, ref_caps, ring_chord, name, value):
