@@ -1,14 +1,16 @@
 """Scale lane: whole runs on the largest grid-like topologies.
 
-Each case runs two seeded steps on a path of 4 000 nodes or on the
-1 002-node radial feeder, in both modes, and asserts that every step
-passes its audit and the closed-form oracle of ``perfbench/checks.py``.
-Each prints its rounds per phase and its wall time. The lane sits outside
-``testpaths``, so tier-1 does not run it; run it with
+Each case runs two seeded steps on a path of 4 000 nodes, on the 1 002-node
+radial feeder or on a 100 x 100 lattice, in both modes, and asserts that
+every step passes its audit and the closed-form oracle of
+``perfbench/checks.py``. Each prints its rounds per phase and its wall
+time. The lane sits outside ``testpaths``, so tier-1 does not run it; run
+it with
 
     python -m pytest scale -q -s
 
-(``-s`` shows the printed rounds and times). It takes about a minute.
+(``-s`` shows the printed rounds and times). It takes about 30 s, of which
+the lattice's two cases take about 2.5 s.
 """
 
 from __future__ import annotations
@@ -25,9 +27,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import checks  # noqa: E402
 from conftest import feeder, path_topology, random_capacities  # noqa: E402
-from gridconsensus import MODE_WITH, MODE_WITHOUT, ScenarioConfig, run  # noqa: E402
+from gridconsensus import (  # noqa: E402
+    MODE_WITH, MODE_WITHOUT, ScenarioConfig, build_topology, run)
 
-TOPOLOGIES = {"path-4000": lambda: path_topology(4000), "feeder-1002": lambda: feeder(334)}
+
+def lattice(k: int):
+    """A k x k grid, node r k + c + 1 at row r and column c, each joined to
+    its right and lower neighbors."""
+    across = [(v, v + 1) for v in range(1, k * k + 1) if v % k]
+    down = [(v, v + k) for v in range(1, k * k - k + 1)]
+    return build_topology(k * k, across + down)
+
+
+TOPOLOGIES = {"path-4000": lambda: path_topology(4000), "feeder-1002": lambda: feeder(334),
+              "lattice-100x100": lambda: lattice(100)}
 
 
 @pytest.mark.parametrize("mode", [MODE_WITH, MODE_WITHOUT])

@@ -94,7 +94,7 @@ def cmd_validate(args) -> int:
     )
     print(
         f"topology:   {config.topology.n} nodes, "
-        f"{len(config.topology.edges)} edges, connected"
+        f"{len(config.topology.edge_array)} edges, connected"
     )
     print(
         f"capacities: consistent; aggregate generation interval "

@@ -217,7 +217,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
             }
             for i in range(caps.n)
         ],
-        "edges": [[i, j] for i, j in config.topology.edges],
+        "edges": config.topology.edge_array.tolist(),
     }
     source = {"kind": "seeded"}
     if config.profile is not None:

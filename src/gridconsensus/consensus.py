@@ -42,7 +42,10 @@ the stop or the round cap. On the measured interval, which is nearly
 exact, plain rounds fall behind early (after about 5 rounds on the
 2000-node benchmark mesh, 80 to 115 on the 120-node feeder), and a call
 then takes about ln(spread/eps)/acosh(mu) more: O(n) rounds on a radial
-feeder, where plain rounds need O(n^2).
+feeder, where plain rounds need O(n^2). The plain rounds stay, though a
+switch at t0 would save a few rounds: started at once, ratio rounds can
+trip the watch on a correct interval while their denominators settle
+(CHANGES.md has a case).
 
 Lanczos can misjudge an interval, and so the Chebyshev rounds watch the
 same bound: they fall behind at the first round t where
@@ -114,11 +117,13 @@ def _finite_reals(values, fault: Callable) -> np.ndarray:
     """``values`` read once into a float array of its own, if it is a list
     (``_is_list``; else TypeError) of finite real numbers, numpy ones
     included (a bool, a string, None, a complex number or a row is none),
-    by one type pass and one array; else ``fault(i, value, what)`` raises
-    for the first bad entry, ``what`` being "a number" or "a finite number"."""
+    by one type pass (none for a 1-D float or integer array) and one array;
+    else ``fault(i, value, what)`` raises for the first bad entry, ``what``
+    being "a number" or "a finite number"."""
     if not _is_list(values):
         raise TypeError(f"not a list of numbers: {values!r}")
-    if _all_of(values, Real):
+    typed = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiu"
+    if typed or _all_of(values, Real):
         try:
             array = np.array(values, dtype=float)
         except OverflowError:  # an integer past the float range
@@ -403,7 +408,7 @@ def flow_accumulate(
         raise ValueError("g0 entries must be finite")
 
     heads, tails = topology.edge_index_arrays()
-    terms = max(topology.degrees) + 1
+    terms = int(topology._storage.degrees.max()) + 1
 
     def node_values(h):
         return g0 + topology.incident_sums(-h, h)

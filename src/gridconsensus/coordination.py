@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .consensus import ConvergenceCriteria, _finite_reals, ratio_consensus
-from .errors import CapacityError, ConvergenceError, NotRealizableError
+from .errors import CapacityError, ConfigError, ConvergenceError, NotRealizableError
 from .graph import GridTopology, _is_integer, degree_weight_matrix
 
 
@@ -188,7 +188,8 @@ def coordinate_distributed(
     if caps.n != topology.n:
         raise CapacityError(f"capacities for {caps.n} nodes, topology has {topology.n}")
     if not _is_integer(leader) or not 1 <= leader <= topology.n:
-        raise ValueError(f"leader must be an integer in 1..{topology.n}, got {leader!r}")
+        raise ConfigError(f"leader must be an integer in 1..{topology.n}, got {leader!r}",
+                          field="leader")
     _require_realizable(p_demand, caps)
     # Nothing to negotiate when every generator is fixed: consensus cannot
     # run on a zero denominator, but the all-floors profile still answers.

@@ -298,7 +298,7 @@ def apply_step(state: GridState, delta, flows, topology: GridTopology) -> GridSt
     values it certified.
     """
     delta = _as_vector(delta, state.n, "delta")
-    flows = _as_vector(flows, len(topology.edges), "flows")
+    flows = _as_vector(flows, len(topology.edge_array), "flows")
     return GridState(p_G=state.p_G + delta, p_d=state.p_d.copy(),
                      p_F_net=topology.incident_sums(flows, -flows), k=state.k + 1)
 

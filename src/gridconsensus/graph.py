@@ -56,18 +56,33 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridTopology:
     """Undirected connected graph of power nodes.
 
-    ``edges`` holds each unordered pair once as a sorted (i, j) tuple with
-    1-based endpoints, in increasing order; ``degrees[i]`` is the degree of
-    node ``i+1``.
+    ``edge_array``, a read-only (m, 2) int64 array, holds each unordered
+    pair once as a sorted row (i, j), i < j, of 1-based endpoints, the rows
+    in increasing order; ``edges`` gives the same pairs as a tuple of
+    (i, j) int tuples, built on the first read, which nothing on the run
+    path makes. ``degrees[i]`` is the degree of node ``i+1``. Topologies
+    are equal, and hash alike, when their n and pairs are.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
     degrees: tuple[int, ...]
+
+    def __eq__(self, other):
+        if not isinstance(other, GridTopology):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self):
+        return hash((self.n, np.asarray(self.edge_array, np.int64).tobytes()))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays (heads, tails), one entry per edge."""
@@ -82,11 +97,18 @@ class GridTopology:
 
     @cached_property
     def _storage(self) -> _Storage:
-        return _Storage(self.n, self.edges)
+        return _Storage(self.n, self.edge_array)
+
+    @cached_property
+    def _edge_weights(self) -> np.ndarray:
+        s = self._storage
+        a = 1.0 / (1.0 + np.maximum(s.degrees[s.heads], s.degrees[s.tails]))
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def _degree_weights(self) -> SparseWeights:
-        stationary = 1.0 + np.asarray(self.degrees, dtype=float)
+        stationary = 1.0 + self._storage.degrees
         stationary.flags.writeable = False
         # entry (i, j) is 1/(1 + deg(j)), j the entry's column
         data = (1.0 / stationary)[self._storage.cols]
@@ -225,8 +247,9 @@ def build_topology(n: int, edges) -> GridTopology:
         raise DisconnectedGraphError(
             f"graph is disconnected: nodes {missing} unreachable from node 1"
         )
-    return GridTopology(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())),
-                        degrees=tuple(degrees.tolist()))
+    edge_array = np.stack((lo, hi), axis=1)
+    edge_array.flags.writeable = False
+    return GridTopology(n=n, edge_array=edge_array, degrees=tuple(degrees.tolist()))
 
 
 class _Storage:
@@ -239,8 +262,10 @@ class _Storage:
     i < j, gives entry (j, i) among the first m and (i, j) among the next
     m. The diagonal comes last, node by node, so the final n entries are
     the diagonal and every row has an entry. ``heads`` and ``tails`` are
-    the edges' 0-based endpoints, i - 1 and j - 1, and ``ends`` is tails
-    then heads, each a view of the entries' own arrays.
+    the edges' 0-based endpoints, i - 1 and j - 1, read from the
+    topology's ``edge_array``, and ``ends`` is tails then heads, each a
+    view of the entries' own arrays. ``degrees`` is each row's length less
+    its diagonal entry: the nodes' degrees.
 
     Column r of the (D, n) arrays ``index`` and ``where`` lists row r's
     entries in storage order: slot j holds the column and the storage
@@ -251,11 +276,12 @@ class _Storage:
     storage positions in storage order.
     """
 
-    __slots__ = ("n", "rows", "cols", "heads", "tails", "ends", "index", "where", "spill")
+    __slots__ = ("n", "rows", "cols", "heads", "tails", "ends", "degrees", "index", "where",
+                 "spill")
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
-        m = len(edges)
-        ends = np.fromiter(chain.from_iterable(edges), int, 2 * m) - 1
+    def __init__(self, n: int, edge_array: np.ndarray):
+        m = len(edge_array)
+        ends = edge_array.ravel() - 1
         nodes = np.arange(n)
         rows = np.concatenate((ends[1::2], ends[0::2], nodes))
         cols = np.concatenate((ends[0::2], ends[1::2], nodes))
@@ -274,9 +300,10 @@ class _Storage:
         where = np.full((width, n), nnz)
         where[slots] = np.flatnonzero(slotted)
         spill = np.flatnonzero(~slotted)
-        for array in (rows, cols, index, where, spill):
+        degrees = lengths - 1
+        for array in (rows, cols, degrees, index, where, spill):
             array.flags.writeable = False
-        self.n, self.rows, self.cols = n, rows, cols
+        self.n, self.rows, self.cols, self.degrees = n, rows, cols, degrees
         self.heads, self.tails, self.ends = cols[:m], rows[:m], rows[:2 * m]
         self.index, self.where, self.spill = index, where, spill
 
@@ -601,7 +628,6 @@ def metropolis_weight_matrix(topology: GridTopology) -> SparseWeights:
 
 
 def metropolis_edge_weights(topology: GridTopology) -> np.ndarray:
-    """Per-edge Metropolis-Hastings weights, aligned with topology.edges."""
-    deg = np.asarray(topology.degrees)
-    heads, tails = topology.edge_index_arrays()
-    return 1.0 / (1.0 + np.maximum(deg[heads], deg[tails]))
+    """Per-edge Metropolis-Hastings weights, aligned with topology.edges.
+    Built once per topology; every call returns the same read-only array."""
+    return topology._edge_weights

@@ -307,7 +307,7 @@ def run(config: ScenarioConfig) -> SimulationRecord:
                 step_delta = generation_with_coordination(
                     staged, coord.desired, caps, config.criteria
                 )
-                flows = np.zeros(len(config.topology.edges))
+                flows = np.zeros(len(config.topology.edge_array))
             else:
                 phase = "generation"
                 staged = state.with_desired(desired_rows[k])

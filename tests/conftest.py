@@ -244,5 +244,7 @@ def reference_topology(n: int, edges) -> GridTopology:
         raise DisconnectedGraphError(
             f"graph is disconnected: nodes {missing} unreachable from node 1"
         )
-    return GridTopology(n=n, edges=tuple(canonical),
+    edge_array = np.array(canonical, dtype=np.int64).reshape(-1, 2)
+    edge_array.flags.writeable = False
+    return GridTopology(n=n, edge_array=edge_array,
                         degrees=tuple(len(nbrs) for nbrs in adjacency[1:]))

@@ -468,6 +468,8 @@ NOT_NUMBER_LISTS = {
     "number": lambda good: 150.0,
     "0-d": lambda good: np.array(150.0),
     "2-D": lambda good: np.atleast_2d(good),
+    "bool-array": lambda good: np.array(good) > 0,
+    "complex-array": lambda good: np.array(good, dtype=complex),
 }
 
 
@@ -502,6 +504,35 @@ def test_every_list_site_takes_the_same_lists(name):
             built.add(where)
             assert config.profile == without.profile
     assert built == ({"desired.values"} if name == "2-D" else set())
+
+
+NUMBER_ARRAYS = {"float64": np.float64, "float32": np.float32, "int64": np.int64,
+                 "uint16": np.uint16}
+
+
+@pytest.mark.parametrize("dtype", NUMBER_ARRAYS.values(), ids=NUMBER_ARRAYS)
+def test_every_list_site_takes_float_and_integer_arrays(dtype):
+    # read with no pass over the entries' types, into the floats a list of
+    # the same numbers gives; a bad entry is still named by its index
+    base = replace(load_config(default_config_path("with")), horizon=2, profile=(150.0, 160.0))
+    caps = base.capacities
+    row = tuple(caps.gen_lo.tolist())
+    without = replace(base, mode=MODE_WITHOUT, profile=(row, row))
+
+    def kind(good):
+        return np.array(good).astype(dtype)
+
+    built = NodeCapacities(gen_lo=kind(row), gen_hi=caps.gen_hi, net_lo=caps.net_lo,
+                           net_hi=caps.net_hi)
+    assert built.gen_lo.tolist() == list(row)
+    assert replace(base, profile=kind(base.profile)).profile == base.profile
+    assert replace(without, profile=kind(without.profile)).profile == without.profile
+    assert replace(without, profile=(kind(row), row)).profile == without.profile
+    assert replace(base, initial_generation=kind(row)).initial_generation == row
+    if np.dtype(dtype).kind == "f":
+        with pytest.raises(ConfigError) as info:
+            replace(base, profile=kind([150.0, np.inf]))
+        assert info.value.field == "demand.values[1]"
 
 
 INTEGER_KINDS = {"int": int, "int8": np.int8, "int64": np.int64, "uint16": np.uint16,

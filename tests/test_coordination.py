@@ -8,6 +8,7 @@ import pytest
 
 from gridconsensus import (
     CapacityError,
+    ConfigError,
     ConvergenceCriteria,
     ConvergenceError,
     NodeCapacities,
@@ -215,6 +216,14 @@ class TestDistributed:
         for leader in (1.5, 2.0, True):
             with pytest.raises(ValueError, match="leader must be an integer"):
                 coordinate_distributed(150.0, ref_caps, ring_chord, leader=leader)
+
+    def test_bad_leader_is_a_config_error(self, ref_caps, ring_chord):
+        # a GridConsensusError naming its field, like ScenarioConfig's check
+        for leader in (0, ring_chord.n + 1, True):
+            with pytest.raises(ConfigError) as info:
+                coordinate_distributed(150.0, ref_caps, ring_chord, leader=leader)
+            assert info.value.field == "leader"
+            assert f"must be an integer in 1..{ring_chord.n}, got {leader!r}" in str(info.value)
 
     def test_size_mismatch(self, ref_caps, path3):
         with pytest.raises(CapacityError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gridconsensus import (
     DisconnectedGraphError,
     DuplicateEdgeError,
     EndpointOutOfRangeError,
+    GridTopology,
     SelfLoopError,
     SparseWeights,
     TopologyError,
@@ -257,6 +259,48 @@ def test_numpy_node_count_is_an_integer():
 def test_edges_that_are_not_iterable_are_a_topology_error(edges):
     with pytest.raises(TopologyError, match=rf"^edges must be an iterable of pairs, got {edges}$"):
         build_topology(3, edges)
+
+
+def test_edges_are_stored_once_as_a_read_only_array():
+    topo = build_topology(4, [(3, 2), (1, 2), (4, 3)])
+    assert topo.edge_array.dtype == np.int64 and topo.edge_array.shape == (3, 2)
+    assert topo.edge_array.tolist() == [[1, 2], [2, 3], [3, 4]]
+    with pytest.raises(ValueError):
+        topo.edge_array[0, 0] = 2
+    assert build_topology(1, []).edge_array.shape == (0, 2)
+    # the tuples are built on the first read, not with the topology
+    assert "edges" not in vars(topo)
+    assert topo.edges is topo.edges
+
+
+def test_equal_topologies_compare_and_hash_alike():
+    # on n and the pairs, whichever array holds them and whether or not
+    # the tuples were read
+    a = build_topology(3, [(1, 2), (2, 3)])
+    b = GridTopology(n=3, edge_array=np.array([[1, 2], [2, 3]]), degrees=(1, 2, 1))
+    assert a.edges == ((1, 2), (2, 3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a == reference_topology(3, [(3, 2), (2, 1)])
+    assert a != build_topology(3, [(1, 2), (1, 3)])
+    assert a != build_topology(4, [(1, 2), (2, 3), (3, 4)])
+    assert a != (3, ((1, 2), (2, 3)))
+
+
+def test_topology_keeps_no_python_object_per_edge():
+    # about 60 000 edges: the (m, 2) int64 array is 16 bytes an edge, the
+    # degrees tuple 8 bytes a node; a tuple per edge would add 64 or more
+    n = 20_000
+    edges = [(i, i + s) for s in (1, 2, 3) for i in range(1, n - s + 1)]
+    assert len(edges) == 59_994
+    build_topology(3, [(1, 2), (2, 3)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        topo = build_topology(n, edges)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert topo.n == n and kept <= 32 * len(edges)
 
 
 def test_edge_index_arrays():

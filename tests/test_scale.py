@@ -10,7 +10,8 @@ rounds, the ring on flows (its flows are not subtree sums) and the
 1002-node feeder on flows alone, its cheaper engine call. Path-1500
 checks that flow control certifies the flows it exports: a run without
 coordination passes every audit there. Parsing is checked at the largest
-sizes: a 10 000-node mesh and a 2 000-node path.
+sizes: a 10 000-node mesh and a 2 000-node path. A 2 000-node mesh parses,
+runs in both modes and exports without building its tuples of edges.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from gridconsensus import (
     compute_delta_bounds,
     coordinate_closed_form,
     degree_weight_matrix,
+    export_record,
     flow_accumulate,
     flow_closed_form,
     flow_control,
@@ -220,3 +222,21 @@ def test_large_documents_parse_to_the_reference_topology(n, kind):
     assert config.capacities.gen_hi.tolist() == (node % 7 + 10.5).tolist()
     assert config.capacities.net_lo.tolist() == [-1.0] * n
     assert config.capacities.net_hi.tolist() == (node % 7 + 20.0).tolist()
+
+
+@pytest.mark.parametrize("mode", ["with", "without"])
+def test_a_mesh_runs_and_exports_without_edge_tuples(mode, tmp_path):
+    # parsing, both modes' runs and the export read the edge array only:
+    # no topology builds its tuple of edge tuples on the way
+    n = 2_000
+    edges = stub_paired_mesh(n, 6, random.Random(f"mesh/{n}"))
+    nodes = [{"id": i, "gen": [i % 7, i % 7 + 10.5], "net": [-1, i % 7 + 20]}
+             for i in range(1, n + 1)]
+    source = "demand" if mode == "with" else "desired"
+    doc = {"mode": mode, "horizon": 2, "nodes": nodes, "edges": edges,
+           source: {"kind": "seeded"}}
+    config = parse_config(json.loads(json.dumps(doc)))
+    record = run(config)
+    export_record(record, tmp_path)
+    assert record.all_audits_passed
+    assert "edges" not in vars(config.topology)
