@@ -117,13 +117,11 @@ def _finite_reals(values, fault: Callable) -> np.ndarray:
     """``values`` read once into a float array of its own, if it is a list
     (``_is_list``; else TypeError) of finite real numbers, numpy ones
     included (a bool, a string, None, a complex number or a row is none),
-    by one type pass (none for a 1-D float or integer array) and one array;
-    else ``fault(i, value, what)`` raises for the first bad entry, ``what``
-    being "a number" or "a finite number"."""
+    by one type pass and one array; else ``fault(i, value, what)`` raises
+    for the first bad entry, ``what`` being "a number" or "a finite number"."""
     if not _is_list(values):
         raise TypeError(f"not a list of numbers: {values!r}")
-    typed = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiu"
-    if typed or _all_of(values, Real):
+    if _all_of(values, Real):
         try:
             array = np.array(values, dtype=float)
         except OverflowError:  # an integer past the float range
@@ -408,7 +406,7 @@ def flow_accumulate(
         raise ValueError("g0 entries must be finite")
 
     heads, tails = topology.edge_index_arrays()
-    terms = int(topology._storage.degrees.max()) + 1
+    terms = topology.max_degree + 1
 
     def node_values(h):
         return g0 + topology.incident_sums(-h, h)

@@ -64,13 +64,13 @@ class GridTopology:
     pair once as a sorted row (i, j), i < j, of 1-based endpoints, the rows
     in increasing order; ``edges`` gives the same pairs as a tuple of
     (i, j) int tuples, built on the first read, which nothing on the run
-    path makes. ``degrees[i]`` is the degree of node ``i+1``. Topologies
-    are equal, and hash alike, when their n and pairs are.
+    path makes. ``degrees[i]``, also built on the first read, is the degree
+    of node ``i+1``, and ``max_degree`` the largest. Topologies are equal,
+    and hash alike, when their n and pairs are.
     """
 
     n: int
     edge_array: np.ndarray
-    degrees: tuple[int, ...]
 
     def __eq__(self, other):
         if not isinstance(other, GridTopology):
@@ -83,6 +83,14 @@ class GridTopology:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self._storage.degrees.tolist())
+
+    @cached_property
+    def max_degree(self) -> int:
+        return int(self._storage.degrees.max())
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays (heads, tails), one entry per edge."""
@@ -249,7 +257,7 @@ def build_topology(n: int, edges) -> GridTopology:
         )
     edge_array = np.stack((lo, hi), axis=1)
     edge_array.flags.writeable = False
-    return GridTopology(n=n, edge_array=edge_array, degrees=tuple(degrees.tolist()))
+    return GridTopology(n=n, edge_array=edge_array)
 
 
 class _Storage:

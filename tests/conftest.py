@@ -246,5 +246,4 @@ def reference_topology(n: int, edges) -> GridTopology:
         )
     edge_array = np.array(canonical, dtype=np.int64).reshape(-1, 2)
     edge_array.flags.writeable = False
-    return GridTopology(n=n, edge_array=edge_array,
-                        degrees=tuple(len(nbrs) for nbrs in adjacency[1:]))
+    return GridTopology(n=n, edge_array=edge_array)

@@ -512,8 +512,8 @@ NUMBER_ARRAYS = {"float64": np.float64, "float32": np.float32, "int64": np.int64
 
 @pytest.mark.parametrize("dtype", NUMBER_ARRAYS.values(), ids=NUMBER_ARRAYS)
 def test_every_list_site_takes_float_and_integer_arrays(dtype):
-    # read with no pass over the entries' types, into the floats a list of
-    # the same numbers gives; a bad entry is still named by its index
+    # read into the floats a list of the same numbers gives; a bad entry is
+    # still named by its index
     base = replace(load_config(default_config_path("with")), horizon=2, profile=(150.0, 160.0))
     caps = base.capacities
     row = tuple(caps.gen_lo.tolist())

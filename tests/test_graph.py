@@ -269,15 +269,16 @@ def test_edges_are_stored_once_as_a_read_only_array():
         topo.edge_array[0, 0] = 2
     assert build_topology(1, []).edge_array.shape == (0, 2)
     # the tuples are built on the first read, not with the topology
-    assert "edges" not in vars(topo)
-    assert topo.edges is topo.edges
+    assert "edges" not in vars(topo) and "degrees" not in vars(topo)
+    assert topo.edges is topo.edges and topo.degrees is topo.degrees
+    assert topo.degrees == (1, 2, 2, 1) and topo.max_degree == 2
 
 
 def test_equal_topologies_compare_and_hash_alike():
     # on n and the pairs, whichever array holds them and whether or not
     # the tuples were read
     a = build_topology(3, [(1, 2), (2, 3)])
-    b = GridTopology(n=3, edge_array=np.array([[1, 2], [2, 3]]), degrees=(1, 2, 1))
+    b = GridTopology(n=3, edge_array=np.array([[1, 2], [2, 3]]))
     assert a.edges == ((1, 2), (2, 3))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a == reference_topology(3, [(3, 2), (2, 1)])
@@ -287,8 +288,8 @@ def test_equal_topologies_compare_and_hash_alike():
 
 
 def test_topology_keeps_no_python_object_per_edge():
-    # about 60 000 edges: the (m, 2) int64 array is 16 bytes an edge, the
-    # degrees tuple 8 bytes a node; a tuple per edge would add 64 or more
+    # about 60 000 edges: the (m, 2) int64 array is 16 bytes an edge; a
+    # tuple per edge would add 64 or more
     n = 20_000
     edges = [(i, i + s) for s in (1, 2, 3) for i in range(1, n - s + 1)]
     assert len(edges) == 59_994
