@@ -13,8 +13,9 @@ not a number``), ``ConvergenceCriteria`` ``eps`` and ``max_iters``, and
 so a config built in Python raises the same ConfigError as its file, and a
 file that loads can run. An integer is an int or a numpy integer, no bool,
 kept as an int; a list of numbers is a list, a tuple or an array, read once
-into floats. Lists are checked whole, by type passes and array comparisons;
-only a faulty list is walked, to name its first bad entry.
+into floats. Lists are checked whole, by type passes and array comparisons,
+and the edges' connectivity by label passes over their arrays; only a
+faulty list is walked, to name its first bad entry.
 """
 
 from __future__ import annotations

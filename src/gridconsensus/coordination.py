@@ -187,9 +187,10 @@ def coordinate_distributed(
     """
     if caps.n != topology.n:
         raise CapacityError(f"capacities for {caps.n} nodes, topology has {topology.n}")
-    if not _is_integer(leader) or not 1 <= leader <= topology.n:
-        raise ConfigError(f"leader must be an integer in 1..{topology.n}, got {leader!r}",
-                          field="leader")
+    if not _is_integer(leader):
+        raise ConfigError(f"must be an integer, got {leader!r}", field="leader")
+    if not 1 <= leader <= topology.n:
+        raise ConfigError(f"{leader} outside 1..{topology.n}", field="leader")
     _require_realizable(p_demand, caps)
     # Nothing to negotiate when every generator is fixed: consensus cannot
     # run on a zero denominator, but the all-floors profile still answers.

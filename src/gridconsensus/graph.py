@@ -39,7 +39,6 @@ misjudge it, so ``fallback()`` gives the same weights on a wider one;
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,21 +131,27 @@ class GridTopology:
         return SparseWeights(self._storage, data)
 
 
-def _bfs_depths(bounds, neighbors, source: int) -> list[int]:
-    """Hop distance from node ``source`` to each node, indexed by node
-    number (entry 0 unused), -1 where unreachable. Node u's 1-based
-    neighbors are ``neighbors[bounds[u - 1]:bounds[u]]``."""
-    depth = [-1] * len(bounds)
-    depth[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d = depth[u] + 1
-        for v in neighbors[bounds[u - 1]:bounds[u]]:
-            if depth[v] < 0:
-                depth[v] = d
-                queue.append(v)
-    return depth
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each node, the least node in its component, all 0-based; ``u``
+    and ``v`` hold the edges' endpoints. Label hooking with pointer jumping
+    (Shiloach & Vishkin, 1982), in whole-array passes: each round hooks,
+    across every edge both ways, one end's label (a node that is its own
+    label) to the other's where that is less, then jumps every label to
+    its label's label until none moves. Labels only fall, within their
+    component; the first round that moves none leaves every edge joining
+    equal labels, so each component's least node labels all of it.
+    """
+    label = np.arange(n)
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, label[u], label[v])
+        np.minimum.at(hooked, label[v], label[u])
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 _INTEGERS = (int, np.integer)  # and no bool: True == 1 would pass range checks
@@ -225,11 +230,11 @@ def build_topology(n: int, edges) -> GridTopology:
     Raises TopologyError for a node count, an edge iterable or an edge that
     is not one, and a distinct subclass for each other failure mode:
     endpoints not integers or outside 1..n (a bool is no integer here),
-    self-loops, duplicate edges, and disconnectedness (checked by
-    breadth-first traversal from node 1). An edge is any item of length 2,
-    such as a list, a tuple or a numpy row. The edges are checked as
-    arrays; only a faulty list is walked edge by edge, so that each message
-    quotes the first bad edge as given.
+    self-loops, duplicate edges, and disconnectedness (``_components``,
+    the nodes node 1 cannot reach named, in summary past ten, and counted).
+    An edge is any item of length 2, such as a list, a tuple or a numpy
+    row. The edges are checked as arrays; only a faulty list is walked edge
+    by edge, so that each message quotes the first bad edge as given.
     """
     if not _is_integer(n) or n < 1:
         raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
@@ -241,20 +246,11 @@ def build_topology(n: int, edges) -> GridTopology:
         _raise_edge_fault(n, edges)
     lo = keys // (n + 1)
     hi = keys - lo * (n + 1)
-    degrees = np.bincount(np.concatenate((lo, hi)), minlength=n + 1)[1:]
-
-    # Each node's neighbors in one list: each edge keyed from both ends,
-    # then the keys sorted (an index sort would fault in more of numpy's
-    # sort code). Memoryviews hand the traversal one int at a time, where
-    # tolist() would hold an object per entry; both show in peak memory.
-    neighbors = memoryview(np.sort(np.concatenate((keys, hi * (n + 1) + lo))) % (n + 1))
-    bounds = memoryview(np.concatenate(([0], np.cumsum(degrees))))
-    depth = _bfs_depths(bounds, neighbors, 1)
-    if depth.count(-1) > 1:
-        missing = [v for v in range(1, n + 1) if depth[v] < 0]
-        raise DisconnectedGraphError(
-            f"graph is disconnected: nodes {missing} unreachable from node 1"
-        )
+    unreachable = np.flatnonzero(_components(n, lo - 1, hi - 1))
+    if unreachable.size:
+        nodes = np.array2string(unreachable + 1, separator=", ", threshold=10)
+        raise DisconnectedGraphError(f"graph is disconnected: nodes {nodes} unreachable "
+                                     f"from node 1 ({unreachable.size} of {n})")
     edge_array = np.stack((lo, hi), axis=1)
     edge_array.flags.writeable = False
     return GridTopology(n=n, edge_array=edge_array)

@@ -241,9 +241,9 @@ def reference_topology(n: int, edges) -> GridTopology:
                 queue.append(v)
     if len(reached) < n:
         missing = [v for v in range(1, n + 1) if v not in reached]
-        raise DisconnectedGraphError(
-            f"graph is disconnected: nodes {missing} unreachable from node 1"
-        )
+        nodes = np.array2string(np.array(missing), separator=", ", threshold=10)
+        raise DisconnectedGraphError(f"graph is disconnected: nodes {nodes} unreachable "
+                                     f"from node 1 ({len(missing)} of {n})")
     edge_array = np.array(canonical, dtype=np.int64).reshape(-1, 2)
     edge_array.flags.writeable = False
     return GridTopology(n=n, edge_array=edge_array)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -132,8 +133,9 @@ def test_duplicate_edge_rejected():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(DisconnectedGraphError) as info:
         build_topology(4, [(1, 2), (3, 4)])
+    assert str(info.value) == "graph is disconnected: nodes [3, 4] unreachable from node 1 (2 of 4)"
     with pytest.raises(DisconnectedGraphError):
         build_topology(2, [])
 
@@ -224,22 +226,81 @@ def test_pairs_of_other_sequences_are_edges():
     assert type(info.value) is TopologyError
 
 
-def compressed_rows(neighbors):
-    """Per-node neighbor lists as (indptr, indices)."""
-    indptr = [0]
-    for nbrs in neighbors:
-        indptr.append(indptr[-1] + len(nbrs))
-    return indptr, [v for nbrs in neighbors for v in nbrs]
+@st.composite
+def split_graphs(draw):
+    """A node count and edge list of 1 to 4 components, each a random tree
+    plus chords, or an isolated node, the nodes relabelled by a random
+    permutation and the edges listed in random order."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    edges, start = [], 0
+    for size in sizes:
+        for v in range(1, size):
+            edges.append((start + draw(st.integers(0, v - 1)), start + v))
+        for i, j in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(0, size - 1)), max_size=3)):
+            chord = (start + min(i, j), start + max(i, j))
+            if i != j and chord not in edges:
+                edges.append(chord)
+        start += size
+    label = draw(st.permutations(range(1, start + 1)))
+    return start, [(label[i], label[j]) for i, j in draw(st.permutations(edges))]
 
 
-def test_bfs_depths_are_hop_distances_from_the_source():
-    # the traversal behind the connectivity check: entry 0 unused, -1 for
-    # a node the source cannot reach
-    star = compressed_rows(neighbor_lists(build_topology(5, [(1, 2), (1, 3), (1, 4), (4, 5)])))
-    assert graph_mod._bfs_depths(*star, 1) == [-1, 0, 1, 1, 1, 2]
-    assert graph_mod._bfs_depths(*star, 5) == [-1, 2, 3, 3, 1, 0]
-    split = compressed_rows(((2,), (1,), (4,), (3,)))
-    assert graph_mod._bfs_depths(*split, 3) == [-1, -1, -1, 0, 1]
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(graph=split_graphs())
+def test_connectivity_matches_the_reference_search(graph):
+    # one component builds the reference's topology; more raise its
+    # DisconnectedGraphError, naming the same nodes in the same words
+    n, edges = graph
+    assert topology_or_error(build_topology, n, edges) == \
+        topology_or_error(reference_topology, n, edges)
+
+
+def zigzag_path(n):
+    # 1, n, 2, n - 1, ...: each edge joins a low label to a high one
+    order = [k for pair in zip(range(1, n + 1), range(n, 0, -1)) for k in pair][:n]
+    return list(zip(order, order[1:]))
+
+
+FIXED_GRAPHS = {
+    "single-node": (1, []),
+    "zigzag-path": (1000, zigzag_path(1000)),
+    "star-hub-last": (1000, [(i, 1000) for i in range(1, 1000)]),
+    "binary-tree": (1023, [(i // 2, i) for i in range(2, 1024)]),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_GRAPHS)
+def test_connectivity_of_fixed_graphs_matches_the_reference(name):
+    # whole, each graph is connected; with its last edge gone, it is not
+    n, edges = FIXED_GRAPHS[name]
+    assert build_topology(n, edges) == reference_topology(n, edges)
+    if edges:
+        built = topology_or_error(build_topology, n, edges[:-1])
+        assert built[0] is DisconnectedGraphError
+        assert built == topology_or_error(reference_topology, n, edges[:-1])
+
+
+def test_large_lattice_connectivity_names_the_cut_off_nodes():
+    # a 200 x 200 lattice under shuffled labels is one component; cut the
+    # edges across one column boundary and the side without node 1 is
+    # unreachable, named in summary with its count
+    k = 200
+    cell = np.arange(k * k).reshape(k, k)
+    label = np.random.default_rng(5).permutation(k * k) + 1
+    across = np.stack((cell[:, :-1].ravel(), cell[:, 1:].ravel()), axis=1)
+    down = np.stack((cell[:-1].ravel(), cell[1:].ravel()), axis=1)
+    assert build_topology(k * k, label[np.concatenate((across, down))]).n == k * k
+    cut = 120
+    kept = across[across[:, 0] % k != cut - 1]
+    assert len(kept) == len(across) - k
+    sides = label[cell[:, :cut]], label[cell[:, cut:]]
+    missing = np.sort(sides[1] if 1 in sides[0] else sides[0], axis=None)
+    shown = np.array2string(missing, separator=", ", threshold=10)
+    message = f"nodes {shown} unreachable from node 1 ({missing.size} of {k * k})"
+    assert "..." in shown
+    with pytest.raises(DisconnectedGraphError, match=re.escape(message)):
+        build_topology(k * k, label[np.concatenate((kept, down))])
 
 
 def test_bad_node_count():
