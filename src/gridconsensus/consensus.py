@@ -63,8 +63,6 @@ again. Plain rounds run only before the switch. Sums are preserved
 throughout, so a widening loses nothing, and a wrong interval costs
 rounds, never the result. A flow call whose spread is within eps of its
 floor, which no round removes, stops there instead.
-Dense ``np.ndarray`` weights carry no interval and stay plain: they are
-the reference engine.
 
 ``_rounds`` checks its rounds in blocks. It runs a block's rounds one
 after another, keeping each round's arrays, and then one pass computes
@@ -213,7 +211,7 @@ def _block_after(spread: float | None, eps: float, rate: float, longest: int) ->
 
 
 def _rounds(
-    plain: Callable, chebyshev: Callable, state: np.ndarray, weights,
+    plain: Callable, chebyshev: Callable, state: np.ndarray, weights: SparseWeights,
     criteria: ConvergenceCriteria, values: Callable, spreads: Callable, floor: Callable,
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Run rounds t = 1, 2, ... on the array ``state`` until the spread
@@ -241,11 +239,10 @@ def _rounds(
     and restart at 1 after the switch and after every fallback; later ones
     run the rounds the interval's rate predicts from the last spread
     (``_block_after``). A block holds at most _BLOCK rounds, and at most
-    _BLOCK_BYTES of their arrays. Dense weights stay plain.
+    _BLOCK_BYTES of their arrays.
     """
     eps, cap = criteria.eps, criteria.max_iters
-    sparse = isinstance(weights, SparseWeights)
-    rate = math.acosh(_chebyshev_mu(weights.interval)) if sparse else 0.0
+    rate = math.acosh(_chebyshev_mu(weights.interval))
     step, omegas, limit = plain, repeat(1.0), None
     prev, v = state, values(state)
     size = state.nbytes + (0 if v is None else v.nbytes)
@@ -269,7 +266,7 @@ def _rounds(
             if limit is None:
                 t0, limit = u, 2.0 * s
             # math.cosh overflows past 710; at 700 any spread above limit / 1e304 fails
-            elif sparse and s * math.cosh(min((u - t0) * rate, 700.0)) > limit:
+            elif s * math.cosh(min((u - t0) * rate, 700.0)) > limit:
                 if step is not plain:
                     if s <= eps + floor(rounds[i][0]):
                         return u, rounds[i][0], rows[i]
@@ -287,7 +284,7 @@ def _rounds(
                 block = _block_after(s, eps, rate, longest)
             else:
                 block = min(2 * block, longest)
-                if sparse and limit is not None and s is not None:
+                if limit is not None and s is not None:
                     # spreads of plain rounds do not grow past s, so no round
                     # trips the watch before cosh((u - t0) rate) > limit / s
                     reach = math.acosh(max(1.0, limit / s)) / rate
@@ -301,18 +298,15 @@ def _rounds(
 
 
 def ratio_consensus(
-    weights: SparseWeights | np.ndarray, x0, y0, criteria: ConvergenceCriteria
+    weights: SparseWeights, x0, y0, criteria: ConvergenceCriteria
 ) -> ConsensusResult:
     """Run x and y through the same sum-preserving iteration and return the
     per-node ratios x_i/y_i, which all converge to sum(x0)/sum(y0).
 
     x and y are the two columns of one (n, 2) array z, and one round is
-    ``weights @ z``: on ``SparseWeights`` one slot-major product over the
-    edges' entries, O(n + m) per round, each column bit for bit a product
-    of its own; a dense n x n array gives the plain dense iteration, which
-    tests keep as the reference. The two add each row in a different order,
-    so their values differ by float dust. ``weights`` must be n x n for
-    n-entry x0 and y0.
+    ``weights @ z``: one slot-major product over the edges' entries,
+    O(n + m) per round, each column bit for bit a product of its own.
+    ``weights`` must be n x n for n-entry x0 and y0.
 
     Convergence is judged on the ratio vector, not on x and y separately:
     every round preserves sum(x) and sum(y), so once every denominator
@@ -322,12 +316,15 @@ def ratio_consensus(
     ``eps`` of the limit. (Plain rounds also shrink the spread
     monotonically; Chebyshev rounds need not.)
 
-    Raises ValueError, before any round, if x0 or y0 holds a nan or an
+    Raises, before any round, TypeError if ``weights`` is not
+    ``SparseWeights`` and ValueError if x0 or y0 holds a nan or an
     infinity, which no round removes, or if y0 holds a negative entry or
     no positive one; ConvergenceError at the round cap, whose ``values``
     are that round's ratios, nan where a denominator is at or below the
     floor.
     """
+    if not isinstance(weights, SparseWeights):
+        raise TypeError(f"weights must be SparseWeights, got {type(weights).__name__}")
     x = np.asarray(x0, dtype=float)
     y = np.asarray(y0, dtype=float)
     if x.shape != y.shape:
@@ -362,7 +359,7 @@ def ratio_consensus(
 
 def flow_accumulate(
     topology: GridTopology,
-    weights: SparseWeights | np.ndarray,
+    weights: SparseWeights,
     g0,
     criteria: ConvergenceCriteria,
 ) -> FlowAccumulator:
@@ -393,9 +390,12 @@ def flow_accumulate(
     Where h no longer moves, the increment is within them, so
     |g_j - g_i| <= 3 (1 - c) u |h_e| / a_e < 6 u |h_e| / a_e, as c > -1;
     summed along a path, the spread is at most 6 u sum_e |h_e| / a_e
-    <= 6 u (d + 1) sum_e |h_e|. Raises ValueError, before any round, if
-    g0 holds a nan or an infinity, and ConvergenceError at the round cap.
+    <= 6 u (d + 1) sum_e |h_e|. Raises, before any round, TypeError if
+    ``weights`` is not ``SparseWeights`` and ValueError if g0 holds a nan
+    or an infinity; ConvergenceError at the round cap.
     """
+    if not isinstance(weights, SparseWeights):
+        raise TypeError(f"weights must be SparseWeights, got {type(weights).__name__}")
     n = topology.n
     if weights.shape != (n, n):
         raise ValueError(f"weight shape {weights.shape} does not match {n} nodes")

@@ -233,7 +233,7 @@ def generation_distributed(
 def flow_control(
     state_after_gen: GridState,
     topology: GridTopology,
-    weights: SparseWeights | np.ndarray,
+    weights: SparseWeights,
     caps: NodeCapacities,
     criteria: ConvergenceCriteria = ConvergenceCriteria(),
 ) -> FlowControlResult:

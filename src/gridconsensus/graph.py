@@ -63,9 +63,10 @@ class GridTopology:
     pair once as a sorted row (i, j), i < j, of 1-based endpoints, the rows
     in increasing order; ``edges`` gives the same pairs as a tuple of
     (i, j) int tuples, built on the first read, which nothing on the run
-    path makes. ``degrees[i]``, also built on the first read, is the degree
-    of node ``i+1``, and ``max_degree`` the largest. Topologies are equal,
-    and hash alike, when their n and pairs are.
+    path makes (tests and the benchmark's self-test read it).
+    ``max_degree``, also built on the first read, is the largest node
+    degree. Topologies are equal, and hash alike, when their n and pairs
+    are.
     """
 
     n: int
@@ -82,10 +83,6 @@ class GridTopology:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.edge_array.tolist()))
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self._storage.degrees.tolist())
 
     @cached_property
     def max_degree(self) -> int:

@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 from gridconsensus import (
+    DENOMINATOR_FLOOR,
+    ConsensusResult,
+    ConvergenceError,
     DisconnectedGraphError,
     DuplicateEdgeError,
     EndpointOutOfRangeError,
+    FlowAccumulator,
     GridState,
     GridTopology,
     NodeCapacities,
@@ -19,6 +23,7 @@ from gridconsensus import (
     TopologyError,
     build_topology,
     compute_delta_bounds,
+    metropolis_edge_weights,
 )
 from gridconsensus.graph import _chebyshev_mu
 
@@ -67,6 +72,12 @@ def path3():
 def path_topology(n: int):
     """Nodes 1..n in a line: the slowest-mixing tree of its size."""
     return build_topology(n, [(i, i + 1) for i in range(1, n)])
+
+
+def degrees(topology) -> np.ndarray:
+    """Each node's degree, counted from ``topology.edge_array``: entry i
+    belongs to node i + 1."""
+    return np.bincount(topology.edge_array.ravel() - 1, minlength=topology.n)
 
 
 def neighbor_lists(topology):
@@ -247,3 +258,44 @@ def reference_topology(n: int, edges) -> GridTopology:
     edge_array = np.array(canonical, dtype=np.int64).reshape(-1, 2)
     edge_array.flags.writeable = False
     return GridTopology(n=n, edge_array=edge_array)
+
+
+def plain_ratio_consensus(dense, x0, y0, criteria):
+    """``ratio_consensus`` in plain rounds alone, z <- ``dense`` @ z on the
+    (n, 2) array z of x and y, ``dense`` an n x n array such as
+    ``weights.toarray()``: the reference the engine's slot product and
+    Chebyshev rounds are held to. It stops, as the engine does, at the
+    first round whose ratios x_i/y_i are all defined (every y_i above
+    ``DENOMINATOR_FLOOR``) and spread at most eps; at the round cap it
+    raises ConvergenceError with that round's ratios, nan where y_i is at
+    or below the floor."""
+    z = np.stack((np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)), axis=1)
+    for t in range(1, criteria.max_iters + 1):
+        z = dense @ z
+        x, y = z[:, 0], z[:, 1]
+        defined = y > DENOMINATOR_FLOOR
+        ratios = np.divide(x, y, out=np.full(x.shape, np.nan), where=defined)
+        if defined.all() and np.ptp(ratios) <= criteria.eps:
+            return ConsensusResult(values=ratios, iters=t)
+    raise ConvergenceError(f"plain rounds did not converge within {t} rounds",
+                           values=ratios, iters=t)
+
+
+def plain_flow_accumulate(topology, g0, criteria):
+    """``flow_accumulate`` in plain rounds alone: each adds a_e (g_j - g_i)
+    to h_e for every edge e = (i, j) of ``topology``, a the Metropolis edge
+    weights, and reads g = g0 plus the net inflow of the flows -h. It stops,
+    as the engine does, at the first round whose g spreads at most eps; at
+    the round cap it raises ConvergenceError with that round's g."""
+    g0 = np.asarray(g0, dtype=float)
+    heads, tails = topology.edge_index_arrays()
+    a = metropolis_edge_weights(topology)
+    h = np.zeros(heads.shape[0])
+    g = g0 + topology.incident_sums(-h, h)
+    for t in range(1, criteria.max_iters + 1):
+        h = h + a * (g[tails] - g[heads])
+        g = g0 + topology.incident_sums(-h, h)
+        if np.ptp(g) <= criteria.eps:
+            return FlowAccumulator(h=h, g=g, iters=t)
+    raise ConvergenceError(f"plain rounds did not converge within {t} rounds",
+                           values=g, iters=t)

@@ -39,22 +39,26 @@ from gridconsensus import (
 import gridconsensus.consensus as consensus_mod
 from gridconsensus.graph import _chebyshev_mu
 from conftest import path_topology as path
-from conftest import fixed_capacities, predicted_rounds, tree_topology
-from conftest import random_connected_topology
+from conftest import degrees, fixed_capacities, predicted_rounds, tree_topology
+from conftest import plain_flow_accumulate, plain_ratio_consensus, random_connected_topology
 
 CRIT = ConvergenceCriteria()
 
 
-def _values_at_cap(weights, x0, y0, criteria):
+def _values_at_cap(engine, weights, x0, y0, criteria):
+    """The ratios ``engine`` (``ratio_consensus`` or
+    ``plain_ratio_consensus``) returns, or raises with at its cap."""
     try:
-        return ratio_consensus(weights, x0, y0, criteria).values
+        return engine(weights, x0, y0, criteria).values
     except ConvergenceError as exc:
         return exc.values
 
 
-def _flow_at_cap(topology, weights, g0, cap):
+def _flow_at_cap(run, cap):
+    """The node values ``run(criteria)`` returns, or raises with, under a
+    cap of ``cap`` rounds."""
     try:
-        return flow_accumulate(topology, weights, g0, ConvergenceCriteria(max_iters=cap)).g
+        return run(ConvergenceCriteria(max_iters=cap)).g
     except ConvergenceError as exc:
         return exc.values
 
@@ -188,12 +192,11 @@ class TestRatioConsensus:
 
     @pytest.mark.usefixtures("one_round_blocks")
     def test_sparse_rounds_match_dense_reference(self):
-        # The dense matrix is the reference engine, and it always runs plain
-        # rounds. Until its switch the sparse engine runs the same plain
-        # rounds, adding each row in a different order, so values agree to
-        # float dust and a stop before the switch may move by one round.
-        # Rounds after the switch are the Chebyshev phase's, tested
-        # separately.
+        # The reference runs plain rounds of the dense matrix alone. Until
+        # its switch the engine runs the same plain rounds, adding each row
+        # in a different order, so values agree to float dust and a stop
+        # before the switch may move by one round. Rounds after the switch
+        # are the Chebyshev phase's, tested separately.
         rng = np.random.default_rng(29)
         switched = 0
         for _ in range(50):
@@ -203,20 +206,21 @@ class TestRatioConsensus:
             x0 = rng.uniform(-5, 5, n)
             y0 = rng.uniform(0.1, 4.0, n)
             sparse = ratio_consensus(q, x0, y0, CRIT)
-            dense = ratio_consensus(q.toarray(), x0, y0, CRIT)
+            dense = plain_ratio_consensus(q.toarray(), x0, y0, CRIT)
             switch = q.plain_rounds()
             if switch == sparse.iters:  # plain rounds alone
                 assert q.shifts == 0
                 assert abs(sparse.iters - dense.iters) <= 1
                 assert np.max(np.abs(sparse.values - dense.values)) <= 1e-12
                 continue
-            # the iterates of the switch round itself: both engines run to
-            # a cap of that many rounds, where they raise with their values
+            # the iterates of the switch round itself: the engine and the
+            # reference run to a cap of that many rounds, where they raise
+            # with their values
             switched += 1
             assert dense.iters > switch
             capped = ConvergenceCriteria(max_iters=switch)
-            sparse_k = _values_at_cap(degree_weight_matrix(topo), x0, y0, capped)
-            dense_k = _values_at_cap(q.toarray(), x0, y0, capped)
+            sparse_k = _values_at_cap(ratio_consensus, degree_weight_matrix(topo), x0, y0, capped)
+            dense_k = _values_at_cap(plain_ratio_consensus, q.toarray(), x0, y0, capped)
             assert np.max(np.abs(sparse_k - dense_k)) <= 1e-12
         assert 0 < switched < 50
 
@@ -289,7 +293,7 @@ class TestChebyshevPhase:
         x0 = np.linspace(0.0, 1.0, 40)
         y0 = np.ones(40)
         fast = ratio_consensus(q, x0, y0, CRIT)
-        plain = ratio_consensus(q.toarray(), x0, y0, CRIT)
+        plain = plain_ratio_consensus(q.toarray(), x0, y0, CRIT)
         switch = q.plain_rounds()
         assert switch < fast.iters <= switch + predicted_rounds(q.interval, CRIT.eps) \
             < plain.iters
@@ -313,8 +317,9 @@ class TestChebyshevPhase:
         acc = flow_accumulate(topo, s, g0, CRIT)
         assert acc.iters < 1054
         # by round K the call has left the plain rounds of the reference
-        at_k = _flow_at_cap(topo, s, g0, k)
-        assert np.max(np.abs(at_k - _flow_at_cap(topo, s.toarray(), g0, k))) > 1e-6
+        at_k = _flow_at_cap(lambda capped: flow_accumulate(topo, s, g0, capped), k)
+        plain_k = _flow_at_cap(lambda capped: plain_flow_accumulate(topo, g0, capped), k)
+        assert np.max(np.abs(at_k - plain_k)) > 1e-6
 
     @pytest.mark.usefixtures("one_round_blocks")
     def test_well_mixed_graph_never_switches(self):
@@ -329,14 +334,14 @@ class TestChebyshevPhase:
         x0 = rng.uniform(-5.0, 5.0, 40)
         y0 = rng.uniform(0.1, 4.0, 40)
         res = ratio_consensus(q, x0, y0, CRIT)
-        dense = ratio_consensus(q.toarray(), x0, y0, CRIT)
+        dense = plain_ratio_consensus(q.toarray(), x0, y0, CRIT)
         assert q.shifts == 0 and q.plain_rounds() == res.iters == dense.iters
         assert np.max(np.abs(res.values - dense.values)) <= 1e-12
 
         s = RecordingWeights(wide[1])
         g0 = rng.uniform(-8.0, 8.0, 40)
         acc = flow_accumulate(topo, s, g0, CRIT)
-        ref = flow_accumulate(topo, s.toarray(), g0, CRIT)
+        ref = plain_flow_accumulate(topo, g0, CRIT)
         assert s.shifts == 0 and acc.iters == ref.iters
         assert np.max(np.abs(acc.h - ref.h)) <= 1e-12
         assert np.max(np.abs(acc.g - ref.g)) <= 1e-12
@@ -369,8 +374,8 @@ class TestChebyshevPhase:
             g0 = np.linspace(-1.0, 1.0, 40)
             acc = flow_accumulate(topo, metropolis_weight_matrix(topo), g0, capped)
             h = np.abs(acc.h)
-            floor = capped.tolerance(
-                0.0, 2.0 * np.max(np.abs(g0) + topo.incident_sums(h, h)), max(topo.degrees) + 1)
+            floor = capped.tolerance(0.0, 2.0 * np.max(np.abs(g0) + topo.incident_sums(h, h)),
+                                     int(degrees(topo).max()) + 1)
             assert fallbacks == [] and acc.iters < 3000
             assert 0.0 < np.ptp(acc.g) <= eps + floor
 
@@ -394,8 +399,8 @@ class TestChebyshevPhase:
             pinned = w.with_interval((lo, hi + ulps * math.ulp(hi)))
             acc = flow_accumulate(topo, pinned, g0, capped)
             h = np.abs(acc.h)
-            floor = capped.tolerance(
-                0.0, 2.0 * np.max(np.abs(g0) + topo.incident_sums(h, h)), max(topo.degrees) + 1)
+            floor = capped.tolerance(0.0, 2.0 * np.max(np.abs(g0) + topo.incident_sums(h, h)),
+                                     int(degrees(topo).max()) + 1)
             floor += 6.0 * (np.finfo(float).eps / 2.0) * np.sum(h / a)
             assert fallbacks == [], (n, ulps)
             assert 0.0 < np.ptp(acc.g) <= capped.eps + floor
@@ -450,15 +455,16 @@ class TestChebyshevPhase:
         # on a path edge (i, i + 1) carries everything nodes 1..i hold
         assert np.max(np.abs(-acc.h - np.cumsum(g0)[:-1])) <= 50 * CRIT.eps
 
-    def test_dense_weights_keep_flow_rounds_plain(self):
-        # flow rounds take the gap from their weights, like ratio rounds:
-        # dense weights carry none, so they stay plain, the reference the
-        # Chebyshev phase is held to
+    def test_chebyshev_flow_rounds_beat_the_plain_reference(self):
+        # flow rounds take the gap from their weights, like ratio rounds,
+        # and switch to Chebyshev rounds: they stop within a few times the
+        # bound's rounds, where the plain reference needs more, at the same
+        # flows
         topo = path(40)
         s = metropolis_weight_matrix(topo)
         g0 = np.linspace(-1.0, 1.0, 40)
         fast = flow_accumulate(topo, s, g0, CRIT)
-        plain = flow_accumulate(topo, s.toarray(), g0, CRIT)
+        plain = plain_flow_accumulate(topo, g0, CRIT)
         assert fast.iters <= 2 * predicted_rounds(s.interval, CRIT.eps) < plain.iters
         assert np.max(np.abs(fast.h - plain.h)) <= 40 * CRIT.eps
 
@@ -475,7 +481,7 @@ class TestChebyshevPhase:
             g0 -= g0.mean()
             acc = flow_accumulate(topo, s, g0, CRIT)
             # sooner than plain rounds alone: Chebyshev rounds ran
-            assert acc.iters < flow_accumulate(topo, s.toarray(), g0, CRIT).iters
+            assert acc.iters < plain_flow_accumulate(topo, g0, CRIT).iters
             assert np.ptp(acc.g) <= CRIT.eps
             # every round before the stop, plain or Chebyshev, was still
             # uncertified
@@ -499,8 +505,8 @@ class TestChebyshevPhase:
         # after 50 rounds no mass from node 1 has reached node 60, whose
         # denominator is 0: the spread is never defined, the rounds stay
         # plain, and the call raises at the cap with the ratios of its last
-        # round, nan exactly where the dense reference's denominators are
-        # at or below the floor
+        # round, nan exactly where the plain rounds' denominators are at or
+        # below the floor
         y0 = np.zeros(60)
         y0[0] = 1.0
         with pytest.raises(ConvergenceError) as info:
@@ -517,7 +523,7 @@ class TestChebyshevPhase:
         s = metropolis_weight_matrix(topo)
         g0 = np.linspace(-1.0, 1.0, 60)
         cap = flow_accumulate(topo, s, g0, CRIT).iters - 10
-        plain = _flow_at_cap(topo, s.toarray(), g0, cap)
+        plain = _flow_at_cap(lambda capped: plain_flow_accumulate(topo, g0, capped), cap)
         with pytest.raises(ConvergenceError) as info:
             flow_accumulate(topo, s, g0, ConvergenceCriteria(max_iters=cap))
         assert info.value.iters == cap
@@ -560,7 +566,7 @@ class TestMeasuredInterval:
         x0 = rng.uniform(-5.0, 5.0, 40)
         y0 = rng.uniform(0.1, 4.0, 40)
         g0 = rng.uniform(-8.0, 8.0, 40)
-        oracle = flow_accumulate(topo, metropolis_weight_matrix(topo).toarray(), g0, CRIT)
+        oracle = plain_flow_accumulate(topo, g0, CRIT)
         for build, call, check, mohar in (
             (degree_weight_matrix, lambda w: ratio_consensus(w, x0, y0, CRIT),
              lambda res: np.max(np.abs(res.values - x0.sum() / y0.sum())) <= CRIT.eps, 553),
@@ -794,6 +800,20 @@ def test_engines_refuse_non_finite_inputs(monkeypatch, argument, bad):
             ratio_consensus(degree_weight_matrix(topo), inputs["x0"], inputs["y0"], CRIT)
 
 
+def test_engines_refuse_dense_weights():
+    # SparseWeights carry the interval the rounds read, and no other
+    # weights are taken: a dense array is refused by both engines, and by
+    # flow control, which hands its weights on
+    topo = path(4)
+    q, s = degree_weight_matrix(topo).toarray(), metropolis_weight_matrix(topo).toarray()
+    state = GridState.initial([3.0, 0.0, -1.0, 2.0]).with_desired([1.0, 1.0, 1.0, 1.0])
+    for call in (lambda: ratio_consensus(q, [1.0, 2.0, 3.0, 4.0], np.ones(4), CRIT),
+                 lambda: flow_accumulate(topo, s, [3.0, 0.0, -1.0, -2.0], CRIT),
+                 lambda: flow_control(state, topo, s, fixed_capacities(state), CRIT)):
+        with pytest.raises(TypeError, match="^weights must be SparseWeights, got ndarray$"):
+            call()
+
+
 def _topology(kind: str, n: int, rng: np.random.Generator):
     if kind == "random":
         return random_connected_topology(n, rng, float(rng.uniform(0.0, 0.3)))
@@ -825,6 +845,31 @@ def test_both_engines_meet_their_oracles(kind, n, seed):
     ).flows
     oracle = flow_closed_form(state.p_G - state.p_d, topo)
     assert np.max(np.abs(flows - oracle), initial=0.0) <= n * CRIT.eps
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("random", "path", "tree")),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engines_agree_with_their_plain_references(kind, n, seed):
+    # Each stop certifies every node within eps of the same limit, the
+    # mean the sums keep, whichever phase the engine stops in and however
+    # many rounds the plain reference takes: node values agree within
+    # 2 eps, ratios and flow node values alike.
+    rng = np.random.default_rng(seed)
+    topo = _topology(kind, n, rng)
+    x0 = rng.uniform(-5.0, 5.0, n)
+    y0 = rng.uniform(0.1, 4.0, n)
+    g0 = rng.uniform(-8.0, 8.0, n)
+    q = degree_weight_matrix(topo)
+    res = ratio_consensus(q, x0, y0, CRIT)
+    ref = plain_ratio_consensus(q.toarray(), x0, y0, CRIT)
+    assert np.max(np.abs(res.values - ref.values)) <= 2 * CRIT.eps
+    acc = flow_accumulate(topo, metropolis_weight_matrix(topo), g0, CRIT)
+    plain = plain_flow_accumulate(topo, g0, CRIT)
+    assert np.max(np.abs(acc.g - plain.g)) <= 2 * CRIT.eps
 
 
 def _outcome(call):
