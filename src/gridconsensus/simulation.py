@@ -26,7 +26,7 @@ from .dispatch import (
     generation_with_coordination,
 )
 from .errors import AuditError, ConfigError, GridConsensusError
-from .graph import GridTopology, _is_integer, metropolis_weight_matrix
+from .graph import GridTopology, _is_integer, _uniform, metropolis_weight_matrix
 
 MODE_WITH = "with-coordination"
 MODE_WITHOUT = "without-coordination"
@@ -215,9 +215,8 @@ def generate_demand_profile(config: ScenarioConfig) -> np.ndarray:
     if config.profile is not None:
         return np.array(config.profile)
     caps = config.capacities
-    return np.random.default_rng(config.seed).uniform(
-        caps.total_gen_lo, caps.total_gen_hi, size=config.horizon
-    )
+    lo, hi = caps.total_gen_lo, caps.total_gen_hi
+    return lo + (hi - lo) * _uniform(config.seed, config.horizon)
 
 
 def _interior_profile(caps: NodeCapacities, target_sum: float) -> np.ndarray:
@@ -244,9 +243,9 @@ def generate_desired_profile(config: ScenarioConfig) -> np.ndarray:
     caps = config.capacities
     lower, upper = caps.total_gen_lo, caps.total_gen_hi
     center = _interior_profile(caps, 0.5 * (lower + upper))
-    out = np.random.default_rng(config.seed).uniform(
-        caps.net_lo, caps.net_hi, size=(config.horizon, caps.n)
-    )
+    # draw k n + i for step k and node i
+    out = caps.net_lo + (caps.net_hi - caps.net_lo) * _uniform(
+        config.seed, config.horizon * caps.n).reshape(config.horizon, caps.n)
     for k, row in enumerate(out):
         for _ in range(_HALVING_CAP):
             if lower <= float(np.sum(row)) <= upper:

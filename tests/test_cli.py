@@ -132,10 +132,10 @@ class TestCoordinate:
         # the gaps also pin the 26 coordination rounds of this split.
         assert out_csv.read_bytes() == (
             b"node,closed_form,distributed,abs_difference\n"
-            b"1,20.612244897959187,20.612244898311651,3.524647240737977e-10\n"
+            b"1,20.612244897959187,20.612244898311644,3.524576186464401e-10\n"
             b"2,35.91836734693878,35.918367345882388,1.0563923069639714e-09\n"
             b"3,25.306122448979593,25.306122448666159,3.1343461159849539e-10\n"
-            b"4,19.285714285714285,19.285714285404964,3.0932056915844441e-10\n"
+            b"4,19.285714285714285,19.285714285404957,3.0932767458580201e-10\n"
             b"5,26.938775510204081,26.938775510997175,7.9309359080070863e-10\n"
             b"6,21.938775510204081,21.938775510910105,7.0602368396066595e-10\n"
         )

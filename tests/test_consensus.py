@@ -656,28 +656,37 @@ class TestMeasuredInterval:
 
     def test_a_missed_eigenvalue_costs_rounds_not_the_result(self, fallbacks):
         # A seeded sweep (random graphs and trees, 41 <= n < 150, seeds 0 to
-        # 399, one call per engine) found five calls whose fallback fires on
-        # the measured interval; on this 148-node tree it fires in both.
-        # Lanczos from its one start vector settles on a Ritz value short of
-        # lambda_2: hi = 0.99762 against 0.99813 (degree weights) and
-        # 0.99842 against 0.99887 (Metropolis). Mohar's took 988 ratio and
-        # 1 151 flow rounds on these inputs.
-        rng = np.random.default_rng(179)
-        n = int(rng.integers(41, 150))
-        topo = tree_topology("tree", n, rng)
-        x0 = rng.uniform(-5.0, 5.0, n)
-        y0 = rng.uniform(0.1, 4.0, n)
-        g0 = rng.uniform(-8.0, 8.0, n)
-        q, s = degree_weight_matrix(topo), metropolis_weight_matrix(topo)
+        # 399, one call per engine) found three calls whose fallback fires on
+        # the measured interval, none in both engines: the ratio call on the
+        # 127-node tree of seed 170, and the flow calls on the trees of seeds
+        # 7 and 319. Lanczos from its one start vector settles on a Ritz value
+        # short of lambda_2: hi = 0.99756 against 0.99900 (degree weights,
+        # seed 170) and 0.99807 against 0.99932 (Metropolis, 143-node tree of
+        # seed 7). Mohar's took 1 440 ratio and 1 231 flow rounds on these
+        # inputs.
+        def tree_case(seed):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(41, 150))
+            topo = tree_topology("tree", n, rng)
+            x0 = rng.uniform(-5.0, 5.0, n)
+            y0 = rng.uniform(0.1, 4.0, n)
+            g0 = rng.uniform(-8.0, 8.0, n)
+            return n, topo, x0, y0, g0
+
+        _, ratio_topo, x0, y0, _ = tree_case(170)
+        q = degree_weight_matrix(ratio_topo)
+        n, flow_topo, _, _, g0 = tree_case(7)
+        s = metropolis_weight_matrix(flow_topo)
         for w in (q, s):
             assert np.sort(np.linalg.eigvals(w.toarray()).real)[-2] > w.interval[1] + 4e-4
         res = ratio_consensus(q, x0, y0, CRIT)
-        assert fallbacks == [q] and res.iters < 988
+        assert fallbacks == [q] and res.iters < 1440
         assert np.max(np.abs(res.values - x0.sum() / y0.sum())) <= CRIT.eps
         fallbacks.clear()
-        acc = flow_accumulate(topo, s, g0, CRIT)
-        assert fallbacks == [s] and acc.iters < 1151
-        assert np.max(np.abs(-acc.h - flow_closed_form(g0 - g0.mean(), topo))) <= n * CRIT.eps
+        acc = flow_accumulate(flow_topo, s, g0, CRIT)
+        assert fallbacks == [s] and acc.iters < 1231
+        oracle = flow_closed_form(g0 - g0.mean(), flow_topo)
+        assert np.max(np.abs(-acc.h - oracle)) <= n * CRIT.eps
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_point_spectra_stay_finite(self, n):

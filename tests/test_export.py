@@ -229,36 +229,36 @@ def _scenario(name: str):
 # Per-step (coord_iters, gen_iters, flow_iters) of each pinned export.
 _ROUNDS = {
     "with": (
-        (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
-        (24, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
-        (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
-        (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (24, 0, 0),
-        (24, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
-        (26, 0, 0), (26, 0, 0), (24, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
         (26, 0, 0), (24, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
-        (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (25, 0, 0), (26, 0, 0),
+        (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
+        (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
+        (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
+        (26, 0, 0), (26, 0, 0), (25, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
+        (26, 0, 0), (25, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
+        (25, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
+        (26, 0, 0), (25, 0, 0), (24, 0, 0), (26, 0, 0), (26, 0, 0), (26, 0, 0),
         (26, 0, 0), (26, 0, 0),
     ),
     "without": (
-        (0, 24, 31), (0, 25, 33), (0, 24, 31), (0, 25, 32), (0, 25, 32),
-        (0, 25, 32), (0, 25, 32), (0, 25, 33), (0, 25, 33), (0, 25, 32),
-        (0, 25, 32), (0, 25, 32), (0, 24, 31), (0, 25, 32), (0, 25, 32),
-        (0, 25, 32), (0, 25, 33), (0, 23, 31), (0, 25, 32), (0, 24, 32),
-        (0, 25, 32), (0, 25, 32), (0, 25, 32), (0, 24, 31), (0, 24, 31),
-        (0, 24, 31), (0, 24, 32), (0, 25, 32), (0, 25, 32), (0, 25, 32),
-        (0, 25, 32), (0, 25, 32), (0, 25, 32), (0, 24, 31), (0, 25, 33),
-        (0, 25, 32), (0, 23, 31), (0, 24, 31), (0, 23, 30), (0, 25, 33),
-        (0, 24, 32), (0, 25, 32), (0, 24, 31), (0, 24, 32), (0, 24, 32),
-        (0, 25, 32), (0, 25, 32), (0, 25, 32), (0, 23, 31), (0, 25, 32),
+        (0, 25, 32), (0, 25, 32), (0, 24, 31), (0, 25, 32), (0, 24, 31),
+        (0, 25, 32), (0, 24, 32), (0, 25, 33), (0, 25, 33), (0, 25, 32),
+        (0, 24, 31), (0, 25, 32), (0, 25, 32), (0, 24, 31), (0, 25, 32),
+        (0, 24, 31), (0, 25, 32), (0, 25, 32), (0, 24, 31), (0, 25, 32),
+        (0, 24, 31), (0, 24, 31), (0, 25, 32), (0, 24, 31), (0, 26, 33),
+        (0, 24, 31), (0, 24, 31), (0, 25, 32), (0, 25, 32), (0, 24, 31),
+        (0, 24, 31), (0, 24, 31), (0, 24, 32), (0, 25, 32), (0, 24, 31),
+        (0, 24, 32), (0, 25, 33), (0, 26, 33), (0, 25, 32), (0, 24, 31),
+        (0, 25, 31), (0, 24, 31), (0, 25, 31), (0, 24, 32), (0, 25, 32),
+        (0, 25, 33), (0, 23, 31), (0, 24, 32), (0, 24, 31), (0, 24, 31),
     ),
     "feeder-without": (
-        (0, 585, 793), (0, 580, 798),
+        (0, 582, 792), (0, 561, 779),
     ),
     "mesh-without": (
-        (0, 33, 38), (0, 33, 38), (0, 34, 38), (0, 34, 37),
+        (0, 34, 38), (0, 34, 38), (0, 34, 38), (0, 34, 38),
     ),
     "mesh-with": (
-        (39, 0, 0), (40, 0, 0), (39, 0, 0), (40, 0, 0),
+        (39, 0, 0), (40, 0, 0), (40, 0, 0), (39, 0, 0),
     ),
 }
 
@@ -266,11 +266,11 @@ _ROUNDS = {
 @pytest.mark.parametrize(
     ("name", "digest", "rounds"),
     [
-        ("with", "e55dce51b114038a", _ROUNDS["with"]),
-        ("without", "09d0b24337e3ccc9", _ROUNDS["without"]),
-        ("feeder-without", "1746d63d191bebd2", _ROUNDS["feeder-without"]),
-        ("mesh-without", "f2c83ed0b98914b1", _ROUNDS["mesh-without"]),
-        ("mesh-with", "e7deb7565accf4a2", _ROUNDS["mesh-with"]),
+        ("with", "599c38b04111f2cf", _ROUNDS["with"]),
+        ("without", "1d278f890c6e7b88", _ROUNDS["without"]),
+        ("feeder-without", "b43d7a1509c52c1d", _ROUNDS["feeder-without"]),
+        ("mesh-without", "d5939ea0513e1687", _ROUNDS["mesh-without"]),
+        ("mesh-with", "a82e7f6d90b4fd17", _ROUNDS["mesh-with"]),
     ],
     ids=["with", "without", "feeder-without", "mesh-without", "mesh-with"],
 )

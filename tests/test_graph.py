@@ -849,3 +849,43 @@ def test_random_topology_always_connected():
         n = int(rng.integers(1, 15))
         topo = random_connected_topology(n, rng, extra_edge_prob=0.1)
         assert topo.n == n  # build_topology would have raised if disconnected
+
+
+# The first three draws of each seed, as float64 bit patterns. For seed 0
+# the first is SplitMix64's published first output from state 0,
+# 0xe220a8397b1dcdaf, shifted right by 11 and scaled by 2^-53.
+_FIRST_DRAWS = {
+    0: (0x3FEC4415072F63B9, 0x3FDB9E279AA86E58, 0x3F9B117462002500),
+    7: (0x3FD8F2F879164C82, 0x3F9130F35FD0F180, 0x3FECD30810175625),
+    2**64 + 5: (0x3FE52D3DE0A1435F, 0x3FEDD9AB25EA9FAF, 0x3FDAFFB8CAF8B58E),
+}
+
+
+@pytest.mark.parametrize("seed", list(_FIRST_DRAWS), ids=["0", "7", "2**64+5"])
+def test_uniform_draws_are_pinned(seed):
+    assert tuple(graph_mod._uniform(seed, 3).view(np.uint64).tolist()) == _FIRST_DRAWS[seed]
+    assert graph_mod._uniform(0, 1)[0] == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", list(_FIRST_DRAWS), ids=["0", "7", "2**64+5"])
+def test_uniform_draws_are_repeatable_in_range_and_uniform(seed):
+    # bounds fixed beforehand: about 5 standard errors for the mean of 10^5
+    # draws (1/sqrt(12 10^5) = 9.1e-4), and 6 for their variance (2.4e-4)
+    u = graph_mod._uniform(seed, 10**5)
+    assert u.dtype == np.float64 and u.shape == (10**5,)
+    assert np.array_equal(u, graph_mod._uniform(seed, 10**5))
+    assert np.array_equal(u[:10], graph_mod._uniform(seed, 10))  # draw i depends on i alone
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert abs(u.mean() - 0.5) <= 5e-3
+    assert abs(u.var() - 1.0 / 12.0) <= 1.5e-3
+
+
+@given(st.integers(0, 2**80 - 1), st.integers(0, 2**80 - 1), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_distinct_seeds_draw_distinct_streams(a, b, same_low_limb):
+    # seeds past 2^64 fold their high limb into the key, so two seeds that
+    # share their low 64 bits still draw apart
+    if same_low_limb:
+        b = b >> 64 << 64 | a & (2**64 - 1)
+    if a != b:
+        assert not np.array_equal(graph_mod._uniform(a, 4), graph_mod._uniform(b, 4))

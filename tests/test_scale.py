@@ -167,8 +167,8 @@ def test_path_1500_flows_cancel_the_mismatch_to_eps(path1500):
 def test_lanczos_steps_stay_bounded_on_the_1002_node_feeder():
     # The measured interval costs one Lanczos run per weight matrix. A step
     # is one round plus O(n) vector work on the three vectors of the
-    # recurrence, so steps are what it costs: this feeder takes 545 (degree
-    # weights) and 640 (Metropolis) steps, and 700 bounds both. Without a
+    # recurrence, so steps are what it costs: this feeder takes 570 (degree
+    # weights) and 665 (Metropolis) steps, and 700 bounds both. Without a
     # stored basis the Lanczos vectors lose orthogonality, which only repeats
     # eigenvalues that have already converged (Paige, 1976): it may cost
     # steps, and the interval must still bracket the dense spectrum, checked

@@ -8,13 +8,18 @@ step's total desired net power, regardless of the previous state.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridconsensus
 import gridconsensus.simulation as sim
 from gridconsensus import (
     AuditError,
@@ -37,6 +42,7 @@ from gridconsensus import (
     load_config,
     run,
 )
+from gridconsensus.graph import _uniform
 from conftest import make_reference_caps, path_topology, random_capacities
 from conftest import random_connected_topology
 
@@ -79,6 +85,12 @@ class TestDemandProfile:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_seeded_draws_are_the_package_stream(self, with_config, ref_caps):
+        # numpy's transform lo + (hi - lo) u on the package's own draws
+        out = generate_demand_profile(replace(with_config, horizon=10, seed=5))
+        lo, hi = ref_caps.total_gen_lo, ref_caps.total_gen_hi
+        assert np.array_equal(out, lo + (hi - lo) * _uniform(5, 10))
+
 
 class TestDesiredProfile:
     def test_explicit_passthrough(self, without_config):
@@ -98,6 +110,16 @@ class TestDesiredProfile:
         a, b = (generate_desired_profile(replace(without_config, horizon=10, seed=5))
                 for _ in range(2))
         assert np.array_equal(a, b)
+
+    def test_seeded_draws_are_the_package_stream(self, without_config, ref_caps):
+        # step k, node i takes draw k n + i; rows already realizable are
+        # not pulled toward the centre
+        out = generate_desired_profile(replace(without_config, horizon=10, seed=5))
+        u = _uniform(5, 60).reshape(10, 6)
+        drawn = ref_caps.net_lo + (ref_caps.net_hi - ref_caps.net_lo) * u
+        sums = drawn.sum(axis=1)
+        kept = (ref_caps.total_gen_lo <= sums) & (sums <= ref_caps.total_gen_hi)
+        assert kept.any() and np.array_equal(out[kept], drawn[kept])
 
 
 class TestScenarioConfig:
@@ -143,7 +165,7 @@ class TestScenarioConfig:
         assert info.value.field == name
 
     def test_seed_must_be_non_negative(self, ref_caps, ring_chord):
-        # numpy's generator refuses negative seeds; refusing them here gives
+        # the draws take non-negative seeds; refusing the others here gives
         # a message that names the field instead of a bare error from run().
         with pytest.raises(ValueError, match="^seed: must be a non-negative integer") as info:
             ScenarioConfig(mode=MODE_WITH, topology=ring_chord, capacities=ref_caps,
@@ -441,3 +463,23 @@ def test_every_audit_and_oracle_holds_at_any_eps_and_scale(
         mode=mode, topology=topo, capacities=_scaled(caps, 10.0**log_scale), horizon=3,
         criteria=ConvergenceCriteria(eps=10.0**log_eps), seed=seed % 1000,
     ))
+
+
+def test_seeded_runs_never_import_numpy_random(tmp_path):
+    # Importing numpy.random costs a process ~6 MB of resident memory; every
+    # seeded draw comes from the package's own generator instead. A fresh
+    # interpreter parses, runs and exports both shipped seeded configs.
+    code = (
+        "import sys\n"
+        "from gridconsensus import default_config_path, export_record, load_config, run\n"
+        "for mode in ('with', 'without'):\n"
+        "    export_record(run(load_config(default_config_path(mode))), f'{sys.argv[1]}/{mode}')\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(gridconsensus.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+    assert (tmp_path / "with" / "timeseries.csv").is_file()
