@@ -184,8 +184,9 @@ class ConsensusResult:
 
 @dataclass(frozen=True)
 class FlowAccumulator:
-    """Per-edge accumulator h, aligned with ``topology.edges``, the node
-    values g its flows -h leave as ``apply_step`` books them, and rounds."""
+    """Per-edge accumulator h, aligned with the rows of ``topology.edge_array``,
+    the node values g its flows -h leave as ``apply_step`` books them, and
+    rounds."""
 
     h: np.ndarray
     g: np.ndarray
@@ -371,7 +372,7 @@ def flow_accumulate(
     edge, and those of P as a_e/(1 - c), so the shifted matrix is never
     built.
 
-    The rounds carry h, one entry per edge of ``topology.edges``, alone.
+    The rounds carry h, one entry per row of ``topology.edge_array``, alone.
     Each reads the node values g = g0 + ``topology.incident_sums(-h, h)``,
     the net inflow of the flows -h as ``dispatch.apply_step`` books it, and
     adds a_e * (g_j - g_i) to h[e] for each edge e = (i, j), i < j: one

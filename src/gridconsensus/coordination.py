@@ -1,9 +1,11 @@
 """Splitting total demand into per-node desired net power.
 
-Each node's share of the demand surplus above the aggregate generation
-floor is proportional to its generation range. The closed form needs the
-global capacity sums; the distributed version reaches the same split with
-ratio consensus, where only the leading node knows the total demand.
+Each node gets its generation floor plus a share of the demand surplus
+above the aggregate floor, in proportion to its generation range: the one
+split, ``_split``, that generation control also applies to headroom. The
+closed form needs the global capacity sums; the distributed version reaches
+the same split with ratio consensus, where only the leading node knows the
+total demand. With every generator fixed, both return the floors.
 """
 
 from __future__ import annotations
@@ -139,33 +141,20 @@ def _require_realizable(p_demand: float, caps: NodeCapacities) -> RealizabilityR
     return report
 
 
-def _all_fixed_floors(caps: NodeCapacities) -> np.ndarray | None:
-    """The floors when every generator is fixed (zero total range), or
-    None when there is a range to split demand over.
-
-    Zero total range means gen_lo == gen_hi at every node, so a realizable
-    demand equals the aggregate floor exactly; the floors are then the
-    only answer.
-    """
-    if float(np.sum(caps.gen_range)) > 0.0:
-        return None
-    return caps.gen_lo.copy()
+def _split(lo: np.ndarray, width: np.ndarray, total: float) -> np.ndarray:
+    """Each floor ``lo`` plus a share of ``total``'s surplus over the summed
+    floors in proportion to its ``width``; with no width, the floors."""
+    span = float(np.sum(width))
+    if span <= 0.0:
+        return lo.copy()
+    return lo + width * ((total - float(np.sum(lo))) / span)
 
 
 def coordinate_closed_form(p_demand: float, caps: NodeCapacities) -> CoordinationResult:
-    """Split demand using global capacity sums.
-
-    Each node receives its generation floor plus a share of the remaining
-    demand proportional to its generation range, which keeps every node
-    inside its generation bounds and makes the shares sum to the demand.
-    When every generator is fixed, the floors are the only answer.
-    """
+    """Split demand over the generation ranges, using global capacity sums;
+    the shares stay inside the generation bounds and sum to the demand."""
     _require_realizable(p_demand, caps)
-    desired = _all_fixed_floors(caps)
-    if desired is None:
-        surplus = p_demand - caps.total_gen_lo
-        desired = caps.gen_lo + caps.gen_range * (surplus / float(np.sum(caps.gen_range)))
-    return CoordinationResult(desired=desired)
+    return CoordinationResult(desired=_split(caps.gen_lo, caps.gen_range, p_demand))
 
 
 def coordinate_distributed(
@@ -193,10 +182,9 @@ def coordinate_distributed(
         raise ConfigError(f"{leader} outside 1..{topology.n}", field="leader")
     _require_realizable(p_demand, caps)
     # Nothing to negotiate when every generator is fixed: consensus cannot
-    # run on a zero denominator, but the all-floors profile still answers.
-    floors = _all_fixed_floors(caps)
-    if floors is not None:
-        return CoordinationResult(desired=floors)
+    # run on a zero denominator, but the split's floors still answer.
+    if float(np.sum(caps.gen_range)) <= 0.0:
+        return CoordinationResult(desired=_split(caps.gen_lo, caps.gen_range, p_demand))
 
     x0 = -caps.gen_lo
     x0[leader - 1] += p_demand

@@ -1,11 +1,12 @@
 """Per-step generation adjustment and pairwise flow control.
 
-Two regimes are supported. With coordination, every node's desired net
-power is already feasible for its generator, so generation simply tracks
-it and no power moves between nodes. Without coordination, generation
-control balances the aggregate (each node's target may exceed its own
-generator) and a second consensus stage accumulates pairwise flows that
-cancel the per-node mismatch.
+Generation control reads each node's desired net power from the staged
+state's ``p_d``. With coordination, every target is already feasible for
+its generator, so generation simply tracks it and no power moves between
+nodes. Without coordination, generation control balances the aggregate
+(each node's target may exceed its own generator) by coordination's split
+of the shortfall over headroom, and a second consensus stage accumulates
+pairwise flows that cancel the per-node mismatch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .consensus import ConvergenceCriteria, flow_accumulate, ratio_consensus
-from .coordination import NodeCapacities
+from .coordination import NodeCapacities, _split
 from .errors import BalanceError, BoundViolationError, InfeasibleStepError
 from .graph import (
     GridTopology,
@@ -115,7 +116,7 @@ class GenerationResult:
 
 @dataclass(frozen=True)
 class FlowControlResult:
-    """One signed flow per edge of ``topology.edges`` plus rounds. A
+    """One signed flow per row of ``topology.edge_array`` plus rounds. A
     positive flow on edge (i, j), i < j, is power node i sends to node j."""
 
     flows: np.ndarray
@@ -146,17 +147,17 @@ def _balance_tolerance(
 
 
 def generation_with_coordination(
-    state: GridState, desired, caps: NodeCapacities,
+    state: GridState, caps: NodeCapacities,
     criteria: ConvergenceCriteria = ConvergenceCriteria(),
 ) -> np.ndarray:
-    """Move each generator straight to its coordinated target.
+    """Move each generator straight to its coordinated target ``state.p_d``.
 
     Valid only when every target respects its node's generation bounds,
     which coordination guarantees; flows stay zero in this regime. The
     bound check grants the targets the same slack for consensus residue
     that audits grant committed states.
     """
-    desired = _as_vector(desired, state.n, "desired")
+    desired = state.p_d
     slack = _generation_slack(caps, criteria)
     low = desired < caps.gen_lo - slack
     high = desired > caps.gen_hi + slack
@@ -169,11 +170,9 @@ def generation_with_coordination(
     return desired - state.p_G
 
 
-def _require_feasible(
-    p_D: float, state: GridState, db: DeltaBounds
-) -> tuple[float, float, float]:
+def _require_feasible(p_D: float, state: GridState, db: DeltaBounds) -> float:
     """Check that reaching total p_D fits the summed delta bounds (up to
-    rounding); return the needed change and the two bound sums."""
+    rounding); return the needed change."""
     needed = p_D - float(np.sum(state.p_G))
     lo_sum = float(np.sum(db.lo))
     hi_sum = float(np.sum(db.hi))
@@ -185,47 +184,41 @@ def _require_feasible(
             f"required generation change {needed} outside feasible "
             f"interval [{lo_sum}, {hi_sum}]"
         )
-    return needed, lo_sum, hi_sum
+    return needed
 
 
 def generation_closed_form(p_D: float, state: GridState, db: DeltaBounds) -> np.ndarray:
     """Split the aggregate generation shortfall proportionally to headroom.
 
     Each node takes its minimum allowed change plus a share of what is
-    left, proportional to the width of its allowed-change interval. The
-    changes then sum exactly to the shortfall and respect the bounds.
+    left, proportional to the width of its allowed-change interval (the
+    coordination split). The changes sum to the shortfall and respect the bounds.
     """
-    needed, lo_sum, hi_sum = _require_feasible(p_D, state, db)
-    total_range = hi_sum - lo_sum
-    if total_range <= 0.0:
-        # All headroom intervals are points; feasibility already pinned
-        # needed to their sum, so the forced move is the answer.
-        return db.lo.copy()
-    return db.lo + db.range * ((needed - lo_sum) / total_range)
+    return _split(db.lo, db.range, _require_feasible(p_D, state, db))
 
 
 def generation_distributed(
-    desired,
     state: GridState,
     db: DeltaBounds,
     topology: GridTopology,
     criteria: ConvergenceCriteria = ConvergenceCriteria(),
 ) -> GenerationResult:
-    """Same split as the closed form, but no node sees the global sums.
+    """Same split as the closed form, toward the total of ``state.p_d``,
+    but no node sees the global sums.
 
     Ratio consensus over the topology: numerators start at each node's
     target minus its current output minus its minimum change, denominators
     at its headroom width. The common ratio times the local width, offset
-    by the minimum change, reproduces the closed-form allocation.
+    by the minimum change, reproduces the closed-form allocation. With no
+    headroom anywhere no round runs, and the split's floors answer.
     """
-    desired = _as_vector(desired, state.n, "desired")
     if topology.n != state.n:
         raise ValueError(f"topology has {topology.n} nodes, state has {state.n}")
-    _require_feasible(float(np.sum(desired)), state, db)
+    needed = _require_feasible(float(np.sum(state.p_d)), state, db)
     if float(np.sum(db.range)) <= 0.0:
-        return GenerationResult(delta=db.lo.copy(), iters=0)
+        return GenerationResult(delta=_split(db.lo, db.range, needed), iters=0)
 
-    z0 = desired - state.p_G - db.lo
+    z0 = state.p_d - state.p_G - db.lo
     result = ratio_consensus(degree_weight_matrix(topology), z0, db.range, criteria)
     return GenerationResult(delta=db.lo + db.range * result.values, iters=result.iters)
 
@@ -244,8 +237,8 @@ def flow_control(
     drives every entry to zero; the flow rounds carry the edge accumulator,
     whose negation is the flow, and read the mismatch through the net
     inflow ``apply_step`` books, so the certified mismatch is the one the
-    flows leave. Entry e of the result, for edge (i, j) =
-    ``topology.edges[e]``, is the power i sends to j.
+    flows leave. Entry e of the result, for edge (i, j) = row e of
+    ``topology.edge_array``, is the power i sends to j.
 
     Raises BalanceError when the mismatch total exceeds what generation
     control certified to eps can leave over ``caps``: flows only move power
@@ -289,7 +282,7 @@ def flow_closed_form(mismatch, topology: GridTopology) -> np.ndarray:
 def apply_step(state: GridState, delta, flows, topology: GridTopology) -> GridState:
     """Advance one physical step: shift generation, book the flows.
 
-    ``flows`` holds one value per edge of ``topology.edges``; a positive
+    ``flows`` holds one value per row of ``topology.edge_array``; a positive
     value on edge (i, j) moves power from i to j. A node's net inflow,
     ``topology.incident_sums(flows, -flows)``, adds the flows on its edges
     to lower-numbered neighbors, then subtracts those on its edges to

@@ -57,13 +57,23 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class GridTopology:
-    """Undirected connected graph of power nodes.
+    """Undirected connected graph of power nodes, ``GridTopology(n, edges)``.
 
-    ``edge_array``, a read-only (m, 2) int64 array, holds each unordered
-    pair once as a sorted row (i, j), i < j, of 1-based endpoints, the rows
-    in increasing order; ``edges`` gives the same pairs as a tuple of
-    (i, j) int tuples, built on the first read, which nothing on the run
-    path makes (tests and the benchmark's self-test read it).
+    Construction validates the node count and the edges, and raises
+    TopologyError for a node count, an edge iterable or an edge that is
+    not one, and a distinct subclass for each other failure mode:
+    endpoints not integers or outside 1..n (a bool is no integer here),
+    self-loops, duplicate edges, and disconnectedness (``_components``, the
+    nodes node 1 cannot reach named, in summary past ten, and counted). An
+    edge is any item of length 2, such as a list, a tuple or a numpy row.
+    The edges are checked as arrays; only a faulty list is walked edge by
+    edge, so that each message quotes the first bad edge as given.
+
+    ``edge_array`` then holds, read-only as an (m, 2) int64 array, each
+    unordered pair once as a sorted row (i, j), i < j, of 1-based
+    endpoints, the rows in increasing order; ``edges`` gives the same pairs
+    as a tuple of (i, j) int tuples, built on the first read, which nothing
+    on the run path makes (tests and the benchmark's self-test read it).
     ``max_degree``, also built on the first read, is the largest node
     degree. Topologies are equal, and hash alike, when their n and pairs
     are.
@@ -72,13 +82,35 @@ class GridTopology:
     n: int
     edge_array: np.ndarray
 
+    def __post_init__(self):
+        n, edges = self.n, self.edge_array
+        if not _is_integer(n) or n < 1:
+            raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
+        if not isinstance(edges, Iterable):
+            raise TopologyError(f"edges must be an iterable of pairs, got {edges!r}")
+        n, edges = int(n), list(edges)
+        keys = _edge_keys(n, edges)
+        if keys is None:
+            _raise_edge_fault(n, edges)
+        lo = keys // (n + 1)
+        hi = keys - lo * (n + 1)
+        unreachable = np.flatnonzero(_components(n, lo - 1, hi - 1))
+        if unreachable.size:
+            nodes = np.array2string(unreachable + 1, separator=", ", threshold=10)
+            raise DisconnectedGraphError(f"graph is disconnected: nodes {nodes} unreachable "
+                                         f"from node 1 ({unreachable.size} of {n})")
+        edge_array = np.stack((lo, hi), axis=1)
+        edge_array.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_array", edge_array)
+
     def __eq__(self, other):
         if not isinstance(other, GridTopology):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
 
     def __hash__(self):
-        return hash((self.n, np.asarray(self.edge_array, np.int64).tobytes()))
+        return hash((self.n, self.edge_array.tobytes()))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -222,35 +254,9 @@ def _raise_edge_fault(n: int, edges) -> None:
 
 
 def build_topology(n: int, edges) -> GridTopology:
-    """Validate a node count and edge list into a GridTopology.
-
-    Raises TopologyError for a node count, an edge iterable or an edge that
-    is not one, and a distinct subclass for each other failure mode:
-    endpoints not integers or outside 1..n (a bool is no integer here),
-    self-loops, duplicate edges, and disconnectedness (``_components``,
-    the nodes node 1 cannot reach named, in summary past ten, and counted).
-    An edge is any item of length 2, such as a list, a tuple or a numpy
-    row. The edges are checked as arrays; only a faulty list is walked edge
-    by edge, so that each message quotes the first bad edge as given.
-    """
-    if not _is_integer(n) or n < 1:
-        raise TopologyError(f"node count must be an integer >= 1, got {n!r}")
-    if not isinstance(edges, Iterable):
-        raise TopologyError(f"edges must be an iterable of pairs, got {edges!r}")
-    n, edges = int(n), list(edges)
-    keys = _edge_keys(n, edges)
-    if keys is None:
-        _raise_edge_fault(n, edges)
-    lo = keys // (n + 1)
-    hi = keys - lo * (n + 1)
-    unreachable = np.flatnonzero(_components(n, lo - 1, hi - 1))
-    if unreachable.size:
-        nodes = np.array2string(unreachable + 1, separator=", ", threshold=10)
-        raise DisconnectedGraphError(f"graph is disconnected: nodes {nodes} unreachable "
-                                     f"from node 1 ({unreachable.size} of {n})")
-    edge_array = np.stack((lo, hi), axis=1)
-    edge_array.flags.writeable = False
-    return GridTopology(n=n, edge_array=edge_array)
+    """Validate a node count and edge list into a GridTopology: the same
+    checks and canonical form as ``GridTopology(n, edges)``."""
+    return GridTopology(n, edges)
 
 
 class _Storage:
@@ -650,6 +656,6 @@ def metropolis_weight_matrix(topology: GridTopology) -> SparseWeights:
 
 
 def metropolis_edge_weights(topology: GridTopology) -> np.ndarray:
-    """Per-edge Metropolis-Hastings weights, aligned with topology.edges.
+    """Per-edge Metropolis-Hastings weights, one per row of ``edge_array``.
     Built once per topology; every call returns the same read-only array."""
     return topology._edge_weights

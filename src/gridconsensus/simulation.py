@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus import ConvergenceCriteria, _finite_reals, _is_list
-from .coordination import NodeCapacities, coordinate_distributed
+from .coordination import NodeCapacities, _split, coordinate_distributed
 from .dispatch import (
     GridState,
     StepAudit,
@@ -219,16 +219,6 @@ def generate_demand_profile(config: ScenarioConfig) -> np.ndarray:
     return lo + (hi - lo) * _uniform(config.seed, config.horizon)
 
 
-def _interior_profile(caps: NodeCapacities, target_sum: float) -> np.ndarray:
-    """Net-bound-respecting profile whose sum is target_sum, by proportional split."""
-    net_range = caps.net_hi - caps.net_lo
-    total = float(np.sum(net_range))
-    if total <= 0.0:
-        return caps.net_lo.copy()
-    frac = (target_sum - float(np.sum(caps.net_lo))) / total
-    return caps.net_lo + net_range * frac
-
-
 def generate_desired_profile(config: ScenarioConfig) -> np.ndarray:
     """Per-step, per-node desired net power: the explicit rows, or drawn.
 
@@ -242,7 +232,8 @@ def generate_desired_profile(config: ScenarioConfig) -> np.ndarray:
         return np.array(config.profile)
     caps = config.capacities
     lower, upper = caps.total_gen_lo, caps.total_gen_hi
-    center = _interior_profile(caps, 0.5 * (lower + upper))
+    # inside every net-power box, summing to the middle of the realizable range
+    center = _split(caps.net_lo, caps.net_hi - caps.net_lo, 0.5 * (lower + upper))
     # draw k n + i for step k and node i
     out = caps.net_lo + (caps.net_hi - caps.net_lo) * _uniform(
         config.seed, config.horizon * caps.n).reshape(config.horizon, caps.n)
@@ -303,17 +294,13 @@ def run(config: ScenarioConfig) -> SimulationRecord:
                 coord_iters[k] = coord.iters
                 phase = "generation"
                 staged = state.with_desired(coord.desired)
-                step_delta = generation_with_coordination(
-                    staged, coord.desired, caps, config.criteria
-                )
+                step_delta = generation_with_coordination(staged, caps, config.criteria)
                 flows = np.zeros(len(config.topology.edge_array))
             else:
                 phase = "generation"
                 staged = state.with_desired(desired_rows[k])
                 db = compute_delta_bounds(staged, caps)
-                gen = generation_distributed(
-                    desired_rows[k], staged, db, config.topology, config.criteria
-                )
+                gen = generation_distributed(staged, db, config.topology, config.criteria)
                 gen_iters[k] = gen.iters
                 step_delta = gen.delta
                 phase = "flow control"

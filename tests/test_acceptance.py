@@ -116,7 +116,7 @@ def test_criterion_3_generation_matches_closed_form():
     for _ in range(1000):
         topology, caps, state, db, desired = random_generation_instance(rng, max_nodes=12)
         closed = generation_closed_form(float(desired.sum()), state, db)
-        dist = generation_distributed(desired, state, db, topology, criteria).delta
+        dist = generation_distributed(state.with_desired(desired), db, topology, criteria).delta
         scale = np.maximum(np.abs(closed), 1.0)  # relative, floored at unit scale
         worst_gap = max(worst_gap, float(np.max(np.abs(dist - closed) / scale)))
         worst_bound = max(

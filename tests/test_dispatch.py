@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridconsensus import (
     BalanceError,
@@ -35,6 +36,7 @@ from conftest import (
     DESIRED_AT_150,
     fixed_capacities,
     neighbor_lists,
+    random_capacities,
     random_connected_topology,
     random_generation_instance,
 )
@@ -109,12 +111,12 @@ class TestDeltaBounds:
 class TestGenerationWithCoordination:
     def test_already_on_target(self, ref_caps):
         state = GridState.initial([30.0, 30, 30, 30, 30, 30])
-        delta = generation_with_coordination(state, state.p_G, ref_caps)
+        delta = generation_with_coordination(state.with_desired(state.p_G), ref_caps)
         assert np.all(delta == 0.0)
 
     def test_reference_anchor_deltas(self, ref_caps):
         state = GridState.initial(ref_caps.gen_lo)
-        delta = generation_with_coordination(state, np.array(DESIRED_AT_150), ref_caps)
+        delta = generation_with_coordination(state.with_desired(DESIRED_AT_150), ref_caps)
         assert np.max(np.abs(delta - (np.array(DESIRED_AT_150) - ref_caps.gen_lo))) <= 1e-12
         assert delta.sum() == pytest.approx(65.0, abs=1e-10)
 
@@ -123,7 +125,7 @@ class TestGenerationWithCoordination:
         bad = ref_caps.gen_lo.copy()
         bad[0] = 55.0  # above node 1's 50 ceiling
         with pytest.raises(BoundViolationError, match="node 1"):
-            generation_with_coordination(state, bad, ref_caps)
+            generation_with_coordination(state.with_desired(bad), ref_caps)
 
 
 class TestGenerationClosedForm:
@@ -171,6 +173,19 @@ class TestGenerationClosedForm:
         delta = generation_closed_form(7.0, state, db)  # 7 = 3+4 and lo sums to 0
         assert np.allclose(delta, [1.0, -1.0])
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_is_the_coordination_split_from_the_floors(self, data):
+        # from every generator at its floor, the headroom intervals are the
+        # generation ranges, so generation control splits a total exactly as
+        # coordination splits demand: one rule, bit for bit
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        caps = random_capacities(rng, data.draw(st.integers(1, 12)))
+        p_D = data.draw(st.floats(caps.total_gen_lo, caps.total_gen_hi))
+        state = GridState.initial(caps.gen_lo)
+        delta = generation_closed_form(p_D, state, compute_delta_bounds(state, caps))
+        assert np.array_equal(state.p_G + delta, coordinate_closed_form(p_D, caps).desired)
+
 
 class TestGenerationDistributed:
     def test_two_node_split_matches_closed_form(self):
@@ -179,7 +194,7 @@ class TestGenerationDistributed:
         state = GridState.initial([0.0, 0.0])
         db = compute_delta_bounds(state, caps)
         desired = np.array([7.5, 7.5])  # only the sum matters here
-        result = generation_distributed(desired, state, db, topo, CRIT)
+        result = generation_distributed(state.with_desired(desired), db, topo, CRIT)
         assert np.max(np.abs(result.delta - [5.0, 10.0])) <= 1e-8
         assert result.iters > 0
 
@@ -188,7 +203,7 @@ class TestGenerationDistributed:
         topo = build_topology(1, [])
         state = GridState.initial([2.0])
         db = compute_delta_bounds(state, caps)
-        result = generation_distributed(np.array([9.0]), state, db, topo, CRIT)
+        result = generation_distributed(state.with_desired([9.0]), db, topo, CRIT)
         assert result.delta[0] == pytest.approx(7.0, abs=1e-9)
 
     def test_matches_closed_form_on_random_instances(self):
@@ -200,7 +215,7 @@ class TestGenerationDistributed:
             max_nodes = 12 if kind is None else 40
             topo, caps, state, db, desired = random_generation_instance(rng, max_nodes, kind)
             closed = generation_closed_form(float(desired.sum()), state, db)
-            dist = generation_distributed(desired, state, db, topo, CRIT).delta
+            dist = generation_distributed(state.with_desired(desired), db, topo, CRIT).delta
             assert np.allclose(dist, closed, rtol=1e-8, atol=1e-8)
             assert np.all(dist >= db.lo - 1e-8)
             assert np.all(dist <= db.hi + 1e-8)
@@ -213,7 +228,24 @@ class TestGenerationDistributed:
         state = GridState.initial([0.0, 0.0])
         db = compute_delta_bounds(state, caps)
         with pytest.raises(InfeasibleStepError):
-            generation_distributed(np.array([20.0, 20.0]), state, db, topo, CRIT)
+            generation_distributed(state.with_desired([20.0, 20.0]), db, topo, CRIT)
+
+    def test_zero_width_returns_the_forced_moves_without_a_round(self, monkeypatch):
+        # every headroom interval a point: the split's floors answer before
+        # any consensus round, which could not run on a zero denominator
+        def no_round(*args):
+            raise AssertionError("ratio consensus ran")
+
+        monkeypatch.setattr("gridconsensus.dispatch.ratio_consensus", no_round)
+        topo = build_topology(2, [(1, 2)])
+        state = GridState.initial([3.0, 4.0])
+        db = DeltaBounds(lo=[1.0, -1.0], hi=[1.0, -1.0])
+        result = generation_distributed(state.with_desired([2.5, 4.5]), db, topo, CRIT)
+        assert np.array_equal(result.delta, db.lo) and result.delta is not db.lo
+        assert result.iters == 0
+        # a target total the forced moves miss is still infeasible
+        with pytest.raises(InfeasibleStepError):
+            generation_distributed(state.with_desired([3.0, 4.5]), db, topo, CRIT)
 
     def test_nan_target_is_infeasible(self):
         # one NaN target makes the total NaN: rejected before ratio
@@ -222,7 +254,7 @@ class TestGenerationDistributed:
         state = GridState.initial([0.0, 0.0])
         db = compute_delta_bounds(state, two_node_caps())
         with pytest.raises(InfeasibleStepError):
-            generation_distributed(np.array([np.nan, 7.5]), state, db, topo, CRIT)
+            generation_distributed(state.with_desired([np.nan, 7.5]), db, topo, CRIT)
 
 
 class TestFlowControl:
@@ -364,7 +396,7 @@ class TestAudit:
     def test_clean_state_passes(self, ref_caps, ring_chord):
         desired = np.array(DESIRED_AT_150)
         state = GridState.initial(ref_caps.gen_lo).with_desired(desired)
-        delta = generation_with_coordination(state, desired, ref_caps)
+        delta = generation_with_coordination(state, ref_caps)
         after = apply_step(state, delta, np.zeros(7), ring_chord)
         audit = audit_state(after, ref_caps)
         assert audit.passed

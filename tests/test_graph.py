@@ -208,6 +208,7 @@ def test_build_topology_matches_the_reference_loop(fault, data):
     n, edges = data.draw(edge_lists(fault))
     built = topology_or_error(build_topology, n, edges)
     assert built == topology_or_error(reference_topology, n, edges)
+    assert built == topology_or_error(GridTopology, n, edges)
     if isinstance(built, tuple):
         return
     assert {type(x) for edge in built.edges for x in edge} <= {int}
@@ -320,6 +321,32 @@ def test_numpy_node_count_is_an_integer():
 def test_edges_that_are_not_iterable_are_a_topology_error(edges):
     with pytest.raises(TopologyError, match=rf"^edges must be an iterable of pairs, got {edges}$"):
         build_topology(3, edges)
+
+
+@pytest.mark.parametrize(("n", "edges"), [
+    (0, []), (2.0, [(1, 2)]), (True, []), (3, 5), (3, None),
+    (3, np.array([[1, 2]])),          # disconnected
+    (3, np.array([[1, 5], [1, 2]])),  # beyond n
+    (3, np.array([[1.0, 2.0], [2.0, 3.0]])),
+])
+def test_direct_construction_checks_the_edges_as_build_topology_does(n, edges):
+    # the class is public and a ScenarioConfig takes any instance of it, so
+    # building one directly raises the same class with the same message
+    # (edge lists: test_build_topology_matches_the_reference_loop)
+    with pytest.raises(TopologyError) as built:
+        build_topology(n, edges)
+    with pytest.raises(TopologyError) as direct:
+        GridTopology(n, edges)
+    assert (type(direct.value), str(direct.value)) == (type(built.value), str(built.value))
+
+
+def test_direct_construction_keeps_the_canonical_form():
+    # a list, and rows against the i < j orientation that flow signs rely on
+    topology = GridTopology(3, [[2, 1], [3, 2]])
+    assert topology.edge_array.tolist() == [[1, 2], [2, 3]]
+    assert topology.edge_array.dtype == np.int64 and not topology.edge_array.flags.writeable
+    assert topology == build_topology(3, [(1, 2), (2, 3)])
+    assert type(GridTopology(np.int64(1), np.zeros((0, 2), np.int64)).n) is int
 
 
 def test_edges_are_stored_once_as_a_read_only_array():
