@@ -182,9 +182,9 @@ def coordinate_distributed(
         raise ConfigError(f"{leader} outside 1..{topology.n}", field="leader")
     _require_realizable(p_demand, caps)
     # Nothing to negotiate when every generator is fixed: consensus cannot
-    # run on a zero denominator, but the split's floors still answer.
+    # run on a zero denominator, but the floors still answer.
     if float(np.sum(caps.gen_range)) <= 0.0:
-        return CoordinationResult(desired=_split(caps.gen_lo, caps.gen_range, p_demand))
+        return CoordinationResult(desired=caps.gen_lo.copy())
 
     x0 = -caps.gen_lo
     x0[leader - 1] += p_demand

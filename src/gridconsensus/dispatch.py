@@ -210,13 +210,13 @@ def generation_distributed(
     target minus its current output minus its minimum change, denominators
     at its headroom width. The common ratio times the local width, offset
     by the minimum change, reproduces the closed-form allocation. With no
-    headroom anywhere no round runs, and the split's floors answer.
+    headroom anywhere no round runs, and the forced moves ``db.lo`` answer.
     """
     if topology.n != state.n:
         raise ValueError(f"topology has {topology.n} nodes, state has {state.n}")
-    needed = _require_feasible(float(np.sum(state.p_d)), state, db)
+    _require_feasible(float(np.sum(state.p_d)), state, db)
     if float(np.sum(db.range)) <= 0.0:
-        return GenerationResult(delta=_split(db.lo, db.range, needed), iters=0)
+        return GenerationResult(delta=db.lo.copy(), iters=0)
 
     z0 = state.p_d - state.p_G - db.lo
     result = ratio_consensus(degree_weight_matrix(topology), z0, db.range, criteria)
