@@ -4,9 +4,9 @@ Two engines, both operating on per-node value arrays:
 
 * ``ratio_consensus`` — two coupled sum-preserving iterations whose
   per-node ratio converges to sum(x0)/sum(y0).
-* ``flow_accumulate`` — Metropolis-weighted averaging carried on a
-  per-edge accumulator alone, whose flows' net inflow gives the node
-  values; its steady state supplies the power flows.
+* ``flow_accumulate`` — Metropolis-weighted averaging carried on the
+  per-edge flows alone, whose net inflow gives the node values; its
+  steady state supplies the power flows.
 
 All rounds are synchronous: every node updates from the previous round's
 values, plus, after the switch below, its own value one round earlier.
@@ -184,9 +184,9 @@ class ConsensusResult:
 
 @dataclass(frozen=True)
 class FlowAccumulator:
-    """Per-edge accumulator h, aligned with the rows of ``topology.edge_array``,
-    the node values g its flows -h leave as ``apply_step`` books them, and
-    rounds."""
+    """Per-edge flows h, aligned with the rows of ``topology.edge_array`` (a
+    positive h on edge (i, j) is power i sends to j), the node values g they
+    leave as ``apply_step`` books them, and rounds."""
 
     h: np.ndarray
     g: np.ndarray
@@ -202,18 +202,18 @@ def _recurrence_weights(mu: float) -> Iterator[float]:
         omega = 1.0 / (1.0 - omega / (4.0 * mu * mu))
 
 
-def _block_after(spread: float | None, eps: float, rate: float, longest: int) -> int:
+def _block_after(spread: float, eps: float, rate: float, longest: int) -> int:
     """The Chebyshev rounds that take ``spread`` to ``eps`` at ``rate``,
     floor(ln(spread/eps)/rate), within 1..``longest``; 1 if the spread is
     not a number above eps."""
-    if spread is None or not spread > eps:
+    if not spread > eps:
         return 1
     return int(min(longest, max(1.0, (math.log(spread) - math.log(eps)) / rate)))
 
 
 def _rounds(
     plain: Callable, chebyshev: Callable, state: np.ndarray, weights: SparseWeights,
-    criteria: ConvergenceCriteria, values: Callable, spreads: Callable, floor: Callable,
+    criteria: ConvergenceCriteria, values: Callable, nodes: Callable, floor: Callable,
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Run rounds t = 1, 2, ... on the array ``state`` until the spread
     max - min of its node values is at most eps, and return t, the array
@@ -223,9 +223,9 @@ def _rounds(
     ``plain(state, v)``, v = ``values(state)``, what the next round reads
     besides the array, applies one round of W and returns a new array;
     ``chebyshev(weights)`` returns the same function for their P.
-    ``spreads(rounds)`` takes a block's rounds, (array, v) pairs, and
-    returns their spreads, None where undefined, and their node values,
-    one row per round, nan where undefined.
+    ``nodes(rounds)`` takes a block's rounds, (array, v) pairs, and returns
+    their node values, one row per round, nan where undefined; a round's
+    spread is its row's max - min, and undefined where the row holds a nan.
 
     Rounds run in blocks, and a pass over each block's spreads makes every
     decision the module docstring gives: the stop, the switch from plain
@@ -257,9 +257,9 @@ def _rounds(
                 new -= (omega - 1.0) * prev
             prev, state, v = state, new, values(new)
             rounds.append((state, v))
-        found, rows = spreads(rounds)
-        for i, s in enumerate(found):
-            if s is None:
+        rows = nodes(rounds)
+        for i, s in enumerate((rows.max(axis=1) - rows.min(axis=1)).tolist()):
+            if math.isnan(s):
                 continue
             u = t + 1 + i
             if s <= eps:
@@ -285,7 +285,7 @@ def _rounds(
                 block = _block_after(s, eps, rate, longest)
             else:
                 block = min(2 * block, longest)
-                if limit is not None and s is not None:
+                if limit is not None and not math.isnan(s):
                     # spreads of plain rounds do not grow past s, so no round
                     # trips the watch before cosh((u - t0) rate) > limit / s
                     reach = math.acosh(max(1.0, limit / s)) / rate
@@ -296,6 +296,25 @@ def _rounds(
         nodes = np.array2string(np.flatnonzero(np.isnan(values)) + 1, separator=", ", threshold=10)
         message += f"; undefined (nan) at nodes {nodes}"
     raise ConvergenceError(message, values=values, iters=cap)
+
+
+def _operands(weights, **operands) -> list[np.ndarray]:
+    """The ``operands`` as float arrays, once the checks both engines make
+    before any round pass: TypeError if ``weights`` is not ``SparseWeights``,
+    and ValueError naming the first operand that is not one finite number
+    per row of them (no round removes a nan or an infinity)."""
+    if not isinstance(weights, SparseWeights):
+        raise TypeError(f"weights must be SparseWeights, got {type(weights).__name__}")
+    arrays = []
+    for name, values in operands.items():
+        array = np.asarray(values, dtype=float)
+        if array.shape != weights.shape[:1]:
+            raise ValueError(f"{name} shape {array.shape} does not match "
+                             f"weight shape {weights.shape}")
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} entries must be finite")
+        arrays.append(array)
+    return arrays
 
 
 def ratio_consensus(
@@ -317,44 +336,29 @@ def ratio_consensus(
     ``eps`` of the limit. (Plain rounds also shrink the spread
     monotonically; Chebyshev rounds need not.)
 
-    Raises, before any round, TypeError if ``weights`` is not
-    ``SparseWeights`` and ValueError if x0 or y0 holds a nan or an
-    infinity, which no round removes, or if y0 holds a negative entry or
-    no positive one; ConvergenceError at the round cap, whose ``values``
-    are that round's ratios, nan where a denominator is at or below the
-    floor.
+    Raises, before any round, what ``_operands`` raises for the weights,
+    x0 and y0, and ValueError if y0 holds a negative entry or no positive
+    one; ConvergenceError at the round cap, whose ``values`` are that
+    round's ratios, nan where a denominator is at or below the floor.
     """
-    if not isinstance(weights, SparseWeights):
-        raise TypeError(f"weights must be SparseWeights, got {type(weights).__name__}")
-    x = np.asarray(x0, dtype=float)
-    y = np.asarray(y0, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"x0 shape {x.shape} != y0 shape {y.shape}")
-    if x.ndim != 1 or weights.shape != (x.size, x.size):
-        raise ValueError(f"weight shape {weights.shape} does not match x0 shape {x.shape}")
-    for name, values in (("x0", x), ("y0", y)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} entries must be finite")
+    x, y = _operands(weights, x0=x0, y0=y0)
     if np.any(y < 0) or not np.any(y > 0):
         raise ValueError("y0 entries must be nonnegative, and one positive")
 
     def rounds_of(w):
         return lambda z, _: w @ z
 
-    def spreads(rounds):
+    def ratios(rounds):
         z = np.array([z for z, _ in rounds])
         x, y = z[:, :, 0], z[:, :, 1]
-        low = y.min(axis=1) <= DENOMINATOR_FLOOR
-        if low.any():  # collapsed denominators give nan, and their rows' spreads are dropped
-            ratios = np.divide(x, y, out=np.full(x.shape, np.nan), where=y > DENOMINATOR_FLOOR)
-        else:
-            ratios = x / y
-        spread = (ratios.max(axis=1) - ratios.min(axis=1)).tolist()
-        return [None if u else s for u, s in zip(low.tolist(), spread)], ratios
+        if y.min() > DENOMINATOR_FLOOR:
+            return x / y
+        # a collapsed denominator leaves its ratio, and its round's spread, undefined
+        return np.divide(x, y, out=np.full(x.shape, np.nan), where=y > DENOMINATOR_FLOOR)
 
     t, _, ratio = _rounds(rounds_of(weights), lambda w: rounds_of(w.shifted()),
                           np.stack((x, y), axis=1), weights, criteria, lambda z: None,
-                          spreads, lambda z: 0.0)
+                          ratios, lambda z: 0.0)
     return ConsensusResult(values=ratio.copy(), iters=t)
 
 
@@ -364,7 +368,7 @@ def flow_accumulate(
     g0,
     criteria: ConvergenceCriteria,
 ) -> FlowAccumulator:
-    """Average g across the graph, carrying only the per-edge accumulator.
+    """Average g across the graph, carrying only the per-edge flows.
 
     ``weights`` (the Metropolis weights of ``topology``, n x n) carries the
     interval that sets the switch; the rounds apply the same weights per edge,
@@ -372,45 +376,39 @@ def flow_accumulate(
     edge, and those of P as a_e/(1 - c), so the shifted matrix is never
     built.
 
-    The rounds carry h, one entry per row of ``topology.edge_array``, alone.
-    Each reads the node values g = g0 + ``topology.incident_sums(-h, h)``,
-    the net inflow of the flows -h as ``dispatch.apply_step`` books it, and
-    adds a_e * (g_j - g_i) to h[e] for each edge e = (i, j), i < j: one
-    Metropolis averaging round of g. g is affine in h, so the Chebyshev
-    combination of h combines g alike.
+    The rounds carry the flows h, one entry per row of
+    ``topology.edge_array``, alone. Each reads the node values g = g0 +
+    ``topology.incident_sums(h, -h)``, the net inflow of the flows as
+    ``dispatch.apply_step`` books it, and adds a_e * (g_i - g_j) to h[e] for
+    each edge e = (i, j), i < j: one Metropolis averaging round of g. g is
+    affine in h, so the Chebyshev combination of h combines g alike.
 
     Stops once the node values agree to within ``eps``: their sum is
-    preserved, so the spread certifies that the flows -h leave every node
+    preserved, so the spread certifies that the flows h leave every node
     within ``eps`` of their mean, in the sum the export books. Where the
     Chebyshev watch trips, a spread within eps plus the floor no round
     removes stops the call too; d is the largest degree, u the unit
     roundoff. The floor is the rounding of that sum, gamma_{d+1} * 2 max_i
     (|g0_i| + sum of |h_e| on i's edges), plus the stall of h. A Chebyshev
-    round sets h_e to omega (h_e + a_e (g_j - g_i)/(1 - c)) - (omega - 1)
+    round sets h_e to omega (h_e + a_e (g_i - g_j)/(1 - c)) - (omega - 1)
     h_e' in roundings worth at most 3 omega u |h_e| (omega - 1 is exact).
     Where h no longer moves, the increment is within them, so
-    |g_j - g_i| <= 3 (1 - c) u |h_e| / a_e < 6 u |h_e| / a_e, as c > -1;
+    |g_i - g_j| <= 3 (1 - c) u |h_e| / a_e < 6 u |h_e| / a_e, as c > -1;
     summed along a path, the spread is at most 6 u sum_e |h_e| / a_e
-    <= 6 u (d + 1) sum_e |h_e|. Raises, before any round, TypeError if
-    ``weights`` is not ``SparseWeights`` and ValueError if g0 holds a nan
-    or an infinity; ConvergenceError at the round cap.
+    <= 6 u (d + 1) sum_e |h_e|. Raises, before any round, what
+    ``_operands`` raises for the weights and g0, and ValueError if the
+    weights do not match the topology's nodes; ConvergenceError at the
+    round cap.
     """
-    if not isinstance(weights, SparseWeights):
-        raise TypeError(f"weights must be SparseWeights, got {type(weights).__name__}")
-    n = topology.n
-    if weights.shape != (n, n):
-        raise ValueError(f"weight shape {weights.shape} does not match {n} nodes")
-    g0 = np.asarray(g0, dtype=float)
-    if g0.shape != (n,):
-        raise ValueError(f"g0 shape {g0.shape} does not match {n} nodes")
-    if not np.isfinite(g0).all():
-        raise ValueError("g0 entries must be finite")
+    (g0,) = _operands(weights, g0=g0)
+    if weights.shape != (topology.n, topology.n):
+        raise ValueError(f"weight shape {weights.shape} does not match {topology.n} nodes")
 
     heads, tails = topology.edge_index_arrays()
     terms = topology.max_degree + 1
 
     def node_values(h):
-        return g0 + topology.incident_sums(-h, h)
+        return g0 + topology.incident_sums(h, -h)
 
     a = metropolis_edge_weights(topology)
 
@@ -421,12 +419,9 @@ def flow_accumulate(
         return criteria.tolerance(0.0, magnitude, terms) + stall
 
     def rounds_of(a):
-        return lambda h, g: h + a * (g[tails] - g[heads])
-
-    def spreads(rounds):
-        g = np.array([g for _, g in rounds])
-        return (g.max(axis=1) - g.min(axis=1)).tolist(), g
+        return lambda h, g: h + a * (g[heads] - g[tails])
 
     t, h, g = _rounds(rounds_of(a), lambda w: rounds_of(a / (1.0 - w.shift)),
-                      np.zeros(heads.shape[0]), weights, criteria, node_values, spreads, floor)
+                      np.zeros(heads.shape[0]), weights, criteria, node_values,
+                      lambda rounds: np.array([g for _, g in rounds]), floor)
     return FlowAccumulator(h=h, g=g.copy(), iters=t)

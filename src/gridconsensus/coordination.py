@@ -116,25 +116,25 @@ class CoordinationResult:
     iters: int = 0
 
 
+def _not_a_demand(_, value, what: str):
+    raise ConfigError(f"must be {what}, got {value!r}", field="demand")
+
+
 def check_realizability(p_demand: float, caps: NodeCapacities) -> RealizabilityReport:
     """Demand is realizable iff it lies between the sums of the lower and
-    upper generation bounds (inclusive on both ends)."""
-    lower = caps.total_gen_lo
-    upper = caps.total_gen_hi
-    p_demand = float(p_demand)
-    return RealizabilityReport(
-        realizable=bool(lower <= p_demand <= upper),
-        demand=p_demand,
-        lower=lower,
-        upper=upper,
-    )
+    upper generation bounds (inclusive on both ends). Raises ConfigError
+    (field "demand") for a demand that is not a finite real number: a bool,
+    a string, None, nan or an infinity."""
+    (p_demand,) = _finite_reals([p_demand], _not_a_demand).tolist()
+    lower, upper = caps.total_gen_lo, caps.total_gen_hi
+    return RealizabilityReport(bool(lower <= p_demand <= upper), p_demand, lower, upper)
 
 
 def _require_realizable(p_demand: float, caps: NodeCapacities) -> RealizabilityReport:
     report = check_realizability(p_demand, caps)
     if not report:
         raise NotRealizableError(
-            f"demand {p_demand} outside [{report.lower}, {report.upper}] "
+            f"demand {report.demand} outside [{report.lower}, {report.upper}] "
             f"(margins: {report.lower_margin}, {report.upper_margin})",
             report=report,
         )
@@ -153,7 +153,7 @@ def _split(lo: np.ndarray, width: np.ndarray, total: float) -> np.ndarray:
 def coordinate_closed_form(p_demand: float, caps: NodeCapacities) -> CoordinationResult:
     """Split demand over the generation ranges, using global capacity sums;
     the shares stay inside the generation bounds and sum to the demand."""
-    _require_realizable(p_demand, caps)
+    p_demand = _require_realizable(p_demand, caps).demand
     return CoordinationResult(desired=_split(caps.gen_lo, caps.gen_range, p_demand))
 
 
@@ -180,7 +180,7 @@ def coordinate_distributed(
         raise ConfigError(f"must be an integer, got {leader!r}", field="leader")
     if not 1 <= leader <= topology.n:
         raise ConfigError(f"{leader} outside 1..{topology.n}", field="leader")
-    _require_realizable(p_demand, caps)
+    p_demand = _require_realizable(p_demand, caps).demand
     # Nothing to negotiate when every generator is fixed: consensus cannot
     # run on a zero denominator, but the floors still answer.
     if float(np.sum(caps.gen_range)) <= 0.0:

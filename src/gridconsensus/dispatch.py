@@ -234,11 +234,11 @@ def flow_control(
 
     The mismatch vector (generation minus target) averages to zero when
     generation control balanced the totals, so diffusing it to agreement
-    drives every entry to zero; the flow rounds carry the edge accumulator,
-    whose negation is the flow, and read the mismatch through the net
-    inflow ``apply_step`` books, so the certified mismatch is the one the
-    flows leave. Entry e of the result, for edge (i, j) = row e of
-    ``topology.edge_array``, is the power i sends to j.
+    drives every entry to zero; the flow rounds carry the flows themselves
+    and read the mismatch through the net inflow ``apply_step`` books, so
+    the certified mismatch is the one the flows leave. Entry e of the
+    result, for edge (i, j) = row e of ``topology.edge_array``, is the
+    power i sends to j.
 
     Raises BalanceError when the mismatch total exceeds what generation
     control certified to eps can leave over ``caps``: flows only move power
@@ -254,17 +254,17 @@ def flow_control(
             "per-node errors"
         )
     acc = flow_accumulate(topology, weights, mismatch, criteria)
-    return FlowControlResult(flows=-acc.h, iters=acc.iters)
+    return FlowControlResult(flows=acc.h, iters=acc.iters)
 
 
 def flow_closed_form(mismatch, topology: GridTopology) -> np.ndarray:
     """The per-edge flows that flow control converges to, solved directly.
 
-    Flow control's accumulator settles at h_e = a_e (G_j - G_i) for edge
+    Flow control's flows settle at f_e = a_e (G_i - G_j) for edge
     e = (i, j), where a are the Metropolis edge weights and the potentials
-    G solve L G = mismatch for the weighted Laplacian L = I - S. The flows
-    -h are therefore the electrical flow with conductances a: the one
-    flow that cancels a balanced mismatch with least sum of f_e^2 / a_e.
+    G solve L G = mismatch for the weighted Laplacian L = I - S. They are
+    therefore the electrical flow with conductances a: the one flow that
+    cancels a balanced mismatch with least sum of f_e^2 / a_e.
     On a tree it is the only cancelling flow, the subtree sum of the
     mismatch across each edge. Node 1 is grounded (G_1 = 0) and the
     reduced system is solved densely, O(n^3): an oracle, not an engine.

@@ -287,19 +287,20 @@ def plain_ratio_consensus(dense, x0, y0, criteria):
 
 
 def plain_flow_accumulate(topology, g0, criteria):
-    """``flow_accumulate`` in plain rounds alone: each adds a_e (g_j - g_i)
-    to h_e for every edge e = (i, j) of ``topology``, a the Metropolis edge
-    weights, and reads g = g0 plus the net inflow of the flows -h. It stops,
-    as the engine does, at the first round whose g spreads at most eps; at
-    the round cap it raises ConvergenceError with that round's g."""
+    """``flow_accumulate`` in plain rounds alone: each adds a_e (g_i - g_j)
+    to the flow h_e for every edge e = (i, j) of ``topology``, a the
+    Metropolis edge weights, and reads g = g0 plus the net inflow of the
+    flows h. It stops, as the engine does, at the first round whose g
+    spreads at most eps; at the round cap it raises ConvergenceError with
+    that round's g."""
     g0 = np.asarray(g0, dtype=float)
     heads, tails = topology.edge_index_arrays()
     a = metropolis_edge_weights(topology)
     h = np.zeros(heads.shape[0])
-    g = g0 + topology.incident_sums(-h, h)
+    g = g0 + topology.incident_sums(h, -h)
     for t in range(1, criteria.max_iters + 1):
-        h = h + a * (g[tails] - g[heads])
-        g = g0 + topology.incident_sums(-h, h)
+        h = h + a * (g[heads] - g[tails])
+        g = g0 + topology.incident_sums(h, -h)
         if np.ptp(g) <= criteria.eps:
             return FlowAccumulator(h=h, g=g, iters=t)
     raise ConvergenceError(f"plain rounds did not converge within {t} rounds",

@@ -35,6 +35,17 @@ def write_config(tmp_path, name="scenario.json", **overrides):
     return path
 
 
+def write_demand_config(tmp_path, values):
+    """The config above in the with-coordination mode, with an explicit
+    demand profile in place of the desired one; its realizable interval is
+    [5, 35]."""
+    path = write_config(tmp_path, mode="with", demand={"kind": "explicit", "values": values})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["desired"]  # demand replaces the desired profile in this mode
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 class TestValidate:
     def test_shipped_configs_pass(self, capsys):
         for mode in ("with", "without"):
@@ -82,17 +93,19 @@ class TestValidate:
         assert "error:" in capsys.readouterr().err
 
     def test_unrealizable_explicit_demand_is_exit_1(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path, mode="with",
-            demand={"kind": "explicit", "values": [10.0, 20.0, 99.0]},
-        )
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        del doc["desired"]  # demand replaces the desired profile in this mode
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path = write_demand_config(tmp_path, [10.0, 20.0, 99.0])
         code = main(["validate", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 1
         assert "step 3" in err
+
+    def test_explicit_demand_reports_its_worst_margins(self, tmp_path, capsys):
+        path = write_demand_config(tmp_path, [10.0, 20.0, 31.0])
+        code = main(["validate", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ("demand:     explicit, 3 steps, worst margins: 5 above the floor, "
+                "4 below the ceiling\n") in out
 
 
 class TestCoordinate:

@@ -9,6 +9,7 @@ approach.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -449,11 +450,11 @@ class TestChebyshevPhase:
         assert acc.iters > predicted_rounds(s.interval, CRIT.eps)
         heads, tails = topo.edge_index_arrays()
         inflow = np.bincount(np.concatenate((heads, tails)),
-                             weights=np.concatenate((acc.h, -acc.h)), minlength=50)
+                             weights=np.concatenate((-acc.h, acc.h)), minlength=50)
         assert np.max(np.abs(acc.g - (g0 + inflow))) <= 1e-9
         assert np.max(np.abs(acc.g)) <= CRIT.eps
         # on a path edge (i, i + 1) carries everything nodes 1..i hold
-        assert np.max(np.abs(-acc.h - np.cumsum(g0)[:-1])) <= 50 * CRIT.eps
+        assert np.max(np.abs(acc.h - np.cumsum(g0)[:-1])) <= 50 * CRIT.eps
 
     def test_chebyshev_flow_rounds_beat_the_plain_reference(self):
         # flow rounds take the gap from their weights, like ratio rounds,
@@ -643,7 +644,7 @@ class TestMeasuredInterval:
         fallbacks.clear()
         acc = flow_accumulate(topo, s, g0, CRIT)
         assert len(fallbacks) > 2 and acc.iters < 4892
-        assert np.max(np.abs(-acc.h - oracle)) <= 300 * CRIT.eps
+        assert np.max(np.abs(acc.h - oracle)) <= 300 * CRIT.eps
 
         capped = ConvergenceCriteria(max_iters=1000)
         for run in (lambda: ratio_consensus(q, x0, y0, capped),
@@ -686,7 +687,7 @@ class TestMeasuredInterval:
         acc = flow_accumulate(flow_topo, s, g0, CRIT)
         assert fallbacks == [s] and acc.iters < 1231
         oracle = flow_closed_form(g0 - g0.mean(), flow_topo)
-        assert np.max(np.abs(-acc.h - oracle)) <= n * CRIT.eps
+        assert np.max(np.abs(acc.h - oracle)) <= n * CRIT.eps
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_point_spectra_stay_finite(self, n):
@@ -717,7 +718,7 @@ class TestMeasuredInterval:
             assert res.iters == 1 and np.max(np.abs(res.values - truth)) <= CRIT.eps
             acc = flow_accumulate(topo, flow_weights, g0, CRIT)
             assert acc.iters == 1 and np.ptp(acc.g) <= CRIT.eps
-            assert np.max(np.abs(-acc.h - oracle), initial=0.0) <= n * CRIT.eps
+            assert np.max(np.abs(acc.h - oracle), initial=0.0) <= n * CRIT.eps
             for run, limit in ((lambda: ratio_consensus(ratio_weights, x0, y0, tiny).values,
                                 truth),
                                (lambda: flow_accumulate(topo, flow_weights, g0, tiny).g,
@@ -738,23 +739,23 @@ class TestFlowAccumulate:
 
     def test_two_node_hand_iteration(self):
         # edge weight 1/2; one round moves both values to exactly 0 and
-        # books h[(1,2)] = 1/2 * (-5 - 5) = -5, so the spread stops it there
+        # books h[(1,2)] = 1/2 * (5 - (-5)) = 5, so the spread stops it there
         topo = build_topology(2, [(1, 2)])
         s = metropolis_weight_matrix(topo)
         acc = flow_accumulate(topo, s, [5.0, -5.0], CRIT)
         assert acc.iters == 1
         assert np.all(acc.g == 0.0)
         assert acc.h.shape == (1,)
-        assert acc.h[0] == pytest.approx(-5.0, abs=1e-12)
+        assert acc.h[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_path3_steady_accumulator(self, path3):
-        # on a tree the per-node sum conditions pin the accumulator:
+        # on a tree the per-node sum conditions pin the flows:
         # end nodes must shed their whole initial value over their one edge,
-        # so both edges (1,2) and (2,3) carry -3 and node 2 nets zero
+        # so both edges (1,2) and (2,3) carry 3 and node 2 nets zero
         s = metropolis_weight_matrix(path3)
         acc = flow_accumulate(path3, s, [3.0, 0.0, -3.0], CRIT)
         assert acc.h.shape == (2,)
-        assert np.max(np.abs(acc.h - [-3.0, -3.0])) <= 1e-8
+        assert np.max(np.abs(acc.h - [3.0, 3.0])) <= 1e-8
         assert np.max(np.abs(acc.g)) <= 10 * CRIT.eps
 
     def test_antisymmetry_exact_and_telescoping(self):
@@ -767,12 +768,13 @@ class TestFlowAccumulate:
             g0 -= g0.mean()
             acc = flow_accumulate(topo, s, g0, CRIT)
             assert acc.h.shape == (len(topo.edges),)
-            # one value per edge, booked +h at its lower endpoint and -h at
-            # its higher one: the pairwise view is antisymmetric by construction
+            # one flow per edge, booked -h at its lower endpoint, which sends
+            # it, and +h at its higher one: the pairwise view of the inflows
+            # is antisymmetric by construction
             heads, tails = topo.edge_index_arrays()
             pairwise = np.zeros((n, n))
-            pairwise[heads, tails] = acc.h
-            pairwise[tails, heads] = -acc.h
+            pairwise[heads, tails] = -acc.h
+            pairwise[tails, heads] = acc.h
             assert np.array_equal(pairwise, -pairwise.T)
             # telescoping: final value = initial + accumulated inflow
             assert np.max(np.abs(acc.g - (g0 + pairwise.sum(axis=1)))) <= 1e-9
@@ -807,6 +809,30 @@ def test_engines_refuse_non_finite_inputs(monkeypatch, argument, bad):
             flow_accumulate(topo, metropolis_weight_matrix(topo), inputs["g0"], CRIT)
         else:
             ratio_consensus(degree_weight_matrix(topo), inputs["x0"], inputs["y0"], CRIT)
+
+
+@pytest.mark.parametrize("argument", ["x0", "y0", "g0"])
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), ()])
+def test_engines_refuse_operands_of_another_shape(monkeypatch, argument, shape):
+    # one guard serves both engines: each operand is one number per row of
+    # the weights, or the call is refused, naming it, before any round
+    monkeypatch.setattr(consensus_mod, "_rounds", lambda *args: pytest.fail("a round ran"))
+    topo = path(4)
+    inputs = {"x0": [1.0, 2.0, 3.0, 4.0], "y0": [1.0, 1.0, 2.0, 1.0], "g0": [3.0, 0.0, -1.0, -2.0]}
+    inputs[argument] = np.ones(shape)
+    message = f"{argument} shape {shape} does not match weight shape (4, 4)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if argument == "g0":
+            flow_accumulate(topo, metropolis_weight_matrix(topo), inputs["g0"], CRIT)
+        else:
+            ratio_consensus(degree_weight_matrix(topo), inputs["x0"], inputs["y0"], CRIT)
+
+
+def test_flow_engine_refuses_weights_of_another_topology(monkeypatch):
+    # g0 matches the weights, and both miss the topology's nodes
+    monkeypatch.setattr(consensus_mod, "_rounds", lambda *args: pytest.fail("a round ran"))
+    with pytest.raises(ValueError, match=r"^weight shape \(3, 3\) does not match 4 nodes$"):
+        flow_accumulate(path(4), metropolis_weight_matrix(path(3)), [1.0, 0.0, -1.0], CRIT)
 
 
 def test_engines_refuse_dense_weights():

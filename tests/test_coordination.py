@@ -3,12 +3,16 @@ closed-form vs distributed split."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import gridconsensus.coordination as coordination_mod
 from gridconsensus import (
     CapacityError,
     ConfigError,
+    ConsensusResult,
     ConvergenceCriteria,
     ConvergenceError,
     NodeCapacities,
@@ -139,6 +143,24 @@ class TestRealizability:
         report = check_realizability(84.0, ref_caps)
         assert report.lower_margin == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("demand", [True, "100", None, math.nan, math.inf, -math.inf])
+    def test_demand_must_be_a_finite_number(self, ref_caps, ring_chord, demand):
+        # every entry point reads the demand through check_realizability,
+        # which refuses what is not a finite real number, as a bad leader is
+        # refused, before any split or round
+        for call in (lambda: check_realizability(demand, ref_caps),
+                     lambda: coordinate_closed_form(demand, ref_caps),
+                     lambda: coordinate_distributed(demand, ref_caps, ring_chord)):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert info.value.field == "demand"
+            assert str(info.value).startswith("demand: must be a ")
+
+    def test_numpy_demand_is_read_as_a_float(self, ref_caps):
+        for demand in (np.int64(150), np.float32(150.0)):
+            report = check_realizability(demand, ref_caps)
+            assert type(report.demand) is float and report.demand == 150.0
+
 
 class TestClosedForm:
     def test_reference_anchor_at_150(self, ref_caps):
@@ -238,6 +260,19 @@ class TestDistributed:
         with pytest.raises(ConvergenceError):
             coordinate_distributed(150.0, ref_caps, ring_chord,
                                    criteria=ConvergenceCriteria(eps=1e-14, max_iters=4))
+
+    def test_total_off_the_demand_raises(self, monkeypatch, ref_caps, ring_chord):
+        # ratios the check does not trust: one node's share is 1e-3 of its
+        # range off, so the total misses the demand by far more than eps
+        truth = (150.0 - ref_caps.total_gen_lo) / float(np.sum(ref_caps.gen_range))
+        values = np.full(6, truth)
+        values[2] += 1e-3
+        monkeypatch.setattr(coordination_mod, "ratio_consensus",
+                            lambda *args: ConsensusResult(values=values, iters=7))
+        with pytest.raises(ConvergenceError, match="misses demand 150.0") as info:
+            coordinate_distributed(150.0, ref_caps, ring_chord)
+        assert info.value.iters == 7
+        assert np.array_equal(info.value.values, ref_caps.gen_lo + ref_caps.gen_range * values)
 
     def test_all_generators_fixed_degenerate(self, ring_chord):
         vals = [10.0, 20.0, 20.0, 10.0, 15.0, 10.0]

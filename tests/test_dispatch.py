@@ -107,6 +107,12 @@ class TestDeltaBounds:
         with pytest.raises(ValueError, match=f"at node {len(lo)}$"):
             DeltaBounds(lo=lo, hi=hi)
 
+    @pytest.mark.parametrize(("lo", "hi"), [([0.0, 0.0], [1.0]), ([[0.0], [0.0]], [[1.0], [1.0]]),
+                                            (0.0, 1.0)])
+    def test_unequal_or_not_1d_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="^delta bounds must be 1-D arrays of equal length$"):
+            DeltaBounds(lo=lo, hi=hi)
+
 
 class TestGenerationWithCoordination:
     def test_already_on_target(self, ref_caps):
@@ -255,6 +261,12 @@ class TestGenerationDistributed:
         db = compute_delta_bounds(state, two_node_caps())
         with pytest.raises(InfeasibleStepError):
             generation_distributed(state.with_desired([np.nan, 7.5]), db, topo, CRIT)
+
+    def test_topology_of_another_size_rejected(self, path3):
+        state = GridState.initial([0.0, 0.0]).with_desired([7.5, 7.5])
+        db = compute_delta_bounds(state, two_node_caps())
+        with pytest.raises(ValueError, match="^topology has 3 nodes, state has 2$"):
+            generation_distributed(state, db, path3, CRIT)
 
 
 class TestFlowControl:

