@@ -213,7 +213,7 @@ def _block_after(spread: float, eps: float, rate: float, longest: int) -> int:
 
 def _rounds(
     plain: Callable, chebyshev: Callable, state: np.ndarray, weights: SparseWeights,
-    criteria: ConvergenceCriteria, values: Callable, nodes: Callable, floor: Callable,
+    criteria: ConvergenceCriteria, values: Callable, rows_of: Callable, floor: Callable,
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Run rounds t = 1, 2, ... on the array ``state`` until the spread
     max - min of its node values is at most eps, and return t, the array
@@ -223,7 +223,7 @@ def _rounds(
     ``plain(state, v)``, v = ``values(state)``, what the next round reads
     besides the array, applies one round of W and returns a new array;
     ``chebyshev(weights)`` returns the same function for their P.
-    ``nodes(rounds)`` takes a block's rounds, (array, v) pairs, and returns
+    ``rows_of(rounds)`` takes a block's rounds, (array, v) pairs, and returns
     their node values, one row per round, nan where undefined; a round's
     spread is its row's max - min, and undefined where the row holds a nan.
 
@@ -257,7 +257,7 @@ def _rounds(
                 new -= (omega - 1.0) * prev
             prev, state, v = state, new, values(new)
             rounds.append((state, v))
-        rows = nodes(rounds)
+        rows = rows_of(rounds)
         for i, s in enumerate((rows.max(axis=1) - rows.min(axis=1)).tolist()):
             if math.isnan(s):
                 continue
